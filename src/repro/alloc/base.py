@@ -62,43 +62,36 @@ class AllocationError(RuntimeError):
 class PhysRegState:
     """Intervals currently assigned to one physical register.
 
-    With ``use_masks`` (set by the allocator when the flat core is
-    active) the state additionally maintains the union coverage bitmask
-    of its intervals, turning the free-probe into one AND.  The XOR on
-    removal is exact because assigned intervals on one physical register
-    are always pairwise disjoint (``is_free_for`` gates every add, and
-    eviction removes all conflicts before a new add), and interval
-    segment sets never mutate while assigned.
+    The state also keeps the union coverage bitmask of its intervals,
+    turning the free-probe into one AND (``a.mask & b.mask`` is exactly
+    :meth:`LiveInterval.overlaps`).  The XOR on removal is exact because
+    assigned intervals on one physical register are always pairwise
+    disjoint (``is_free_for`` gates every add, and eviction removes all
+    conflicts before a new add), and interval segment sets never mutate
+    while assigned.
     """
 
     preg: PhysicalRegister
     intervals: list[LiveInterval] = field(default_factory=list)
-    use_masks: bool = False
     mask: int = 0
 
     def conflicts_with(self, interval: LiveInterval) -> list[LiveInterval]:
         """Assigned intervals overlapping *interval*."""
-        if self.use_masks:
-            m = interval.mask
-            if not self.mask & m:
-                return []
-            return [iv for iv in self.intervals if iv.mask & m]
-        return [iv for iv in self.intervals if iv.overlaps(interval)]
+        m = interval.mask
+        if not self.mask & m:
+            return []
+        return [iv for iv in self.intervals if iv.mask & m]
 
     def is_free_for(self, interval: LiveInterval) -> bool:
-        if self.use_masks:
-            return not self.mask & interval.mask
-        return not any(iv.overlaps(interval) for iv in self.intervals)
+        return not self.mask & interval.mask
 
     def add(self, interval: LiveInterval) -> None:
         self.intervals.append(interval)
-        if self.use_masks:
-            self.mask |= interval.mask
+        self.mask |= interval.mask
 
     def remove(self, interval: LiveInterval) -> None:
         self.intervals.remove(interval)
-        if self.use_masks:
-            self.mask ^= interval.mask
+        self.mask ^= interval.mask
 
 
 class AllocationPolicy(Protocol):

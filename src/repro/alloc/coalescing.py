@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.flat import enabled as flat_enabled
 from ..ir.function import Function
 from ..ir.instruction import OpKind
 from ..ir.types import RegClass, VirtualRegister
@@ -75,9 +74,6 @@ def _coalesce_round(
     am: AnalysisManager,
 ) -> int:
     live = am.get(LiveIntervalsAnalysis)
-    # Resolved once per round: interval overlap becomes one bitmask AND,
-    # and the rewrite below touches only instructions a merge reaches.
-    fast = flat_enabled()
     mapping: dict[VirtualRegister, VirtualRegister] = {}
     dead_copies: set[int] = set()
 
@@ -104,11 +100,8 @@ def _coalesce_round(
                 continue
             if dst not in live.intervals or src not in live.intervals:
                 continue
-            if fast:
-                overlap = bool(live.of(dst).mask & live.of(src).mask)
-            else:
-                overlap = live.of(dst).overlaps(live.of(src))
-            if overlap:
+            # One bitmask AND: exactly LiveInterval.overlaps.
+            if live.of(dst).mask & live.of(src).mask:
                 # Overlap caused by this very copy is fine only when the
                 # copy is the single connection; be conservative and skip.
                 continue
@@ -129,41 +122,31 @@ def _coalesce_round(
 
     compressed = {reg: resolve(reg) for reg in mapping}
 
+    # Targeted rewrite: the flat reverse index names exactly the
+    # instructions that reference a merged register; everything else is
+    # kept by identity (value-identical to rewriting it with a mapping
+    # that hits nothing).
+    flat = am.get(FlatIRAnalysis)
+    uses_of = flat.uses_of_reg()
+    reg_ids = flat.reg_ids
+    affected: set[int] = set()
+    for reg in compressed:
+        rid = reg_ids.get(reg)
+        if rid is not None:
+            affected.update(uses_of[rid])
+    ordinal_of = flat.ordinal_of
     removed = 0
-    if fast:
-        # Targeted rewrite: the flat reverse index names exactly the
-        # instructions that reference a merged register; everything else
-        # is kept by identity (value-identical to rewriting it with a
-        # mapping that hits nothing).
-        flat = am.get(FlatIRAnalysis)
-        uses_of = flat.uses_of_reg()
-        reg_ids = flat.reg_ids
-        affected: set[int] = set()
-        for reg in compressed:
-            rid = reg_ids.get(reg)
-            if rid is not None:
-                affected.update(uses_of[rid])
-        ordinal_of = flat.ordinal_of
-        for block in function.blocks:
-            new_instructions = []
-            for instr in block.instructions:
-                if id(instr) in dead_copies:
-                    removed += 1
-                    continue
-                if ordinal_of.get(id(instr)) in affected:
-                    new_instructions.append(instr.rewrite(compressed))
-                else:
-                    new_instructions.append(instr)
-            block.instructions = new_instructions
-    else:
-        for block in function.blocks:
-            new_instructions = []
-            for instr in block.instructions:
-                if id(instr) in dead_copies:
-                    removed += 1
-                    continue
+    for block in function.blocks:
+        new_instructions = []
+        for instr in block.instructions:
+            if id(instr) in dead_copies:
+                removed += 1
+                continue
+            if ordinal_of.get(id(instr)) in affected:
                 new_instructions.append(instr.rewrite(compressed))
-            block.instructions = new_instructions
+            else:
+                new_instructions.append(instr)
+        block.instructions = new_instructions
     result.copies_removed += removed
     # The rewrite replaced instruction objects: every id()-keyed or
     # register-keyed analysis is stale; only the block graph survives.

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from ..analysis.intervals import LiveInterval
 from ..banks.register_file import RegisterFile
 from ..ir import instruction as ins
-from ..ir.flat import enabled as flat_enabled
 from ..ir.function import Function
 from ..ir.instruction import Instruction
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
@@ -130,12 +129,8 @@ class GreedyAllocator:
         self._intervals = {}
         self._assignment = {}
         self._eviction_count = {}
-        # Resolved once per run: every overlap probe below becomes a
-        # bitmask AND instead of a segment-list walk.
-        use_masks = flat_enabled()
         self._preg_state = {
-            preg: PhysRegState(preg, use_masks=use_masks)
-            for preg in self.register_file.registers()
+            preg: PhysRegState(preg) for preg in self.register_file.registers()
         }
         all_registers = self.register_file.registers()
 
@@ -346,44 +341,12 @@ class GreedyAllocator:
                 )
             result.spill_instructions += 1
 
-        if flat_enabled():
-            self._materialize_fast(
-                function, spill_plan, split_rewrites, reloads, stores
-            )
-        else:
-            for block in function.blocks:
-                new_instructions: list[Instruction] = []
-                for instr in block.instructions:
-                    rewritten = instr
-                    split_map = split_rewrites.get(id(instr))
-                    if split_map:
-                        rewritten = rewritten.rewrite(split_map)
-                    spill_map = spill_plan.rewrites.get(id(instr))
-                    if spill_map:
-                        rewritten = rewritten.rewrite(spill_map)
-                    rewritten = rewritten.rewrite(assignment)
-                    new_instructions.extend(reloads.get(id(instr), []))
-                    new_instructions.append(rewritten)
-                    new_instructions.extend(stores.get(id(instr), []))
-                block.instructions = new_instructions
-
-        return self._insert_split_copies(function, split_copies, spill_plan, result)
-
-    def _materialize_fast(
-        self,
-        function: Function,
-        spill_plan: SpillPlan,
-        split_rewrites: dict[int, dict],
-        reloads: dict[int, list[Instruction]],
-        stores: dict[int, list[Instruction]],
-    ) -> None:
-        """Single-pass rewrite: the split, spill, and assignment maps are
-        composed per operand, so each instruction is reconstructed once
-        instead of up to three times.  Operand-wise composition of the
-        three lookups is exactly the chained ``rewrite`` sequence, and the
-        single :class:`Instruction` construction shares ``attrs`` just as
-        ``Instruction.rewrite`` does."""
-        assignment = self._assignment
+        # Single-pass rewrite: the split, spill, and assignment maps are
+        # composed per operand, so each instruction is reconstructed once.
+        # Operand-wise composition of the three lookups is exactly the
+        # chained ``rewrite`` sequence, and the single Instruction
+        # construction shares ``attrs`` just as ``Instruction.rewrite``
+        # does.
         is_reg = ins.is_reg
         spill_rewrites = spill_plan.rewrites
         for block in function.blocks:
@@ -416,6 +379,8 @@ class GreedyAllocator:
                 if post:
                     new_instructions.extend(post)
             block.instructions = new_instructions
+
+        return self._insert_split_copies(function, split_copies, spill_plan, result)
 
     def _insert_split_copies(
         self,

@@ -45,7 +45,6 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
     earlier phase left valid intervals behind; reorders invalidate all but
     the CFG-level analyses, leaving the cache consistent on return.
     """
-    from ..ir.flat import enabled as flat_enabled
     from ..obs import METRICS, TRACER
     from ..passes import (
         CFG_ONLY,
@@ -61,7 +60,7 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
     # One lowering serves every block: ``ordinal_of`` is keyed by
     # instruction identity, so reordering earlier blocks does not
     # invalidate the CSR rows the later blocks read.
-    flat = am.get(FlatIRAnalysis) if flat_enabled() else None
+    flat = am.get(FlatIRAnalysis)
     original_orders = [list(block.instructions) for block in function.blocks]
 
     result = SchedulingResult()
@@ -88,37 +87,28 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
     return result
 
 
-def _schedule_block(block: BasicBlock, flat=None) -> int:
+def _schedule_block(block: BasicBlock, flat) -> int:
     body = [i for i in block.instructions if not i.is_terminator]
     terminator = block.terminator
     if len(body) < 2:
         return 0
 
-    # Per-index operand views: interned rid slices from the flat CSR when
-    # available, register tuples otherwise.  Interning preserves operand
-    # equality (equal registers share a rid), and the algorithm below only
-    # compares operands for equality, so both views schedule identically.
-    if flat is not None:
-        ordinal_of = flat.ordinal_of
-        use_start, use_ids = flat.use_start, flat.use_ids
-        def_start, def_ids = flat.def_start, flat.def_ids
-        kinds = flat.kinds
-        mem_kinds = (OpKind.LOAD, OpKind.STORE, OpKind.CALL)
-        uses_list = []
-        defs_list = []
-        is_mem = []
-        for instr in body:
-            o = ordinal_of[id(instr)]
-            uses_list.append(use_ids[use_start[o]: use_start[o + 1]])
-            defs_list.append(def_ids[def_start[o]: def_start[o + 1]])
-            is_mem.append(kinds[o] in mem_kinds)
-    else:
-        uses_list = [instr.reg_uses() for instr in body]
-        defs_list = [instr.reg_defs() for instr in body]
-        is_mem = [
-            instr.kind in (OpKind.LOAD, OpKind.STORE, OpKind.CALL)
-            for instr in body
-        ]
+    # Per-index operand views: interned rid slices from the flat CSR.
+    # Interning preserves operand equality (equal registers share a rid),
+    # and the algorithm below only compares operands for equality.
+    ordinal_of = flat.ordinal_of
+    use_start, use_ids = flat.use_start, flat.use_ids
+    def_start, def_ids = flat.def_start, flat.def_ids
+    kinds = flat.kinds
+    mem_kinds = (OpKind.LOAD, OpKind.STORE, OpKind.CALL)
+    uses_list = []
+    defs_list = []
+    is_mem = []
+    for instr in body:
+        o = ordinal_of[id(instr)]
+        uses_list.append(use_ids[use_start[o]: use_start[o + 1]])
+        defs_list.append(def_ids[def_start[o]: def_start[o + 1]])
+        is_mem.append(kinds[o] in mem_kinds)
 
     preds: dict[int, set[int]] = {i: set() for i in range(len(body))}
     succs: dict[int, set[int]] = {i: set() for i in range(len(body))}

@@ -7,25 +7,18 @@ conflict-free for a node, the assigner picks the bank whose pressure count
 grows the least — keeping every per-bank sub-RIG colorable and avoiding
 the "unbalanced bank assignment" failure of §II-B.
 
-:class:`BankPressureTracker` maintains one sweep structure per bank and
-answers two queries:
+:class:`BankPressureTracker` keeps one per-slot *counts array* per bank
+(``counts[s]`` is the number of the bank's live segments covering slot
+*s*) and answers two queries:
 
 * ``pressure(bank)`` — the current max overlap in the bank;
 * ``pressure_if_assigned(bank, interval)`` — the max overlap the bank
-  would have if *interval* were added (without mutating state).
-
-With the flat core active (``REPRO_FAST`` != ``off``, resolved once at
-tracker creation) each bank keeps a per-slot *counts array* instead of
-sorted endpoint lists: ``counts[s]`` is exactly ``active_at(s)``, so the
-max within an interval's coverage is a slice max — the same value the
-endpoint-probing implementation computes, since the overlap count only
-changes at stored segment boundaries.  ``REPRO_FAST=numpy`` vectorizes
-the slice updates and maxima; ``python`` uses plain lists.
+  would have if *interval* were added (without mutating state): a slice
+  max over the interval's coverage, plus one.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 from ..ir.types import VirtualRegister
@@ -34,130 +27,38 @@ from .intervals import LiveInterval
 
 @dataclass
 class _BankState:
-    """Sweep events of one bank: sorted endpoint lists or a counts array."""
+    """Per-slot overlap counts of one bank, grown on demand."""
 
-    starts: list[int] = field(default_factory=list)
-    ends: list[int] = field(default_factory=list)
     max_pressure: int = 0
     members: set[VirtualRegister] = field(default_factory=set)
-    #: Resolved REPRO_FAST mode captured at creation (never re-read per
-    #: query — an env probe in the inner loop would dominate the query).
-    mode: str = "off"
-    np: object = None
-    counts: object = None  # list[int] | numpy array, grown on demand
+    counts: list[int] = field(default_factory=list)
 
     def add(self, interval: LiveInterval) -> None:
-        if self.mode != "off":
-            self._add_counts(interval)
-            self.members.add(interval.reg)
-            return
-        for seg in interval.segments:
-            bisect.insort(self.starts, seg.start)
-            bisect.insort(self.ends, seg.end)
-        self.members.add(interval.reg)
-        self.max_pressure = self._sweep_max()
-
-    # ------------------------------------------------------------------
-    # Counts-array fast path
-    # ------------------------------------------------------------------
-    def _grow(self, need: int) -> None:
-        if self.np is not None:
-            old = self.counts
-            size = 0 if old is None else len(old)
-            if need > size:
-                new = self.np.zeros(max(need, 2 * size, 64), dtype=self.np.int32)
-                if size:
-                    new[:size] = old
-                self.counts = new
-        else:
-            if self.counts is None:
-                self.counts = []
-            if need > len(self.counts):
-                self.counts.extend([0] * (need - len(self.counts)))
-
-    def _add_counts(self, interval: LiveInterval) -> None:
-        peak = self.max_pressure
-        self._grow(interval.segments[-1].end if interval.segments else 0)
         counts = self.counts
-        if self.np is not None:
-            for seg in interval.segments:
-                view = counts[seg.start: seg.end]
-                view += 1
-                m = int(view.max())
-                if m > peak:
-                    peak = m
-        else:
-            for seg in interval.segments:
-                for s in range(seg.start, seg.end):
-                    c = counts[s] + 1
-                    counts[s] = c
-                    if c > peak:
-                        peak = c
+        need = interval.segments[-1].end if interval.segments else 0
+        if need > len(counts):
+            counts.extend([0] * (need - len(counts)))
+        peak = self.max_pressure
+        for seg in interval.segments:
+            for s in range(seg.start, seg.end):
+                c = counts[s] + 1
+                counts[s] = c
+                if c > peak:
+                    peak = c
         self.max_pressure = peak
-
-    def _counts_len(self) -> int:
-        return 0 if self.counts is None else len(self.counts)
-
-    def _sweep_max(self) -> int:
-        """Max simultaneous overlap among stored segments."""
-        peak = active = 0
-        i = j = 0
-        while i < len(self.starts):
-            if self.starts[i] < self.ends[j]:
-                active += 1
-                peak = max(peak, active)
-                i += 1
-            else:
-                active -= 1
-                j += 1
-        return peak
-
-    def active_at(self, slot: int) -> int:
-        """Number of stored segments covering *slot*."""
-        if self.mode != "off":
-            if self.counts is None or slot >= len(self.counts):
-                return 0
-            return int(self.counts[slot])
-        started = bisect.bisect_right(self.starts, slot)
-        ended = bisect.bisect_right(self.ends, slot)
-        return started - ended
+        self.members.add(interval.reg)
 
     def max_active_within(self, interval: LiveInterval) -> int:
-        """Max overlap restricted to slots covered by *interval*.
-
-        The overlap count can only change at segment endpoints, so it
-        suffices to probe the interval's own boundaries and every stored
-        start point falling inside the interval.  The counts array makes
-        this a slice max over the same probe set (every covered slot),
-        yielding the identical value.
-        """
+        """Max overlap restricted to slots covered by *interval*."""
+        counts = self.counts
+        size = len(counts)
         best = 0
-        if self.mode != "off":
-            counts = self.counts
-            if counts is None:
-                return 0
-            size = len(counts)
-            if self.np is not None:
-                for seg in interval.segments:
-                    hi = seg.end if seg.end < size else size
-                    if seg.start < hi:
-                        m = int(counts[seg.start: hi].max())
-                        if m > best:
-                            best = m
-            else:
-                for seg in interval.segments:
-                    hi = seg.end if seg.end < size else size
-                    if seg.start < hi:
-                        m = max(counts[seg.start: hi])
-                        if m > best:
-                            best = m
-            return best
         for seg in interval.segments:
-            best = max(best, self.active_at(seg.start))
-            lo = bisect.bisect_left(self.starts, seg.start)
-            hi = bisect.bisect_left(self.starts, seg.end)
-            for idx in range(lo, hi):
-                best = max(best, self.active_at(self.starts[idx]))
+            hi = seg.end if seg.end < size else size
+            if seg.start < hi:
+                m = max(counts[seg.start: hi])
+                if m > best:
+                    best = m
         return best
 
 
@@ -172,13 +73,7 @@ class BankPressureTracker:
         if self.num_banks < 1:
             raise ValueError("need at least one bank")
         if not self.banks:
-            from ..ir.flat import fast_mode, numpy_or_none
-
-            mode = fast_mode()
-            np = numpy_or_none()
-            self.banks = [
-                _BankState(mode=mode, np=np) for __ in range(self.num_banks)
-            ]
+            self.banks = [_BankState() for __ in range(self.num_banks)]
 
     # ------------------------------------------------------------------
     def assign(self, bank: int, interval: LiveInterval) -> None:

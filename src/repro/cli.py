@@ -240,7 +240,7 @@ def _allocate_ir(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck() -> int:
-    """Run the flat-vs-object bit-identity self-check; 0 iff identical."""
+    """Run the golden-digest self-check; 0 iff every digest matches."""
     from .selfcheck import SelfCheckError, run_selfcheck
 
     try:
@@ -249,8 +249,7 @@ def _cmd_selfcheck() -> int:
         print(f"selfcheck: FAILED: {exc}", file=sys.stderr)
         return 1
     print(
-        f"selfcheck: ok (flat mode {summary['mode']}, methods "
-        f"{', '.join(summary['methods'])})",
+        f"selfcheck: ok (methods {', '.join(summary['methods'])})",
         file=sys.stderr,
     )
     return 0
@@ -292,14 +291,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from .service.server import ServiceHandler
 
-    # Boot-time self-check: never serve from a flat path that diverges
-    # from the object-graph baseline.
+    # Boot-time self-check: never serve allocations that drifted from
+    # the recorded canned-kernel output.
     try:
-        summary = run_selfcheck()
+        run_selfcheck()
     except SelfCheckError as exc:
         print(f"selfcheck failed; refusing to serve: {exc}", file=sys.stderr)
         return 1
-    print(f"selfcheck ok (flat mode {summary['mode']})", flush=True)
+    print("selfcheck ok", flush=True)
 
     # Fleet telemetry is on by default for `serve` (spans cost nothing
     # until a request carries a trace; artifacts are unaffected).  The
@@ -868,9 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--selfcheck", action="store_true",
-        help="allocate a canned kernel with the flat core on and off and "
-        "hard-fail unless the artifacts are byte-identical; runs before "
-        "the subcommand (bare `repro --selfcheck` runs it alone)",
+        help="allocate a canned kernel with every method and hard-fail "
+        "unless each artifact matches its recorded sha256 digest; runs "
+        "before the subcommand (bare `repro --selfcheck` runs it alone)",
     )
     parser.add_argument(
         "--faults", metavar="PLAN.json", default=None,

@@ -86,47 +86,33 @@ def _latency_kernel(name: str = "latency_probe", trip_count: int = 64):
     return builder.finish()
 
 
-def _timed_under(mode: str, fn, rounds: int) -> float:
-    """Best-of-*rounds* wall time of ``fn()`` with ``REPRO_FAST`` forced."""
-    previous = os.environ.get("REPRO_FAST")
-    os.environ["REPRO_FAST"] = mode
-    try:
-        best = None
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FAST", None)
-        else:
-            os.environ["REPRO_FAST"] = previous
+def _best_of(fn, rounds: int) -> float:
+    """Best-of-*rounds* wall time of ``fn()`` in seconds."""
+    best = None
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best
 
 
 def measure_wall_latency(rounds: int = 3) -> dict:
-    """Single-request wall latency in ms: ``bare`` (object path), ``flat``
-    (resolved ``REPRO_FAST`` backend), and ``incremental`` (warm module
-    rebuild with one of four functions changed).
+    """Single-request wall latency in ms: ``flat_ms`` (one bare build)
+    and ``incremental_ms`` (warm module rebuild with one of four
+    functions changed).
 
     Informational only — timing is machine-dependent, so
     :func:`diff_records` reports latency movement but never gates on it.
     """
     from ..ir import print_function, print_module
-    from ..ir.flat import fast_mode
     from ..ir.function import Module
     from ..service.artifact import build_artifact
     from ..service.incremental import IncrementalAllocator
 
     spec = {"registers": 32, "banks": 4}
     ir = print_function(_latency_kernel())
-    bare = _timed_under("off", lambda: build_artifact(ir, spec, "bpc"), rounds)
-    mode = fast_mode()
-    flat_mode = mode if mode != "off" else "python"
-    flat = _timed_under(
-        flat_mode, lambda: build_artifact(ir, spec, "bpc"), rounds
-    )
+    flat = _best_of(lambda: build_artifact(ir, spec, "bpc"), rounds)
 
     def _module(changed: bool) -> str:
         module = Module("latency_probe_mod")
@@ -138,17 +124,12 @@ def measure_wall_latency(rounds: int = 3) -> dict:
 
     allocator = IncrementalAllocator()
     allocator.allocate(_module(False), spec, "bpc")
-    incremental = _timed_under(
-        flat_mode,
-        lambda: allocator.allocate(_module(True), spec, "bpc"),
-        1,
+    incremental = _best_of(
+        lambda: allocator.allocate(_module(True), spec, "bpc"), 1
     )
     return {
-        "flat_mode": flat_mode,
-        "bare_ms": round(bare * 1000.0, 3),
         "flat_ms": round(flat * 1000.0, 3),
         "incremental_ms": round(incremental * 1000.0, 3),
-        "flat_speedup": round(bare / flat, 3) if flat else None,
     }
 
 
@@ -168,7 +149,7 @@ def collect_record(
 
     Results are memoized on *ctx*, so collecting after regenerating
     tables from the same context costs nothing extra.  ``measure_latency``
-    adds the ``latency`` block (bare/flat/incremental wall ms); disable it
+    adds the ``latency`` block (flat/incremental wall ms); disable it
     for timing-free unit runs.
     """
     start = time.monotonic()
@@ -285,7 +266,7 @@ class DiffReport:
     structural: list[str] = field(default_factory=list)
     regressions: list[Delta] = field(default_factory=list)
     improvements: list[Delta] = field(default_factory=list)
-    #: Wall-latency movement (bare/flat/incremental ms).  Informational:
+    #: Wall-latency movement (flat/incremental ms).  Informational:
     #: timing is machine-dependent, so it never affects the exit code.
     latency_notes: list[str] = field(default_factory=list)
     compared: int = 0
@@ -397,7 +378,7 @@ def diff_records(
     report.improvements.sort(key=lambda d: (-abs(d.pct), d.key, d.metric))
     old_latency = old.get("latency") or {}
     new_latency = new.get("latency") or {}
-    for name in ("bare_ms", "flat_ms", "incremental_ms", "flat_speedup"):
+    for name in ("flat_ms", "incremental_ms"):
         old_value, new_value = old_latency.get(name), new_latency.get(name)
         if old_value is None or new_value is None:
             continue

@@ -1,4 +1,4 @@
-"""Flat-array IR core: the ``REPRO_FAST`` hot-path representation.
+"""Flat-array IR core: the hot-path representation of a function.
 
 Every phase of the PresCount pipeline conceptually needs the same small
 set of facts about a function — which registers each instruction reads
@@ -22,24 +22,10 @@ once into *interned integer ids* and flat arrays:
   drop-in for the frozenset dataflow solve — same fixpoint, ~100x less
   allocation).
 
-The mode knob ``REPRO_FAST`` selects the backend:
-
-``auto``
-    numpy-backed helpers when numpy imports, pure-python otherwise
-    (the default).
-``numpy``
-    require numpy; raise if it is missing.
-``python``
-    pure-python ``list``/int-bitmask fallback, never imports numpy.
-``off``
-    disable the flat core entirely — every pass runs the original
-    object-graph implementation (the comparison baseline the perf-smoke
-    gate measures against).
-
-Passes resolve the mode **once per run** (an env read per inner-loop
-iteration would cost more than it saves) and capture the decision in
-the objects they build; outputs are bit-identical across all modes by
-construction, and ``repro --selfcheck`` verifies that end to end.
+This is the only production path: the analysis manager hands one
+lowering to every hot analysis, the scheduler and the coalescer.  The
+object-graph analysis bodies (``X.build(fn)`` without ``flat=``) stay as
+the reference implementation the differential tests compare against.
 
 Coverage bitmasks: a slot range ``[start, end)`` maps to the integer
 ``(1 << end) - (1 << start)``; interval overlap becomes a single ``&``.
@@ -48,75 +34,9 @@ Python's arbitrary-precision ints make this exact at any function size.
 
 from __future__ import annotations
 
-import os
-
-from .instruction import OpKind
 from .types import VirtualRegister
 
-__all__ = [
-    "MODES",
-    "FlatFunction",
-    "enabled",
-    "fast_mode",
-    "iter_bits",
-    "numpy_or_none",
-    "segments_mask",
-    "use_numpy",
-]
-
-#: Recognized ``REPRO_FAST`` values.
-MODES = ("auto", "numpy", "python", "off")
-
-#: Resolution cache keyed by the raw env string, so repeated calls are a
-#: dict probe, and tests that flip the env var mid-process still see the
-#: new value on the next resolution.
-_MODE_CACHE: dict[str, str] = {}
-
-_NUMPY = None  # None = unprobed, module = importable, False = missing
-
-
-def _probe_numpy():
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-
-            _NUMPY = numpy
-        except Exception:  # pragma: no cover - numpy is baked in normally
-            _NUMPY = False
-    return _NUMPY
-
-
-def fast_mode() -> str:
-    """Resolve ``REPRO_FAST`` to ``numpy`` | ``python`` | ``off``."""
-    raw = os.environ.get("REPRO_FAST", "auto")
-    mode = _MODE_CACHE.get(raw)
-    if mode is None:
-        value = raw.strip().lower() or "auto"
-        if value not in MODES:
-            raise ValueError(
-                f"REPRO_FAST={raw!r}: expected one of {'|'.join(MODES)}"
-            )
-        if value == "numpy" and not _probe_numpy():
-            raise RuntimeError("REPRO_FAST=numpy but numpy is not importable")
-        if value == "auto":
-            value = "numpy" if _probe_numpy() else "python"
-        mode = _MODE_CACHE[raw] = value
-    return mode
-
-
-def enabled() -> bool:
-    """True when the flat core should be used (mode is not ``off``)."""
-    return fast_mode() != "off"
-
-
-def use_numpy() -> bool:
-    return fast_mode() == "numpy"
-
-
-def numpy_or_none():
-    """The numpy module when the resolved mode is ``numpy``, else None."""
-    return _NUMPY if fast_mode() == "numpy" else None
+__all__ = ["FlatFunction", "iter_bits"]
 
 
 def iter_bits(mask: int):
@@ -125,14 +45,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask &= mask - 1
-
-
-def segments_mask(segments) -> int:
-    """Coverage bitmask of an iterable of ``Segment``-likes."""
-    mask = 0
-    for seg in segments:
-        mask |= (1 << seg.end) - (1 << seg.start)
-    return mask
 
 
 class FlatFunction:

@@ -102,20 +102,13 @@ class Function:
         """Deep copy, so destructive passes (allocation, splitting) can run
         repeatedly on the same source function.
 
-        With the flat core active a structural copy rebuilds blocks and
-        instructions while *sharing* the immutable operand values
-        (registers, immediates) and shallow-copying attribute dicts —
-        attrs values are immutable by convention (see
-        :meth:`~repro.ir.instruction.Instruction.rewrite`), so this is
-        observationally identical to ``copy.deepcopy`` at a fraction of
-        the cost.  ``REPRO_FAST=off`` keeps the original deepcopy.
+        The structural copy rebuilds blocks and instructions while
+        *sharing* the immutable operand values (registers, immediates) and
+        shallow-copying attribute dicts — attrs values are immutable by
+        convention (see :meth:`~repro.ir.instruction.Instruction.rewrite`),
+        so this is observationally identical to ``copy.deepcopy`` at a
+        fraction of the cost.
         """
-        from .flat import enabled as _fast_enabled
-
-        if not _fast_enabled():
-            import copy as _copy
-
-            return _copy.deepcopy(self)
         factory = VRegFactory(self.vregs.next_vid, dict(self.vregs._by_id))
         blocks = [
             BasicBlock(

@@ -112,18 +112,15 @@ def enabled_flags() -> tuple[bool, bool, bool, bool]:
     return (TRACER.enabled, METRICS.enabled, AUDIT.enabled, PROFILE.enabled)
 
 
-def apply_flags(flags: tuple[bool, ...] | None) -> None:
-    """Enable the layers a parent process's :func:`enabled_flags` named.
-
-    Three-element tuples (pre-profiler snapshots) are still accepted.
-    """
+def apply_flags(flags: tuple[bool, bool, bool, bool] | None) -> None:
+    """Enable the layers a parent process's :func:`enabled_flags` named."""
     if flags is None:
         return
-    trace, metrics, audit, *rest = flags
+    trace, metrics, audit, profile = flags
     TRACER.enable(trace)
     METRICS.enable(metrics)
     AUDIT.enable(audit)
-    PROFILE.enable(bool(rest[0]) if rest else False)
+    PROFILE.enable(profile)
 
 
 def snapshot_all() -> dict:

@@ -29,7 +29,6 @@ from ..analysis.sdg import SameDisplacementGraph
 from ..analysis.slots import SlotIndexes
 from ..ir.cfg import CFG
 from ..ir.flat import FlatFunction
-from ..ir.flat import enabled as _flat_enabled
 from ..ir.function import Function
 from ..ir.loops import LoopInfo
 from ..obs import TRACER
@@ -99,15 +98,6 @@ class FlatIRAnalysis(Analysis):
         return FlatFunction(function)
 
 
-def _flat_for(am: "AnalysisManager") -> FlatFunction | None:
-    """The shared flat lowering when ``REPRO_FAST`` is active, else None.
-
-    Analyses receive this as their ``flat=`` argument; passing None keeps
-    them on the original object-graph implementation.
-    """
-    return am.get(FlatIRAnalysis) if _flat_enabled() else None
-
-
 class SlotIndexesAnalysis(Analysis):
     """Linear instruction numbering (:class:`repro.analysis.slots.SlotIndexes`)."""
 
@@ -123,7 +113,9 @@ class LivenessAnalysis(Analysis):
 
     @classmethod
     def run(cls, function: Function, am: "AnalysisManager") -> Liveness:
-        return Liveness.build(function, am.get(CFGAnalysis), flat=_flat_for(am))
+        return Liveness.build(
+            function, am.get(CFGAnalysis), flat=am.get(FlatIRAnalysis)
+        )
 
 
 class LoopInfoAnalysis(Analysis):
@@ -148,7 +140,7 @@ class LiveIntervalsAnalysis(Analysis):
             am.get(CFGAnalysis),
             am.get(SlotIndexesAnalysis),
             am.get(LivenessAnalysis),
-            flat=_flat_for(am),
+            flat=am.get(FlatIRAnalysis),
         )
 
 
@@ -170,7 +162,7 @@ class ConflictCostAnalysis(Analysis):
             am.get(LoopInfoAnalysis),
             regclass=regclass,
             conflict_relevant_only=conflict_relevant_only,
-            flat=_flat_for(am),
+            flat=am.get(FlatIRAnalysis),
         )
 
 
@@ -184,7 +176,9 @@ class ConflictGraphAnalysis(Analysis):
         cls, function: Function, am: "AnalysisManager", regclass=None
     ) -> ConflictGraph:
         cost_model = am.get(ConflictCostAnalysis, regclass=regclass)
-        return ConflictGraph.build(function, cost_model, regclass, flat=_flat_for(am))
+        return ConflictGraph.build(
+            function, cost_model, regclass, flat=am.get(FlatIRAnalysis)
+        )
 
 
 class InterferenceAnalysis(Analysis):
@@ -210,7 +204,9 @@ class SDGAnalysis(Analysis):
     def run(
         cls, function: Function, am: "AnalysisManager", regclass=None
     ) -> SameDisplacementGraph:
-        return SameDisplacementGraph.build(function, regclass, flat=_flat_for(am))
+        return SameDisplacementGraph.build(
+            function, regclass, flat=am.get(FlatIRAnalysis)
+        )
 
 
 CFG_ONLY = frozenset({CFGAnalysis, LoopInfoAnalysis})

@@ -99,56 +99,36 @@ class PresCountBankAssigner:
                 return (rcg.cost(node), rcg.degree(node), -node.vid)
             return (rcg.degree(node), rcg.cost(node), -node.vid)
 
-        from ..ir.flat import enabled as flat_enabled
-
-        if flat_enabled() and unprocessed:
-            # The (cost, degree, -vid) key never changes while coloring,
-            # so the two `max` scans of the object loop (O(n) per colored
-            # node) collapse to one upfront sort for seeds plus a heap
-            # for the worklist.  A node enters the worklist at most once
-            # — once colored it leaves `unprocessed` for good — so heap
-            # membership mirrors the worklist set exactly and each pop
-            # IS the maximum: same ordering, no lazy deletion.  `-vid`
-            # makes the key a total order, so the selection sequence (and
-            # every downstream byte) is identical to the object loop.
-            prio = {node: priority(node) for node in unprocessed}
-            seed_order = sorted(unprocessed, key=prio.__getitem__, reverse=True)
-            seed_pos = 0
-            while unprocessed:
-                while seed_order[seed_pos] not in unprocessed:
-                    seed_pos += 1
-                seed = seed_order[seed_pos]
-                worklist: set[VirtualRegister] = {seed}
-                pk = prio[seed]
-                heap = [(-pk[0], -pk[1], -pk[2], seed)]
-                while worklist:
-                    node = heapq.heappop(heap)[3]
-                    worklist.discard(node)
-                    unprocessed.discard(node)
-                    self._color_node(
-                        function, node, rcg, intervals, assignment,
-                        tracker, reg_pressure, thres, num_banks,
-                    )
-                    for neighbor in rcg.neighbors(node):
-                        if neighbor in unprocessed and neighbor not in worklist:
-                            worklist.add(neighbor)
-                            pk = prio[neighbor]
-                            heapq.heappush(heap, (-pk[0], -pk[1], -pk[2], neighbor))
-        else:
-            while unprocessed:
-                seed = max(unprocessed, key=priority)
-                worklist = {seed}
-                while worklist:
-                    node = max(worklist, key=priority)
-                    worklist.discard(node)
-                    unprocessed.discard(node)
-                    self._color_node(
-                        function, node, rcg, intervals, assignment,
-                        tracker, reg_pressure, thres, num_banks,
-                    )
-                    for neighbor in rcg.neighbors(node):
-                        if neighbor in unprocessed:
-                            worklist.add(neighbor)
+        # The (cost, degree, -vid) key never changes while coloring, so
+        # seeds come from one upfront sort and the worklist is a heap.  A
+        # node enters the worklist at most once — once colored it leaves
+        # `unprocessed` for good — so heap membership mirrors the worklist
+        # set exactly and each pop IS the maximum: no lazy deletion.
+        # `-vid` makes the key a total order, so the selection sequence
+        # equals repeatedly taking `max(worklist, key=priority)`.
+        prio = {node: priority(node) for node in unprocessed}
+        seed_order = sorted(unprocessed, key=prio.__getitem__, reverse=True)
+        seed_pos = 0
+        while unprocessed:
+            while seed_order[seed_pos] not in unprocessed:
+                seed_pos += 1
+            seed = seed_order[seed_pos]
+            worklist: set[VirtualRegister] = {seed}
+            pk = prio[seed]
+            heap = [(-pk[0], -pk[1], -pk[2], seed)]
+            while worklist:
+                node = heapq.heappop(heap)[3]
+                worklist.discard(node)
+                unprocessed.discard(node)
+                self._color_node(
+                    function, node, rcg, intervals, assignment,
+                    tracker, reg_pressure, thres, num_banks,
+                )
+                for neighbor in rcg.neighbors(node):
+                    if neighbor in unprocessed and neighbor not in worklist:
+                        worklist.add(neighbor)
+                        pk = prio[neighbor]
+                        heapq.heappush(heap, (-pk[0], -pk[1], -pk[2], neighbor))
 
         if self.balance_free_registers:
             with TRACER.span(
@@ -408,19 +388,14 @@ class PresCountPolicy:
             for b in range(register_file.num_banks)
         ]
         self._all = register_file.registers()
-        # Candidate order is a pure function of the bank, so with the
-        # flat core active the per-bank lists are built once here instead
-        # of per `order` call (the allocator copies what it receives).
-        from ..ir.flat import enabled as flat_enabled
-
-        self._fast = flat_enabled()
-        self._ordered_by_bank: list[list[PhysicalRegister]] | None = None
-        if self._fast and not self.strict:
-            self._ordered_by_bank = [
-                list(self._by_bank[b])
-                + [r for r in self._all if register_file.bank_of(r) != b]
-                for b in range(register_file.num_banks)
-            ]
+        # Candidate order is a pure function of the bank, so the per-bank
+        # lists are built once here instead of per `order` call (the
+        # allocator copies what it receives).
+        self._ordered_by_bank = [
+            list(self._by_bank[b])
+            + [r for r in self._all if register_file.bank_of(r) != b]
+            for b in range(register_file.num_banks)
+        ]
 
     def setup(self, allocator) -> None:
         pass
@@ -431,13 +406,9 @@ class PresCountPolicy:
         bank = self.assignment.bank_of(vreg)
         if bank is None:
             return self._all
-        preferred = self._by_bank[bank]
         if self.strict:
-            return preferred
-        if self._ordered_by_bank is not None:
-            return self._ordered_by_bank[bank]
-        rest = [r for r in self._all if self.register_file.bank_of(r) != bank]
-        return list(preferred) + rest
+            return self._by_bank[bank]
+        return self._ordered_by_bank[bank]
 
     def on_assign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
         pass

@@ -114,20 +114,15 @@ def _renumber_once(
     """One renumbering sweep (see :func:`renumber_banks`)."""
     from ..passes import LiveIntervalsAnalysis, SlotIndexesAnalysis
 
-    from ..ir.flat import enabled as flat_enabled
-
     result = PostRenumberResult()
     slots = am.get(SlotIndexesAnalysis)
     live = am.get(LiveIntervalsAnalysis)
-    # With the flat core active every candidate-vs-victim range check is
-    # one bitmask AND (the lazy interval masks stay correct across the
-    # in-place `occupied()` bookkeeping: add_segment invalidates them).
-    fast = flat_enabled()
 
+    # Every candidate-vs-victim range check is one bitmask AND (the lazy
+    # interval masks stay correct across the in-place `occupied()`
+    # bookkeeping: add_segment resets them).
     def overlaps(a: LiveInterval, b: LiveInterval) -> bool:
-        if fast:
-            return bool(a.mask & b.mask)
-        return a.overlaps(b)
+        return bool(a.mask & b.mask)
 
     def interval_of(reg: PhysicalRegister) -> LiveInterval | None:
         return live.intervals.get(reg)

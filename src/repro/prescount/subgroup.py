@@ -187,11 +187,8 @@ class DsaPresCountPolicy:
             for d in range(register_file.num_subgroups)
         }
         # Lazy per-(bank, displacement) candidate lists: the order is a
-        # pure function of the pair, so with the flat core active each is
-        # assembled once instead of on every `order` call.
-        from ..ir.flat import enabled as flat_enabled
-
-        self._fast = flat_enabled()
+        # pure function of the pair, so each is assembled once instead of
+        # on every `order` call.
         self._ordered: dict[tuple[int, int], list[PhysicalRegister]] = {}
 
     def setup(self, allocator) -> None:
@@ -204,16 +201,14 @@ class DsaPresCountPolicy:
         if bank is None:
             return self._all
         displ = self.subgroups.displacement_for(vreg, interval)
-        if self._fast:
-            cached = self._ordered.get((bank, displ))
-            if cached is not None:
-                return cached
+        cached = self._ordered.get((bank, displ))
+        if cached is not None:
+            return cached
         hints = self._conforming[(bank, displ)]
         same_bank = [r for r in self._by_bank[bank] if r not in hints]
         rest = [r for r in self._all if self.register_file.bank_of(r) != bank]
         ordered = list(hints) + same_bank + rest
-        if self._fast:
-            self._ordered[(bank, displ)] = ordered
+        self._ordered[(bank, displ)] = ordered
         return ordered
 
     def on_assign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:

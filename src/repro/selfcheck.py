@@ -1,24 +1,18 @@
-"""Startup self-check: prove the flat core is bit-identical, right now.
+"""Startup self-check: the canned kernel still allocates to known bytes.
 
-The flat-array hot path (:mod:`repro.ir.flat`) is only acceptable if it
-is invisible in the outputs.  ``repro --selfcheck`` (and ``repro
-serve``, at startup) allocates one canned kernel twice per method — once
-with ``REPRO_FAST=off`` (the original object-graph implementations) and
-once under the currently resolved mode — and compares the full result
-*artifact bytes* (allocated IR, assignment, every statistic).  Any
+``repro --selfcheck`` (and ``repro serve``, at startup) allocates one
+canned kernel with each method and compares the sha256 of the full
+result *artifact bytes* (allocated IR, assignment, every statistic)
+against the digests recorded in :data:`SELFCHECK_DIGESTS`.  Any
 difference raises :class:`SelfCheckError`; a service must hard-fail at
-boot rather than serve silently diverging allocations.
-
-When ``REPRO_FAST`` resolves to ``off`` the check still runs, comparing
-against the pure-python flat backend, so it never degenerates into
-comparing a path with itself.
+boot rather than serve allocations that drifted from the recorded
+output.  After an intended output change, regenerate the digests with
+:func:`selfcheck_digests` (docs/PERFORMANCE.md shows how).
 """
 
 from __future__ import annotations
 
-import os
-
-from .ir.flat import fast_mode
+import hashlib
 
 #: Methods covered by one self-check run.
 SELFCHECK_METHODS = ("non", "bcr", "bpc")
@@ -26,9 +20,16 @@ SELFCHECK_METHODS = ("non", "bcr", "bpc")
 #: Register file the canned kernel is allocated against.
 SELFCHECK_FILE = {"registers": 16, "banks": 2}
 
+#: sha256 of the canned kernel's artifact bytes, per method.
+SELFCHECK_DIGESTS = {
+    "non": "19614277eb1e564998b15f63066bdf4ed8cb46ed8851d358f93a11d0c0057d93",
+    "bcr": "45ff9ff5dabfdf00658704da159e7a2f94e7328bd0d574156272d8647c3d9688",
+    "bpc": "aeb9166acc121cb28bf6e6160ec3d5e9d172b16762c54a4c6b016c84d3af8841",
+}
+
 
 class SelfCheckError(RuntimeError):
-    """The flat path diverged from the object path on the canned kernel."""
+    """The canned kernel's artifact no longer matches its recorded digest."""
 
 
 def _canned_kernel():
@@ -49,38 +50,34 @@ def _canned_kernel():
     return b.finish()
 
 
-def _artifact_under(mode: str, ir: str, method: str) -> bytes:
-    """Artifact bytes for the canned kernel with ``REPRO_FAST`` forced."""
+def _artifact(ir: str, method: str) -> bytes:
+    """Canonical artifact bytes for the canned kernel under *method*."""
     from .service.artifact import artifact_bytes, build_artifact
 
-    previous = os.environ.get("REPRO_FAST")
-    os.environ["REPRO_FAST"] = mode
-    try:
-        return artifact_bytes(build_artifact(ir, SELFCHECK_FILE, method))
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FAST", None)
-        else:
-            os.environ["REPRO_FAST"] = previous
+    return artifact_bytes(build_artifact(ir, SELFCHECK_FILE, method))
+
+
+def selfcheck_digests(methods=SELFCHECK_METHODS) -> dict[str, str]:
+    """sha256 of the canned kernel's artifact bytes, per method."""
+    from .ir import print_function
+
+    ir = print_function(_canned_kernel())
+    return {
+        method: hashlib.sha256(_artifact(ir, method)).hexdigest()
+        for method in methods
+    }
 
 
 def run_selfcheck(methods=SELFCHECK_METHODS) -> dict:
-    """Allocate the canned kernel both ways; raise on any byte diff.
+    """Allocate the canned kernel; raise on any digest mismatch.
 
-    Returns a small summary dict (``mode``, ``methods``) on success.
+    Returns a small summary dict (``methods``, ``ok``) on success.
     """
-    from .ir import print_function
-
-    mode = fast_mode()
-    flat_mode = mode if mode != "off" else "python"
-    ir = print_function(_canned_kernel())
-    for method in methods:
-        baseline = _artifact_under("off", ir, method)
-        fast = _artifact_under(flat_mode, ir, method)
-        if baseline != fast:
+    for method, digest in selfcheck_digests(methods).items():
+        expected = SELFCHECK_DIGESTS[method]
+        if digest != expected:
             raise SelfCheckError(
-                f"flat path (REPRO_FAST={flat_mode}) diverged from the "
-                f"object path on method {method!r}: artifact bytes differ "
-                f"({len(baseline)} vs {len(fast)} bytes)"
+                f"method {method!r}: canned-kernel artifact digest "
+                f"{digest[:12]} != recorded {expected[:12]}"
             )
-    return {"mode": flat_mode, "methods": tuple(methods), "ok": True}
+    return {"methods": tuple(methods), "ok": True}

@@ -135,24 +135,15 @@ def _execute_request(payload: tuple) -> dict:
     kill (``death``), stall (``stall``), or fail (``error``) the worker
     — inline or in a pool (workers re-arm from ``REPRO_FAULTS``).
 
-    The full payload shape is ``(ir, file_spec, method, flags, machine,
-    trace_header)``; shorter tuples from older callers are accepted
-    (five elements = pre-machine telemetry shape, four = pre-telemetry).
+    The payload is ``(ir, file_spec, method, flags, machine,
+    trace_header)``, as :meth:`AllocationService._execute` builds it.
     *machine* is the normalized cycle-model spec (``None`` = the
     in-order default) and *is* part of the build inputs and cache key;
     the trace header never is — when present the worker returns its
     ``worker.execute`` span (and any fault events) in the result so the
     service folds them into the distributed trace.
     """
-    if len(payload) == 6:
-        ir, file_spec, method, flags, machine, trace_header = payload
-    elif len(payload) == 5:  # pre-machine telemetry payload shape
-        ir, file_spec, method, flags, trace_header = payload
-        machine = None
-    else:  # pre-telemetry payload shape
-        ir, file_spec, method, flags = payload
-        machine = None
-        trace_header = None
+    ir, file_spec, method, flags, machine, trace_header = payload
     ctx = TraceContext.parse(trace_header) if trace_header else None
     spans: list[dict] = []
     in_pool = False

@@ -88,6 +88,20 @@ class TestDiff:
         assert not report.regressions and not report.improvements
         assert report.compared == len(REGRESSION_METRICS) * 2 - 2  # 2 None
 
+    def test_older_latency_fields_still_read(self):
+        """Older records carry bare_ms / flat_speedup / flat_mode in the
+        informational latency block; diffs against them still work."""
+        old = make_record(latency={
+            "flat_mode": "numpy", "bare_ms": 9.0, "flat_ms": 3.0,
+            "incremental_ms": 1.0, "flat_speedup": 3.0,
+        })
+        new = make_record(latency={"flat_ms": 3.3, "incremental_ms": 1.1})
+        report = diff_records(old, new)
+        assert report.exit_code() == 0
+        assert report.latency_notes == [
+            "flat_ms: 3 -> 3.3", "incremental_ms: 1 -> 1.1",
+        ]
+
     def test_flags_injected_regression(self):
         new = make_record()
         # +10% DSA cycles: beyond the default 5% threshold.

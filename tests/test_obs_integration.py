@@ -87,12 +87,6 @@ class TestFlagsPlumbing:
         obs.apply_flags(None)  # tolerated
         assert obs.enabled_flags() == flags
 
-    def test_apply_flags_accepts_legacy_three_tuple(self):
-        # Pre-profiler snapshots carried (trace, metrics, audit); a worker
-        # receiving one must leave the profiler off rather than crash.
-        obs.apply_flags((True, True, False))
-        assert obs.enabled_flags() == (True, True, False, False)
-
 
 @pytest.mark.parallel
 class TestParallelDeterminism:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import ConflictCostModel, LiveIntervals
 from repro.ir.cfg import CFG
-from repro.ir.flat import enabled as flat_enabled
 from repro.ir.types import FP
 from repro.passes import (
     CFG_ONLY,
@@ -92,12 +91,10 @@ class TestInvalidation:
         am = AnalysisManager(mac_kernel)
         am.get(LiveIntervalsAnalysis)
         dropped = am.invalidate(PRESERVE_NONE)
-        # intervals + cfg + slots + liveness, plus the flat lowering when
-        # REPRO_FAST is active (the default).
-        expected = 5 if flat_enabled() else 4
-        assert dropped == expected
+        # intervals + cfg + slots + liveness + the flat lowering.
+        assert dropped == 5
         assert len(am) == 0
-        assert am.total_invalidations() == expected
+        assert am.total_invalidations() == 5
 
     def test_preserve_all_drops_nothing(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
@@ -161,17 +158,13 @@ class TestReporting:
 
     def test_totals(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
-        # Intervals miss 4 analyses (5 with the flat lowering); Liveness's
-        # internal CFG request hits, and with REPRO_FAST active the flat
-        # lowering is requested twice (Liveness, then LiveIntervals).
+        # Intervals miss 5 analyses (with the flat lowering); Liveness's
+        # internal CFG request hits, and the flat lowering is requested
+        # twice (Liveness, then LiveIntervals).
         am.get(LiveIntervalsAnalysis)
         am.get(CFGAnalysis)
-        if flat_enabled():
-            assert am.total_hits() == 3
-            assert am.total_misses() == 5
-        else:
-            assert am.total_hits() == 2
-            assert am.total_misses() == 4
+        assert am.total_hits() == 3
+        assert am.total_misses() == 5
         counter = am.counter(CFGAnalysis)
         assert counter.hit_rate == pytest.approx(2 / 3)
 

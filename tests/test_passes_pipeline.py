@@ -11,7 +11,6 @@ from repro.alloc.scheduling import schedule_function
 from repro.banks import BankedRegisterFile, BankSubgroupRegisterFile
 from repro.ir import IRBuilder, print_function
 from repro.ir import instruction as ins
-from repro.ir.flat import enabled as flat_enabled
 from repro.ir.types import FP
 from repro.passes import (
     CFG_ONLY,
@@ -122,9 +121,8 @@ class TestInvalidationThroughPasses:
         split = registry.passes["split-block"]
         assert split.runs == 1
         assert split.instructions_delta == 1  # the appended ret
-        # cfg/slots/liveness/intervals, plus the flat lowering when
-        # REPRO_FAST is active (the default).
-        assert split.invalidations == (5 if flat_enabled() else 4)
+        # cfg/slots/liveness/intervals, plus the flat lowering.
+        assert split.invalidations == 5
         assert registry.passes["rename"].runs == 1
 
 

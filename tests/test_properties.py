@@ -58,6 +58,7 @@ class TestIntervalProperties:
         assert a.overlaps(b) == b.overlaps(a)
         assert a.overlap_amount(b) == b.overlap_amount(a)
         assert a.overlaps(b) == (a.overlap_amount(b) > 0)
+        assert bool(a.mask & b.mask) == a.overlaps(b)
 
     @given(segments_strategy)
     def test_size_at_most_span(self, raw):

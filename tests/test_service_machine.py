@@ -18,7 +18,6 @@ from repro.ir import print_function
 from repro.resilience import AllocationVerifier
 from repro.service import AllocationService, RequestError, ServiceConfig
 from repro.service.artifact import (
-    FLAG_DEFAULTS,
     SCHEMA_VERSION,
     artifact_bytes,
     build_artifact,
@@ -206,17 +205,6 @@ class TestService:
         artifact = json.loads(job.artifact)
         assert artifact["machine"]["model"] == "ooo"
         assert artifact["stats"]["cycles"] > 0
-
-    def test_legacy_payload_shapes_still_execute(self, ir):
-        from repro.service.queue import _execute_request
-
-        # Pre-machine (5-tuple) and pre-telemetry (4-tuple) payloads.
-        for payload in (
-            (ir, FILE, "bpc", dict(FLAG_DEFAULTS), None),
-            (ir, FILE, "bpc", dict(FLAG_DEFAULTS)),
-        ):
-            outcome = _execute_request(payload)
-            assert "machine" not in outcome["artifact"]
 
     def test_module_request_with_machine(self, ir):
         mod = ir + "\n" + ir.replace("@mac", "@mac2")
