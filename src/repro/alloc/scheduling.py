@@ -15,6 +15,7 @@ Dependencies respected within a block:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from ..ir.block import BasicBlock
@@ -145,31 +146,25 @@ def _schedule_block(block: BasicBlock, flat) -> int:
         for use in uses_list[i]:
             final_use[use] = i
 
-    def priority(i: int) -> tuple:
+    # Static keys: prefer more kills, fewer new values, then original
+    # order.  They never change and the position makes them unique, so
+    # a heap pops exactly the order a sorted ready list would.
+    keys = []
+    for i in range(len(body)):
         kills = sum(1 for u in uses_list[i] if final_use.get(u) == i)
-        grows = len(defs_list[i])
-        # Prefer: more kills, fewer new values, then original order.
-        return (-(kills - grows), i)
+        keys.append((-(kills - len(defs_list[i])), i))
 
-    ready = sorted((i for i in range(len(body)) if not preds[i]), key=priority)
-    in_ready = set(ready)
-    placed: set[int] = set()
+    ready = [keys[i] for i in range(len(body)) if not preds[i]]
+    heapq.heapify(ready)
+    waiting = [len(preds[i]) for i in range(len(body))]
     order: list[int] = []
-    pending = {i: set(p) for i, p in preds.items()}
     while ready:
-        current = ready.pop(0)
-        in_ready.discard(current)
-        placed.add(current)
+        __, current = heapq.heappop(ready)
         order.append(current)
-        freshly_ready = []
         for succ in succs[current]:
-            pending[succ].discard(current)
-            if not pending[succ] and succ not in placed and succ not in in_ready:
-                freshly_ready.append(succ)
-        if freshly_ready:
-            ready.extend(freshly_ready)
-            in_ready.update(freshly_ready)
-            ready.sort(key=priority)
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                heapq.heappush(ready, keys[succ])
 
     if len(order) != len(body):
         raise AssertionError(f"scheduler dropped instructions in {block.label}")

@@ -68,24 +68,14 @@ class SameDisplacementGraph:
     def _build_flat(self, flat) -> None:
         """Flat-array scan: same nodes/edges in the same insertion order,
         without re-deriving operand tuples per instruction."""
-        arith = OpKind.ARITH
-        kinds = flat.kinds
         regs = flat.regs
         reg_virtual = flat.reg_virtual
-        def_start, def_ids = flat.def_start, flat.def_ids
         regclass = self.regclass
         for i in range(len(flat.instrs)):
-            if kinds[i] is not arith:
+            aligned = self.flat_alignment(flat, i, regclass)
+            if aligned is None:
                 continue
-            d0, d1 = def_start[i], def_start[i + 1]
-            vdefs = [
-                def_ids[j] for j in range(d0, d1) if reg_virtual[def_ids[j]]
-            ]
-            if not vdefs:
-                continue
-            bank = flat.bank_reads(i, regclass)
-            if not bank:
-                continue
+            bank, vdefs = aligned
             inputs = [rid for rid in bank if reg_virtual[rid]]
             outputs = [
                 rid for rid in vdefs
@@ -107,6 +97,22 @@ class SameDisplacementGraph:
         if instr.kind is not OpKind.ARITH:
             return False
         return len(instr.bankable_reads(regclass)) >= 1 and len(instr.vreg_defs()) >= 1
+
+    @staticmethod
+    def flat_alignment(flat, ordinal: int, regclass: RegClass | None = None):
+        """:meth:`needs_alignment` for one lowered instruction: its
+        distinct bankable read rids and its virtual def rids, or ``None``
+        when it needs no alignment."""
+        if flat.kinds[ordinal] is not OpKind.ARITH:
+            return None
+        start, end = flat.def_start[ordinal], flat.def_start[ordinal + 1]
+        vdefs = [rid for rid in flat.def_ids[start:end] if flat.reg_virtual[rid]]
+        if not vdefs:
+            return None
+        bank = flat.bank_reads(ordinal, regclass)
+        if not bank:
+            return None
+        return bank, vdefs
 
     # ------------------------------------------------------------------
     def _add_node(self, reg: VirtualRegister) -> None:

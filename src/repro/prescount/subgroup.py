@@ -176,13 +176,15 @@ class DsaPresCountPolicy:
         self.register_file = register_file
         self.bank_assignment = bank_assignment
         self.subgroups = subgroups
+        # Filter one registers() list: the same sequences that
+        # registers_in_bank and registers_conforming return.
         self._all = register_file.registers()
         self._by_bank = [
-            register_file.registers_in_bank(b)
+            [r for r in self._all if register_file.bank_of(r) == b]
             for b in range(register_file.num_banks)
         ]
         self._conforming = {
-            (b, d): register_file.registers_conforming(b, d)
+            (b, d): [r for r in self._by_bank[b] if register_file.subgroup_of(r) == d]
             for b in range(register_file.num_banks)
             for d in range(register_file.num_subgroups)
         }
@@ -205,7 +207,8 @@ class DsaPresCountPolicy:
         if cached is not None:
             return cached
         hints = self._conforming[(bank, displ)]
-        same_bank = [r for r in self._by_bank[bank] if r not in hints]
+        hinted = set(hints)
+        same_bank = [r for r in self._by_bank[bank] if r not in hinted]
         rest = [r for r in self._all if self.register_file.bank_of(r) != bank]
         ordered = list(hints) + same_bank + rest
         self._ordered[(bank, displ)] = ordered

@@ -19,7 +19,7 @@ import pytest
 
 from repro.ir import print_function
 from repro.service import artifact_bytes, build_artifact
-from repro.workloads import cnn_suite, dsa_suite, specfp_suite
+from repro.workloads import cnn_suite, dsa_suite, idft_kernel, specfp_suite
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -33,9 +33,18 @@ FILES = {
     "32x2x4": {"registers": 32, "banks": 2, "subgroups": 4},
 }
 
+#: Beyond the matrix: bpc on the dsa-op benchmark's file and largest
+#: kernel, the only pinned input on which SDG splitting refuses cuts.
+DSA_OP_KEY = "bpc 1024x2x4 DSA-OP/idft-16"
+DSA_OP_FILE = {"registers": 1024, "banks": 2, "subgroups": 4}
+
 
 def workload_functions():
-    """One representative function per suite program, small ones only."""
+    """One representative function per suite program.
+
+    The DSA-OP ones include tr15651 (1215 instructions) and idft at 8
+    points (690), where SDG splitting makes output-sharing cuts.
+    """
     suites = (
         specfp_suite(scale=0.02),
         cnn_suite(scale=0.1),
@@ -45,8 +54,7 @@ def workload_functions():
     for suite in suites:
         for program in suite.programs:
             for fn in program.functions()[:1]:
-                if fn.instruction_count() <= 400:
-                    picked.append((f"{suite.name}/{program.name}", fn))
+                picked.append((f"{suite.name}/{program.name}", fn))
     return picked
 
 
@@ -60,6 +68,10 @@ def compute_digests(methods=METHODS) -> dict[str, str]:
                 data = artifact_bytes(build_artifact(ir, spec, method))
                 key = f"{method} {file_name} {label}"
                 digests[key] = hashlib.sha256(data).hexdigest()
+    if "bpc" in methods:
+        ir = print_function(idft_kernel(points=16))
+        data = artifact_bytes(build_artifact(ir, DSA_OP_FILE, "bpc"))
+        digests[DSA_OP_KEY] = hashlib.sha256(data).hexdigest()
     return digests
 
 
