@@ -221,7 +221,7 @@ def test_telemetry_overhead(ctx, record_text):
     """
     import gc
 
-    from repro.obs.telemetry import TELEMETRY, TraceContext
+    from repro.obs import TRACER, TraceContext
 
     kernels = _kernels(ctx, count=4)
     passes, rounds = 40, 5
@@ -236,7 +236,7 @@ def test_telemetry_overhead(ctx, record_text):
             best = None
             for _ in range(rounds):
                 if traced:
-                    TELEMETRY.reset()
+                    TRACER.reset()
                 gc.collect()
                 started = time.perf_counter()
                 for _ in range(passes):
@@ -254,12 +254,12 @@ def test_telemetry_overhead(ctx, record_text):
             service.stop()
 
     t_off, blobs_off = _arm(traced=False)
-    TELEMETRY.enable(process="bench")
+    TRACER.enable(process="bench", bounded=True)
     try:
         t_on, blobs_on = _arm(traced=True)
     finally:
-        TELEMETRY.disable()
-        TELEMETRY.reset()
+        TRACER.enable(False, process="main", bounded=False)
+        TRACER.reset()
 
     assert blobs_on == blobs_off, "telemetry changed served bytes"
     requests = passes * len(kernels)

@@ -2,22 +2,18 @@
 """Every allocator in the repository on one workload, side by side.
 
 Compares the paper's three methods (non/bcr/bpc over the greedy
-allocator), the classic baselines (linear scan, Chaitin-Briggs), the
-bank-aware PBQP formulation, and post-allocation renumbering — on the
-same convolution kernel at a rich and a tight register budget.
+allocator), the bank-aware and bank-blind PBQP formulations, and
+post-allocation renumbering — on the same convolution kernel at a rich
+and a tight register budget.
 
 The non/bcr/bpc rows run the Fig. 4 pass pipeline (`run_pipeline`, a
 thin builder over `FunctionPassManager` — docs/ARCHITECTURE.md); the
-classic baselines are standalone allocator classes driven directly.
+PBQP allocator is a standalone class driven directly.
 
 Run:  python examples/allocator_comparison.py
 """
 
-from repro.alloc import (
-    ChaitinBriggsAllocator,
-    LinearScanAllocator,
-    PbqpAllocator,
-)
+from repro.alloc import PbqpAllocator
 from repro.banks import BankedRegisterFile
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.prescount.post_renumber import renumber_banks
@@ -49,8 +45,6 @@ def measure(kernel, register_file):
     )
 
     for label, allocator in (
-        ("linear scan", LinearScanAllocator(register_file)),
-        ("chaitin-briggs", ChaitinBriggsAllocator(register_file)),
         ("pbqp (bank-aware)", PbqpAllocator(register_file)),
         ("pbqp (bank-blind)", PbqpAllocator(register_file, bank_conflict_weight=0.0)),
     ):

@@ -7,8 +7,8 @@ Reduction" (CGO 2024) as a pure-Python compiler stack:
 * :mod:`repro.analysis` — liveness, live intervals, RIG, RCG, conflict
   costs (Eq. 1/2), bank pressure, SDG;
 * :mod:`repro.banks` — banked and bank-subgroup register files (Fig. 6);
-* :mod:`repro.alloc` — the greedy allocator (plus linear-scan and
-  Chaitin-Briggs baselines), coalescing, scheduling, split/spill;
+* :mod:`repro.alloc` — the greedy allocator (plus a bank-aware PBQP
+  allocator), coalescing, scheduling, split/spill;
 * :mod:`repro.passes` — pass manager and cached analyses with precise
   preserved-set invalidation (the Fig. 4 phases run as passes);
 * :mod:`repro.prescount` — the contribution: Algorithm 1 bank assignment,

@@ -1,7 +1,7 @@
 """Register allocation substrate: the greedy allocator the paper extends,
 coalescing and pre-allocation scheduling phases, spilling and live-range
-splitting machinery, and two classic baselines (linear scan,
-Chaitin–Briggs) for ablation comparisons.
+splitting machinery, and a bank-aware PBQP allocator for the PBQP
+ablation.
 """
 
 from .base import (
@@ -10,10 +10,8 @@ from .base import (
     AllocationResult,
     NaturalOrderPolicy,
 )
-from .chaitin import ChaitinBriggsAllocator
 from .coalescing import CoalescingResult, coalesce
 from .greedy import GreedyAllocator
-from .linear_scan import LinearScanAllocator
 from .pbqp import PbqpAllocator
 from .scheduling import SchedulingResult, schedule_function
 from .verify import AllocationVerificationError, verify_allocation
@@ -22,10 +20,8 @@ __all__ = [
     "AllocationError",
     "AllocationPolicy",
     "AllocationResult",
-    "ChaitinBriggsAllocator",
     "CoalescingResult",
     "GreedyAllocator",
-    "LinearScanAllocator",
     "PbqpAllocator",
     "NaturalOrderPolicy",
     "SchedulingResult",

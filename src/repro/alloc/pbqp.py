@@ -40,11 +40,12 @@ from ..analysis.interference import InterferenceGraph
 from ..analysis.slots import SlotIndexes
 from ..banks.assignment import BankAssignment
 from ..banks.register_file import RegisterFile
+from ..ir import instruction as ins
 from ..ir.function import Function
+from ..ir.instruction import Instruction
 from ..ir.loops import LoopInfo
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
 from .base import AllocationError, AllocationResult
-from .linear_scan import _materialize_linear
 from .spiller import SpillPlan, spill_interval
 
 #: Cost standing in for "forbidden" (same register on interfering vregs).
@@ -100,7 +101,7 @@ class PbqpAllocator:
             solution, spill_choices = self._solve_once(function, live, unspillable)
             if not spill_choices:
                 result.assignment.update(solution)
-                result.spill_instructions += _materialize_linear(
+                result.spill_instructions += _materialize(
                     function, result.assignment, plan
                 )
                 return result
@@ -302,9 +303,6 @@ class PbqpAllocator:
 
     def _apply_spills(self, function, plan, result) -> None:
         """Insert spill code between rounds (re-analyzed next round)."""
-        from ..ir import instruction as ins
-        from ..ir.instruction import Instruction
-
         reloads: dict[int, list[Instruction]] = {}
         stores: dict[int, list[Instruction]] = {}
         for action in plan.actions:
@@ -328,3 +326,39 @@ class PbqpAllocator:
             block.instructions = new_instructions
         plan.actions.clear()
         plan.rewrites.clear()
+
+
+def _materialize(
+    function: Function,
+    assignment: dict[VirtualRegister, PhysicalRegister],
+    plan: SpillPlan,
+) -> int:
+    """Insert the last round's spill code and rewrite operands to
+    physical registers; returns the number of spill instructions."""
+    inserted = 0
+    reloads: dict[int, list[Instruction]] = {}
+    stores: dict[int, list[Instruction]] = {}
+    for action in plan.actions:
+        target = assignment.get(action.tiny, action.tiny)
+        if action.kind == "reload":
+            reloads.setdefault(action.instr_id, []).append(
+                ins.load(target, spill_slot=action.slot_id, spill=True)
+            )
+        else:
+            stores.setdefault(action.instr_id, []).append(
+                ins.store(target, spill_slot=action.slot_id, spill=True)
+            )
+        inserted += 1
+    for block in function.blocks:
+        new_instructions: list[Instruction] = []
+        for instr in block.instructions:
+            rewritten = instr
+            spill_map = plan.rewrites.get(id(instr))
+            if spill_map:
+                rewritten = rewritten.rewrite(spill_map)
+            rewritten = rewritten.rewrite(assignment)
+            new_instructions.extend(reloads.get(id(instr), []))
+            new_instructions.append(rewritten)
+            new_instructions.extend(stores.get(id(instr), []))
+        block.instructions = new_instructions
+    return inserted

@@ -280,7 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the allocation service until interrupted."""
-    from .obs.telemetry import EVENTS, TELEMETRY
+    from .obs import EVENTS, TRACER
     from .selfcheck import SelfCheckError, run_selfcheck
     from .service import (
         ServiceConfig,
@@ -300,12 +300,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 1
     print("selfcheck ok", flush=True)
 
-    # Fleet telemetry is on by default for `serve` (spans cost nothing
-    # until a request carries a trace; artifacts are unaffected).  The
-    # env vars make spawned shard workers arm themselves too.
+    # Tracing is on by default for `serve`, in bounded buffers: every
+    # request roots or joins a trace, down to the passes a miss runs;
+    # artifacts are unaffected.  The env vars make spawned shard
+    # workers arm themselves too.
     if not args.no_telemetry:
-        TELEMETRY.enable(
-            process="frontend" if args.shards > 0 else "service"
+        TRACER.enable(
+            process="frontend" if args.shards > 0 else "service",
+            bounded=True,
         )
         os.environ["REPRO_TELEMETRY"] = "1"
     if args.events:
@@ -358,7 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     host, port = server.server_address[:2]
     print(f"{what} listening on http://{host}:{port}", flush=True)
-    if TELEMETRY.enabled:
+    if TRACER.enabled:
         print(
             "telemetry on: GET /v1/metrics (Prometheus), "
             "GET /v1/trace/<trace_id> (merged spans)",
@@ -406,9 +408,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         # Root trace contexts per arrival; against a telemetry-enabled
         # server the report's trace_ids are fetchable via `repro trace
         # fetch`, in direct mode the spans are recorded right here.
-        from .obs.telemetry import TELEMETRY
+        from .obs import TRACER
 
-        TELEMETRY.enable(process="loadgen")
+        TRACER.enable(process="loadgen", bounded=True)
 
     config = LoadgenConfig(
         seed=args.seed,
@@ -497,7 +499,7 @@ def _cmd_trace_fetch(args: argparse.Namespace) -> int:
     """Fetch one merged distributed trace and write Chrome-trace JSON."""
     import json
 
-    from .obs.telemetry import chrome_trace
+    from .obs import chrome_trace
     from .service import ServiceError
     from .service.client import ServiceClient
 
@@ -1373,7 +1375,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.trace:
             obs.TRACER.write_chrome_trace(args.trace)
             print(
-                f"wrote {len(obs.TRACER.spans)} spans to {args.trace} "
+                f"wrote {len(obs.TRACER)} spans to {args.trace} "
                 "(open in chrome://tracing or https://ui.perfetto.dev)",
                 file=sys.stderr,
             )

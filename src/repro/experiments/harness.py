@@ -22,9 +22,9 @@ Observability (:mod:`repro.obs`) crosses the pool the same way the
 tracer/metrics/audit/profiler around every task, ships one picklable
 snapshot per program back, and the parent merges snapshots in
 ``pool.map`` (= suite) order — so the merged Chrome trace has one
-deterministic track per program, its span tree is structurally identical
-to a serial run's, and hotspot-profile totals are bit-equal at any job
-count.
+deterministic lane (``proc``) per program, its span tree is structurally
+identical to a serial run's, and hotspot-profile totals are bit-equal at
+any job count.
 """
 
 from __future__ import annotations
@@ -403,8 +403,8 @@ def run_suite(
         for program in suite.programs
     ]
     # Outcomes are collected per payload (suite order), so snapshots
-    # merge onto tracer tracks (and into metrics/audit) deterministically
-    # regardless of which worker finished first.
+    # merge into the tracer (one lane per program) and into
+    # metrics/audit deterministically, whichever worker finished first.
     outcomes, failures = run_tasks(
         _run_program_task,
         payloads,

@@ -3,9 +3,11 @@
 Four independent, individually-enableable layers, all off by default and
 overhead-free while off (outputs stay bit-identical):
 
-* :data:`TRACER` (:mod:`.tracer`) — nested spans over every pipeline
-  phase, allocator stage, analysis computation, and harness program run,
-  exported as Chrome-trace JSON (``--trace out.json``);
+* :data:`TRACER` (:mod:`.tracer`) — the one span recorder: nested
+  spans over every pipeline phase, allocator stage, analysis
+  computation, and harness program run (``--trace out.json``), and over
+  the service's requests, routes, jobs, and workers, each span the same
+  ``/v1/trace`` wire record, exported as Chrome-trace JSON;
 * :data:`METRICS` (:mod:`.metrics`) — counters/gauges/histograms (spill
   counts, per-bank pressure, RCG colorability failures, per-phase
   conflict-cost deltas), dumped machine-readably (``--metrics out.json``);
@@ -23,13 +25,14 @@ observations back into the parent (see
 :mod:`repro.experiments.harness`).  The module-level helpers below move
 those four snapshots as one unit.
 
-On top of the four layers, :mod:`.telemetry` adds the *fleet* layer the
-sharded service uses: :data:`TELEMETRY` (cross-process distributed
-tracing via :class:`TraceContext` / ``X-Repro-Trace``), :data:`EVENTS`
-(JSONL request events), :class:`SLOTracker`, :class:`StreamingHistogram`
-/ :class:`RingSeries` aggregates, and the Prometheus text exposition
-pair :func:`render_prometheus` / :func:`parse_prometheus`.  It follows
-the same protocol: off by default, zero effect on outputs.
+The service propagates a request's trace across processes with
+:class:`TraceContext` (the ``X-Repro-Trace`` header), so one trace
+reaches from the front end down to the passes a cache miss ran.  On top
+of the four layers, :mod:`.telemetry` adds the live aggregates the
+sharded service serves: :data:`EVENTS` (JSONL request events),
+:class:`SLOTracker`, :class:`StreamingHistogram` / :class:`RingSeries`,
+and the Prometheus text exposition pair :func:`render_prometheus` /
+:func:`parse_prometheus`.  Nothing changes an output.
 
 See ``docs/OBSERVABILITY.md`` for the user guide and worked examples.
 """
@@ -44,22 +47,23 @@ from .profile import GLOBAL as PROFILE
 from .profile import ConflictProfiler, SiteStats, loop_paths
 from .telemetry import (
     EVENTS,
-    TELEMETRY,
-    TRACE_HEADER,
     EventLog,
     RingSeries,
     SLOTracker,
     StreamingHistogram,
-    TraceContext,
-    TraceRecorder,
-    chrome_trace,
-    orphan_spans,
     parse_prometheus,
     prometheus_name,
     render_prometheus,
 )
 from .tracer import GLOBAL as TRACER
-from .tracer import Span, Tracer
+from .tracer import (
+    TRACE_HEADER,
+    Span,
+    TraceContext,
+    Tracer,
+    chrome_trace,
+    orphan_spans,
+)
 
 __all__ = [
     "AUDIT",
@@ -79,11 +83,9 @@ __all__ = [
     "SiteStats",
     "Span",
     "StreamingHistogram",
-    "TELEMETRY",
     "TRACER",
     "TRACE_HEADER",
     "TraceContext",
-    "TraceRecorder",
     "Tracer",
     "any_enabled",
     "apply_flags",
@@ -126,7 +128,7 @@ def apply_flags(flags: tuple[bool, bool, bool, bool] | None) -> None:
 def snapshot_all() -> dict:
     """One picklable snapshot of every enabled layer (empty when off)."""
     return {
-        "trace": TRACER.snapshot() if TRACER.enabled else None,
+        "trace": TRACER.spans if TRACER.enabled else None,
         "metrics": METRICS.snapshot() if METRICS.enabled else None,
         "audit": AUDIT.snapshot() if AUDIT.enabled else None,
         "profile": PROFILE.snapshot() if PROFILE.enabled else None,
@@ -136,23 +138,22 @@ def snapshot_all() -> dict:
 def merge_all(snapshot: dict | None, track: str | None = None) -> None:
     """Fold a worker's :func:`snapshot_all` into the global layers.
 
-    *track* names the tracer track the snapshot's spans land on (the
-    harness passes the program name).
+    *track* relabels the snapshot's spans as their own ``proc`` lane
+    (the harness passes the program name).
     """
     if not snapshot:
         return
-    TRACER.merge(snapshot.get("trace"), track=track)
+    TRACER.record_raw(snapshot.get("trace"), proc=track)
     METRICS.merge(snapshot.get("metrics"))
     AUDIT.merge(snapshot.get("audit"))
     PROFILE.merge(snapshot.get("profile"))
 
 
 def reset_all() -> None:
-    """Clear every layer — the four batch layers plus the fleet
-    telemetry buffers (enablement is left untouched)."""
+    """Clear every layer plus the request event ring (enablement is
+    left untouched)."""
     TRACER.reset()
     METRICS.reset()
     AUDIT.reset()
     PROFILE.reset()
-    TELEMETRY.reset()
     EVENTS.reset()

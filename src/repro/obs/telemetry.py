@@ -1,16 +1,9 @@
-"""Fleet-wide telemetry: tracing, live metrics, events, and SLOs.
+"""Fleet-wide telemetry: live metrics, events, and SLOs.
 
-The PR-2 observability layer (tracer / metrics / audit / profiler) is
-single-process and dump-at-exit.  This module adds the fleet layer the
-sharded service needs:
+The batch layers (tracer / metrics / audit / profiler) dump at exit.
+This module adds the live aggregates the sharded service serves while
+it runs; its spans go to the one recorder, :data:`repro.obs.TRACER`.
 
-* :class:`TraceContext` — a request-scoped trace id + parent span id +
-  baggage, encoded into the ``X-Repro-Trace`` HTTP header so one trace
-  survives the frontend → shard → worker hops.
-* :data:`TELEMETRY` (:class:`TraceRecorder`) — per-process span buffers
-  keyed by trace id, flushed to the frontend via ``GET
-  /v1/trace/<trace_id>`` and merged into one Chrome trace
-  (:func:`chrome_trace`).
 * :class:`StreamingHistogram` / :class:`RingSeries` — O(1)-per-sample
   aggregates cheap enough for the request hot path; the histogram keeps
   power-of-two buckets (``math.frexp``) instead of scanning bound
@@ -23,11 +16,7 @@ sharded service needs:
 * :class:`SLOTracker` — availability / p99 latency / goodput targets
   with error-budget burn, surfaced in ``/v1/stats`` and ``repro top``.
 
-Everything here follows the PR-2 protocol: disabled by default, no
-effect on results (trace context never enters request bodies or cache
-keys), and stdlib-only.  Span ids are random 48-bit values so spans
-recorded in different processes can reference each other without any
-remapping when merged.
+Everything here is stdlib-only and never changes a result.
 """
 
 from __future__ import annotations
@@ -39,8 +28,6 @@ import re
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass
 
 __all__ = [
     "EVENTS",
@@ -48,303 +35,10 @@ __all__ = [
     "RingSeries",
     "SLOTracker",
     "StreamingHistogram",
-    "TELEMETRY",
-    "TRACE_HEADER",
-    "TraceContext",
-    "TraceRecorder",
-    "chrome_trace",
-    "orphan_spans",
     "parse_prometheus",
     "prometheus_name",
     "render_prometheus",
 ]
-
-TRACE_HEADER = "X-Repro-Trace"
-
-_MAX_TRACES = 512
-_MAX_SPANS_PER_TRACE = 2048
-_BAGGAGE_VALUE_RE = re.compile(r"[^A-Za-z0-9_.:@/+-]")
-
-
-def _new_id(bits: int = 48) -> int:
-    """A random, effectively-unique span id (collision odds ~2^-48)."""
-
-    return int.from_bytes(os.urandom(bits // 8), "big") or 1
-
-
-def new_span_id() -> int:
-    """A fresh globally-unique span id, for spans recorded post-hoc
-    (the service allocates a job's span id at submit so pool workers
-    can parent their spans on it before the job span is written)."""
-
-    return _new_id()
-
-
-def _clean_baggage(items: dict) -> tuple:
-    pairs = []
-    for key, value in sorted(items.items()):
-        if value is None:
-            continue
-        text = _BAGGAGE_VALUE_RE.sub("_", str(value))[:48]
-        pairs.append((str(key), text))
-    return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Immutable trace coordinates carried alongside (never *in*) a request.
-
-    ``trace_id`` names the whole request tree; ``span_id`` is the id of
-    the span that should parent whatever the receiving side records
-    (``0`` = root).  ``baggage`` is a small, sanitized key/value tuple
-    (method, deadline, cache-key prefix) for labeling downstream spans.
-    The wire form is the ``X-Repro-Trace`` header::
-
-        <trace_id>;span=<span_id>;key=value;...
-    """
-
-    trace_id: str
-    span_id: int = 0
-    baggage: tuple = ()
-
-    @classmethod
-    def new(cls, **baggage) -> "TraceContext":
-        return cls(f"{_new_id(64):016x}", 0, _clean_baggage(baggage))
-
-    def child(self, span_id: int) -> "TraceContext":
-        return TraceContext(self.trace_id, span_id, self.baggage)
-
-    def bag(self) -> dict:
-        return dict(self.baggage)
-
-    def header(self) -> str:
-        parts = [self.trace_id, f"span={self.span_id}"]
-        parts.extend(f"{key}={value}" for key, value in self.baggage)
-        return ";".join(parts)
-
-    @classmethod
-    def parse(cls, value) -> "TraceContext | None":
-        """Decode a header value; ``None`` on anything malformed."""
-
-        if not value or not isinstance(value, str) or len(value) > 1024:
-            return None
-        head, _, rest = value.partition(";")
-        trace_id = head.strip()
-        if not re.fullmatch(r"[0-9a-f]{8,32}", trace_id):
-            return None
-        span_id = 0
-        baggage = []
-        for part in rest.split(";"):
-            key, sep, item = part.partition("=")
-            if not sep:
-                continue
-            key = key.strip()
-            if key == "span":
-                try:
-                    span_id = int(item)
-                except ValueError:
-                    return None
-            elif key:
-                baggage.append((key, item))
-        return cls(trace_id, span_id, tuple(baggage))
-
-
-class _ActiveSpan:
-    """Yielded by :meth:`TraceRecorder.span`; ``ctx`` is the child
-    context to propagate downstream (header, queue payload, ...)."""
-
-    __slots__ = ("ctx", "sid", "args")
-
-    def __init__(self, ctx, sid, args):
-        self.ctx = ctx
-        self.sid = sid
-        self.args = args
-
-    def note(self, **kwargs) -> None:
-        if self.args is not None:
-            self.args.update(kwargs)
-
-
-class TraceRecorder:
-    """Per-process span buffers keyed by trace id.
-
-    Unlike the PR-2 :class:`~repro.obs.tracer.Tracer` (one flat list,
-    per-process monotonic epoch, sequential span ids), this recorder is
-    built to merge across processes: wall-clock timestamps, globally
-    unique span ids, and per-trace retrieval (:meth:`spans_for`) so the
-    frontend can flush shard buffers through ``/v1/trace/<trace_id>``.
-    Buffers are bounded (oldest trace evicted past ``_MAX_TRACES``).
-    """
-
-    def __init__(self, process: str = "main"):
-        self.enabled = False
-        self.process = process
-        self._lock = threading.Lock()
-        self._traces: "dict[str, list]" = {}
-        self._tls = threading.local()
-        self.dropped = 0
-
-    # -- lifecycle ----------------------------------------------------
-
-    def enable(self, process: str | None = None) -> None:
-        if process:
-            self.process = process
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        with self._lock:
-            self._traces.clear()
-            self.dropped = 0
-
-    # -- thread-local context ----------------------------------------
-
-    def _stack(self) -> list:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
-    def current(self) -> TraceContext | None:
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
-
-    @contextmanager
-    def activate(self, ctx):
-        """Make *ctx* the thread's current context without recording a
-        span — lets deep call sites (fault injector, cache probes)
-        attach events to the request that reached them."""
-
-        if ctx is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(ctx)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    # -- recording ----------------------------------------------------
-
-    @contextmanager
-    def span(self, ctx, name: str, *, category: str = "request", **args):
-        """Record a timed span under *ctx*; yields an :class:`_ActiveSpan`
-        whose ``.ctx`` is the child context to propagate downstream.
-        No-op (propagating *ctx* unchanged) when disabled or untraced.
-        """
-
-        if not self.enabled or ctx is None:
-            yield _ActiveSpan(ctx, ctx.span_id if ctx else 0, None)
-            return
-        sid = _new_id()
-        active = _ActiveSpan(ctx.child(sid), sid, dict(args))
-        stack = self._stack()
-        stack.append(active.ctx)
-        start = time.time()
-        try:
-            yield active
-        except BaseException as exc:
-            active.args["error"] = f"{type(exc).__name__}: {exc}"[:200]
-            raise
-        finally:
-            end = time.time()
-            stack.pop()
-            self.record(
-                {
-                    "trace": ctx.trace_id,
-                    "sid": sid,
-                    "parent": ctx.span_id,
-                    "name": name,
-                    "cat": category,
-                    "proc": self.process,
-                    "ts": start,
-                    "dur": end - start,
-                    "args": active.args,
-                }
-            )
-
-    def event_for(self, ctx, name: str, **args) -> None:
-        """An instantaneous span (retry, breaker trip, fault firing,
-        degradation) attached under *ctx*."""
-
-        if not self.enabled or ctx is None:
-            return
-        self.record(
-            {
-                "trace": ctx.trace_id,
-                "sid": _new_id(),
-                "parent": ctx.span_id,
-                "name": name,
-                "cat": "event",
-                "proc": self.process,
-                "ts": time.time(),
-                "dur": 0.0,
-                "args": dict(args),
-            }
-        )
-
-    def event(self, name: str, **args) -> None:
-        """:meth:`event_for` against the thread's current context."""
-
-        if self.enabled:
-            self.event_for(self.current(), name, **args)
-
-    def record(self, span: dict) -> None:
-        with self._lock:
-            bucket = self._traces.get(span["trace"])
-            if bucket is None:
-                while len(self._traces) >= _MAX_TRACES:
-                    self._traces.pop(next(iter(self._traces)))
-                bucket = self._traces[span["trace"]] = []
-            if len(bucket) >= _MAX_SPANS_PER_TRACE:
-                self.dropped += 1
-                return
-            bucket.append(span)
-
-    def record_raw(self, spans) -> None:
-        """Fold spans produced elsewhere (pool workers return them in
-        their result payloads) into this process's buffers."""
-
-        if not self.enabled:
-            return
-        for span in spans or ():
-            if isinstance(span, dict) and "trace" in span and "sid" in span:
-                span = dict(span)
-                if not span.get("proc"):
-                    span["proc"] = self.process
-                self.record(span)
-
-    # -- retrieval ----------------------------------------------------
-
-    def spans_for(self, trace_id: str) -> list:
-        with self._lock:
-            return [dict(s) for s in self._traces.get(trace_id, ())]
-
-    def trace_ids(self) -> list:
-        with self._lock:
-            return list(self._traces)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "enabled": self.enabled,
-                "process": self.process,
-                "traces": len(self._traces),
-                "spans": sum(len(v) for v in self._traces.values()),
-                "dropped": self.dropped,
-            }
-
-
-def orphan_spans(spans) -> list:
-    """Spans whose parent id resolves to no span in *spans* and is not
-    the root (``0``) — a coherent merged trace has none."""
-
-    sids = {span["sid"] for span in spans}
-    return [s for s in spans if s["parent"] and s["parent"] not in sids]
-
 
 # ---------------------------------------------------------------------------
 # Streaming aggregates
@@ -786,61 +480,7 @@ class SLOTracker:
         }
 
 
-# ---------------------------------------------------------------------------
-# Chrome-trace merge
-
-
-def chrome_trace(payload: dict) -> dict:
-    """Merge a ``/v1/trace/<trace_id>`` payload (``{"trace_id", "spans"}``
-    with per-span ``proc`` labels) into one Chrome Trace Event document:
-    one pid lane per process, timestamps rebased to the earliest span.
-    """
-
-    spans = payload.get("spans") or []
-    processes = sorted({span.get("proc") or "main" for span in spans})
-    pids = {proc: index + 1 for index, proc in enumerate(processes)}
-    base = min((span["ts"] for span in spans), default=0.0)
-    events = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": proc},
-        }
-        for proc, pid in pids.items()
-    ]
-    for span in spans:
-        args = dict(span.get("args") or {})
-        args["sid"] = span["sid"]
-        args["parent"] = span["parent"]
-        event = {
-            "name": span["name"],
-            "cat": span.get("cat", "span"),
-            "pid": pids[span.get("proc") or "main"],
-            "tid": 0,
-            "ts": round((span["ts"] - base) * 1e6, 3),
-            "args": args,
-        }
-        if span.get("cat") == "event":
-            event["ph"] = "i"
-            event["s"] = "p"
-        else:
-            event["ph"] = "X"
-            event["dur"] = round(max(span.get("dur", 0.0), 0.0) * 1e6, 3)
-        events.append(event)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"trace_id": payload.get("trace_id")},
-    }
-
-
-TELEMETRY = TraceRecorder()
 EVENTS = EventLog()
-
-if os.environ.get("REPRO_TELEMETRY"):
-    TELEMETRY.enabled = True
 
 # Shard worker processes inherit the event log path the same way —
 # short appended lines from many processes interleave whole (O_APPEND).

@@ -1,84 +1,146 @@
-"""Span-based tracing for the Fig. 4 pipeline and its harness.
+"""One span model for the pipeline, the harness, and the service.
 
-A *span* is one named, timed interval of work — a pipeline phase, an
-allocator stage, an analysis computation, a whole program sweep.  Spans
-nest: the tracer keeps a per-thread stack of open spans, so a span opened
-while another is open records it as its parent, and the completed log
-reconstructs the exact call tree of a run (:meth:`Tracer.span_tree`).
+A *span* is one named, timed interval of work: a pass, an analysis, a
+simulator run, a harness program, an HTTP handler, a routed request, a
+queued job.  Every span is recorded as the ``/v1/trace`` wire record::
 
-The process-wide :data:`GLOBAL` tracer is **disabled by default** and the
-disabled path is allocation-free: :meth:`Tracer.span` returns one shared
-no-op context manager, so instrumented code costs a single attribute
-check per span site and outputs stay bit-identical.
+    {"trace", "sid", "parent", "name", "cat", "proc", "ts", "dur", "args"}
 
-Export is Chrome-trace JSON (:meth:`Tracer.to_chrome_trace`): load the
-file in ``chrome://tracing`` or https://ui.perfetto.dev to see the
-pipeline on a timeline.  Worker processes of the parallel harness record
-into their own tracer, :meth:`snapshot` the spans (plain picklable
-dicts), and the parent :meth:`merge`\\ s each snapshot onto its own
-*track* — tracks are assigned in merge order, which the harness keeps at
-suite order, so the merged span tree is deterministic and identical in
-structure to a serial run.
+``trace`` names the tree the span belongs to, ``parent`` is the sid of
+the enclosing span (``0`` at a root), ``proc`` labels the process that
+recorded it, ``ts`` is wall-clock seconds and ``dur`` is seconds.
+
+Spans nest through a per-thread stack of *contexts*: an open span, or a
+:class:`TraceContext` made active with :meth:`Tracer.activate` (the
+service does this with the coordinates a request carried in).  A span
+opened under an active context joins its trace; with none active it
+roots a new trace.  So a batch ``--trace`` run records one trace per
+harness program, and a served cache miss records its pass and analysis
+spans inside the service's ``worker.execute`` span.
+
+The process-wide :data:`GLOBAL` recorder is **disabled by default** and
+the disabled path is allocation-free: :meth:`Tracer.span` returns one
+shared no-op span, so instrumented code costs a single attribute check
+per span site and outputs stay bit-identical.
+
+Span ids count up from a random 48-bit base that a forked child draws
+afresh, so ids follow open order within a process and spans recorded in
+different processes merge without remapping: a pool worker returns its
+spans as plain dicts and the parent folds them in with
+:meth:`Tracer.record_raw`.  One exporter, :func:`chrome_trace`, writes
+any set of spans as a Chrome trace with one lane per ``proc``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import re
 import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
-__all__ = ["GLOBAL", "Span", "Tracer"]
+__all__ = [
+    "GLOBAL",
+    "TRACE_HEADER",
+    "Span",
+    "TraceContext",
+    "Tracer",
+    "chrome_trace",
+    "orphan_spans",
+]
+
+TRACE_HEADER = "X-Repro-Trace"
+
+_BAGGAGE_VALUE_RE = re.compile(r"[^A-Za-z0-9_.:@/+-]")
 
 
-@dataclass(slots=True)
-class Span:
-    """One completed, timed interval of work.
+def _random_id(bits: int) -> int:
+    return int.from_bytes(os.urandom(bits // 8), "big") or 1
 
-    Attributes:
-        sid: Span id, unique within a tracer, assigned in *open* order.
-        parent: sid of the enclosing span, or None at top level.
-        tid: Logical track (serial runs use track 0; each merged worker
-            snapshot gets its own track).
-        name: Display name (pass name, function name, program name, ...).
-        category: Coarse grouping for trace viewers ("pass", "analysis",
-            "program", "function", "measure", ...).
-        start: Seconds since the tracer epoch.
-        end: Seconds since the tracer epoch.
-        args: Extra key/values shown by trace viewers on click.
+
+def _new_trace_id() -> str:
+    return f"{_random_id(64):016x}"
+
+
+def _clean_baggage(items: dict) -> tuple:
+    pairs = []
+    for key, value in sorted(items.items()):
+        if value is None:
+            continue
+        text = _BAGGAGE_VALUE_RE.sub("_", str(value))[:48]
+        pairs.append((str(key), text))
+    return tuple(pairs)
+
+
+@dataclass(frozen=True)
+class TraceContext:
+    """Immutable trace coordinates carried alongside (never *in*) a request.
+
+    ``trace_id`` names the whole request tree; ``span_id`` is the id of
+    the span that should parent whatever the receiving side records
+    (``0`` = root).  ``baggage`` is a small, sanitized key/value tuple
+    for labeling downstream spans.  The wire form is the
+    ``X-Repro-Trace`` header::
+
+        <trace_id>;span=<span_id>;key=value;...
     """
 
-    sid: int
-    parent: int | None
-    tid: int
-    name: str
-    category: str
-    start: float
-    end: float
-    args: dict = field(default_factory=dict)
+    trace_id: str
+    span_id: int = 0
+    baggage: tuple = ()
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    @classmethod
+    def new(cls, **baggage) -> "TraceContext":
+        return cls(_new_trace_id(), 0, _clean_baggage(baggage))
 
-    def as_dict(self) -> dict:
-        """Plain-dict form (picklable / JSON-ready)."""
-        return {
-            "sid": self.sid,
-            "parent": self.parent,
-            "tid": self.tid,
-            "name": self.name,
-            "category": self.category,
-            "start": self.start,
-            "end": self.end,
-            "args": dict(self.args),
-        }
+    def child(self, span_id: int) -> "TraceContext":
+        return TraceContext(self.trace_id, span_id, self.baggage)
+
+    def bag(self) -> dict:
+        return dict(self.baggage)
+
+    def header(self) -> str:
+        parts = [self.trace_id, f"span={self.span_id}"]
+        parts.extend(f"{key}={value}" for key, value in self.baggage)
+        return ";".join(parts)
+
+    @classmethod
+    def parse(cls, value) -> "TraceContext | None":
+        """Decode a header value; ``None`` on anything malformed."""
+
+        if not value or not isinstance(value, str) or len(value) > 1024:
+            return None
+        head, _, rest = value.partition(";")
+        trace_id = head.strip()
+        if not re.fullmatch(r"[0-9a-f]{8,32}", trace_id):
+            return None
+        span_id = 0
+        baggage = []
+        for part in rest.split(";"):
+            key, sep, item = part.partition("=")
+            if not sep:
+                continue
+            key = key.strip()
+            if key == "span":
+                try:
+                    span_id = int(item)
+                except ValueError:
+                    return None
+            elif key:
+                baggage.append((key, item))
+        return cls(trace_id, span_id, tuple(baggage))
 
 
 class _NullSpan:
-    """The shared no-op context manager the disabled tracer hands out."""
+    """The shared no-op span the disabled recorder hands out."""
 
     __slots__ = ()
+
+    #: A disabled recorder propagates no trace coordinates.
+    ctx = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -87,94 +149,147 @@ class _NullSpan:
         return False
 
     def note(self, **args) -> None:
-        """Discard annotations (mirrors :meth:`_LiveSpan.note`)."""
+        """Discard annotations (mirrors :meth:`Span.note`)."""
+
+    def end(self) -> None:
+        """Nothing to record (mirrors :meth:`Span.end`)."""
 
 
 _NULL_SPAN = _NullSpan()
 
 
-class _LiveSpan:
-    """An open span; completes (records itself) when the ``with`` exits.
+class Span:
+    """An open span; it records itself when it ends.
 
-    Completed live spans are stored as-is (with ``_start``/``_end`` still
-    on the tracer's raw clock) and only converted to :class:`Span` when
-    read — recording stays one allocation lighter per span, which keeps
-    GC pressure off the traced hot path.
+    ``trace_id`` / ``span_id`` / ``baggage`` make an open span usable
+    wherever a :class:`TraceContext` is (the thread's context stack
+    holds both); :attr:`ctx` is the immutable form to send downstream.
     """
 
-    __slots__ = ("_tracer", "sid", "parent", "tid", "name", "category",
-                 "args", "_start", "_end")
+    __slots__ = ("_tracer", "trace_id", "span_id", "parent", "baggage",
+                 "name", "category", "args", "ts", "_start")
 
-    def __init__(self, tracer: "Tracer", sid: int, parent: int | None,
-                 name: str, category: str, args: dict):
+    def __init__(self, tracer: "Tracer", parent, name: str, category: str,
+                 args: dict):
         self._tracer = tracer
-        self.sid = sid
-        self.parent = parent
-        self.tid = 0
+        if parent is None:
+            self.trace_id = _new_trace_id()
+            self.parent = 0
+            self.baggage = ()
+        else:
+            self.trace_id = parent.trace_id
+            self.parent = parent.span_id
+            self.baggage = parent.baggage
+        self.span_id = next(tracer._ids)
         self.name = name
         self.category = category
         self.args = args
-        self._start = 0.0
-        self._end = 0.0
+        self._start = time.perf_counter()
+        self.ts = tracer._wall(self._start)
 
-    def to_span(self, epoch: float) -> Span:
-        return Span(
-            sid=self.sid,
-            parent=self.parent,
-            tid=self.tid,
-            name=self.name,
-            category=self.category,
-            start=self._start - epoch,
-            end=self._end - epoch,
-            args=self.args,
-        )
+    @property
+    def ctx(self) -> TraceContext:
+        """This span as the parent of whatever a receiver records."""
+        return TraceContext(self.trace_id, self.span_id, self.baggage)
 
     def note(self, **args) -> None:
         """Attach key/values to the span (visible in the trace viewer)."""
         self.args.update(args)
 
-    def __enter__(self) -> "_LiveSpan":
-        self._start = time.perf_counter()
+    def end(self) -> None:
+        """Record the span; a span opened with :meth:`Tracer.begin` may
+        end on another thread than the one that began it."""
+        self._tracer._finish(self, time.perf_counter() - self._start)
+
+    def __enter__(self) -> "Span":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        end = time.perf_counter()
         if exc_type is not None:
-            self.args.setdefault("error", exc_type.__name__)
-        self._tracer._complete(self, end)
+            self.args.setdefault("error", f"{exc_type.__name__}: {exc}"[:200])
+        self.end()
         return False
 
 
 class Tracer:
-    """Collects nested spans; disabled (and overhead-free) by default."""
+    """Collects spans per trace; disabled (and overhead-free) by default.
 
-    def __init__(self, enabled: bool = False):
+    A *bounded* recorder (the service's mode) keeps at most
+    :attr:`MAX_TRACES` traces of :attr:`MAX_SPANS_PER_TRACE` spans,
+    evicting the oldest trace first and counting refused spans in
+    :attr:`dropped`; a batch ``--trace`` run keeps every span.
+    """
+
+    MAX_TRACES = 512
+    MAX_SPANS_PER_TRACE = 2048
+
+    def __init__(self, enabled: bool = False, process: str = "main"):
         self.enabled = enabled
+        self.process = process
+        self.bounded = False
+        self.dropped = 0
+        self._fresh_state()
+
+    def _fresh_state(self) -> None:
         self._lock = threading.Lock()
         self._tls = threading.local()
-        self._spans: list[Span] = []
-        self._next_sid = 0
-        self._next_tid = 0
-        self._epoch = time.perf_counter()
-        #: Optional display names per track, shown as thread names in
-        #: Chrome trace viewers (e.g. the program a worker ran).
-        self.track_names: dict[int, str] = {}
+        self._traces: dict[str, list[dict]] = {}
+        self._ids = itertools.count(_random_id(48))
+        # One clock per process: a span's ts and dur both come from
+        # perf_counter, so a child always ends inside its parent, and
+        # the wall-clock anchor keeps ts comparable across processes.
+        self._wall0, self._perf0 = time.time(), time.perf_counter()
+
+    def _wall(self, perf: float) -> float:
+        """Wall-clock seconds of a :func:`time.perf_counter` reading."""
+        return self._wall0 + (perf - self._perf0)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def enable(self, on: bool = True) -> None:
+    def enable(self, on: bool = True, *, process: str | None = None,
+               bounded: bool | None = None) -> None:
         self.enabled = on
+        if process:
+            self.process = process
+        if bounded is not None:
+            self.bounded = bounded
 
     def reset(self) -> None:
-        """Drop all spans and restart ids, tracks, and the epoch."""
+        """Drop every span and every thread's active contexts."""
         with self._lock:
-            self._spans.clear()
-            self._next_sid = 0
-            self._next_tid = 0
-            self._epoch = time.perf_counter()
-            self.track_names.clear()
+            self._traces.clear()
+            self.dropped = 0
             self._tls = threading.local()
+
+    # ------------------------------------------------------------------
+    # Contexts
+    # ------------------------------------------------------------------
+    def _stack(self) -> list:
+        stack = getattr(self._tls, "stack", None)
+        if stack is None:
+            stack = self._tls.stack = []
+        return stack
+
+    def current(self):
+        """The thread's innermost active context (a :class:`Span` or a
+        :class:`TraceContext`), or ``None``."""
+        stack = getattr(self._tls, "stack", None)
+        return stack[-1] if stack else None
+
+    @contextmanager
+    def activate(self, ctx):
+        """Make *ctx* the thread's active context without recording a
+        span, so spans and events below it join the request's trace."""
+        if ctx is None or not self.enabled:
+            yield
+            return
+        stack = self._stack()
+        stack.append(ctx)
+        try:
+            yield
+        finally:
+            stack.pop()
 
     # ------------------------------------------------------------------
     # Recording
@@ -182,185 +297,151 @@ class Tracer:
     def span(self, name: str, category: str = "phase", **args):
         """Open a span; use as ``with TRACER.span("coalescing"): ...``.
 
-        When the tracer is disabled this returns a shared no-op context
-        manager without allocating, so call sites need no guard.
+        The span nests under the thread's active context, or roots a new
+        trace when none is active.  When the recorder is disabled this
+        returns a shared no-op span without allocating, so call sites
+        need no guard.
         """
         if not self.enabled:
             return _NULL_SPAN
         stack = self._stack()
-        parent = stack[-1].sid if stack else None
-        live = _LiveSpan(self, self._alloc_sid(), parent, name, category, args)
-        stack.append(live)
-        return live
+        span = Span(self, stack[-1] if stack else None, name, category, args)
+        stack.append(span)
+        return span
 
-    def _stack(self) -> list:
+    def begin(self, name: str, category: str = "phase", ctx=None, **args):
+        """Open a span that stays off the thread's stack and ends with
+        :meth:`Span.end`, on any thread: a queued job's span begins at
+        submit and ends on the dispatcher.  It nests under *ctx*, else
+        the active context, else roots a new trace; a span that never
+        ends records nothing."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return Span(self, ctx or self.current(), name, category, args)
+
+    def _finish(self, span: Span, dur: float) -> None:
         stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
-    #: Span-id block size reserved per thread (amortizes the id lock).
-    _SID_BLOCK = 64
-
-    def _alloc_sid(self) -> int:
-        """Next span id, from a per-thread block of the shared counter.
-
-        Blocks keep ids unique and monotonically increasing within a
-        thread (what ordering-sensitive consumers rely on) while paying
-        the lock once per :data:`_SID_BLOCK` spans instead of per span.
-        ``_next_sid`` always sits above every id handed out, so merge
-        rebasing stays collision-free even with blocks outstanding.
-        """
-        tls = self._tls
-        sid = getattr(tls, "sid_next", 0)
-        if sid >= getattr(tls, "sid_end", 0):
-            with self._lock:
-                sid = self._next_sid
-                self._next_sid += self._SID_BLOCK
-            tls.sid_end = sid + self._SID_BLOCK
-        tls.sid_next = sid + 1
-        return sid
-
-    def _thread_tid(self) -> int:
-        tid = getattr(self._tls, "tid", None)
-        if tid is None:
-            with self._lock:
-                tid = self._tls.tid = self._next_tid
-                self._next_tid += 1
-        return tid
-
-    def _complete(self, live: _LiveSpan, end: float) -> None:
-        stack = self._stack()
         # Tolerate out-of-order exits (generators, re-raised errors): pop
         # the span wherever it sits instead of corrupting the stack.
-        if stack and stack[-1] is live:
-            stack.pop()
-        elif live in stack:
-            stack.remove(live)
-        live.tid = self._thread_tid()
-        live._end = end
+        if stack:
+            if stack[-1] is span:
+                stack.pop()
+            elif span in stack:
+                stack.remove(span)
+        self._record(
+            {
+                "trace": span.trace_id,
+                "sid": span.span_id,
+                "parent": span.parent,
+                "name": span.name,
+                "cat": span.category,
+                "proc": self.process,
+                "ts": span.ts,
+                "dur": dur,
+                "args": span.args,
+            }
+        )
+
+    def event(self, name: str, /, ctx=None, **args) -> None:
+        """An instantaneous span (retry, breaker trip, fault firing)
+        under *ctx*, else the active context.  With neither there is no
+        request to annotate, and the event is dropped."""
+        if not self.enabled:
+            return
+        ctx = ctx or self.current()
+        if ctx is None:
+            return
+        self._record(
+            {
+                "trace": ctx.trace_id,
+                "sid": next(self._ids),
+                "parent": ctx.span_id,
+                "name": name,
+                "cat": "event",
+                "proc": self.process,
+                "ts": self._wall(time.perf_counter()),
+                "dur": 0.0,
+                "args": args,
+            }
+        )
+
+    def _record(self, span: dict) -> None:
+        """Buffer one wire record under its trace."""
         with self._lock:
-            self._spans.append(live)
+            bucket = self._traces.get(span["trace"])
+            if bucket is None:
+                if self.bounded:
+                    while len(self._traces) >= self.MAX_TRACES:
+                        self._traces.pop(next(iter(self._traces)))
+                bucket = self._traces[span["trace"]] = []
+            elif self.bounded and len(bucket) >= self.MAX_SPANS_PER_TRACE:
+                self.dropped += 1
+                return
+            bucket.append(span)
+
+    def record_raw(self, spans, proc: str | None = None) -> None:
+        """Fold spans recorded elsewhere (a pool worker's, a harness
+        worker's) into this buffer.  *proc*, when given, relabels them
+        (a ``--jobs N`` program becomes its own lane); otherwise an
+        unlabeled span gets this process's label."""
+        if not self.enabled:
+            return
+        for span in spans or ():
+            span = dict(span)
+            if proc:
+                span["proc"] = proc
+            elif not span.get("proc"):
+                span["proc"] = self.process
+            self._record(span)
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    @property
-    def spans(self) -> list[Span]:
-        """Completed spans, in completion order."""
+    def spans_for(self, trace_id: str) -> list[dict]:
         with self._lock:
-            epoch = self._epoch
-            return [
-                s if isinstance(s, Span) else s.to_span(epoch)
-                for s in self._spans
-            ]
+            return [dict(s) for s in self._traces.get(trace_id, ())]
+
+    def take(self, trace_id: str) -> list[dict]:
+        """Remove and return one trace's spans."""
+        with self._lock:
+            return self._traces.pop(trace_id, [])
+
+    @property
+    def spans(self) -> list[dict]:
+        """Every buffered span, trace by trace in first-recorded order."""
+        with self._lock:
+            return [dict(s) for spans in self._traces.values() for s in spans]
 
     def __len__(self) -> int:
-        return len(self._spans)
-
-    # ------------------------------------------------------------------
-    # Pool-safe aggregation
-    # ------------------------------------------------------------------
-    def snapshot(self) -> list[dict]:
-        """Picklable copy of all completed spans (for worker shipping)."""
-        return [span.as_dict() for span in self.spans]
-
-    def merge(self, snapshot: list[dict] | None, track: str | None = None) -> None:
-        """Fold a worker :meth:`snapshot` into this tracer.
-
-        The snapshot's spans land on a fresh track whose id is assigned in
-        merge order; sids are rebased past this tracer's counter, and
-        parent links are remapped with them.  Merging the same snapshots
-        in the same order therefore always produces the same span tree —
-        the harness merges in suite order, making parallel traces
-        structurally identical to serial ones.
-        """
-        if not snapshot:
-            return
         with self._lock:
-            base = self._next_sid
-            tid = self._next_tid
-            self._next_tid += 1
-            self._next_sid += max(s["sid"] for s in snapshot) + 1
-            if track:
-                self.track_names[tid] = track
-            for s in snapshot:
-                self._spans.append(
-                    Span(
-                        sid=s["sid"] + base,
-                        parent=None if s["parent"] is None else s["parent"] + base,
-                        tid=tid,
-                        name=s["name"],
-                        category=s["category"],
-                        start=s["start"],
-                        end=s["end"],
-                        args=dict(s["args"]),
-                    )
-                )
+            return sum(len(bucket) for bucket in self._traces.values())
 
-    # ------------------------------------------------------------------
-    # Reconstruction & export
-    # ------------------------------------------------------------------
     def span_tree(self) -> list[dict]:
         """The nested call tree: ``{"name", "category", "children"}``.
 
-        Top-level spans are ordered by (track, open order), children by
-        open order — both deterministic, and independent of timestamps,
-        so a parallel run's tree equals the serial run's.
+        Roots come in trace order (first recorded first, which is suite
+        order for a merged parallel run) and children in open order, so
+        the tree does not depend on timestamps and a parallel run's tree
+        equals the serial run's.
         """
-        spans = sorted(self.spans, key=lambda s: (s.tid, s.sid))
-        nodes = {
-            s.sid: {"name": s.name, "category": s.category, "children": []}
-            for s in spans
-        }
+        with self._lock:
+            buckets = [list(bucket) for bucket in self._traces.values()]
         roots: list[dict] = []
-        for s in spans:
-            if s.parent is not None and s.parent in nodes:
-                nodes[s.parent]["children"].append(nodes[s.sid])
-            else:
-                roots.append(nodes[s.sid])
+        for bucket in buckets:
+            bucket.sort(key=lambda s: s["sid"])
+            nodes = {
+                s["sid"]: {"name": s["name"], "category": s["cat"],
+                           "children": []}
+                for s in bucket
+            }
+            for s in bucket:
+                parent = nodes.get(s["parent"])
+                siblings = parent["children"] if parent else roots
+                siblings.append(nodes[s["sid"]])
         return roots
 
     def to_chrome_trace(self) -> dict:
-        """The ``chrome://tracing`` / Perfetto JSON object form.
-
-        One complete-duration (``"ph": "X"``) event per span, timestamps
-        in microseconds, plus metadata events naming the process and any
-        named tracks.
-        """
-        events: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": 0,
-                "args": {"name": "repro"},
-            }
-        ]
-        for tid, name in sorted(self.track_names.items()):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": tid,
-                    "args": {"name": name},
-                }
-            )
-        for s in sorted(self.spans, key=lambda s: (s.tid, s.sid)):
-            events.append(
-                {
-                    "name": s.name,
-                    "cat": s.category,
-                    "ph": "X",
-                    "ts": round(s.start * 1e6, 3),
-                    "dur": round(max(0.0, s.duration) * 1e6, 3),
-                    "pid": 0,
-                    "tid": s.tid,
-                    "args": dict(s.args),
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return chrome_trace({"trace_id": None, "spans": self.spans})
 
     def write_chrome_trace(self, path: str) -> None:
         """Serialize :meth:`to_chrome_trace` to *path*."""
@@ -368,5 +449,70 @@ class Tracer:
             json.dump(self.to_chrome_trace(), fh, indent=1)
 
 
-#: The process-wide tracer ``--trace`` enables.
+def orphan_spans(spans) -> list:
+    """Spans whose parent id resolves to no span in *spans* and is not
+    the root (``0``) — a coherent trace has none."""
+
+    sids = {span["sid"] for span in spans}
+    return [s for s in spans if s["parent"] and s["parent"] not in sids]
+
+
+def chrome_trace(payload: dict) -> dict:
+    """Render ``{"trace_id", "spans"}`` (a ``/v1/trace/<trace_id>``
+    payload, or a whole buffer) as one Chrome Trace Event document: one
+    pid lane per ``proc`` in first-seen order, timestamps in microseconds
+    from the earliest span, ``sid``/``parent`` kept in each event's args,
+    and events (``cat == "event"``) as instant marks.
+    """
+
+    spans = payload.get("spans") or []
+    pids: dict[str, int] = {}
+    for span in spans:
+        pids.setdefault(span.get("proc") or "main", len(pids) + 1)
+    base = min((span["ts"] for span in spans), default=0.0)
+    events = [
+        {
+            "ph": "M",
+            "name": "process_name",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": proc},
+        }
+        for proc, pid in pids.items()
+    ]
+    for span in spans:
+        args = dict(span.get("args") or {})
+        args["sid"] = span["sid"]
+        args["parent"] = span["parent"]
+        event = {
+            "name": span["name"],
+            "cat": span.get("cat", "span"),
+            "pid": pids[span.get("proc") or "main"],
+            "tid": 0,
+            "ts": round((span["ts"] - base) * 1e6, 3),
+            "args": args,
+        }
+        if span.get("cat") == "event":
+            event["ph"] = "i"
+            event["s"] = "p"
+        else:
+            event["ph"] = "X"
+            event["dur"] = round(max(span.get("dur", 0.0), 0.0) * 1e6, 3)
+        events.append(event)
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"trace_id": payload.get("trace_id")},
+    }
+
+
+#: The process-wide recorder: ``--trace`` enables it for a batch run,
+#: ``repro serve`` (and ``REPRO_TELEMETRY`` in the processes it spawns)
+#: for the service, bounded.
 GLOBAL = Tracer()
+# A forked child (a pool or shard worker) starts empty with its own ids,
+# so it never re-reports its parent's spans or reuses its parent's sids.
+os.register_at_fork(after_in_child=GLOBAL._fresh_state)
+
+if os.environ.get("REPRO_TELEMETRY"):
+    GLOBAL.enable(bounded=True)

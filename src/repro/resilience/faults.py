@@ -268,16 +268,13 @@ class FaultInjector:
         point = self.plan.fire(site, label)
         if point is not None:
             # Lazy import: obs must stay importable without resilience.
-            from ..obs import METRICS
-            from ..obs.telemetry import TELEMETRY
+            from ..obs import METRICS, TRACER
 
             METRICS.inc(f"faults.{site}.{point.mode}")
-            # With telemetry on, the firing lands on whatever request
+            # With tracing on, the firing lands on whatever request
             # context is active — traces show *which* request the chaos
             # plan hit, not just that it hit.
-            TELEMETRY.event(
-                f"fault.{site}", mode=point.mode, label=label[:48]
-            )
+            TRACER.event(f"fault.{site}", mode=point.mode, label=label[:48])
         return point
 
     def corrupt(

@@ -24,10 +24,11 @@ stack rather than a batch script (see ``docs/SERVICE.md``):
   ``repro loadgen`` (arrival ramps, Zipf popularity, deadline mixes,
   p50/p99/p999 + goodput reporting into the BENCH history schema).
 
-Fleet telemetry (distributed tracing over ``X-Repro-Trace``, the
-``/v1/metrics`` Prometheus exposition, JSONL request events, SLO
-tracking) lives in :mod:`repro.obs.telemetry` and threads through every
-layer above — see ``docs/OBSERVABILITY.md``.
+Tracing (the one span recorder, :data:`repro.obs.TRACER`, with
+contexts carried over ``X-Repro-Trace``) and the fleet telemetry of
+:mod:`repro.obs.telemetry` (the ``/v1/metrics`` Prometheus exposition,
+JSONL request events, SLO tracking) thread through every layer above —
+see ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

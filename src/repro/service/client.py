@@ -30,7 +30,7 @@ Resilience (see ``docs/RESILIENCE.md``):
 Non-transient HTTP errors (``400`` bad request, ``404``, a ``500`` job
 failure) are never retried — they would fail identically every time.
 
-Telemetry: pass a :class:`~repro.obs.telemetry.TraceContext` to
+Telemetry: pass a :class:`~repro.obs.TraceContext` to
 :meth:`ServiceClient.submit` / :meth:`~ServiceClient.submit_request` /
 :meth:`~ServiceClient.allocate` and the client sends it as the
 ``X-Repro-Trace`` header (submits only — polls are uninteresting spam);
@@ -46,7 +46,7 @@ import time
 import urllib.error
 import urllib.request
 
-from ..obs.telemetry import TELEMETRY, TRACE_HEADER, TraceContext
+from ..obs import TRACE_HEADER, TRACER, TraceContext
 from ..resilience.faults import FAULTS, InjectedFault
 
 #: HTTP statuses worth retrying: the server shed load, not failed us.
@@ -127,11 +127,6 @@ class ServiceClient:
         self._rng = random.Random(jitter_seed)
 
     # ------------------------------------------------------------------
-    def _note(self, trace: TraceContext | None, name: str, **args) -> None:
-        """Attach an instantaneous event to *trace* (or the thread's
-        current context when none was threaded through)."""
-        TELEMETRY.event_for(trace or TELEMETRY.current(), name, **args)
-
     def _request_once(
         self,
         path: str,
@@ -152,7 +147,7 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        if trace is not None and TELEMETRY.enabled:
+        if trace is not None and TRACER.enabled:
             headers[TRACE_HEADER] = trace.header()
         req = urllib.request.Request(url, data=data, headers=headers)
         with urllib.request.urlopen(req, timeout=self.timeout) as resp:
@@ -167,7 +162,7 @@ class ServiceClient:
         trace: TraceContext | None = None,
     ):
         if not self.breaker.allow():
-            self._note(trace, "client.breaker_open", path=path)
+            TRACER.event("client.breaker_open", ctx=trace, path=path)
             raise CircuitOpenError(
                 f"{path}: circuit breaker open after "
                 f"{self.breaker.failures} consecutive failures"
@@ -217,14 +212,14 @@ class ServiceClient:
                 last_error = ServiceError(f"{path}: {reason}")
                 self.breaker.record(ok=False)
                 if not self.breaker.allow():
-                    self._note(
-                        trace, "client.breaker_trip",
+                    TRACER.event(
+                        "client.breaker_trip", ctx=trace,
                         path=path, failures=self.breaker.failures,
                     )
                     break
             if attempt < self.retries:
-                self._note(
-                    trace, "client.retry",
+                TRACER.event(
+                    "client.retry", ctx=trace,
                     path=path, attempt=attempt + 1,
                     error=str(last_error)[:160],
                 )
@@ -352,5 +347,5 @@ class ServiceClient:
 
     def trace(self, trace_id: str) -> dict:
         """``GET /v1/trace/<trace_id>`` — the server's merged span
-        payload (:func:`~repro.obs.telemetry.chrome_trace` renders it)."""
+        payload (:func:`~repro.obs.chrome_trace` renders it)."""
         return self._request(f"/v1/trace/{trace_id}")

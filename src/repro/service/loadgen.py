@@ -46,7 +46,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ..obs.telemetry import TELEMETRY, SLOTracker, TraceContext
+from ..obs import TRACER, TraceContext
+from ..obs.telemetry import SLOTracker
 from .artifact import artifact_bytes, build_artifact
 from .client import ServiceClient, ServiceError
 from .queue import ServiceOverloadError
@@ -261,7 +262,7 @@ def run_loadgen(target, config: LoadgenConfig | None = None) -> dict:
         # request is fetchable end to end via /v1/trace/<trace_id>.
         trace = (
             TraceContext.new(kernel=f"lg_k{arrival.kernel}")
-            if TELEMETRY.enabled
+            if TRACER.enabled
             else None
         )
         try:

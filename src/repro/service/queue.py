@@ -56,18 +56,12 @@ import os
 import queue as _queue
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..experiments.harness import run_tasks
-from ..obs import AUDIT, METRICS, TRACER
-from ..obs.telemetry import (
-    EVENTS,
-    TELEMETRY,
-    SLOTracker,
-    StreamingHistogram,
-    TraceContext,
-    new_span_id,
-)
+from ..obs import AUDIT, METRICS, TRACER, TraceContext
+from ..obs.telemetry import EVENTS, SLOTracker, StreamingHistogram
 from ..resilience import AllocationVerifier, FAULTS, InjectedFault
 from ..sim.ooo import MACHINE_DEFAULT
 from .artifact import (
@@ -129,7 +123,7 @@ class _FragmentView:
 
 
 def _execute_request(payload: tuple) -> dict:
-    """Process-pool worker: one allocation, plus its wall time.
+    """One allocation, plus its wall time, inline or in a pool worker.
 
     Carries the ``queue.execute`` fault point so chaos schedules can
     kill (``death``), stall (``stall``), or fail (``error``) the worker
@@ -139,62 +133,47 @@ def _execute_request(payload: tuple) -> dict:
     trace_header)``, as :meth:`AllocationService._execute` builds it.
     *machine* is the normalized cycle-model spec (``None`` = the
     in-order default) and *is* part of the build inputs and cache key;
-    the trace header never is — when present the worker returns its
-    ``worker.execute`` span (and any fault events) in the result so the
-    service folds them into the distributed trace.
+    the trace header never is.  Under the job's trace the allocation
+    runs in a ``worker.execute`` span, so the pipeline's pass and
+    analysis spans nest inside it, and fault events land on the job.
     """
     ir, file_spec, method, flags, machine, trace_header = payload
-    ctx = TraceContext.parse(trace_header) if trace_header else None
-    spans: list[dict] = []
-    in_pool = False
-    if ctx is not None:
-        import multiprocessing
+    with TRACER.activate(TraceContext.parse(trace_header)):
+        if FAULTS.enabled:
+            point = FAULTS.fire("queue.execute", label=method)
+            if point is not None:
+                if point.mode == "death":
+                    import multiprocessing
 
-        in_pool = multiprocessing.parent_process() is not None
+                    if multiprocessing.parent_process() is not None:
+                        os._exit(17)  # real worker death, not an exception
+                    raise InjectedFault(point.site, point.mode)
+                if point.mode == "stall":
+                    time.sleep(float(point.detail.get("stall_s", 0.05)))
+                elif point.mode == "error":
+                    raise InjectedFault(point.site, point.mode)
+        started = time.perf_counter()
+        with TRACER.span("worker.execute", category="worker", method=method):
+            artifact = build_artifact(ir, file_spec, method, flags, machine)
+    return {"artifact": artifact, "seconds": time.perf_counter() - started}
 
-    def _span(name, cat, ts, dur, **args):
-        spans.append(
-            {
-                "trace": ctx.trace_id,
-                "sid": new_span_id(),
-                "parent": ctx.span_id,
-                "name": name,
-                "cat": cat,
-                # None = stamped by the recorder that folds it in
-                "proc": f"worker-{os.getpid()}" if in_pool else None,
-                "ts": ts,
-                "dur": dur,
-                "args": args,
-            }
-        )
 
-    if FAULTS.enabled:
-        point = FAULTS.fire("queue.execute", label=method)
-        if point is not None:
-            if point.mode == "death":
-                import multiprocessing
+def _execute_pooled(payload: tuple) -> dict:
+    """Process-pool entry: :func:`_execute_request` in a worker, which
+    returns every span it recorded for the job and keeps none.
 
-                if multiprocessing.parent_process() is not None:
-                    os._exit(17)  # real worker death, not an exception
-                raise InjectedFault(point.site, point.mode)
-            if point.mode == "stall":
-                stall_s = float(point.detail.get("stall_s", 0.05))
-                if ctx is not None:
-                    _span(
-                        "fault.queue.execute", "event", time.time(), 0.0,
-                        mode="stall", stall_s=stall_s,
-                    )
-                time.sleep(stall_s)
-            elif point.mode == "error":
-                raise InjectedFault(point.site, point.mode)
-    started_wall = time.time()
-    started = time.perf_counter()
-    artifact = build_artifact(ir, file_spec, method, flags, machine)
-    seconds = time.perf_counter() - started
-    result = {"artifact": artifact, "seconds": seconds}
-    if ctx is not None:
-        _span("worker.execute", "worker", started_wall, seconds, method=method)
-        result["spans"] = spans
+    The trace header, not the recorder state the worker happened to
+    inherit, decides whether it records: a forked worker inherits the
+    service's recorder, a spawned or forkserver one starts disabled.
+    """
+    ctx = TraceContext.parse(payload[-1])
+    TRACER.enable(ctx is not None, process=f"worker-{os.getpid()}",
+                  bounded=True)
+    try:
+        result = _execute_request(payload)
+    finally:
+        spans = TRACER.take(ctx.trace_id) if ctx is not None else []
+    result["spans"] = spans
     return result
 
 
@@ -211,7 +190,8 @@ class ServiceConfig:
     #: Retries when a worker crashes or a job raises (within one
     #: dispatch, via the harness's crash-tolerant pool).
     max_retries: int = 1
-    #: Base backoff between retry rounds (sleep = backoff * attempt).
+    #: Base backoff between pool retry rounds (doubling per round,
+    #: capped at 2 s; see :func:`repro.experiments.harness.run_tasks`).
     retry_backoff_s: float = 0.05
     #: Artifact cache directory (None = memory only).
     cache_dir: str | None = None
@@ -283,15 +263,11 @@ class Job:
     execution_s: float | None = None
     submitted_mono: float = field(default_factory=time.monotonic)
     finished_mono: float | None = None
-    #: Wall-clock submit time — distributed spans merge across
-    #: processes, so they need a shared timebase (monotonic is
-    #: per-process).
-    submitted_wall: float = field(default_factory=time.time)
-    #: Distributed-trace coordinates (never part of the cache key) and
-    #: the pre-allocated id of this job's ``service.job`` span, so
-    #: worker spans can parent on it before it is recorded.
+    #: The open ``service.job`` span (begun at submit, ended when the
+    #: job finishes) and its context, which parents the job's events
+    #: and worker spans.  Never part of the cache key.
+    span: object = field(default=None, repr=False)
     trace: TraceContext | None = field(default=None, repr=False)
-    span_sid: int = 0
     #: Always-on per-stage wall seconds: ``queue_wait`` / ``cache`` /
     #: ``alloc`` / ``verify`` (the router adds ``route`` on its side).
     stages: dict = field(default_factory=dict)
@@ -372,7 +348,9 @@ class AllocationService:
         # RLock: submit() creates jobs while already holding the lock.
         self._lock = threading.RLock()
         self._counter = 0
-        self._finished_jobs = 0
+        #: Finished jobs (tombstones restored by :meth:`recover` too) in
+        #: finish order, so retention evicts from the front in O(1).
+        self._finished: OrderedDict[str, Job] = OrderedDict()
         self._thread: threading.Thread | None = None
         self._stopping = False
         #: Recovered job ids that coalesced onto another recovered job;
@@ -522,7 +500,7 @@ class AllocationService:
             self.journal.compact()
         except OSError:
             pass
-        TELEMETRY.event_for(None, "service.recovered", **report)
+        TRACER.event("service.recovered", **report)
         return report
 
     def _restore_tombstones(self, finished: list) -> int:
@@ -570,7 +548,7 @@ class AllocationService:
                 continue
             with self._lock:
                 self._jobs[job_id] = job
-                self._finished_jobs += 1
+                self._finished[job_id] = job
                 try:
                     self._counter = max(self._counter, int(job_id.lstrip("j")))
                 except ValueError:
@@ -591,7 +569,7 @@ class AllocationService:
         """
         if not self.draining:
             self.draining = True
-            TELEMETRY.event_for(None, "service.draining")
+            TRACER.event("service.draining")
         return self.lifecycle()
 
     def resume(self) -> dict:
@@ -681,8 +659,9 @@ class AllocationService:
         :class:`ServiceOverloadError` when the queue is at capacity.
 
         *trace* rides alongside the request (it is **not** part of the
-        body, so it can never enter the cache key): when distributed
-        tracing is on, the job's spans land under it.
+        body, so it can never enter the cache key): when tracing is on,
+        the job's ``service.job`` span nests under it (or under the
+        thread's active context, or roots a new trace).
 
         *job_id*, when given, pins the new job's id (recovery replays
         jobs under their pre-crash ids so clients can keep polling).
@@ -697,7 +676,7 @@ class AllocationService:
         if self.draining:
             with self._lock:
                 self.counters["drained_rejects"] += 1
-            TELEMETRY.event_for(trace, "service.drain_reject")
+            TRACER.event("service.drain_reject", ctx=trace)
             raise ServiceDrainingError()
         normalized = normalize_request(request)
         kind = normalized["kind"]
@@ -711,15 +690,16 @@ class AllocationService:
         deadline_ms = normalized["deadline_ms"]
         deadline_s = None if deadline_ms is None else deadline_ms / 1000.0
         key = normalized["key"]
-        if not TELEMETRY.enabled:
-            trace = None
 
         with self._lock:
             self.counters["requests"] += 1
         METRICS.inc("service.requests")
 
+        # Ended when the job finishes; dropped unrecorded if the submit
+        # coalesces or sheds instead of creating a job.
+        span = TRACER.begin("service.job", category="service", ctx=trace)
         probe_started = time.perf_counter()
-        with TELEMETRY.activate(trace):
+        with TRACER.activate(span.ctx):
             cached = self._cache_lookup(key, ir)
         probe_s = time.perf_counter() - probe_started
         if cached is not None:
@@ -727,13 +707,13 @@ class AllocationService:
                 key, ir, file_spec, method, flags, deadline_s, kind, machine,
                 job_id=job_id,
             )
-            job.trace = trace
+            job.span, job.trace = span, span.ctx
             job.stages["cache"] = probe_s
             job.cache = "hit"
             job.resolve(cached, method, degraded=False)
             with self._lock:
                 self.counters["cache_hits"] += 1
-                self._finished_jobs += 1
+                self._finished[job.job_id] = job
             self._record_served(job)
             self._evict_finished()
             return job
@@ -744,24 +724,22 @@ class AllocationService:
                 inflight.coalesced += 1
                 self.counters["coalesced"] += 1
                 METRICS.inc("service.coalesced")
-                TELEMETRY.event_for(
-                    trace, "service.coalesced", job=inflight.job_id
+                TRACER.event(
+                    "service.coalesced", ctx=trace, job=inflight.job_id
                 )
                 return inflight
             depth = self._queue.qsize()
             if depth >= self.config.max_queue_depth:
                 self.counters["shed"] += 1
                 METRICS.inc("service.shed")
-                TELEMETRY.event_for(trace, "service.shed", depth=depth)
+                TRACER.event("service.shed", ctx=trace, depth=depth)
                 raise ServiceOverloadError(depth, self.config.max_queue_depth)
             job = self._new_job(
                 key, ir, file_spec, method, flags, deadline_s, kind, machine,
                 job_id=job_id,
             )
-            job.trace = trace
+            job.span, job.trace = span, span.ctx
             job.stages["cache"] = probe_s
-            if trace is not None:
-                job.span_sid = new_span_id()
             self._inflight[key] = job
             self.counters["cache_misses"] += 1
         if self.journal is not None:
@@ -856,37 +834,28 @@ class AllocationService:
         age.  Queued/running jobs are never evicted.
         """
         config = self.config
+        ttl = config.job_ttl_s
+        now = time.monotonic()
+        evicted = 0
         with self._lock:
-            if (
-                self._finished_jobs <= config.job_retention
-                and config.job_ttl_s is None
-            ):
-                return
-            now = time.monotonic()
-            finished = [
-                job_id for job_id, job in self._jobs.items() if job.finished
-            ]
-            evict: list[str] = []
-            overflow = len(finished) - config.job_retention
-            if overflow > 0:
-                evict.extend(finished[:overflow])
-            if config.job_ttl_s is not None:
-                evict.extend(
-                    job_id
-                    for job_id in finished[max(overflow, 0):]
-                    if now - (self._jobs[job_id].finished_mono or now)
-                    > config.job_ttl_s
-                )
-            for job_id in evict:
-                job = self._jobs.pop(job_id)
+            finished = self._finished
+            # Finish order is age order, so only the front can expire.
+            while finished:
+                job = next(iter(finished.values()))
+                if len(finished) <= config.job_retention and (
+                    ttl is None or now - (job.finished_mono or now) <= ttl
+                ):
+                    break
+                finished.popitem(last=False)
+                self._jobs.pop(job.job_id, None)
                 # Defensive: a finished job must never linger in the
                 # coalescing map; drop it if a bug ever put it there.
                 if self._inflight.get(job.key) is job:
                     del self._inflight[job.key]
-                self.counters["jobs_evicted"] += 1
-            self._finished_jobs -= len(evict)
-            if evict:
-                METRICS.inc("service.jobs_evicted", len(evict))
+                evicted += 1
+            self.counters["jobs_evicted"] += evicted
+        if evicted:
+            METRICS.inc("service.jobs_evicted", evicted)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -925,52 +894,49 @@ class AllocationService:
         to_execute: list[Job] = []
         tiers: list[str] = []
         seen: set[str] = set()
-        with TRACER.span("service-batch", category="service", jobs=len(batch)):
-            for job in batch:
-                if job.finished or job.job_id in seen:
-                    # Duplicate delivery — already resolved, or a second
-                    # copy in this very batch.  Absorb it.
-                    with self._lock:
-                        self.counters["duplicate_deliveries"] += 1
-                    METRICS.inc("service.duplicate_deliveries")
-                    continue
-                seen.add(job.job_id)
-                job.status = "running"
-                job.stages["queue_wait"] = (
-                    time.monotonic() - job.submitted_mono
+        for job in batch:
+            if job.finished or job.job_id in seen:
+                # Duplicate delivery — already resolved, or a second
+                # copy in this very batch.  Absorb it.
+                with self._lock:
+                    self.counters["duplicate_deliveries"] += 1
+                METRICS.inc("service.duplicate_deliveries")
+                continue
+            seen.add(job.job_id)
+            job.status = "running"
+            job.stages["queue_wait"] = time.monotonic() - job.submitted_mono
+            tier, degraded = select_tier(
+                job.requested_method, job.remaining_s(), self.cost_model
+            )
+            if degraded:
+                self._note_degradation(job, tier)
+            # A degraded tier has its own content address; an earlier
+            # run may already have produced exactly this artifact.
+            if tier == job.requested_method:
+                exec_key = job.key
+            elif job.kind == "module":
+                exec_key = module_cache_key(
+                    job.ir, job.file_spec, tier, job.flags,
+                    machine=job.machine,
                 )
-                tier, degraded = select_tier(
-                    job.requested_method, job.remaining_s(), self.cost_model
+            else:
+                exec_key = cache_key(
+                    job.ir, job.file_spec, tier, job.flags,
+                    canonical=True, machine=job.machine,
                 )
-                if degraded:
-                    self._note_degradation(job, tier)
-                # A degraded tier has its own content address; an earlier
-                # run may already have produced exactly this artifact.
-                if tier == job.requested_method:
-                    exec_key = job.key
-                elif job.kind == "module":
-                    exec_key = module_cache_key(
-                        job.ir, job.file_spec, tier, job.flags,
-                        machine=job.machine,
-                    )
-                else:
-                    exec_key = cache_key(
-                        job.ir, job.file_spec, tier, job.flags,
-                        canonical=True, machine=job.machine,
-                    )
-                probe_started = time.perf_counter()
-                with TELEMETRY.activate(job.trace):
-                    cached = self._cache_lookup(exec_key, job.ir)
-                job.stages["cache"] = job.stages.get("cache", 0.0) + (
-                    time.perf_counter() - probe_started
-                )
-                if cached is not None:
-                    self._finish(job, cached, tier, degraded)
-                    continue
-                to_execute.append(job)
-                tiers.append(tier)
-            if to_execute:
-                self._execute(to_execute, tiers)
+            probe_started = time.perf_counter()
+            with TRACER.activate(job.trace):
+                cached = self._cache_lookup(exec_key, job.ir)
+            job.stages["cache"] = job.stages.get("cache", 0.0) + (
+                time.perf_counter() - probe_started
+            )
+            if cached is not None:
+                self._finish(job, cached, tier, degraded)
+                continue
+            to_execute.append(job)
+            tiers.append(tier)
+        if to_execute:
+            self._execute(to_execute, tiers)
 
     def _execute(self, jobs: list[Job], tiers: list[str]) -> None:
         # Module jobs run inline on the dispatcher: incremental fragment
@@ -990,16 +956,13 @@ class AllocationService:
             jobs, tiers = rest, rest_tiers
             if not jobs:
                 return
-        payloads = []
-        for job, tier in zip(jobs, tiers):
-            header = None
-            if job.trace is not None and TELEMETRY.enabled:
-                if not job.span_sid:
-                    job.span_sid = new_span_id()
-                header = job.trace.child(job.span_sid).header()
-            payloads.append(
-                (job.ir, job.file_spec, tier, job.flags, job.machine, header)
+        payloads = [
+            (
+                job.ir, job.file_spec, tier, job.flags, job.machine,
+                job.trace.header() if job.trace is not None else None,
             )
+            for job, tier in zip(jobs, tiers)
+        ]
         for job in jobs:
             job.attempts += 1
         if self.config.workers <= 0:
@@ -1019,7 +982,7 @@ class AllocationService:
                     errors[i] = (str(exc), transient)
         else:
             outcomes, task_failures = run_tasks(
-                _execute_request,
+                _execute_pooled,
                 payloads,
                 jobs=self.config.workers,
                 retries=self.config.max_retries,
@@ -1044,15 +1007,18 @@ class AllocationService:
             artifact = outcome["artifact"]
             seconds = outcome["seconds"]
             job.stages["alloc"] = seconds
-            TELEMETRY.record_raw(outcome.get("spans"))
+            TRACER.record_raw(outcome.get("spans"))
             data = artifact_bytes(artifact)
             if self.verifier.should_verify("computed"):
                 verify_started = time.perf_counter()
-                report = self.verifier.verify_bytes(
-                    data,
-                    expected_key=artifact["key"],
-                    original_ir=job.ir if tier == job.requested_method else None,
-                )
+                with TRACER.activate(job.trace):
+                    report = self.verifier.verify_bytes(
+                        data,
+                        expected_key=artifact["key"],
+                        original_ir=(
+                            job.ir if tier == job.requested_method else None
+                        ),
+                    )
                 job.stages["verify"] = time.perf_counter() - verify_started
                 with self._lock:
                     self.counters["verified"] += 1
@@ -1091,10 +1057,11 @@ class AllocationService:
         Only the functions whose fragments miss re-run the pipeline;
         the reuse/execute split lands in :attr:`incremental`.
         """
-        started_wall = time.time()
         started = time.perf_counter()
         try:
-            with TELEMETRY.activate(job.trace):
+            with TRACER.activate(job.trace), TRACER.span(
+                "worker.execute", category="worker", method=tier, kind="module"
+            ):
                 artifact = build_module_artifact(
                     job.ir, job.file_spec, tier, job.flags,
                     machine=job.machine,
@@ -1106,30 +1073,15 @@ class AllocationService:
             return
         seconds = time.perf_counter() - started
         job.stages["alloc"] = seconds
-        if job.trace is not None and TELEMETRY.enabled:
-            if not job.span_sid:
-                job.span_sid = new_span_id()
-            TELEMETRY.record(
-                {
-                    "trace": job.trace.trace_id,
-                    "sid": new_span_id(),
-                    "parent": job.span_sid,
-                    "name": "worker.execute",
-                    "cat": "worker",
-                    "proc": TELEMETRY.process,
-                    "ts": started_wall,
-                    "dur": seconds,
-                    "args": {"method": tier, "kind": "module"},
-                }
-            )
         with self._lock:
             self.incremental["modules"] += 1
         data = artifact_bytes(artifact)
         if self.verifier.should_verify("computed"):
             verify_started = time.perf_counter()
-            report = self.verifier.verify_bytes(
-                data, expected_key=artifact["key"]
-            )
+            with TRACER.activate(job.trace):
+                report = self.verifier.verify_bytes(
+                    data, expected_key=artifact["key"]
+                )
             job.stages["verify"] = time.perf_counter() - verify_started
             with self._lock:
                 self.counters["verified"] += 1
@@ -1172,16 +1124,16 @@ class AllocationService:
             with self._lock:
                 self.counters["retried"] += 1
             METRICS.inc("service.retried")
-            TELEMETRY.event_for(
-                job.trace, "service.retry",
+            TRACER.event(
+                "service.retry", ctx=job.trace,
                 job=job.job_id, attempt=job.attempts, error=error[:160],
             )
             job.status = "queued"
             job.error = error  # last error kept visible while retrying
             self._queue.put(job)
             return
-        TELEMETRY.event_for(
-            job.trace, "service.dead_letter",
+        TRACER.event(
+            "service.dead_letter", ctx=job.trace,
             job=job.job_id, attempts=job.attempts, error=error[:160],
         )
         with self._lock:
@@ -1211,18 +1163,10 @@ class AllocationService:
                 self.counters["duplicate_deliveries"] += 1
             METRICS.inc("service.duplicate_deliveries")
             return
-        with TRACER.span(
-            "service-request",
-            category="service",
-            job=job.job_id,
-            function=job.function_name,
-            requested=job.requested_method,
-            served=tier,
-        ):
-            job.resolve(data, tier, degraded)
+        job.resolve(data, tier, degraded)
         with self._lock:
             self._inflight.pop(job.key, None)
-            self._finished_jobs += 1
+            self._finished[job.job_id] = job
             self.counters[f"tier_{tier}"] += 1
             if degraded:
                 self.counters["degraded"] += 1
@@ -1237,7 +1181,7 @@ class AllocationService:
         job.fail(error)
         with self._lock:
             self._inflight.pop(job.key, None)
-            self._finished_jobs += 1
+            self._finished[job.job_id] = job
             self.counters["failed"] += 1
         METRICS.inc("service.failed")
         self._journal_terminal(job, dead_letter=dead_letter)
@@ -1276,8 +1220,8 @@ class AllocationService:
             job=job.job_id,
         )
         METRICS.inc("service.degraded")
-        TELEMETRY.event_for(
-            job.trace, "service.degrade",
+        TRACER.event(
+            "service.degrade", ctx=job.trace,
             job=job.job_id, requested=job.requested_method, served=tier,
         )
 
@@ -1296,7 +1240,7 @@ class AllocationService:
                     hist = self.stage_hist[stage] = StreamingHistogram()
                 hist.observe(seconds)
         self.slo.record(ok=True, latency_s=latency, good=not job.degraded)
-        self._record_job_span(job)
+        self._end_job_span(job)
         self._emit_event(job)
 
     def _record_failed(self, job: Job, error: str) -> None:
@@ -1304,37 +1248,24 @@ class AllocationService:
         with self._lock:
             self.latency_hist.observe(latency)
         self.slo.record(ok=False, latency_s=latency, good=False)
-        self._record_job_span(job, error=error)
+        self._end_job_span(job, error=error)
         self._emit_event(job)
 
-    def _record_job_span(self, job: Job, error: str | None = None) -> None:
-        if job.trace is None or not TELEMETRY.enabled:
+    def _end_job_span(self, job: Job, error: str | None = None) -> None:
+        if job.trace is None:
             return
-        latency = (job.finished_mono or time.monotonic()) - job.submitted_mono
-        args = {
-            "job": job.job_id,
-            "function": job.function_name,
-            "cache": job.cache,
-            "requested": job.requested_method,
-            "served": job.served_method,
-            "degraded": job.degraded,
-            "stages": {k: round(v, 6) for k, v in job.stages.items()},
-        }
-        if error is not None:
-            args["error"] = error[:200]
-        TELEMETRY.record(
-            {
-                "trace": job.trace.trace_id,
-                "sid": job.span_sid or new_span_id(),
-                "parent": job.trace.span_id,
-                "name": "service.job",
-                "cat": "service",
-                "proc": TELEMETRY.process,
-                "ts": job.submitted_wall,
-                "dur": latency,
-                "args": args,
-            }
+        job.span.note(
+            job=job.job_id,
+            function=job.function_name,
+            cache=job.cache,
+            requested=job.requested_method,
+            served=job.served_method,
+            degraded=job.degraded,
+            stages={k: round(v, 6) for k, v in job.stages.items()},
         )
+        if error is not None:
+            job.span.note(error=error[:200])
+        job.span.end()
 
     def _emit_event(self, job: Job) -> None:
         if not EVENTS.enabled:
@@ -1343,7 +1274,7 @@ class AllocationService:
         EVENTS.emit(
             {
                 "ts": round(time.time(), 6),
-                "proc": TELEMETRY.process,
+                "proc": TRACER.process,
                 "trace": job.trace.trace_id if job.trace else None,
                 "job": job.job_id,
                 "function": job.function_name,

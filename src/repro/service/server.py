@@ -47,7 +47,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from ..obs.telemetry import TELEMETRY, TRACE_HEADER, TraceContext, render_prometheus
+from ..obs import TRACE_HEADER, TRACER, TraceContext
+from ..obs.telemetry import render_prometheus
 from ..resilience.faults import FAULTS
 from .artifact import RequestError
 from .queue import (
@@ -138,7 +139,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
-    # Distributed tracing (see repro.obs.telemetry)
+    # Distributed tracing (see repro.obs.tracer)
     # ------------------------------------------------------------------
 
     #: Span recorded around submit/allocate; the shard frontend renames
@@ -147,7 +148,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _trace_context(self) -> TraceContext | None:
         """The caller's trace coordinates, from ``X-Repro-Trace``."""
-        if not TELEMETRY.enabled:
+        if not TRACER.enabled:
             return None
         return TraceContext.parse(self.headers.get(TRACE_HEADER))
 
@@ -158,11 +159,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # injector, cache probes) attach events to the right trace.
     # ------------------------------------------------------------------
     def _guarded(self, handler) -> None:
-        ctx = self._trace_context()
-        if ctx is not None:
-            with TELEMETRY.activate(ctx):
-                self._guarded_inner(handler)
-        else:
+        with TRACER.activate(self._trace_context()):
             self._guarded_inner(handler)
 
     def _guarded_inner(self, handler) -> None:
@@ -246,7 +243,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _trace_payload(self, trace_id: str) -> dict:
         """Everything this process buffered for one trace; the shard
         frontend overrides this to also flush every shard's buffers."""
-        return {"trace_id": trace_id, "spans": TELEMETRY.spans_for(trace_id)}
+        return {"trace_id": trace_id, "spans": TRACER.spans_for(trace_id)}
 
     def _get_job(self, job_id: str, want_result: bool) -> None:
         job = self.service.get(job_id)
@@ -305,11 +302,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _request_span(self):
         """A :attr:`span_name` span under the caller's trace context,
         rooting a fresh trace when an untraced submit arrives while
-        telemetry is on."""
-        ctx = TELEMETRY.current() or self._trace_context()
-        if ctx is None and TELEMETRY.enabled:
-            ctx = TraceContext.new(path=self.path)
-        return TELEMETRY.span(ctx, self.span_name, category="server", path=self.path)
+        tracing is on."""
+        return TRACER.span(self.span_name, category="server", path=self.path)
 
     def _submit(self, body: dict, ctx: TraceContext | None) -> Job:
         return self.service.submit(body, trace=ctx)

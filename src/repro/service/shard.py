@@ -56,15 +56,15 @@ keys, in-flight finishes, polls keep resolving), and
 one at a time — with per-shard journals (``--journal``) a restarted or
 even SIGKILLed worker replays its accepted-but-unfinished jobs on boot.
 
-Telemetry: when :data:`~repro.obs.telemetry.TELEMETRY` is enabled the
-frontend opens a ``frontend.request`` span per HTTP request, the router
-nests a ``route`` span under it (handoffs, evictions, and shard
-failures become span events), and the trace context rides the
-``X-Repro-Trace`` header into each worker process — so ``GET
-/v1/trace/<trace_id>`` can merge the per-shard span buffers into one
-coherent trace.  ``GET /v1/metrics`` at the frontend aggregates every
-shard's registry under a ``shard`` label next to the router's own
-counters.
+Telemetry: when :data:`~repro.obs.TRACER` is enabled the frontend
+opens a ``frontend.request`` span per HTTP request, the router nests a
+``route`` span under it (handoffs, evictions, and shard failures
+become span events), and the trace context rides the ``X-Repro-Trace``
+header into each worker process — so ``GET /v1/trace/<trace_id>`` can
+merge the per-shard span buffers into one coherent trace, down to the
+pass and analysis spans of the job a miss ran.  ``GET /v1/metrics`` at
+the frontend aggregates every shard's registry under a ``shard`` label
+next to the router's own counters.
 """
 
 from __future__ import annotations
@@ -79,12 +79,8 @@ from dataclasses import asdict, replace
 from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from ..obs.telemetry import (
-    TELEMETRY,
-    SLOTracker,
-    StreamingHistogram,
-    TraceContext,
-)
+from ..obs import TRACER, TraceContext
+from ..obs.telemetry import SLOTracker, StreamingHistogram
 from ..resilience.faults import FAULTS
 from .artifact import RequestError, normalize_request
 from .client import ServiceClient, ServiceError, _CircuitBreaker
@@ -343,9 +339,9 @@ def _shard_worker_main(
 
     Faults re-arm from ``REPRO_FAULTS`` at import, so a chaos plan armed
     in the parent injects inside the workers too.  *telemetry* mirrors
-    the parent's :data:`TELEMETRY` enablement (the fork start method
-    would inherit it, but spawn would not), and *name* labels the
-    child's spans ``shard-<name>`` so the merged trace shows which
+    the parent's :data:`~repro.obs.TRACER` enablement (the fork start
+    method would inherit it, but spawn would not), and *name* labels
+    the child's spans ``shard-<name>`` so the merged trace shows which
     worker ran what.
     """
     import signal
@@ -353,7 +349,7 @@ def _shard_worker_main(
     from .server import make_server
 
     if telemetry:
-        TELEMETRY.enable(process=f"shard-{name}" if name else "shard")
+        TRACER.enable(process=f"shard-{name}" if name else "shard", bounded=True)
     server = make_server(host, 0, ServiceConfig(**config_kwargs))
 
     def _graceful(signum, frame):
@@ -419,7 +415,7 @@ class ProcessShard:
                 self._host,
                 asdict(self._config),
                 self.name,
-                TELEMETRY.enabled,
+                TRACER.enabled,
             ),
             name=f"repro-shard-{self.name}",
             daemon=True,
@@ -617,7 +613,7 @@ class ShardRouter:
             self._draining.discard(name)
             self._evicted[name] = shard
             self.counters["evicted"] += 1
-        TELEMETRY.event("router.evict", shard=name)
+        TRACER.event("router.evict", shard=name)
 
     def respawn(self, name: str) -> None:
         """Restart an evicted worker and hand its key slice back."""
@@ -633,7 +629,7 @@ class ShardRouter:
             self.ring.add(name)
             self.started[name] = time.monotonic()
             self.counters["respawned"] += 1
-        TELEMETRY.event("router.respawn", shard=name)
+        TRACER.event("router.respawn", shard=name)
 
     # -- lifecycle: drain / rolling restart ---------------------------
     def drain(self, name: str) -> dict:
@@ -654,7 +650,7 @@ class ShardRouter:
                 self.ring.remove(name)
                 self.counters["drains"] += 1
         if first:
-            TELEMETRY.event("router.drain", shard=name)
+            TRACER.event("router.drain", shard=name)
         return shard.drain()
 
     def rejoin(self, name: str) -> None:
@@ -668,7 +664,7 @@ class ShardRouter:
                 self._breaker_threshold, self._breaker_cooldown_s
             )
             self.started[name] = time.monotonic()
-        TELEMETRY.event("router.rejoin", shard=name)
+        TRACER.event("router.rejoin", shard=name)
 
     def rolling_restart(
         self, *, wait_timeout_s: float = 30.0, poll_s: float = 0.02
@@ -711,7 +707,7 @@ class ShardRouter:
             report["restarted"].append(name)
         with self._lock:
             self.counters["rolling_restarts"] += 1
-        TELEMETRY.event("router.rolling_restart", **{
+        TRACER.event("router.rolling_restart", **{
             "restarted": len(report["restarted"]),
             "timed_out": len(report["timed_out"]),
         })
@@ -845,8 +841,6 @@ class ShardRouter:
             body["machine"] = normalized["machine"]
         if normalized["deadline_ms"] is not None:
             body["deadline_ms"] = normalized["deadline_ms"]
-        if trace is None and TELEMETRY.enabled:
-            trace = TraceContext.new(component="router")
         with self._lock:
             self.counters["requests"] += 1
             chain = self.ring.preference(normalized["key"])
@@ -855,8 +849,8 @@ class ShardRouter:
         status: dict | None = None
         ok = False
         try:
-            with TELEMETRY.span(
-                trace, "route", category="router", key=normalized["key"][:12]
+            with TRACER.activate(trace), TRACER.span(
+                "route", category="router", key=normalized["key"][:12]
             ) as span:
                 status = self._route(body, normalized["key"], chain, span.ctx)
             ok = True
@@ -878,9 +872,7 @@ class ShardRouter:
                 chain = chain[1:]
                 with self._lock:
                     self.counters["handoffs"] += 1
-                TELEMETRY.event_for(
-                    ctx, "router.fault_handoff", shard=chain[0]
-                )
+                TRACER.event("router.fault_handoff", ctx=ctx, shard=chain[0])
         last_error: Exception | None = None
         for hop, name in enumerate(chain):
             with self._lock:
@@ -890,9 +882,7 @@ class ShardRouter:
             if hop > 0:
                 with self._lock:
                     self.counters["handoffs"] += 1
-                TELEMETRY.event_for(
-                    ctx, "router.handoff", shard=name, hop=hop
-                )
+                TRACER.event("router.handoff", ctx=ctx, shard=name, hop=hop)
             try:
                 if ctx is not None:
                     status = shard.submit(body, trace=ctx)
@@ -905,7 +895,7 @@ class ShardRouter:
                 # key to the next choice without touching the breaker.
                 with self._lock:
                     self.counters["drain_handoffs"] += 1
-                TELEMETRY.event_for(ctx, "router.drain_handoff", shard=name)
+                TRACER.event("router.drain_handoff", ctx=ctx, shard=name)
                 last_error = exc
                 continue
             except ServiceOverloadError:
@@ -914,9 +904,7 @@ class ShardRouter:
                 if exc.draining:
                     with self._lock:
                         self.counters["drain_handoffs"] += 1
-                    TELEMETRY.event_for(
-                        ctx, "router.drain_handoff", shard=name
-                    )
+                    TRACER.event("router.drain_handoff", ctx=ctx, shard=name)
                     last_error = exc
                     continue
                 if exc.status in (429, 503):
@@ -926,16 +914,16 @@ class ShardRouter:
                 if exc.status is not None and exc.status < 500:
                     raise
                 self._shard_failed(name)
-                TELEMETRY.event_for(
-                    ctx, "router.shard_failed", shard=name,
+                TRACER.event(
+                    "router.shard_failed", ctx=ctx, shard=name,
                     error=str(exc)[:160],
                 )
                 last_error = exc
                 continue
             except ShardError as exc:
                 self._shard_failed(name)
-                TELEMETRY.event_for(
-                    ctx, "router.shard_failed", shard=name,
+                TRACER.event(
+                    "router.shard_failed", ctx=ctx, shard=name,
                     error=str(exc)[:160],
                 )
                 last_error = exc
@@ -1089,7 +1077,7 @@ class ShardRouter:
         """Merge the frontend-process span buffer (frontend + router +
         any :class:`LocalShard` spans) with every live worker's buffer
         for *trace_id* — the payload ``repro trace fetch`` renders."""
-        spans = list(TELEMETRY.spans_for(trace_id))
+        spans = TRACER.spans_for(trace_id)
         with self._lock:
             live = sorted(self.shards.items())
         for name, shard in live:

@@ -7,20 +7,13 @@ A slice of the larger offline fuzz, sized for CI.
 
 import pytest
 
-from repro.alloc import (
-    ChaitinBriggsAllocator,
-    GreedyAllocator,
-    LinearScanAllocator,
-    PbqpAllocator,
-)
+from repro.alloc import GreedyAllocator, PbqpAllocator
 from repro.banks import BankedRegisterFile
 from repro.sim import observably_equivalent
 from repro.workloads import random_function
 
 ALLOCATORS = {
     "greedy": GreedyAllocator,
-    "linear": LinearScanAllocator,
-    "chaitin": ChaitinBriggsAllocator,
     "pbqp": PbqpAllocator,
 }
 

@@ -104,10 +104,9 @@ class TestParallelDeterminism:
         self._suite_run(jobs=4)
         parallel_tree = obs.TRACER.span_tree()
         assert parallel_tree == serial_tree
-        # One track per program, named, in suite order.
-        assert list(obs.TRACER.track_names.values()) == [
-            p.name for p in suite.programs
-        ]
+        # One lane (proc) per program, named, in suite order.
+        lanes = list(dict.fromkeys(s["proc"] for s in obs.TRACER.spans))
+        assert lanes == [p.name for p in suite.programs]
         # The tree is the phase structure: program -> function -> pipeline.
         assert parallel_tree[0]["category"] == "program"
         fn = parallel_tree[0]["children"][0]

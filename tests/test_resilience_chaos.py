@@ -27,6 +27,7 @@ from repro.service import (
     shutdown_server,
 )
 from repro.service.client import CircuitOpenError, ServiceClient
+from repro.service.queue import Job
 
 from .conftest import build_mac_kernel
 
@@ -357,3 +358,33 @@ def test_ttl_eviction_expires_old_finished_jobs():
     run_to_done(service, {"ir": other, "file": FILE, "method": "non"})
     assert service.get(job.job_id) is None
     assert service.counters["jobs_evicted"] >= 1
+
+
+@pytest.mark.parametrize("ttl", [None, 60.0])
+def test_eviction_work_per_submit_does_not_grow_with_retention(
+    monkeypatch, ttl
+):
+    # Finished jobs evict from the front of a finish-ordered map, so a
+    # submit against a full table inspects the same number of jobs
+    # whether the service retains 8 of them or 512.
+    inspected = [0]
+    finished = Job.finished
+
+    def counted(job):
+        inspected[0] += 1
+        return finished.fget(job)
+
+    monkeypatch.setattr(Job, "finished", property(counted))
+
+    def per_submit(retention):
+        service = AllocationService(
+            ServiceConfig(job_retention=retention, job_ttl_s=ttl, verify="off")
+        )
+        run_to_done(service, REQUEST)
+        for _ in range(retention + 2):  # fill the table with hits
+            assert service.submit(REQUEST).cache == "hit"
+        inspected[0] = 0
+        service.submit(REQUEST)
+        return inspected[0]
+
+    assert per_submit(512) <= per_submit(8)

@@ -2,29 +2,30 @@
 
 The distributed-tracing contract under test: one request produces one
 trace whose spans stitch into a single tree (no orphans) across every
-layer it crossed — frontend, routed shard, worker pool, retries, and
-fault injections — and turning telemetry on never changes a byte of any
-artifact.
+layer it crossed — frontend, routed shard, worker pool, the passes and
+analyses a miss ran, retries, and fault injections — and turning
+tracing on never changes a byte of any artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 
 import pytest
 
 from repro.ir import print_function
-from repro.obs import reset_all
-from repro.obs.telemetry import (
+from repro.obs import (
     EVENTS,
-    TELEMETRY,
-    TRACE_HEADER,
+    TRACER,
     SLOTracker,
     TraceContext,
     chrome_trace,
     orphan_spans,
     parse_prometheus,
     render_prometheus,
+    reset_all,
 )
 from repro.resilience import FAULTS, FaultPlan, load_plan
 from repro.service import (
@@ -33,17 +34,20 @@ from repro.service import (
     ServiceConfig,
     ShardRouter,
 )
+from repro.service.artifact import normalize_request
 from repro.service.loadgen import LoadgenConfig, RouterTarget, run_loadgen
+from repro.service.queue import _execute_pooled
 
 from .conftest import build_mac_kernel
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Each test starts and ends with telemetry dark and faults disarmed."""
+    """Each test starts and ends with tracing dark and faults disarmed."""
     reset_all()
     yield
     FAULTS.disarm()
+    TRACER.enable(False, process="main", bounded=False)
     reset_all()
 
 
@@ -101,13 +105,13 @@ def test_child_context_links_to_parent_span():
 # One request, one coherent trace
 # ----------------------------------------------------------------------
 def test_router_submit_produces_single_coherent_trace():
-    TELEMETRY.enable(process="frontend")
+    TRACER.enable(bounded=True, process="frontend")
     router = make_router()
     ctx = TraceContext.new(kernel="mac")
     status = router.submit(make_request(), trace=ctx)
     assert router.wait(status["job_id"])["status"] == "done"
 
-    spans = TELEMETRY.spans_for(ctx.trace_id)
+    spans = TRACER.spans_for(ctx.trace_id)
     assert spans, "router must record spans under the request's trace id"
     assert orphan_spans(spans) == []
     names = span_names(spans)
@@ -122,13 +126,13 @@ def test_trace_stays_coherent_across_shard_handoff():
         {"seed": 7, "faults": [{"site": "shard.route", "mode": "handoff", "times": 1}]}
     )
     FAULTS.arm(plan)
-    TELEMETRY.enable(process="frontend")
+    TRACER.enable(bounded=True, process="frontend")
     router = make_router()
     ctx = TraceContext.new()
     status = router.submit(make_request(), trace=ctx)
     assert router.wait(status["job_id"])["status"] == "done"
 
-    spans = TELEMETRY.spans_for(ctx.trace_id)
+    spans = TRACER.spans_for(ctx.trace_id)
     assert orphan_spans(spans) == []
     route = next(s for s in spans if s["name"] == "route")
     # The injected handoff is visible as instantaneous event spans
@@ -149,7 +153,7 @@ def test_trace_records_client_retry_as_event():
         {"seed": 3, "faults": [{"site": "queue.execute", "mode": "error", "times": 1}]}
     )
     FAULTS.arm(plan)
-    TELEMETRY.enable(process="service")
+    TRACER.enable(bounded=True, process="service")
     service = AllocationService(ServiceConfig())
     ctx = TraceContext.new()
     job = service.submit(make_request(), trace=ctx)
@@ -160,7 +164,7 @@ def test_trace_records_client_retry_as_event():
     assert job.status == "done"
     assert job.attempts == 2
 
-    spans = TELEMETRY.spans_for(ctx.trace_id)
+    spans = TRACER.spans_for(ctx.trace_id)
     assert orphan_spans(spans) == []
     retry = next(s for s in spans if s["name"] == "service.retry")
     assert retry["cat"] == "event"
@@ -172,9 +176,80 @@ def test_trace_records_client_retry_as_event():
     service.stop()
 
 
+def ancestors(spans, span):
+    """Names on *span*'s parent chain, innermost first."""
+    by_sid = {s["sid"]: s for s in spans}
+    names = []
+    while span["parent"] in by_sid:
+        span = by_sid[span["parent"]]
+        names.append(span["name"])
+    return names
+
+
+@pytest.mark.parametrize(
+    "workers, verify", [(0, "cached-only"), (2, "cached-only"), (0, "strict")]
+)
+def test_served_miss_trace_reaches_its_passes(workers, verify):
+    TRACER.enable(bounded=True, process="service")
+    service = AllocationService(ServiceConfig(workers=workers, verify=verify))
+    ctx = TraceContext.new()
+    job = service.submit(make_request(), trace=ctx)
+    service.process_once()
+    service.stop()
+    assert job.status == "done" and job.cache == "miss"
+
+    # Nothing the miss ran (strict verification included) roots a trace
+    # of its own in the bounded buffer.
+    assert {s["trace"] for s in TRACER.spans} == {ctx.trace_id}
+    spans = TRACER.spans_for(ctx.trace_id)
+    assert orphan_spans(spans) == []
+    if verify == "strict":
+        # The verifier's re-analysis of the computed artifact.
+        assert ["service.job"] in [
+            ancestors(spans, s) for s in spans if s["name"] == "static-stats"
+        ]
+    (execute,) = [s for s in spans if s["name"] == "worker.execute"]
+    assert ancestors(spans, execute) == ["service.job"]
+    if workers:
+        assert re.fullmatch(r"worker-\d+", execute["proc"])
+        assert execute["proc"] != f"worker-{os.getpid()}"
+    else:
+        assert execute["proc"] == "service"
+    # Every pass and analysis span of the miss hangs under the worker.
+    for category in ("pass", "analysis"):
+        inner = [s for s in spans if s["cat"] == category]
+        assert inner, f"no {category} spans in the served trace"
+        for span in inner:
+            assert "worker.execute" in ancestors(spans, span)
+            assert span["proc"] == execute["proc"]
+
+
+@pytest.mark.parametrize("inherited", ["enabled", "disabled"])
+def test_pool_worker_returns_every_span_and_keeps_none(inherited):
+    # A forked worker inherits the service's enabled recorder; a spawned
+    # or forkserver worker starts disabled.  The trace header decides.
+    if inherited == "enabled":
+        TRACER.enable(bounded=True, process="service")
+    request = normalize_request(make_request())
+    parent = TraceContext.new().child(7)
+    payload = (
+        request["ir"], request["file"], request["method"], request["flags"],
+        None, parent.header(),
+    )
+    result = _execute_pooled(payload)
+    assert len(TRACER) == 0, "the worker kept spans it should have returned"
+    spans = result["spans"]
+    assert {s["trace"] for s in spans} == {parent.trace_id}
+    assert {s["proc"] for s in spans} == {f"worker-{os.getpid()}"}
+    # Only the worker span points outside the returned set: at the job.
+    (execute,) = orphan_spans(spans)
+    assert execute["name"] == "worker.execute" and execute["parent"] == 7
+    assert any(s["cat"] == "pass" for s in spans)
+
+
 def test_ci_chaos_plan_replay_keeps_traces_coherent():
     FAULTS.arm(load_plan("examples/faultplans/ci-chaos.json"))
-    TELEMETRY.enable(process="frontend")
+    TRACER.enable(bounded=True, process="frontend")
     router = make_router()
     contexts = []
     for i in range(6):
@@ -187,7 +262,7 @@ def test_ci_chaos_plan_replay_keeps_traces_coherent():
     assert fired > 0, "the chaos plan must actually inject on this sequence"
     event_names = []
     for ctx in contexts:
-        spans = TELEMETRY.spans_for(ctx.trace_id)
+        spans = TRACER.spans_for(ctx.trace_id)
         assert spans
         assert orphan_spans(spans) == []
         event_names.extend(s["name"] for s in spans if s["cat"] == "event")
@@ -196,12 +271,12 @@ def test_ci_chaos_plan_replay_keeps_traces_coherent():
 
 
 def test_chrome_trace_export_groups_by_process():
-    TELEMETRY.enable(process="frontend")
+    TRACER.enable(bounded=True, process="frontend")
     router = make_router()
     ctx = TraceContext.new()
     status = router.submit(make_request(), trace=ctx)
     assert router.wait(status["job_id"])["status"] == "done"
-    payload = {"trace_id": ctx.trace_id, "spans": TELEMETRY.spans_for(ctx.trace_id)}
+    payload = {"trace_id": ctx.trace_id, "spans": TRACER.spans_for(ctx.trace_id)}
     doc = chrome_trace(payload)
     events = doc["traceEvents"]
     assert any(e["ph"] == "X" for e in events)
@@ -228,7 +303,7 @@ def test_artifacts_byte_identical_with_telemetry_on_and_off(tmp_path):
     assert job_off.status == "done"
     service_off.stop()
 
-    TELEMETRY.enable(process="service")
+    TRACER.enable(bounded=True, process="service")
     EVENTS.enable(str(tmp_path / "events.jsonl"))
     service_on = AllocationService(ServiceConfig())
     job_on = service_on.submit(request, trace=TraceContext.new())
@@ -244,7 +319,7 @@ def test_artifacts_byte_identical_with_telemetry_on_and_off(tmp_path):
 
 def test_structured_events_log_one_line_per_request(tmp_path):
     path = tmp_path / "events.jsonl"
-    TELEMETRY.enable(process="service")
+    TRACER.enable(bounded=True, process="service")
     EVENTS.enable(str(path))
     service = AllocationService(ServiceConfig())
     ctx = TraceContext.new()
@@ -269,7 +344,7 @@ def test_structured_events_log_one_line_per_request(tmp_path):
 # /v1/metrics exposition
 # ----------------------------------------------------------------------
 def test_router_prometheus_exposition_round_trips():
-    TELEMETRY.enable(process="frontend")
+    TRACER.enable(bounded=True, process="frontend")
     router = make_router()
     for i in range(5):
         status = router.submit(make_request(trip_count=4 + i))
@@ -363,7 +438,7 @@ def test_router_stats_expose_slo_and_per_shard_health():
 
 def test_loadgen_report_carries_slo_and_stage_breakdown():
 
-    TELEMETRY.enable(process="loadgen")
+    TRACER.enable(bounded=True, process="loadgen")
     router = make_router()
     config = LoadgenConfig(requests=8, seed=11)
     report = run_loadgen(RouterTarget(router), config)
@@ -374,4 +449,4 @@ def test_loadgen_report_carries_slo_and_stage_breakdown():
         assert entry["count"] > 0
         assert entry["p99"] >= 0.0
     assert report["trace_ids"], "telemetry-on runs record sample trace ids"
-    assert TELEMETRY.spans_for(report["trace_ids"][0])
+    assert TRACER.spans_for(report["trace_ids"][0])
