@@ -1,6 +1,6 @@
 """Small Python client for the allocation service.
 
-Stdlib-only (``urllib``).  Mirrors the server's endpoints with
+Stdlib-only (``http.client``).  Mirrors the server's endpoints with
 submit/poll/result calls plus a blocking :meth:`ServiceClient.allocate`
 convenience::
 
@@ -10,6 +10,16 @@ convenience::
     status = client.submit(ir_text, registers=32, banks=2, method="bpc")
     status = client.wait(status["job_id"])
     artifact = client.result_json(status["job_id"])
+
+Transport: each thread keeps one HTTP/1.1 connection per client open
+and sends every call over it, with ``TCP_NODELAY`` set so a request's
+body never waits on the server's delayed ACK.  A connection the server
+closed while idle (its keep-alive timeout) fails on first reuse; that
+request is sent again once on a fresh connection, silently — a closed
+idle connection says nothing about the server's health, so the resend
+is no retry and no breaker failure.  :meth:`ServiceClient.wait` is a
+long-poll (``?wait_s=``): one call per wait, answered as soon as the
+job finishes.
 
 Resilience (see ``docs/RESILIENCE.md``):
 
@@ -29,6 +39,8 @@ Resilience (see ``docs/RESILIENCE.md``):
 
 Non-transient HTTP errors (``400`` bad request, ``404``, a ``500`` job
 failure) are never retried — they would fail identically every time.
+Neither is a ``202`` from ``/result``: the job is still pending, and
+:meth:`ServiceClient.result` raises it as ``ServiceError(status=202)``.
 
 Telemetry: pass a :class:`~repro.obs.TraceContext` to
 :meth:`ServiceClient.submit` / :meth:`~ServiceClient.submit_request` /
@@ -39,12 +51,13 @@ retries and breaker trips become span events on that trace.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 from ..obs import TRACE_HEADER, TRACER, TraceContext
 from ..resilience.faults import FAULTS, InjectedFault
@@ -55,22 +68,52 @@ RETRYABLE_STATUSES = (429, 503)
 #: Upper bound on any single backoff sleep (seconds).
 MAX_BACKOFF_S = 5.0
 
+#: Statuses a call answers with by default (``202``: a queued submit).
+_OK = (200, 202)
+
+#: How a reused connection fails when the server had already closed it.
+_STALE = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
+
 
 class ServiceError(RuntimeError):
     """Transport failure or an error response from the service."""
 
     def __init__(
-        self, message: str, status: int | None = None, draining: bool = False
+        self,
+        message: str,
+        status: int | None = None,
+        draining: bool = False,
+        payload: dict | None = None,
     ):
         super().__init__(message)
         self.status = status
         #: True for a 503 from a *draining* service: retrying the same
         #: endpoint is pointless — the router hands the key elsewhere.
         self.draining = draining
+        #: The response's JSON object, if it had one — the job status
+        #: of a ``202``/``500`` from ``/result``.
+        self.payload = payload
 
 
 class CircuitOpenError(ServiceError):
     """The client's circuit breaker is open; no request was attempted."""
+
+
+def _http_error(path: str, status: int, payload: bytes) -> ServiceError:
+    """The error for a response outside a call's expected statuses."""
+    detail = payload.decode("utf-8", "replace")
+    try:
+        parsed = json.loads(detail)
+    except json.JSONDecodeError:
+        parsed = None
+    if not isinstance(parsed, dict):
+        return ServiceError(f"{path}: HTTP {status}: {detail}", status=status)
+    return ServiceError(
+        f"{path}: HTTP {status}: {parsed.get('error', detail)}",
+        status=status,
+        draining=bool(parsed.get("draining")),
+        payload=parsed,
+    )
 
 
 class _CircuitBreaker:
@@ -104,8 +147,19 @@ class _CircuitBreaker:
             self.opened_mono = time.monotonic()
 
 
+class _Connection(http.client.HTTPConnection):
+    """HTTP/1.1 connection with Nagle's algorithm off: ``http.client``
+    writes a request's header and body separately, and the body must
+    not wait for the ACK of the header."""
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class ServiceClient:
-    """Thin HTTP/JSON client; one instance per server base URL."""
+    """Thin HTTP/JSON client; one instance per server base URL, safe to
+    share between threads (each thread gets its own connection)."""
 
     def __init__(
         self,
@@ -119,6 +173,12 @@ class ServiceClient:
         jitter_seed: int = 0,
     ):
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"not an http:// base URL: {base_url!r}")
+        self._address = (url.hostname, url.port or 80)
+        self._prefix = url.path
+        self._local = threading.local()
         self.timeout = timeout
         self.retries = retries
         self.backoff_s = backoff_s
@@ -131,9 +191,8 @@ class ServiceClient:
         self,
         path: str,
         body: dict | None = None,
-        raw: bool = False,
         trace: TraceContext | None = None,
-    ):
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
         if FAULTS.enabled:
             point = FAULTS.fire("client.request", label=path)
             if point is not None:
@@ -141,7 +200,6 @@ class ServiceClient:
                     raise socket.timeout("injected client timeout")
                 if point.mode == "connreset":
                     raise ConnectionResetError("injected connection reset")
-        url = f"{self.base_url}{path}"
         data = None
         headers = {}
         if body is not None:
@@ -149,10 +207,33 @@ class ServiceClient:
             headers["Content-Type"] = "application/json"
         if trace is not None and TRACER.enabled:
             headers[TRACE_HEADER] = trace.header()
-        req = urllib.request.Request(url, data=data, headers=headers)
-        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-            payload = resp.read()
-        return payload if raw else json.loads(payload)
+        return self._exchange(
+            "GET" if data is None else "POST", self._prefix + path, data, headers
+        )
+
+    def _exchange(
+        self, method: str, target: str, data: bytes | None, headers: dict
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One request and its response over this thread's connection."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = _Connection(
+                *self._address, timeout=self.timeout
+            )
+        stale_ok = conn.sock is not None  # only a reused one can be stale
+        while True:
+            try:
+                conn.request(method, target, data, headers)
+                response = conn.getresponse()
+                return response.status, response.headers, response.read()
+            except _STALE:
+                conn.close()
+                if not stale_ok:
+                    raise
+                stale_ok = False  # send it once more, on a fresh socket
+            except BaseException:
+                conn.close()
+                raise
 
     def _request(
         self,
@@ -160,6 +241,7 @@ class ServiceClient:
         body: dict | None = None,
         raw: bool = False,
         trace: TraceContext | None = None,
+        ok: tuple[int, ...] = _OK,
     ):
         if not self.breaker.allow():
             TRACER.event("client.breaker_open", ctx=trace, path=path)
@@ -171,45 +253,13 @@ class ServiceClient:
         for attempt in range(self.retries + 1):
             retry_after: float | None = None
             try:
-                result = self._request_once(path, body, raw, trace)
-                self.breaker.record(ok=True)
-                return result
-            except urllib.error.HTTPError as exc:
-                detail = exc.read().decode("utf-8", "replace")
-                draining = False
-                try:
-                    parsed = json.loads(detail)
-                    draining = bool(parsed.get("draining"))
-                    detail = parsed.get("error", detail)
-                except (json.JSONDecodeError, AttributeError):
-                    pass
-                error = ServiceError(
-                    f"{path}: HTTP {exc.code}: {detail}",
-                    status=exc.code,
-                    draining=draining,
-                )
-                if exc.code not in RETRYABLE_STATUSES or draining:
-                    # A definitive answer from the server (a draining
-                    # 503 included — this endpoint will keep refusing
-                    # until it restarts): the breaker stays closed
-                    # (transport works) and we do not retry.
-                    self.breaker.record(ok=True)
-                    raise error from exc
-                header = exc.headers.get("Retry-After") if exc.headers else None
-                if header is not None:
-                    try:
-                        retry_after = float(header)
-                    except ValueError:
-                        retry_after = None
-                last_error = error
+                status, headers, payload = self._request_once(path, body, trace)
             except (
-                urllib.error.URLError,
-                socket.timeout,
-                ConnectionError,
+                OSError,
+                http.client.HTTPException,
                 InjectedFault,
             ) as exc:
-                reason = getattr(exc, "reason", exc)
-                last_error = ServiceError(f"{path}: {reason}")
+                last_error = ServiceError(f"{path}: {exc}")
                 self.breaker.record(ok=False)
                 if not self.breaker.allow():
                     TRACER.event(
@@ -217,6 +267,26 @@ class ServiceClient:
                         path=path, failures=self.breaker.failures,
                     )
                     break
+            else:
+                if status in ok:
+                    self.breaker.record(ok=True)
+                    return payload if raw else json.loads(payload)
+                error = _http_error(path, status, payload)
+                if status not in RETRYABLE_STATUSES or error.draining:
+                    # A definitive answer from the server (a draining
+                    # 503 included — this endpoint will keep refusing
+                    # until it restarts; a 202 from /result — the job
+                    # is pending): the breaker stays closed (transport
+                    # works) and we do not retry.
+                    self.breaker.record(ok=True)
+                    raise error
+                header = headers.get("Retry-After")
+                if header is not None:
+                    try:
+                        retry_after = float(header)
+                    except ValueError:
+                        retry_after = None
+                last_error = error
             if attempt < self.retries:
                 TRACER.event(
                     "client.retry", ctx=trace,
@@ -289,12 +359,27 @@ class ServiceClient:
         """
         return self._request("/v1/submit", body, trace=trace)
 
-    def poll(self, job_id: str) -> dict:
-        return self._request(f"/v1/jobs/{job_id}")
+    def _hold_s(self, wait_s: float) -> float:
+        """A long-poll hold, kept under half the socket timeout so that a
+        held call never reads as a dead server."""
+        return max(0.0, min(wait_s, self.timeout / 2))
+
+    def poll(self, job_id: str, wait_s: float = 0.0) -> dict:
+        """The job's status.  With *wait_s*, a long-poll: the server
+        answers as soon as the job finishes, or after *wait_s* (see
+        :meth:`_hold_s`) with the pending status."""
+        wait_s = self._hold_s(wait_s)
+        query = f"?wait_s={wait_s:.3f}" if wait_s > 0 else ""
+        return self._request(f"/v1/jobs/{job_id}{query}")
 
     def result(self, job_id: str) -> bytes:
-        """The artifact's canonical bytes, verbatim from the cache."""
-        return self._request(f"/v1/jobs/{job_id}/result", raw=True)
+        """The artifact's canonical bytes, verbatim from the cache.
+
+        A job that is not done raises :class:`ServiceError` with its
+        status as ``payload``: ``status=202`` while it is pending,
+        ``500`` once it failed.
+        """
+        return self._request(f"/v1/jobs/{job_id}/result", raw=True, ok=(200,))
 
     def result_json(self, job_id: str) -> dict:
         return json.loads(self.result(job_id))
@@ -302,17 +387,26 @@ class ServiceClient:
     def wait(
         self, job_id: str, timeout: float = 30.0, interval: float = 0.02
     ) -> dict:
-        """Poll until the job leaves the queue or *timeout* elapses."""
+        """Block until the job leaves the queue or *timeout* elapses.
+
+        One long-poll per :meth:`poll` hold.  A server that answers a
+        pending job before the hold is up (one without long-poll) is
+        polled every *interval* seconds instead of in a busy loop.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.poll(job_id)
+            started = time.monotonic()
+            hold = self._hold_s(deadline - started)
+            status = self.poll(job_id, wait_s=hold)
             if status["status"] in ("done", "failed"):
                 return status
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {status['status']} after {timeout}s"
                 )
-            time.sleep(interval)
+            if now - started < hold:
+                time.sleep(min(interval, deadline - now))
 
     def allocate(self, ir: str, **kwargs) -> tuple[dict, dict]:
         """submit + wait + result: ``(status, artifact)``."""

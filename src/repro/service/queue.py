@@ -321,7 +321,9 @@ class Job:
             "dead_lettered": self.dead_lettered,
             "error": self.error,
             "execution_s": self.execution_s,
-            "stages": {k: round(v, 6) for k, v in self.stages.items()},
+            # list() snapshots the items in one step: the dispatcher
+            # thread may add a stage while a submitter describes the job.
+            "stages": {k: round(v, 6) for k, v in list(self.stages.items())},
             "trace": self.trace.trace_id if self.trace else None,
         }
 

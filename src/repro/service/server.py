@@ -11,7 +11,7 @@ Endpoints (all JSON):
 ``GET  /v1/stats``        counters, queue depth, cache stats, tier estimates,
                           dead-letter record, fault-plan accounting
 ``POST /v1/submit``       enqueue a request → ``{job_id, cache, status}``
-``GET  /v1/jobs/<id>``    job status (no artifact)
+``GET  /v1/jobs/<id>``    job status (no artifact); ``?wait_s=`` long-polls
 ``GET  /v1/jobs/<id>/result``  the stored artifact bytes, verbatim
 ``POST /v1/allocate``     submit + wait (``?timeout_s=``) → status + artifact
 ``GET  /v1/metrics``      live metrics — Prometheus text exposition
@@ -23,16 +23,23 @@ Endpoints (all JSON):
 the socket — a cache hit is bit-identical to the cold run that filled
 the entry, by construction.
 
+Connections are HTTP/1.1 keep-alive with Nagle's algorithm off (the
+header and body writes of a response must not meet the client's delayed
+ACK); a connection idle for :data:`IDLE_TIMEOUT_S` is closed.  A request
+body the handler did not read is drained before the response, so the
+next request on the connection parses from its first byte.
+
 Overload behavior (see ``docs/RESILIENCE.md``):
 
 * a full service queue sheds the submit with **503** + ``Retry-After``
   (:class:`~repro.service.queue.ServiceOverloadError`);
 * more than ``max_concurrent_requests`` simultaneous handlers sheds
   with **429** + ``Retry-After`` before any work is done;
-* the synchronous ``/v1/allocate`` wait is capped at
-  :data:`MAX_SYNC_TIMEOUT_S` regardless of the client's ``timeout_s``,
-  so a stuck client cannot pin a handler thread forever — an unfinished
-  job comes back as ``202`` with ``Retry-After`` and remains pollable.
+* the synchronous ``/v1/allocate`` wait and the ``/v1/jobs/<id>``
+  long-poll are capped at :data:`MAX_SYNC_TIMEOUT_S` regardless of the
+  client's ``timeout_s``/``wait_s``, so a stuck client cannot pin a
+  handler thread forever — an unfinished ``/v1/allocate`` comes back as
+  ``202`` with ``Retry-After``, and the job remains pollable.
 
 The ``server.request`` fault site (:mod:`repro.resilience.faults`) can
 turn any request into an injected ``5xx`` (``error``), a stall
@@ -42,6 +49,7 @@ turn any request into an injected ``5xx`` (``error``), a stall
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -80,9 +88,26 @@ DEFAULT_SYNC_TIMEOUT_S = 30.0
 #: Hard cap on the synchronous wait — the server-side request deadline.
 MAX_SYNC_TIMEOUT_S = 120.0
 
+#: Seconds a kept-alive connection may sit idle before the server closes it.
+IDLE_TIMEOUT_S = 30.0
+
+#: Largest unread request body drained to keep a connection; past it
+#: the connection is closed instead.
+MAX_DRAIN_BYTES = 1 << 20
+
 
 def _job_status(job: Job) -> dict:
     return job.describe()
+
+
+def _query_seconds(url, name: str, default: float) -> float:
+    """Query parameter *name* in seconds, clamped to the sync-wait cap."""
+    raw = parse_qs(url.query).get(name)
+    try:
+        value = float(raw[0]) if raw else default
+    except ValueError:
+        raise RequestError(f"{name} is not a number: {raw[0]!r}") from None
+    return min(max(value, 0.0), MAX_SYNC_TIMEOUT_S)
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -90,6 +115,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: The socket timeout while waiting for the next request on a
+    #: kept-alive connection (and for any read or write in between).
+    timeout = IDLE_TIMEOUT_S
 
     # quiet by default; the serve command flips this on with -v
     verbose = False
@@ -115,7 +144,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         retry_after_s: float | None = None,
         content_type: str = "application/json",
     ) -> None:
+        self._drain_body()
         self.send_response(status)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if retry_after_s is not None:
@@ -124,7 +156,25 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _drain_body(self) -> None:
+        """Consume a request body the handler never read (a shed, failed
+        or unknown POST): left on a kept-alive connection, it would be
+        parsed as the next request.  Too large to drain, it closes the
+        connection instead."""
+        if self._body_read:
+            return
+        self._body_read = True
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_DRAIN_BYTES:
+            self.rfile.read(length)
+        else:
+            self.close_connection = True
+
     def _read_body(self) -> dict:
+        self._body_read = True
         length = int(self.headers.get("Content-Length") or 0)
         raw = self.rfile.read(length) if length else b""
         if not raw:
@@ -154,11 +204,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     # Guard rail every request passes through: fault injection first,
-    # then the concurrent-handler limit.  The incoming trace context is
-    # activated for the whole handler so deep call sites (fault
-    # injector, cache probes) attach events to the right trace.
+    # then the concurrent-handler limit; a RequestError from any handler
+    # answers 400.  The incoming trace context is activated for the
+    # whole handler so deep call sites (fault injector, cache probes)
+    # attach events to the right trace.
     # ------------------------------------------------------------------
     def _guarded(self, handler) -> None:
+        self._body_read = False
         with TRACER.activate(self._trace_context()):
             self._guarded_inner(handler)
 
@@ -194,6 +246,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             handler()
+        except RequestError as exc:
+            self._send_json({"error": str(exc)}, 400)
         finally:
             slots.release()
 
@@ -213,7 +267,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         elif len(parts) == 3 and parts[:2] == ["v1", "trace"]:
             self._send_json(self._trace_payload(parts[2]))
         elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            self._get_job(parts[2], want_result=False)
+            wait_s = _query_seconds(url, "wait_s", 0.0)
+            self._get_job(parts[2], want_result=False, wait_s=wait_s)
         elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
             self._get_job(parts[2], want_result=True)
         else:
@@ -245,8 +300,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         frontend overrides this to also flush every shard's buffers."""
         return {"trace_id": trace_id, "spans": TRACER.spans_for(trace_id)}
 
-    def _get_job(self, job_id: str, want_result: bool) -> None:
+    def _get_job(
+        self, job_id: str, want_result: bool, wait_s: float = 0.0
+    ) -> None:
+        """A job's status or result; *wait_s* > 0 long-polls the status,
+        answering as soon as the job finishes (the handler holds its
+        request slot meanwhile, as ``/v1/allocate`` does)."""
         job = self.service.get(job_id)
+        if job is not None and wait_s:
+            job.wait(wait_s)
         if job is None:
             # Dead-lettered jobs outlive the job table (and, with a
             # journal, the process): answer from the durable record.
@@ -283,8 +345,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._drain(url)
             else:
                 self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except RequestError as exc:
-            self._send_json({"error": str(exc)}, 400)
         except ServiceOverloadError as exc:
             payload = {"error": str(exc)}
             if isinstance(exc, ServiceDrainingError):
@@ -309,11 +369,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return self.service.submit(body, trace=ctx)
 
     def _allocate_sync(self, url) -> None:
-        query = parse_qs(url.query)
-        timeout = float(
-            query.get("timeout_s", [DEFAULT_SYNC_TIMEOUT_S])[0]
-        )
-        timeout = min(max(timeout, 0.0), MAX_SYNC_TIMEOUT_S)
+        timeout = _query_seconds(url, "timeout_s", DEFAULT_SYNC_TIMEOUT_S)
         with self._request_span() as span:
             job = self._submit(self._read_body(), span.ctx)
             job.wait(timeout)
@@ -327,17 +383,57 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(status)
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`AllocationService`."""
+class KeepAliveHTTPServer(ThreadingHTTPServer):
+    """Threading HTTP server whose close does not wait out idle
+    kept-alive connections.
+
+    ``server_close`` joins every handler thread, and a thread waiting
+    for the next request on an idle connection would hold it for up to
+    :data:`IDLE_TIMEOUT_S`.  Shutting the read side of each open
+    connection first ends those waits, while a handler in the middle of
+    a request still writes its response.  ``request_slots`` bounds the
+    requests handled at once (the ``429`` guard).
+    """
 
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], service: AllocationService):
-        super().__init__(address, ServiceHandler)
-        self.service = service
+    def __init__(self, address, handler, max_concurrent_requests: int):
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        super().__init__(address, handler)
         self.request_slots = threading.BoundedSemaphore(
-            max(1, service.config.max_concurrent_requests)
+            max(1, max_concurrent_requests)
         )
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        super().server_close()
+
+
+class ServiceServer(KeepAliveHTTPServer):
+    """Threading HTTP server bound to one :class:`AllocationService`."""
+
+    def __init__(self, address: tuple[str, int], service: AllocationService):
+        super().__init__(
+            address, ServiceHandler, service.config.max_concurrent_requests
+        )
+        self.service = service
 
 
 def make_server(

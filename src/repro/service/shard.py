@@ -31,11 +31,14 @@ The pieces:
 * :class:`ProcessShard` — a worker *process* running the stock HTTP
   server on a free port (the child sends the port back over a pipe),
   spoken to through :class:`~repro.service.client.ServiceClient` —
-  which brings the PR-5 retry/backoff machinery to every hop.
+  which brings the PR-5 retry/backoff machinery to every hop, and one
+  kept-alive connection per frontend thread (handler or health loop).
 * :class:`ShardRouter` — normalizes each request **once**
   (:func:`~repro.service.artifact.normalize_request`), routes by
   content address down the ring's preference order, and namespaces job
-  ids as ``<local id>@<shard>`` so polls route back.  Health checks
+  ids as ``<local id>@<shard>`` so polls route back.  A long-poll
+  (``wait_s``) is forwarded to the owning shard and a result fetch is
+  one shard call, pending or not.  Health checks
   reuse the client-side circuit breaker per shard: a worker that keeps
   failing its probe is **evicted** from the ring (its keys rehash to
   the survivors) and, once the breaker's cooldown admits a trial,
@@ -76,7 +79,6 @@ import os
 import threading
 import time
 from dataclasses import asdict, replace
-from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from ..obs import TRACER, TraceContext
@@ -92,8 +94,9 @@ from .queue import (
 )
 from .server import (
     DEFAULT_SYNC_TIMEOUT_S,
-    MAX_SYNC_TIMEOUT_S,
+    KeepAliveHTTPServer,
     ServiceHandler,
+    _query_seconds,
 )
 
 __all__ = [
@@ -283,33 +286,36 @@ class LocalShard:
         self._check()
         return self.service.submit(body, trace=trace).describe()
 
-    def poll(self, job_id: str) -> dict:
+    def poll(self, job_id: str, wait_s: float = 0.0) -> dict:
+        """The job's status, after waiting up to *wait_s* for it to finish."""
         self._check()
         job = self.service.get(job_id)
         if job is None:
-            view = self.service.lookup(job_id)  # durable dead-letter view
-            if view is not None:
-                return view
-            raise ServiceError(f"unknown job {job_id!r}", status=404)
+            return self._view(job_id)
+        if wait_s:
+            job.wait(wait_s)
         return job.describe()
 
-    def wait(self, job_id: str, timeout: float = 30.0) -> dict:
-        self._check()
-        try:
-            return self.service.wait(job_id, timeout).describe()
-        except KeyError as exc:
-            raise ServiceError(str(exc), status=404) from exc
+    def _view(self, job_id: str) -> dict:
+        view = self.service.lookup(job_id)  # durable dead-letter view
+        if view is None:
+            raise ServiceError(f"unknown job {job_id!r}", status=404)
+        return view
 
     def result(self, job_id: str) -> bytes:
+        """The artifact bytes, answered as the server's ``/result`` is:
+        a job that is not done raises with its status as the payload,
+        ``202`` while pending and ``500`` once failed."""
         self._check()
         job = self.service.get(job_id)
-        if job is None:
-            raise ServiceError(f"unknown job {job_id!r}", status=404)
-        if job.status != "done" or job.artifact is None:
-            raise ServiceError(
-                f"job {job_id!r} is {job.status}", status=500
-            )
-        return job.artifact
+        view = job.describe() if job is not None else self._view(job_id)
+        if view["status"] == "done":
+            return job.artifact or b"{}"
+        raise ServiceError(
+            f"job {job_id!r} is {view['status']}",
+            status=500 if view["status"] == "failed" else 202,
+            payload=view,
+        )
 
     def stats(self) -> dict:
         self._check()
@@ -498,11 +504,8 @@ class ProcessShard:
     def submit(self, body: dict, trace: TraceContext | None = None) -> dict:
         return self._call(self.client.submit_request, body, trace=trace)
 
-    def poll(self, job_id: str) -> dict:
-        return self._call(self.client.poll, job_id)
-
-    def wait(self, job_id: str, timeout: float = 30.0) -> dict:
-        return self._call(self.client.wait, job_id, timeout=timeout)
+    def poll(self, job_id: str, wait_s: float = 0.0) -> dict:
+        return self._call(self.client.poll, job_id, wait_s=wait_s)
 
     def result(self, job_id: str) -> bytes:
         return self._call(self.client.result, job_id)
@@ -958,17 +961,35 @@ class ShardRouter:
             raise ShardError(f"shard {name!r} is not in the ring")
         return shard, local_id, name
 
-    def poll(self, job_id: str) -> dict:
+    def poll(self, job_id: str, wait_s: float = 0.0) -> dict:
+        """The job's status; *wait_s* long-polls the owning shard."""
         shard, local_id, name = self._resolve(job_id)
-        return self._qualify(shard.poll(local_id), name)
+        return self._qualify(shard.poll(local_id, wait_s=wait_s), name)
 
     def wait(self, job_id: str, timeout: float = 30.0) -> dict:
-        shard, local_id, name = self._resolve(job_id)
-        return self._qualify(shard.wait(local_id, timeout=timeout), name)
+        """Long-poll the owning shard until the job finishes or *timeout*
+        runs out, and return its last status — one call, unless the job
+        outlasts the hold one hop allows (a worker's client timeout)."""
+        deadline = time.monotonic() + timeout
+        status = self.poll(job_id, wait_s=timeout)
+        while status["status"] not in ("done", "failed"):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break
+            status = self.poll(job_id, wait_s=left)
+        return status
 
     def result(self, job_id: str) -> bytes:
-        shard, local_id, _ = self._resolve(job_id)
-        return shard.result(local_id)
+        """The artifact bytes in one shard call; a job that is not done
+        raises :class:`ServiceError` (``202`` pending, ``500`` failed)
+        whose payload is its shard-qualified status."""
+        shard, local_id, name = self._resolve(job_id)
+        try:
+            return shard.result(local_id)
+        except ServiceError as exc:
+            if exc.payload is not None and "job_id" in exc.payload:
+                exc.payload = self._qualify(exc.payload, name)
+            raise
 
     # -- stats ---------------------------------------------------------
     def stats(self) -> dict:
@@ -1134,7 +1155,8 @@ class ShardFrontendHandler(ServiceHandler):
             elif len(parts) == 3 and parts[:2] == ["v1", "trace"]:
                 self._send_json(self._trace_payload(parts[2]))
             elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                self._send_json(self.router.poll(parts[2]))
+                wait_s = _query_seconds(url, "wait_s", 0.0)
+                self._send_json(self.router.poll(parts[2], wait_s=wait_s))
             elif (
                 len(parts) == 4
                 and parts[:2] == ["v1", "jobs"]
@@ -1143,21 +1165,22 @@ class ShardFrontendHandler(ServiceHandler):
                 self._get_result(parts[2])
             else:
                 self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except RequestError as exc:
-            self._send_json({"error": str(exc)}, 400)
         except ServiceError as exc:
             self._send_json({"error": str(exc)}, exc.status or 502)
         except ShardError as exc:
             self._send_json({"error": str(exc)}, 503, retry_after_s=1.0)
 
     def _get_result(self, job_id: str) -> None:
-        status = self.router.poll(job_id)
-        if status["status"] == "failed":
-            self._send_json(status, 500)
-        elif status["status"] != "done":
-            self._send_json(status, 202, retry_after_s=1.0)
-        else:
-            self._send_bytes(self.router.result(job_id))
+        try:
+            data = self.router.result(job_id)
+        except ServiceError as exc:
+            if exc.payload is None or "job_id" not in exc.payload:
+                raise
+            # Not done: its status, 202 while pending, 500 once failed.
+            retry_after_s = 1.0 if exc.status == 202 else None
+            self._send_json(exc.payload, exc.status, retry_after_s)
+            return
+        self._send_bytes(data)
 
     def _do_post(self) -> None:
         url = urlparse(self.path)
@@ -1176,8 +1199,6 @@ class ShardFrontendHandler(ServiceHandler):
                 self._drain(url)
             else:
                 self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except RequestError as exc:
-            self._send_json({"error": str(exc)}, 400)
         except ServiceOverloadError as exc:
             payload = {"error": str(exc)}
             if isinstance(exc, ServiceDrainingError):
@@ -1203,9 +1224,7 @@ class ShardFrontendHandler(ServiceHandler):
         self._send_json(self.router.drain(name))
 
     def _allocate(self, url) -> None:
-        query = parse_qs(url.query)
-        timeout = float(query.get("timeout_s", [DEFAULT_SYNC_TIMEOUT_S])[0])
-        timeout = min(max(timeout, 0.0), MAX_SYNC_TIMEOUT_S)
+        timeout = _query_seconds(url, "timeout_s", DEFAULT_SYNC_TIMEOUT_S)
         with self._request_span() as span:
             status = self.router.submit(self._read_body(), trace=span.ctx)
         if status["status"] not in ("done", "failed"):
@@ -1224,10 +1243,8 @@ class ShardFrontendHandler(ServiceHandler):
             self._send_json(status)
 
 
-class ShardFrontendServer(ThreadingHTTPServer):
+class ShardFrontendServer(KeepAliveHTTPServer):
     """The sharded fleet's HTTP face; one router behind many handlers."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -1235,11 +1252,8 @@ class ShardFrontendServer(ThreadingHTTPServer):
         router: ShardRouter,
         max_concurrent_requests: int = 32,
     ):
-        super().__init__(address, ShardFrontendHandler)
+        super().__init__(address, ShardFrontendHandler, max_concurrent_requests)
         self.router = router
-        self.request_slots = threading.BoundedSemaphore(
-            max(1, max_concurrent_requests)
-        )
 
 
 def make_shard_server(

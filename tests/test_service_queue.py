@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.service import (
     ladder_from,
     select_tier,
 )
+from repro.service.queue import Job
 
 from .conftest import build_mac_kernel
 
@@ -252,3 +254,29 @@ def test_key_matches_artifact_key(service):
         request["ir"], request["file"], request["method"]
     )
     assert json.loads(job.artifact)["key"] == job.key
+
+
+def test_describe_is_safe_while_the_dispatcher_adds_stages():
+    # A submitter describes its job while the dispatcher thread may be
+    # adding a stage time to it; tiny switch intervals make that likely.
+    job = Job(job_id="j1", key="k", ir="func @f {}", file_spec={},
+              requested_method="bpc", flags={})
+    stop = threading.Event()
+
+    def add_stages():
+        while not stop.is_set():
+            for name in ("queue_wait", "cache", "alloc", "verify"):
+                job.stages[name] = 0.1
+            job.stages.clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    writer = threading.Thread(target=add_stages)
+    writer.start()
+    try:
+        for _ in range(20_000):
+            job.describe()
+    finally:
+        stop.set()
+        writer.join()
+        sys.setswitchinterval(interval)
