@@ -6,7 +6,8 @@ Three configurations of identical work (results are asserted equal):
 * uncached — ``caching_disabled()``: every analysis request recomputes,
   reproducing the pre-pass-manager behaviour where each phase built its
   own live intervals / cost model / SDG;
-* cached   — ``jobs=1`` with the shared per-function AnalysisManager;
+* cached   — ``jobs=1`` with the shared per-function AnalysisManager,
+  recorded, so the ``--pass-stats`` view renders its tables;
 * parallel — ``jobs=4`` process-pool fan-out of the cached configuration.
 
 The LiveIntervals hit rate is the headline number: coalescing rounds and
@@ -14,22 +15,34 @@ the scheduler's after-reorder probe are unavoidable misses, while the
 scheduler's before-probe, the bank assigner, and the allocator all reuse
 the cache.
 
-``test_observability_overhead`` measures the :mod:`repro.obs` layer the
-same way: the sweep with tracing+metrics disabled (the default — one
-attribute check per emit site) against the sweep recording everything,
-asserting identical results and recording the measured overhead bound in
-``benchmarks/results/obs_overhead.txt``.
+``test_observability_overhead`` measures :mod:`repro.obs` on the same
+sweep: the recorder off (the default — one attribute check per emit
+site) against the recorder on with the metrics view's producers (every
+span, every span arg, and the per-pass conflict-cost deltas).  It times
+``OBS_PAIRS`` alternating off/on pairs on process CPU time, asserts
+identical results, and gates the upper quartile of the paired overheads
+at ``OBS_OVERHEAD_GATE``; ``benchmarks/results/obs_overhead.txt`` lists
+every pair.  On a shared 2-vCPU VM the 10 pairs read +5.9% to +32.2%
+(quartiles +7.8% / +14.8% / +25.6%), while the recorder-off sweep alone
+ranged from 1.9 to 3.1 CPU seconds.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import time
 
 from repro import obs
 from repro.experiments.harness import run_program, run_suite
 from repro.passes import caching_disabled
-from repro.passes.instrument import GLOBAL
+
+#: Paired observability gate: the upper quartile of the per-pair
+#: ``on / off - 1`` CPU-time ratios must stay below this.
+OBS_OVERHEAD_GATE = 0.60
+#: Alternating off/on pairs the gate is measured over.
+OBS_PAIRS = 10
 
 
 def _sweep(suite, register_file, jobs=1):
@@ -52,16 +65,17 @@ def test_pass_overhead(ctx, record_text, benchmark):
     with caching_disabled():
         t_uncached, r_uncached = _sweep(suite, register_file)
 
-    GLOBAL.enable()
-    GLOBAL.reset()
+    obs.TRACER.enable()
+    obs.reset_all()
     try:
         t_cached, r_cached = _sweep(suite, register_file)
-        live = GLOBAL.analyses["LiveIntervals"]
-        hit_rate = live.hit_rate
-        cache_table = GLOBAL.render()
+        spans = obs.TRACER.spans
     finally:
-        GLOBAL.enable(False)
-        GLOBAL.reset()
+        obs.TRACER.enable(False)
+        obs.reset_all()
+    live = obs.pass_table(spans)[1]["LiveIntervals"]
+    requests = live["hits"] + live["misses"]
+    hit_rate = live["hits"] / requests
 
     t_parallel, r_parallel = _sweep(suite, register_file, jobs=4)
 
@@ -86,9 +100,9 @@ def test_pass_overhead(ctx, record_text, benchmark):
         f"  parallel (jobs=4, {cpus} cpus) {t_parallel:7.3f} s"
         f"   ({t_cached / t_parallel:.2f}x vs cached serial)",
         f"  LiveIntervals hit rate    {hit_rate:8.1%}"
-        f"   ({live.hits} hits / {live.requests} requests)",
+        f"   ({live['hits']} hits / {requests} requests)",
         "",
-        cache_table,
+        obs.render_pass_stats(spans),
     ]
     record_text("pass_overhead", "\n".join(lines))
 
@@ -100,61 +114,57 @@ def test_observability_overhead(ctx, record_text):
     suite = ctx.suite("SPECfp")
     register_file = ctx.register_file("rv2", 2)
 
-    # Warm the suite cache so neither timed sweep pays generation cost.
+    # Warm the suite cache so no timed sweep pays generation cost.
     _sweep(suite, register_file)
 
-    def _best_of(rounds=5, reset=False):
-        # Best-of-N with a collection before each timed sweep: scheduler
-        # and GC noise on shared CI boxes dwarfs the single-digit
-        # overhead being measured, and the minimum is the stable
-        # estimator of the true cost.  ``reset`` drops recorded spans
-        # between rounds so each timed sweep starts from empty buffers
-        # (and the final span count reflects one sweep, not N).
-        import gc
+    def timed(recording):
+        obs.TRACER.enable(recording, views=("metrics",) if recording else ())
+        obs.reset_all()
+        gc.collect()
+        started = time.process_time()
+        _, results = _sweep(suite, register_file)
+        elapsed = time.process_time() - started
+        spans = obs.TRACER.spans
+        return elapsed, results, spans
 
-        times, results = [], None
-        for _ in range(rounds):
-            if reset:
-                obs.reset_all()
-            gc.collect()
-            elapsed, results = _sweep(suite, register_file)
-            times.append(elapsed)
-        return min(times), results
-
-    t_off, r_off = _best_of()
-
-    obs.TRACER.enable()
-    obs.METRICS.enable()
-    obs.reset_all()
+    pairs = []
     try:
-        t_on, r_on = _best_of(reset=True)
-        spans = len(obs.TRACER)
-        counters = len(obs.METRICS.counters)
+        for i in range(OBS_PAIRS):
+            # Alternate which arm goes first, so drift on a shared box
+            # lands on both arms equally.
+            order = (False, True) if i % 2 == 0 else (True, False)
+            arms = {recording: timed(recording) for recording in order}
+            (t_off, r_off, _), (t_on, r_on, spans) = arms[False], arms[True]
+            # Recording must never change results, only add bookkeeping.
+            assert r_on == r_off
+            pairs.append((t_off, t_on))
     finally:
-        for layer in (obs.TRACER, obs.METRICS, obs.AUDIT):
-            layer.enable(False)
-            layer.reset()
+        obs.TRACER.enable(False, views=())
+        obs.reset_all()
 
-    # Recording must never change results, only add bookkeeping.
-    assert r_on == r_off
-    assert spans > 0 and counters > 0
-
-    overhead = t_on / t_off - 1.0
-    # Generous bound: full tracing+metrics stays under 60% on this sweep
-    # (measured single-digit percent; the slack absorbs noisy CI boxes).
-    assert overhead < 0.60
-
-    record_text(
-        "obs_overhead",
-        "\n".join(
-            [
-                "observability overhead (SPECfp, rv2:2, bpc, serial)",
-                f"  tracing+metrics off   {t_off:8.3f} s",
-                f"  tracing+metrics on    {t_on:8.3f} s",
-                f"  overhead              {overhead:8.1%}"
-                f"   ({spans} spans, {counters} counters)",
-                "  disabled-path cost: one attribute check per emit site;",
-                "  outputs are bit-identical with the layer off.",
-            ]
-        ),
+    counters = len(obs.metrics_doc(spans)["counters"])
+    assert spans and counters > 0
+    overheads = sorted(on / off - 1.0 for off, on in pairs)
+    q1, median, q3 = statistics.quantiles(overheads, n=4)
+    assert q3 < OBS_OVERHEAD_GATE, (
+        f"upper-quartile observability overhead {q3:.1%} exceeds the "
+        f"{OBS_OVERHEAD_GATE:.0%} gate"
     )
+
+    lines = [
+        "observability overhead (SPECfp, rv2:2, bpc, serial; recorder off "
+        "vs on with the metrics view)",
+        f"  {len(pairs)} alternating pairs, process CPU seconds:",
+    ]
+    lines += [
+        f"    off {off:7.3f}   on {on:7.3f}   {on / off - 1.0:+7.1%}"
+        for off, on in pairs
+    ]
+    lines += [
+        f"  overhead quartiles    {q1:+.1%} / {median:+.1%} / {q3:+.1%}"
+        f"   (gate: upper quartile < {OBS_OVERHEAD_GATE:.0%})",
+        f"  recorded per sweep    {len(spans)} spans, {counters} counters",
+        "  disabled-path cost: one attribute check per emit site;",
+        "  outputs are bit-identical with the recorder off.",
+    ]
+    record_text("obs_overhead", "\n".join(lines))

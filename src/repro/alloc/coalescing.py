@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from ..ir.function import Function
 from ..ir.instruction import OpKind
 from ..ir.types import RegClass, VirtualRegister
-from ..obs import METRICS, TRACER
+from ..obs import TRACER
 from ..passes import CFG_ONLY, AnalysisManager, FlatIRAnalysis, LiveIntervalsAnalysis
 
 
@@ -62,8 +62,10 @@ def coalesce(
         result.rounds += 1
         if not merged_this_round:
             break
-    METRICS.inc("coalescing.copies_removed", result.copies_removed)
-    METRICS.observe("coalescing.rounds", result.rounds)
+    TRACER.note(**{
+        "coalescing.copies_removed": result.copies_removed,
+        "coalescing.rounds": result.rounds,
+    })
     return result
 
 

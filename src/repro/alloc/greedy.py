@@ -30,7 +30,7 @@ from ..ir import instruction as ins
 from ..ir.function import Function
 from ..ir.instruction import Instruction
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
-from ..obs import AUDIT, METRICS, TRACER
+from ..obs import TRACER
 from ..passes import (
     CFG_ONLY,
     AnalysisManager,
@@ -202,15 +202,20 @@ class GreedyAllocator:
                     f"register file too small for one instruction's operands"
                 )
             origin = split_parent.get(vreg, vreg)
-            if AUDIT.enabled:
-                AUDIT.record(
-                    function.name,
-                    vreg.name,
-                    "spill",
-                    weight=interval.weight,
-                    span=interval.span,
-                    origin=origin.name,
-                    evictions_used=self._eviction_count.get(vreg, 0),
+            if TRACER.wants("explain"):
+                TRACER.fact(
+                    "decision",
+                    function=function.name,
+                    vreg=vreg.name,
+                    step="spill",
+                    path="",
+                    chosen=-1,
+                    detail={
+                        "weight": interval.weight,
+                        "span": interval.span,
+                        "origin": origin.name,
+                        "evictions_used": self._eviction_count.get(vreg, 0),
+                    },
                 )
             result.spilled.add(origin)
             retired.add(vreg)
@@ -233,15 +238,15 @@ class GreedyAllocator:
             )
         result.stats["bank_histogram"] = self._bank_histogram()
         result.stats["max_pressure"] = live.max_pressure(self.regclass)
-        if METRICS.enabled:
-            METRICS.inc("alloc.spilled_vregs", len(result.spilled))
-            METRICS.inc("alloc.spill_instructions", result.spill_instructions)
-            METRICS.inc("alloc.evictions", result.evictions)
-            METRICS.inc("alloc.copies_inserted", result.copies_inserted)
-            METRICS.inc("alloc.split_children", len(split_generated))
-            METRICS.observe(
-                "alloc.max_pressure", result.stats["max_pressure"]
-            )
+        if TRACER.enabled:
+            TRACER.note(**{
+                "alloc.spilled_vregs": len(result.spilled),
+                "alloc.spill_instructions": result.spill_instructions,
+                "alloc.evictions": result.evictions,
+                "alloc.copies_inserted": result.copies_inserted,
+                "alloc.split_children": len(split_generated),
+                "alloc.max_pressure": result.stats["max_pressure"],
+            })
         # Materialization rewrote operands and inserted spill/split code;
         # block labels, terminators, and loop structure are untouched.
         am.invalidate(CFG_ONLY)

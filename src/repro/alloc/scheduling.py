@@ -46,7 +46,7 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
     earlier phase left valid intervals behind; reorders invalidate all but
     the CFG-level analyses, leaving the cache consistent on return.
     """
-    from ..obs import METRICS, TRACER
+    from ..obs import TRACER
     from ..passes import (
         CFG_ONLY,
         AnalysisManager,
@@ -82,9 +82,10 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
             result.instructions_moved = 0
             result.reverted = True
             am.invalidate(CFG_ONLY)
-    METRICS.inc("scheduling.instructions_moved", result.instructions_moved)
+    facts = {"scheduling.instructions_moved": result.instructions_moved}
     if result.reverted:
-        METRICS.inc("scheduling.reverted")
+        facts["scheduling.reverted"] = 1
+    TRACER.note(**facts)
     return result
 
 

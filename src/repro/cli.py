@@ -40,6 +40,7 @@ calibrated defaults.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -153,13 +154,13 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     print(f"; method={args.method} file={register_file.describe()}")
     from . import obs
 
-    if obs.PROFILE.enabled:
+    if obs.TRACER.wants("profile"):
         # Attribute the demo kernel's expected conflicts, then print the
         # listing annotated with per-site stall cycles.
         from .sim import estimate_dynamic_conflicts
 
         estimate_dynamic_conflicts(result.function, register_file)
-        print(obs.PROFILE.annotate(result.function))
+        print(obs.Profile(obs.TRACER.spans).annotate(result.function))
     else:
         print(print_function(result.function))
     print(
@@ -190,8 +191,6 @@ def _allocate_ir(args: argparse.Namespace) -> int:
     across invocations), so re-allocating a module where K of N
     functions changed re-runs only those K.
     """
-    import json
-
     from .service import (
         IncrementalAllocator,
         RequestError,
@@ -393,8 +392,6 @@ def _parse_phases(raw: list[str] | None) -> tuple:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Replay a seeded open-loop traffic scenario; optionally record it."""
-    import json
-
     from .service import ServiceConfig
     from .service.loadgen import (
         HttpTarget,
@@ -497,8 +494,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _cmd_trace_fetch(args: argparse.Namespace) -> int:
     """Fetch one merged distributed trace and write Chrome-trace JSON."""
-    import json
-
     from .obs import chrome_trace
     from .service import ServiceError
     from .service.client import ServiceClient
@@ -613,8 +608,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_request(args: argparse.Namespace) -> int:
     """Submit one allocation request to a running service."""
-    import json
-
     from .ir import print_function
     from .service import ServiceError
     from .service.client import ServiceClient
@@ -1338,18 +1331,17 @@ def main(argv: list[str] | None = None) -> int:
         code = _cmd_selfcheck()
         if code:
             return code
-    if args.pass_stats:
-        from .passes.instrument import GLOBAL
-
-        GLOBAL.enable()
-    if args.trace:
-        obs.TRACER.enable()
-    if args.metrics:
-        obs.METRICS.enable()
-    if args.explain:
-        obs.AUDIT.enable()
-    if args.profile:
-        obs.PROFILE.enable()
+    # One recorder serves --trace and the four views; the views named
+    # here also switch on their expensive producers.
+    views = {
+        view for view, flag in (
+            ("metrics", args.metrics),
+            ("explain", args.explain),
+            ("profile", args.profile),
+        ) if flag
+    }
+    if args.trace or args.pass_stats or views:
+        obs.TRACER.enable(views=views)
     if args.faults:
         from .resilience import FAULTS, load_plan
 
@@ -1368,10 +1360,10 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.render(), file=sys.stderr)
             return 1
     finally:
+        folds = args.pass_stats or args.metrics or args.explain or args.profile
+        spans = obs.TRACER.spans if folds else []
         if args.pass_stats:
-            from .passes.instrument import GLOBAL
-
-            print(GLOBAL.render(), file=sys.stderr)
+            print(obs.render_pass_stats(spans), file=sys.stderr)
         if args.trace:
             obs.TRACER.write_chrome_trace(args.trace)
             print(
@@ -1380,33 +1372,36 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         if args.metrics:
+            doc = obs.metrics_doc(spans)
             if args.metrics == "-":
-                print(obs.METRICS.render(), file=sys.stderr)
+                print(obs.render_metrics(doc), file=sys.stderr)
             else:
-                obs.METRICS.write_json(args.metrics)
+                with open(args.metrics, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh, indent=1, sort_keys=True)
                 print(f"wrote metrics to {args.metrics}", file=sys.stderr)
         if args.explain:
             print(
-                obs.AUDIT.explain(_normalize_vreg(args.explain)),
+                obs.explain(spans, _normalize_vreg(args.explain)),
                 file=sys.stderr,
             )
         if args.profile:
+            profile = obs.Profile(spans)
             if args.profile == "-":
-                print(obs.PROFILE.render(), file=sys.stderr)
+                print(profile.render(), file=sys.stderr)
             elif args.profile.endswith(".folded"):
                 with open(args.profile, "w", encoding="utf-8") as fh:
-                    fh.write(obs.PROFILE.folded_stacks() + "\n")
+                    fh.write(profile.folded_stacks() + "\n")
                 print(
-                    f"wrote {len(obs.PROFILE)} sites to {args.profile} "
+                    f"wrote {len(profile)} sites to {args.profile} "
                     "(collapsed stacks; feed to flamegraph.pl or "
                     "speedscope)",
                     file=sys.stderr,
                 )
             else:
-                obs.PROFILE.write_json(args.profile)
+                with open(args.profile, "w", encoding="utf-8") as fh:
+                    json.dump(profile.to_json(), fh, indent=1, sort_keys=True)
                 print(
-                    f"wrote {len(obs.PROFILE)} hotspot sites to "
-                    f"{args.profile}",
+                    f"wrote {len(profile)} hotspot sites to {args.profile}",
                     file=sys.stderr,
                 )
 

@@ -17,14 +17,14 @@ independent — each worker runs whole pipelines on its own function clones
 — and ``pool.map`` preserves suite order, so the merged result list is
 identical to a serial run.
 
-Observability (:mod:`repro.obs`) crosses the pool the same way the
-``--pass-stats`` counters do: each worker resets its
-tracer/metrics/audit/profiler around every task, ships one picklable
-snapshot per program back, and the parent merges snapshots in
-``pool.map`` (= suite) order — so the merged Chrome trace has one
-deterministic lane (``proc``) per program, its span tree is structurally
-identical to a serial run's, and hotspot-profile totals are bit-equal at
-any job count.
+Observability (:mod:`repro.obs`) crosses the pool as one span list per
+program: each worker records with the parent's switches, resets the
+recorder around every task, ships the program's spans back, and the
+parent folds them in ``pool.map`` (= suite) order — so the merged Chrome
+trace has one deterministic lane (``proc``) per program, its span tree is
+structurally identical to a serial run's, and every view over it
+(pass statistics, metrics, decisions, hotspot profile) equals the serial
+run's.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .. import obs
 from ..banks.register_file import RegisterFile
 from ..ir.types import FP, RegClass
 from ..obs import TRACER
-from ..passes.instrument import GLOBAL
 from ..prescount.pipeline import PipelineConfig, run_pipeline
 from ..sim.dsa import DsaMachine
 from ..sim.dynamic import estimate_dynamic_conflicts
@@ -274,7 +272,7 @@ def run_tasks(
         if not pending:
             break
         if attempt:
-            obs.METRICS.inc("harness.task_retries", len(pending))
+            TRACER.fact("harness.retry", **{"harness.task_retries": len(pending)})
             if backoff_s:
                 time.sleep(min(backoff_s * (2 ** (attempt - 1)), 2.0))
         still_failing: list[int] = []
@@ -334,32 +332,22 @@ def resolve_jobs(jobs: int | None) -> int:
     return max(1, int(jobs))
 
 
-def _run_program_task(
-    payload: tuple,
-) -> tuple[ProgramResult, dict | None, dict | None]:
-    """Process-pool worker: one program, plus its observability deltas.
+def _run_program_task(payload: tuple) -> tuple[ProgramResult, list | None]:
+    """Process-pool worker: one program, plus the spans it recorded.
 
-    When the parent runs with ``--pass-stats`` (or any :mod:`repro.obs`
-    layer on) the payload tells the worker to record and ship its
-    counters/spans back for merging.  Everything is reset around the task
-    because worker processes are reused (and, under fork, inherit the
-    parent's state): each snapshot must cover exactly one program, or
-    merging would re-count everything the process saw before.
+    *views* is the parent's ``TRACER.views`` when it records (``None``
+    when it does not), so the worker runs the same producers.  The
+    recorder is reset around the task because worker processes are
+    reused (and, under fork, inherit the parent's buffer): the span list
+    must cover exactly one program.
     """
-    program, register_file, method, kwargs, instrumented, obs_flags = payload
-    if instrumented:
-        GLOBAL.enable()
-        GLOBAL.reset()
-    obs.apply_flags(obs_flags)
-    obs.reset_all()
+    program, register_file, method, kwargs, views = payload
+    TRACER.enable(views is not None, views=views or ())
+    TRACER.reset()
     result = run_program(program, register_file, method, **kwargs)
-    obs_snapshot = obs.snapshot_all() if obs.any_enabled() else None
-    obs.reset_all()
-    if not instrumented:
-        return result, None, obs_snapshot
-    snapshot = GLOBAL.snapshot()
-    GLOBAL.reset()
-    return result, snapshot, obs_snapshot
+    spans = TRACER.spans if views is not None else None
+    TRACER.reset()
+    return result, spans
 
 
 def run_suite(
@@ -397,14 +385,14 @@ def run_suite(
             run_program(program, register_file, method, **kwargs)
             for program in suite.programs
         ]
+    views = TRACER.views if TRACER.enabled else None
     payloads = [
-        (program, register_file, method, kwargs, GLOBAL.enabled,
-         obs.enabled_flags())
+        (program, register_file, method, kwargs, views)
         for program in suite.programs
     ]
-    # Outcomes are collected per payload (suite order), so snapshots
-    # merge into the tracer (one lane per program) and into
-    # metrics/audit deterministically, whichever worker finished first.
+    # Outcomes are collected per payload (suite order), so each
+    # program's spans fold into the recorder as its own lane in suite
+    # order, whichever worker finished first.
     outcomes, failures = run_tasks(
         _run_program_task,
         payloads,
@@ -416,9 +404,8 @@ def run_suite(
     for outcome in outcomes:
         if outcome is None:
             continue
-        result, snapshot, obs_snapshot = outcome
-        GLOBAL.merge(snapshot)
-        obs.merge_all(obs_snapshot, track=result.program)
+        result, spans = outcome
+        TRACER.record_raw(spans, proc=result.program)
         results.append(result)
     if failures:
         raise PartialSuiteError(results, failures)

@@ -21,7 +21,9 @@ spans inside the service's ``worker.execute`` span.
 The process-wide :data:`GLOBAL` recorder is **disabled by default** and
 the disabled path is allocation-free: :meth:`Tracer.span` returns one
 shared no-op span, so instrumented code costs a single attribute check
-per span site and outputs stay bit-identical.
+per span site and outputs stay bit-identical.  ``enabled`` is the one
+switch; :attr:`Tracer.views` only names which expensive producers (see
+:meth:`Tracer.wants`) run for the views of :mod:`repro.obs.views`.
 
 Span ids count up from a random 48-bit base that a forked child draws
 afresh, so ids follow open order within a process and spans recorded in
@@ -225,6 +227,9 @@ class Tracer:
 
     def __init__(self, enabled: bool = False, process: str = "main"):
         self.enabled = enabled
+        #: Views whose expensive producers run while recording (see
+        #: :meth:`wants`); the cheap facts are recorded regardless.
+        self.views: frozenset = frozenset()
         self.process = process
         self.bounded = False
         self.dropped = 0
@@ -248,12 +253,21 @@ class Tracer:
     # Lifecycle
     # ------------------------------------------------------------------
     def enable(self, on: bool = True, *, process: str | None = None,
-               bounded: bool | None = None) -> None:
+               bounded: bool | None = None, views=None) -> None:
         self.enabled = on
         if process:
             self.process = process
         if bounded is not None:
             self.bounded = bounded
+        if views is not None:
+            self.views = frozenset(views)
+
+    def wants(self, view: str) -> bool:
+        """Whether the expensive producer behind *view* runs: the
+        per-pass conflict-cost deltas (``"metrics"``), Algorithm-1
+        candidate rankings (``"explain"``) or per-site stall attribution
+        (``"profile"``).  Only while recording, and only when asked."""
+        return self.enabled and view in self.views
 
     def reset(self) -> None:
         """Drop every span and every thread's active contexts."""
@@ -364,6 +378,29 @@ class Tracer:
                 "args": args,
             }
         )
+
+    def fact(self, name: str, /, **args) -> None:
+        """An event a view folds (a decision, a row of profiler sites):
+        under the active context, or as a trace of its own when none is
+        active, so a producer called outside any span still counts."""
+        if self.enabled:
+            self.event(name, ctx=self.current() or TraceContext.new(), **args)
+
+    def note(self, **args) -> None:
+        """Attach *args* to the thread's innermost open span (a bare
+        :class:`TraceContext` carries none, so nothing is noted)."""
+        if self.enabled:
+            span = self.current()
+            if isinstance(span, Span):
+                span.args.update(args)
+
+    def count(self, key: str) -> None:
+        """Add one to arg *key* of the thread's innermost open span."""
+        if self.enabled:
+            span = self.current()
+            if isinstance(span, Span):
+                args = span.args
+                args[key] = args.get(key, 0) + 1
 
     def _record(self, span: dict) -> None:
         """Buffer one wire record under its trace."""

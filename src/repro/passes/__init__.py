@@ -1,11 +1,11 @@
-"""Pass-manager infrastructure: passes, cached analyses, instrumentation.
+"""Pass-manager infrastructure: passes and cached analyses.
 
 The Fig. 4 pipeline phases are expressed as :class:`Pass` objects run by a
 :class:`FunctionPassManager`; the :class:`AnalysisManager` lazily computes
 and caches the analyses they share (liveness, live intervals, the RCG,
 loop info, ...) and invalidates precisely what each transform fails to
 preserve.  See :mod:`repro.prescount.passes` for the concrete phase
-passes and :mod:`repro.passes.instrument` for ``--pass-stats``.
+passes and :func:`repro.obs.render_pass_stats` for ``--pass-stats``.
 """
 
 from .analysis_manager import (
@@ -28,7 +28,6 @@ from .analysis_manager import (
     SlotIndexesAnalysis,
     caching_disabled,
 )
-from .instrument import GLOBAL, AnalysisStats, InstrumentationRegistry, PassStats
 from .manager import FunctionPassManager, Pass
 
 __all__ = [
@@ -36,15 +35,12 @@ __all__ = [
     "Analysis",
     "AnalysisCounters",
     "AnalysisManager",
-    "AnalysisStats",
     "CFGAnalysis",
     "CFG_ONLY",
     "ConflictCostAnalysis",
     "ConflictGraphAnalysis",
     "FlatIRAnalysis",
     "FunctionPassManager",
-    "GLOBAL",
-    "InstrumentationRegistry",
     "InterferenceAnalysis",
     "LiveIntervalsAnalysis",
     "LivenessAnalysis",
@@ -52,7 +48,6 @@ __all__ = [
     "PRESERVE_ALL",
     "PRESERVE_NONE",
     "Pass",
-    "PassStats",
     "SDGAnalysis",
     "SlotIndexesAnalysis",
     "caching_disabled",

@@ -11,8 +11,10 @@ drops :class:`LiveIntervalsAnalysis`).
 The manager is bound to exactly one :class:`~repro.ir.function.Function`
 object — the mutable IR the Fig. 4 pipeline transforms in place — and
 keeps per-analysis hit/miss/invalidation counters so the cache's
-effectiveness is measurable (``--pass-stats``,
-``benchmarks/bench_pass_overhead.py``).
+effectiveness is measurable.  While :data:`~repro.obs.TRACER` records,
+each miss is an ``analysis`` span and each hit or invalidation a
+``hit:<Analysis>`` / ``inval:<Analysis>`` count on the innermost span,
+which the ``--pass-stats`` view folds.
 """
 
 from __future__ import annotations
@@ -284,10 +286,10 @@ class AnalysisManager:
         counter = self.counter(analysis)
         if key in self._cache:
             counter.hits += 1
-            self._record_event(analysis, hit=True)
+            if TRACER.enabled:
+                TRACER.count("hit:" + analysis.name())
             return self._cache[key]
         counter.misses += 1
-        self._record_event(analysis, hit=False)
         with TRACER.span(
             analysis.name(), category="analysis", function=self.function.name
         ):
@@ -325,7 +327,8 @@ class AnalysisManager:
             if not _survives(cls):
                 del self._cache[key]
                 self.counter(cls).invalidations += 1
-                self._record_invalidation(cls)
+                if TRACER.enabled:
+                    TRACER.count("inval:" + cls.name())
                 dropped += 1
         return dropped
 
@@ -360,18 +363,3 @@ class AnalysisManager:
 
     def __contains__(self, analysis: type[Analysis]) -> bool:
         return any(key[0] is analysis for key in self._cache)
-
-    # ------------------------------------------------------------------
-    # Global instrumentation forwarding (only when --pass-stats is on)
-    # ------------------------------------------------------------------
-    def _record_event(self, analysis: type[Analysis], hit: bool) -> None:
-        from .instrument import GLOBAL
-
-        if GLOBAL.enabled:
-            GLOBAL.record_analysis(analysis.name(), hit=hit)
-
-    def _record_invalidation(self, analysis: type[Analysis]) -> None:
-        from .instrument import GLOBAL
-
-        if GLOBAL.enabled:
-            GLOBAL.record_analysis(analysis.name(), invalidated=True)

@@ -4,8 +4,9 @@ A :class:`Pass` is one unit of transformation (or pure computation) over a
 :class:`~repro.ir.function.Function`.  The
 :class:`FunctionPassManager` runs a pass list in order, threading one
 shared :class:`~repro.passes.analysis_manager.AnalysisManager` through all
-of them, applying each pass's :meth:`Pass.preserved` set afterwards, and
-recording per-pass instrumentation when enabled.
+of them, applying each pass's :meth:`Pass.preserved` set afterwards, and,
+while :data:`~repro.obs.TRACER` records, noting each pass's cache traffic
+and instruction delta on its span (the ``--pass-stats`` view).
 
 Passes communicate through the *state* mapping: the manager stores each
 pass's return value under its ``name`` (e.g. the RCG bank-assignment pass
@@ -16,13 +17,11 @@ down the Fig. 4 pipeline.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..ir.function import Function
-from ..obs import METRICS, TRACER
+from ..obs import TRACER
 from .analysis_manager import PRESERVE_NONE, AnalysisManager, CFGAnalysis
-from .instrument import GLOBAL, InstrumentationRegistry
 
 
 def _potential_cost(
@@ -33,10 +32,10 @@ def _potential_cost(
 ) -> float:
     """Total Eq. 2 conflict cost of *function*'s current state.
 
-    Only computed while ``--metrics`` is on; the per-phase difference is
-    recorded as ``phase.cost_delta.<pass>``.  Computed directly (not
-    through the analysis manager) so metrics collection never perturbs
-    the ``--pass-stats`` cache counters, and via the scalar
+    Only computed for the metrics view (``TRACER.wants("metrics")``); the
+    per-phase difference is noted as the pass span's ``cost_delta``.
+    Computed directly (not through the analysis manager) so it never
+    perturbs the pass spans' cache counters, and via the scalar
     :func:`~repro.analysis.cost.total_potential_cost` fold so it never
     allocates the full cost model's per-register dicts.
 
@@ -87,9 +86,8 @@ class Pass:
     #: Whether :meth:`run` can change the function's Eq. 2 conflict cost.
     #: Purely analytical passes (no IR mutation) and pure reorderings
     #: (the cost fold is order-independent within a block) set this True
-    #: so the manager reuses the pre-pass cost for their
-    #: ``phase.cost_delta`` metric — zero by construction — instead of
-    #: re-folding it.
+    #: so the manager reuses the pre-pass cost for their ``cost_delta``
+    #: — zero by construction — instead of re-folding it.
     cost_neutral: bool = False
 
     def run(self, function: Function, am: AnalysisManager, state: dict):
@@ -113,17 +111,10 @@ class FunctionPassManager:
     """Runs passes over one function with a shared analysis cache."""
 
     passes: list[Pass] = field(default_factory=list)
-    #: Explicit registry; None falls back to the global one when enabled.
-    instrumentation: InstrumentationRegistry | None = None
 
     def add(self, pass_: Pass) -> "FunctionPassManager":
         self.passes.append(pass_)
         return self
-
-    def _registry(self) -> InstrumentationRegistry | None:
-        if self.instrumentation is not None:
-            return self.instrumentation
-        return GLOBAL if GLOBAL.enabled else None
 
     def run(
         self,
@@ -140,24 +131,24 @@ class FunctionPassManager:
                 f"({am.function!r} vs {function!r})"
             )
         state = state if state is not None else {}
-        registry = self._registry()
-        metrics = METRICS if METRICS.enabled else None
+        traced = TRACER.enabled
+        cost_deltas = TRACER.wants("metrics")
         # The function only mutates inside passes, so the cost computed
         # *after* pass N is still exact *before* pass N+1: cache it across
         # phases (keyed by the costing regclass) instead of rebuilding the
-        # cost model twice per pass — this halves the --metrics overhead.
+        # cost model twice per pass.
         carried_cost: tuple[object, float] | None = None
         # Block-frequency cache for the costing above: [signature, freqs],
         # threaded through _potential_cost so loop analysis reruns only
         # when a pass changes the CFG shape (see loop_shape_signature).
         freq_cache: list = [None, None, None]
         for pass_ in self.passes:
-            if registry is not None:
+            if traced:
                 hits0 = am.total_hits()
                 misses0 = am.total_misses()
                 inval0 = am.total_invalidations()
                 instrs0 = function.instruction_count()
-            if metrics is not None:
+            if cost_deltas:
                 regclass = getattr(
                     getattr(pass_, "config", None), "regclass", None
                 )
@@ -165,31 +156,24 @@ class FunctionPassManager:
                     cost0 = carried_cost[1]
                 else:
                     cost0 = _potential_cost(function, pass_, freq_cache, am)
-            started = time.perf_counter()
-            with TRACER.span(pass_.name, category="pass", function=function.name):
+            with TRACER.span(
+                pass_.name, category="pass", function=function.name
+            ) as span:
                 result = pass_.run(function, am, state)
-            elapsed = time.perf_counter() - started
-            am.invalidate(pass_.preserved(result))
+                am.invalidate(pass_.preserved(result))
+                if traced:
+                    span.note(
+                        hits=am.total_hits() - hits0,
+                        misses=am.total_misses() - misses0,
+                        inval=am.total_invalidations() - inval0,
+                        d_instrs=function.instruction_count() - instrs0,
+                    )
+                if cost_deltas:
+                    if pass_.cost_neutral:
+                        cost1 = cost0
+                    else:
+                        cost1 = _potential_cost(function, pass_, freq_cache, am)
+                    carried_cost = (regclass, cost1)
+                    span.note(cost_delta=cost1 - cost0)
             state[pass_.name] = result
-            if registry is not None:
-                registry.record_pass(
-                    pass_.name,
-                    elapsed,
-                    hits=am.total_hits() - hits0,
-                    misses=am.total_misses() - misses0,
-                    invalidations=am.total_invalidations() - inval0,
-                    instructions_delta=function.instruction_count() - instrs0,
-                )
-            if metrics is not None:
-                if pass_.cost_neutral:
-                    cost1 = cost0
-                else:
-                    cost1 = _potential_cost(function, pass_, freq_cache, am)
-                carried_cost = (regclass, cost1)
-                metrics.observe_many(
-                    [
-                        (f"pass.seconds.{pass_.name}", elapsed),
-                        (f"phase.cost_delta.{pass_.name}", cost1 - cost0),
-                    ]
-                )
         return state

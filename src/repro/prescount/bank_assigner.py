@@ -40,12 +40,13 @@ from ..banks.assignment import BankAssignment
 from ..banks.register_file import RegisterFile
 from ..ir.function import Function
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
-from ..obs import AUDIT, METRICS, TRACER
-from ..obs.audit import (
-    PATH_CONFLICT_FREE,
-    PATH_NEIGHBOUR_COST,
-    PATH_THRESHOLD_FALLBACK,
-)
+from ..obs import TRACER
+
+#: The three Algorithm 1 outcomes an RCG-node decision can take (the
+#: ``path`` of its ``--explain`` record).
+PATH_CONFLICT_FREE = "conflict-free"
+PATH_THRESHOLD_FALLBACK = "threshold-fallback"
+PATH_NEIGHBOUR_COST = "neighbour-cost"
 
 #: Default overall-register-pressure threshold, as a fraction of the
 #: register file size, above which Algorithm 1 keeps minimizing pressure
@@ -139,14 +140,19 @@ class PresCountBankAssigner:
                 )
 
         assignment.residual_cost = rcg.coloring_conflict_cost(assignment.banks)
-        if METRICS.enabled:
-            METRICS.inc("prescount.rcg_nodes", len(rcg))
-            METRICS.inc("prescount.rcg_edges", rcg.edge_count())
-            METRICS.observe("prescount.residual_cost", assignment.residual_cost)
+        if TRACER.enabled:
+            facts = {
+                "prescount.rcg_nodes": len(rcg),
+                "prescount.rcg_edges": rcg.edge_count(),
+                "prescount.residual_cost": assignment.residual_cost,
+            }
+            if assignment.uncolorable:
+                facts["prescount.uncolorable"] = len(assignment.uncolorable)
             for bank in range(num_banks):
-                METRICS.set_gauge(
-                    f"prescount.bank_pressure.bank{bank}", tracker.pressure(bank)
+                facts[f"prescount.bank_pressure.bank{bank}"] = (
+                    tracker.pressure(bank)
                 )
+            TRACER.note(**facts)
         return assignment
 
     # ------------------------------------------------------------------
@@ -177,7 +183,6 @@ class PresCountBankAssigner:
             )
         else:
             assignment.uncolorable.add(node)
-            METRICS.inc("prescount.uncolorable")
             all_colors = list(range(num_banks))
             if reg_pressure > thres:
                 path = PATH_THRESHOLD_FALLBACK
@@ -191,7 +196,7 @@ class PresCountBankAssigner:
                     all_colors, node, rcg, assignment
                 )
         color = ordered[0]
-        if AUDIT.enabled:
+        if TRACER.wants("explain"):
             self._audit_decision(
                 function, node, path, ordered, interval,
                 tracker, rcg, assignment, reg_pressure, thres,
@@ -239,24 +244,27 @@ class PresCountBankAssigner:
                 }
                 for c in ordered
             ]
-        AUDIT.record(
-            function.name,
-            node.name,
-            "rcg-color",
+        TRACER.fact(
+            "decision",
+            function=function.name,
+            vreg=node.name,
+            step="rcg-color",
             path=path,
             chosen=ordered[0],
-            cost=rcg.cost(node),
-            degree=rcg.degree(node),
-            ordering="cost" if self.cost_ordering else "degree",
-            pressure_counting=self.use_pressure_counting,
-            reg_pressure=reg_pressure,
-            thres=thres,
-            neighbor_banks={
-                nb.name: assignment.banks[nb]
-                for nb in sorted(rcg.neighbors(node), key=lambda r: r.vid)
-                if nb in assignment.banks
+            detail={
+                "cost": rcg.cost(node),
+                "degree": rcg.degree(node),
+                "ordering": "cost" if self.cost_ordering else "degree",
+                "pressure_counting": self.use_pressure_counting,
+                "reg_pressure": reg_pressure,
+                "thres": thres,
+                "neighbor_banks": {
+                    nb.name: assignment.banks[nb]
+                    for nb in sorted(rcg.neighbors(node), key=lambda r: r.vid)
+                    if nb in assignment.banks
+                },
+                "candidates": candidates,
             },
-            candidates=candidates,
         )
 
     # ------------------------------------------------------------------
@@ -341,24 +349,27 @@ class PresCountBankAssigner:
                 assignment=assignment,
             )
             bank = ordered[0]
-            if AUDIT.enabled:
-                AUDIT.record(
-                    function.name,
-                    interval.reg.name,
-                    "free-balance",
+            if TRACER.wants("explain"):
+                TRACER.fact(
+                    "decision",
+                    function=function.name,
+                    vreg=interval.reg.name,
+                    step="free-balance",
                     path=PATH_CONFLICT_FREE,
                     chosen=bank,
-                    interval_size=interval.size,
-                    candidates=[
-                        {
-                            "bank": c,
-                            "pressure_if_assigned": tracker.pressure_if_assigned(
-                                c, interval
-                            ),
-                            "occupancy": tracker.occupancy(c),
-                        }
-                        for c in ordered
-                    ],
+                    detail={
+                        "interval_size": interval.size,
+                        "candidates": [
+                            {
+                                "bank": c,
+                                "pressure_if_assigned": (
+                                    tracker.pressure_if_assigned(c, interval)
+                                ),
+                                "occupancy": tracker.occupancy(c),
+                            }
+                            for c in ordered
+                        ],
+                    },
                 )
             assignment.assign(interval.reg, bank)
             tracker.assign(bank, interval)

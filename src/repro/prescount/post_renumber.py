@@ -77,7 +77,7 @@ def renumber_banks(
     allocation left cached; sweeps that change the function invalidate
     all but the CFG-level analyses so the next sweep recomputes.
     """
-    from ..obs import METRICS, TRACER
+    from ..obs import TRACER
     from ..passes import AnalysisManager
 
     if am is None:
@@ -99,9 +99,11 @@ def renumber_banks(
         if result.conflicts_found == 0 or previous == result.conflicts_found:
             break
         previous = result.conflicts_found
-    METRICS.inc("post.renumbered", total.renumbered)
-    METRICS.inc("post.copies_inserted", total.copies_inserted)
-    METRICS.inc("post.unresolved", total.unresolved)
+    TRACER.note(**{
+        "post.renumbered": total.renumbered,
+        "post.copies_inserted": total.copies_inserted,
+        "post.unresolved": total.unresolved,
+    })
     return total
 
 

@@ -76,7 +76,7 @@ def split_subgroups(
     leaves a cached SDG that matches the function — Algorithm 2's subgroup
     state construction reuses it for free.
     """
-    from ..obs import METRICS, TRACER
+    from ..obs import TRACER
 
     config = config or SdgSplitConfig()
     if am is None:
@@ -121,8 +121,10 @@ def split_subgroups(
                 am.invalidate(CFG_ONLY)
             else:
                 break
-    METRICS.inc("sdg.copies_inserted", result.copies_inserted)
-    METRICS.observe("sdg.rounds", result.rounds)
+    TRACER.note(**{
+        "sdg.copies_inserted": result.copies_inserted,
+        "sdg.rounds": result.rounds,
+    })
     return result
 
 

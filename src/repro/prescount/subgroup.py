@@ -69,11 +69,11 @@ class SubgroupState:
         sdg: SameDisplacementGraph | None = None,
         am=None,
     ) -> "SubgroupState":
-        from ..obs import METRICS, TRACER
+        from ..obs import TRACER
 
         with TRACER.span(
             "subgroup-state", category="stage", function=function.name
-        ):
+        ) as span:
             if sdg is None:
                 if am is not None:
                     from ..passes import SDGAnalysis
@@ -84,7 +84,7 @@ class SubgroupState:
             state = cls(num_subgroups)
             for component in sdg.components():
                 state.add_component(component)
-            METRICS.observe("subgroup.components", len(state.component_size))
+            span.note(**{"subgroup.components": len(state.component_size)})
             return state
 
     # ------------------------------------------------------------------

@@ -268,9 +268,8 @@ class FaultInjector:
         point = self.plan.fire(site, label)
         if point is not None:
             # Lazy import: obs must stay importable without resilience.
-            from ..obs import METRICS, TRACER
+            from ..obs import TRACER
 
-            METRICS.inc(f"faults.{site}.{point.mode}")
             # With tracing on, the firing lands on whatever request
             # context is active — traces show *which* request the chaos
             # plan hit, not just that it hit.

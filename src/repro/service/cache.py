@@ -26,8 +26,9 @@ Fault-injection hooks (:data:`repro.resilience.faults.FAULTS`) sit on
 the disk read and write paths; they cost one attribute check when no
 fault plan is armed.
 
-The cache is thread-safe and emits hit/miss/quarantine counters into
-:data:`repro.obs.METRICS` (no-ops while metrics are disabled).
+The cache is thread-safe; its ``hits``, ``misses``, ``quarantined`` and
+``disk_write_errors`` counters feed the service's ``/v1/stats`` and
+``/v1/metrics``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import tempfile
 import threading
 from collections import OrderedDict
 
-from ..obs import METRICS
 from ..resilience.faults import FAULTS
 
 #: On-disk entry format marker; bump when the header layout changes.
@@ -99,7 +99,6 @@ class AllocationCache:
             if data is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                METRICS.inc("service.cache.hit")
                 return data, "memory"
         if self.cache_dir:
             data = self._read_disk(key)
@@ -107,12 +106,9 @@ class AllocationCache:
                 with self._lock:
                     self._remember(key, data)
                     self.hits += 1
-                METRICS.inc("service.cache.hit")
-                METRICS.inc("service.cache.disk_hit")
                 return data, "disk"
         with self._lock:
             self.misses += 1
-        METRICS.inc("service.cache.miss")
         return None
 
     def _read_disk(self, key: str) -> bytes | None:
@@ -150,7 +146,6 @@ class AllocationCache:
                     os.unlink(path)
                 except OSError:
                     pass
-        METRICS.inc("service.cache.quarantined")
 
     def put(self, key: str, data: bytes) -> None:
         """Insert artifact bytes under *key* (idempotent: same key, same
@@ -167,8 +162,6 @@ class AllocationCache:
                     # memory-only instead of failing the request.
                     with self._lock:
                         self.disk_write_errors += 1
-                    METRICS.inc("service.cache.disk_write_error")
-        METRICS.inc("service.cache.insert")
 
     def _write_disk(self, path: str, data: bytes, key: str) -> None:
         framed = _frame(data)

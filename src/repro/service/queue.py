@@ -42,12 +42,12 @@ Resilience (PR 5, see ``docs/RESILIENCE.md``):
   death/stall/error and duplicate dispatch; duplicate deliveries are
   absorbed idempotently.
 
-Every stage is instrumented through :mod:`repro.obs`: per-request spans,
-cache hit/miss + queue-depth + tier-served metrics, and audit records
-for degradations, quarantines, verification failures, and dead-letter
-drops — all off by default, all free when off.  A small always-on
-:meth:`AllocationService.stats` counter set backs the server's
-``/v1/stats`` endpoint independently of the obs layers.
+Every stage is traced through :data:`repro.obs.TRACER`: per-request
+spans, plus events on the job's trace for degradations, quarantines,
+verification failures, retries and dead-letter drops — free when the
+recorder is off.  The always-on :attr:`AllocationService.counters` and
+the cache's own counters back the server's ``/v1/stats`` and
+``/v1/metrics`` endpoints.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..experiments.harness import run_tasks
-from ..obs import AUDIT, METRICS, TRACER, TraceContext
+from ..obs import TRACER, TraceContext
 from ..obs.telemetry import EVENTS, SLOTracker, StreamingHistogram
 from ..resilience import AllocationVerifier, FAULTS, InjectedFault
 from ..sim.ooo import MACHINE_DEFAULT
@@ -635,10 +635,8 @@ class AllocationService:
         self.cache.quarantine(key)
         with self._lock:
             self.counters["verify_failed"] += 1
-        METRICS.inc("service.verify_failed")
-        AUDIT.record(
-            function="-", vreg="-", step="cache-quarantine",
-            key=key[:12], source=source,
+        TRACER.event(
+            "service.quarantine", key=key[:12], source=source,
             findings=report.findings[:3],
         )
         return None
@@ -695,7 +693,6 @@ class AllocationService:
 
         with self._lock:
             self.counters["requests"] += 1
-        METRICS.inc("service.requests")
 
         # Ended when the job finishes; dropped unrecorded if the submit
         # coalesces or sheds instead of creating a job.
@@ -725,7 +722,6 @@ class AllocationService:
             if inflight is not None:
                 inflight.coalesced += 1
                 self.counters["coalesced"] += 1
-                METRICS.inc("service.coalesced")
                 TRACER.event(
                     "service.coalesced", ctx=trace, job=inflight.job_id
                 )
@@ -733,7 +729,6 @@ class AllocationService:
             depth = self._queue.qsize()
             if depth >= self.config.max_queue_depth:
                 self.counters["shed"] += 1
-                METRICS.inc("service.shed")
                 TRACER.event("service.shed", ctx=trace, depth=depth)
                 raise ServiceOverloadError(depth, self.config.max_queue_depth)
             job = self._new_job(
@@ -753,7 +748,6 @@ class AllocationService:
             except (OSError, InjectedFault):
                 pass
         self._queue.put(job)
-        METRICS.set_gauge("service.queue.depth", self._queue.qsize())
         self._evict_finished()
         return job
 
@@ -818,13 +812,6 @@ class AllocationService:
                     }
         return None
 
-    def wait(self, job_id: str, timeout: float | None = None) -> Job:
-        job = self.get(job_id)
-        if job is None:
-            raise KeyError(f"unknown job {job_id!r}")
-        job.wait(timeout)
-        return job
-
     # ------------------------------------------------------------------
     # Bounded retention
     # ------------------------------------------------------------------
@@ -856,8 +843,6 @@ class AllocationService:
                     del self._inflight[job.key]
                 evicted += 1
             self.counters["jobs_evicted"] += evicted
-        if evicted:
-            METRICS.inc("service.jobs_evicted", evicted)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -887,7 +872,6 @@ class AllocationService:
             point = FAULTS.fire("queue.dispatch", label=batch[0].job_id)
             if point is not None and point.mode == "duplicate":
                 batch.append(batch[0])
-        METRICS.set_gauge("service.queue.depth", self._queue.qsize())
         self._process_batch(batch)
         return len(batch)
 
@@ -902,7 +886,6 @@ class AllocationService:
                 # copy in this very batch.  Absorb it.
                 with self._lock:
                     self.counters["duplicate_deliveries"] += 1
-                METRICS.inc("service.duplicate_deliveries")
                 continue
             seen.add(job.job_id)
             job.status = "running"
@@ -1029,11 +1012,9 @@ class AllocationService:
                     # verification is never cached or served.
                     with self._lock:
                         self.counters["verify_failed"] += 1
-                    METRICS.inc("service.verify_failed")
-                    AUDIT.record(
-                        function=job.function_name, vreg="-",
-                        step="verify-fail", job=job.job_id,
-                        findings=report.findings[:3],
+                    TRACER.event(
+                        "service.verify_fail", ctx=job.trace,
+                        job=job.job_id, findings=report.findings[:3],
                     )
                     self._handle_failure(
                         job,
@@ -1048,7 +1029,6 @@ class AllocationService:
             self._finish(job, data, tier, tier != job.requested_method)
             with self._lock:
                 self.counters["executed"] += 1
-            METRICS.observe("service.execution_s", seconds)
 
     def _execute_module(self, job: Job, tier: str) -> None:
         """One incremental module allocation, inline on the dispatcher.
@@ -1090,11 +1070,9 @@ class AllocationService:
             if not report.ok:
                 with self._lock:
                     self.counters["verify_failed"] += 1
-                METRICS.inc("service.verify_failed")
-                AUDIT.record(
-                    function=job.function_name, vreg="-",
-                    step="verify-fail", job=job.job_id,
-                    findings=report.findings[:3],
+                TRACER.event(
+                    "service.verify_fail", ctx=job.trace,
+                    job=job.job_id, findings=report.findings[:3],
                 )
                 self._handle_failure(
                     job,
@@ -1109,7 +1087,6 @@ class AllocationService:
         self._finish(job, data, tier, tier != job.requested_method)
         with self._lock:
             self.counters["executed"] += 1
-        METRICS.observe("service.execution_s", seconds)
 
     # ------------------------------------------------------------------
     # Failure path: bounded retries, then the dead-letter record
@@ -1125,7 +1102,6 @@ class AllocationService:
                 time.sleep(backoff)
             with self._lock:
                 self.counters["retried"] += 1
-            METRICS.inc("service.retried")
             TRACER.event(
                 "service.retry", ctx=job.trace,
                 job=job.job_id, attempt=job.attempts, error=error[:160],
@@ -1150,11 +1126,6 @@ class AllocationService:
             }
             self.dead_letter.append(record)
             del self.dead_letter[: -self.config.dead_letter_limit]
-        METRICS.inc("service.dead_lettered")
-        AUDIT.record(
-            function=job.function_name, vreg="-", step="dead-letter",
-            job=job.job_id, attempts=job.attempts, error=error[:200],
-        )
         job.dead_lettered = True
         self._fail(job, error, dead_letter=record)
 
@@ -1163,7 +1134,6 @@ class AllocationService:
         if job.finished:
             with self._lock:
                 self.counters["duplicate_deliveries"] += 1
-            METRICS.inc("service.duplicate_deliveries")
             return
         job.resolve(data, tier, degraded)
         with self._lock:
@@ -1172,7 +1142,6 @@ class AllocationService:
             self.counters[f"tier_{tier}"] += 1
             if degraded:
                 self.counters["degraded"] += 1
-        METRICS.inc(f"service.tier.{tier}")
         self._journal_terminal(job)
         self._record_served(job)
         self._evict_finished()
@@ -1185,7 +1154,6 @@ class AllocationService:
             self._inflight.pop(job.key, None)
             self._finished[job.job_id] = job
             self.counters["failed"] += 1
-        METRICS.inc("service.failed")
         self._journal_terminal(job, dead_letter=dead_letter)
         self._record_failed(job, error)
         self._evict_finished()
@@ -1212,19 +1180,10 @@ class AllocationService:
 
     def _note_degradation(self, job: Job, tier: str) -> None:
         remaining = job.remaining_s()
-        AUDIT.record(
-            function=job.function_name,
-            vreg="-",
-            step="service-degrade",
-            requested=job.requested_method,
-            served=tier,
-            remaining_ms=None if remaining is None else remaining * 1000.0,
-            job=job.job_id,
-        )
-        METRICS.inc("service.degraded")
         TRACER.event(
             "service.degrade", ctx=job.trace,
             job=job.job_id, requested=job.requested_method, served=tier,
+            remaining_ms=None if remaining is None else remaining * 1000.0,
         )
 
     # ------------------------------------------------------------------
@@ -1327,13 +1286,10 @@ class AllocationService:
         return stats
 
     def metrics_sample(self) -> dict:
-        """The live sample behind ``GET /v1/metrics``: the always-on
-        service counters, queue/cache gauges, and stage/latency
-        histograms, plus the PR-2 :data:`~repro.obs.METRICS` registry
-        when ``--metrics`` is on.  Shape matches
-        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, so
-        :func:`~repro.obs.telemetry.render_prometheus` consumes it
-        directly.
+        """The live sample behind ``GET /v1/metrics``: this service's
+        always-on counters, queue/cache gauges, and stage/latency
+        histograms, in the ``{"counters", "gauges", "histograms"}``
+        shape :func:`~repro.obs.telemetry.render_prometheus` consumes.
         """
         with self._lock:
             counters = {
@@ -1357,14 +1313,8 @@ class AllocationService:
             "service.cache.entries": cache["entries"],
             "service.cache.quarantined": cache["quarantined"],
         }
-        sample = {
+        return {
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
         }
-        if METRICS.enabled:
-            snap = METRICS.snapshot()
-            sample["counters"].update(snap["counters"])
-            sample["gauges"].update(snap["gauges"])
-            sample["histograms"].update(snap["histograms"])
-        return sample

@@ -151,7 +151,7 @@ class DsaMachine:
 
     def _profile_block(
         self, function_name: str, block: BasicBlock,
-        paths: dict[str, tuple[str, ...]], freq: float,
+        paths: dict[str, tuple[str, ...]], freq: float, rows: list,
     ) -> None:
         """Attribute *block*'s conflict/alignment stall cycles to sites.
 
@@ -160,7 +160,6 @@ class DsaMachine:
         function reconciles with ``conflict_penalty_cycles +
         alignment_penalty_cycles`` of :meth:`run`.
         """
-        from ..obs import PROFILE
         from .static_stats import instruction_conflict_details
 
         loops = paths.get(block.label, ())
@@ -168,16 +167,10 @@ class DsaMachine:
             for detail, events in instruction_conflict_details(
                 instr, self.register_file, self.regclass
             ):
-                key = (
-                    function_name, loops, block.label, index,
-                    instr.opcode, detail,
-                )
-                PROFILE.record(
-                    key,
-                    conflicts=events * freq,
-                    cycles=events * freq,
-                    executions=freq,
-                )
+                rows.append((
+                    function_name, loops, block.label, index, instr.opcode,
+                    detail, events * freq, events * freq, freq,
+                ))
 
     def run(self, function: Function, am=None) -> DsaCycleReport:
         """Frequency-weighted cycle total over the whole function.
@@ -185,11 +178,11 @@ class DsaMachine:
         With *am* given, block frequencies are solved over the cached CFG
         (still valid after allocation, which preserves block structure).
         """
-        from ..obs import METRICS, PROFILE, TRACER
+        from ..obs import TRACER
 
         with TRACER.span(
             "dsa-cycles", category="measure", function=function.name
-        ):
+        ) as span:
             cfg = None
             if am is not None:
                 from ..passes import CFGAnalysis
@@ -197,17 +190,17 @@ class DsaMachine:
                 cfg = am.get(CFGAnalysis)
             frequencies = expected_block_frequencies(function, cfg)
             total = DsaCycleReport()
-            paths = None
-            if PROFILE.enabled:
+            paths = rows = None
+            if TRACER.wants("profile"):
                 from ..obs import loop_paths
 
-                paths = loop_paths(function)
+                paths, rows = loop_paths(function), []
             for block in function.blocks:
                 freq = frequencies.get(block.label, 0.0)
                 if freq <= 0.0:
                     continue
                 if paths is not None:
-                    self._profile_block(function.name, block, paths, freq)
+                    self._profile_block(function.name, block, paths, freq, rows)
                 per_exec = self.block_cycles(block)
                 total.cycles += per_exec.cycles * freq
                 total.bundles += per_exec.bundles
@@ -219,5 +212,7 @@ class DsaMachine:
                 total.memory_penalty_cycles += per_exec.memory_penalty_cycles * freq
                 total.copy_instructions += round(per_exec.copy_instructions * freq)
                 total.spill_instructions += round(per_exec.spill_instructions * freq)
-        METRICS.observe("sim.dsa_cycles", total.cycles)
+            if rows:
+                TRACER.fact("sites", rows=rows)
+            span.note(**{"sim.dsa_cycles": total.cycles})
         return total

@@ -96,7 +96,7 @@ class DynamicSimulator:
     max_instructions: int = 2_000_000
 
     def run(self, function: Function) -> DynamicStats:
-        from ..obs import PROFILE
+        from ..obs import TRACER
 
         rng = random.Random(self.seed)
         is_dsa = isinstance(self.register_file, BankSubgroupRegisterFile)
@@ -124,9 +124,9 @@ class DynamicSimulator:
                 conflict_cache[key] = cached
             return cached
 
-        # Hotspot attribution (only while profiling): executed instances
-        # accumulate in run-local dicts and flush under one lock at exit.
-        profiling = PROFILE.enabled
+        # Hotspot attribution (only for the profile view): executed
+        # instances accumulate in run-local dicts, emitted as one event.
+        profiling = TRACER.wants("profile")
         site_keys: dict[int, list] = {}
         local_counts: dict[int, tuple[float, float]] = {}
         paths: dict[str, tuple[str, ...]] = {}
@@ -155,10 +155,10 @@ class DynamicSimulator:
 
         def flush() -> None:
             if local_counts:
-                PROFILE.record_many(
-                    (key, hazards, hazards, executions)
+                TRACER.fact("sites", rows=[
+                    (*key, hazards, hazards, executions)
                     for key, (hazards, executions) in local_counts.items()
-                )
+                ])
 
         # Loop latch bookkeeping: remaining iterations per header label.
         remaining: dict[str, int] = {}
@@ -266,11 +266,11 @@ def estimate_dynamic_conflicts(
 
     With *am* given, the flow system is solved over the cached CFG (valid
     after allocation, which preserves block structure)."""
-    from ..obs import METRICS, PROFILE, TRACER
+    from ..obs import TRACER
 
     with TRACER.span(
         "dynamic-estimate", category="measure", function=function.name
-    ):
+    ) as span:
         if frequencies is None:
             cfg = None
             if am is not None:
@@ -280,11 +280,11 @@ def estimate_dynamic_conflicts(
             frequencies = expected_block_frequencies(function, cfg)
         is_dsa = isinstance(register_file, BankSubgroupRegisterFile)
         stats = DynamicStats()
-        paths = None
-        if PROFILE.enabled:
+        paths = rows = None
+        if TRACER.wants("profile"):
             from ..obs import loop_paths
 
-            paths = loop_paths(function)
+            paths, rows = loop_paths(function), []
         for block in function.blocks:
             freq = frequencies.get(block.label, 0.0)
             if freq <= 0.0:
@@ -308,13 +308,11 @@ def estimate_dynamic_conflicts(
                     for detail, events in instruction_conflict_details(
                         instr, register_file, regclass
                     ):
-                        PROFILE.record(
-                            (function.name, paths.get(block.label, ()),
-                             block.label, index, instr.opcode, detail),
-                            conflicts=events * freq,
-                            cycles=events * freq,
-                            executions=freq,
-                        )
+                        rows.append((
+                            function.name, paths.get(block.label, ()),
+                            block.label, index, instr.opcode, detail,
+                            events * freq, events * freq, freq,
+                        ))
             stats.executed_instructions += round(len(block.instructions) * freq)
             stats.executed_conflict_relevant += round(block_relevant * freq)
             stats.dynamic_conflicts += round(block_conflicts * freq)
@@ -324,8 +322,11 @@ def estimate_dynamic_conflicts(
             stats.conflicting_sites += (block_conflicts + block_violations) * min(
                 1.0, freq
             )
-    METRICS.inc("sim.dynamic_conflicts", stats.dynamic_conflicts)
-    METRICS.inc(
-        "sim.dynamic_subgroup_violations", stats.dynamic_subgroup_violations
-    )
+        if rows:
+            TRACER.fact("sites", rows=rows)
+        span.note(**{
+            "sim.dynamic_conflicts": stats.dynamic_conflicts,
+            "sim.dynamic_subgroup_violations":
+                stats.dynamic_subgroup_violations,
+        })
     return stats

@@ -93,7 +93,7 @@ class ValueInterpreter:
     max_instructions: int = 1_000_000
 
     def run(self, function: Function) -> ExecutionTrace:
-        from ..obs import PROFILE
+        from ..obs import TRACER
 
         rng = random.Random(self.seed)
         env: dict[Register, float] = {}
@@ -105,8 +105,8 @@ class ValueInterpreter:
         # Execution-heat profiling: the interpreter has no register file,
         # so it attributes executed instances (empty detail), giving the
         # hotspot listings their per-site execution counts.  Counts batch
-        # in a run-local dict and flush under one lock at exit.
-        profiling = PROFILE.enabled
+        # in a run-local dict, emitted as one event at exit.
+        profiling = TRACER.wants("profile")
         heat: dict[tuple, float] = {}
         paths: dict[str, tuple[str, ...]] = {}
         if profiling:
@@ -116,9 +116,9 @@ class ValueInterpreter:
 
         def flush() -> None:
             if heat:
-                PROFILE.record_many(
-                    (key, 0.0, 0.0, count) for key, count in heat.items()
-                )
+                TRACER.fact("sites", rows=[
+                    (*key, 0.0, 0.0, count) for key, count in heat.items()
+                ])
 
         def read(operand) -> float:
             if isinstance(operand, Immediate):

@@ -288,12 +288,12 @@ class OooMachine:
         degenerate configuration's penalty totals are bit-identical to
         the in-order model's.
         """
-        from ...obs import METRICS, PROFILE, TRACER
+        from ...obs import TRACER
 
         with TRACER.span(
             "ooo-cycles", category="measure", function=function.name,
             config=self.config.describe(),
-        ):
+        ) as span:
             cfg = None
             if am is not None:
                 from ...passes import CFGAnalysis
@@ -301,11 +301,11 @@ class OooMachine:
                 cfg = am.get(CFGAnalysis)
             frequencies = expected_block_frequencies(function, cfg)
             total = OooCycleReport()
-            paths = None
-            if PROFILE.enabled:
+            paths = rows = None
+            if TRACER.wants("profile"):
                 from ...obs import loop_paths
 
-                paths = loop_paths(function)
+                paths, rows = loop_paths(function), []
             for block in function.blocks:
                 freq = frequencies.get(block.label, 0.0)
                 if freq <= 0.0:
@@ -316,16 +316,11 @@ class OooMachine:
                 if paths is not None:
                     loops = paths.get(block.label, ())
                     for index, opcode, detail, events in hazard_sites:
-                        key = (
+                        rows.append((
                             function.name, loops, block.label, index,
-                            opcode, detail,
-                        )
-                        PROFILE.record(
-                            key,
-                            conflicts=events * freq,
-                            cycles=events * freq,
-                            executions=freq,
-                        )
+                            opcode, detail, events * freq, events * freq,
+                            freq,
+                        ))
                 total.cycles += per_exec.cycles * freq
                 total.instructions += per_exec.instructions
                 total.conflict_penalty_cycles += (
@@ -372,5 +367,7 @@ class OooMachine:
                 with TRACER.span(stage, category="measure",
                                  function=function.name, **args):
                     pass
-        METRICS.observe("sim.ooo_cycles", total.cycles)
+            if rows:
+                TRACER.fact("sites", rows=rows)
+            span.note(**{"sim.ooo_cycles": total.cycles})
         return total

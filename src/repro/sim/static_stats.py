@@ -163,12 +163,12 @@ def analyze_static(
     pipeline run left behind (allocation preserves the CFG-level
     analyses), or a fresh computation — in that order.
     """
-    from ..obs import METRICS, TRACER
+    from ..obs import TRACER
 
     is_dsa = isinstance(register_file, BankSubgroupRegisterFile)
     with TRACER.span(
         "static-stats", category="measure", function=function.name
-    ):
+    ) as span:
         if loop_info is None:
             if am is not None:
                 from ..passes import LoopInfoAnalysis
@@ -194,8 +194,10 @@ def analyze_static(
                     stats.weighted_conflicts += (conflicts + violations) * freq
                 stats.bank_conflicts += conflicts
                 stats.subgroup_violations += violations
-    METRICS.inc("sim.static_bank_conflicts", stats.bank_conflicts)
-    METRICS.inc("sim.static_subgroup_violations", stats.subgroup_violations)
+        span.note(**{
+            "sim.static_bank_conflicts": stats.bank_conflicts,
+            "sim.static_subgroup_violations": stats.subgroup_violations,
+        })
     return stats
 
 

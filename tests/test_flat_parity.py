@@ -105,34 +105,32 @@ class TestNamesSurviveFlatPath:
     @pytest.fixture(autouse=True)
     def _restore_obs(self):
         yield
-        obs.AUDIT.enable(False)
-        obs.AUDIT.reset()
-        obs.PROFILE.enable(False)
-        obs.PROFILE.reset()
+        obs.TRACER.enable(False, views=())
+        obs.TRACER.reset()
 
     def test_audit_decision_paths_use_vreg_names(self):
-        obs.AUDIT.enable()
-        obs.AUDIT.reset()
+        obs.TRACER.enable(views=("explain",))
+        obs.TRACER.reset()
         fn = _kernel("audit", 5, trip_count=16)
         run_pipeline(fn, PipelineConfig(BankedRegisterFile(16, 2), "bpc"))
-        records = [r for r in obs.AUDIT.records if r.vreg != "-"]
+        records = obs.decisions(obs.TRACER.spans)
         assert records, "bpc pipeline recorded no vreg decisions"
         for record in records:
-            assert re.fullmatch(r"%v\d+", record.vreg), (
+            assert re.fullmatch(r"%v\d+", record["vreg"]), (
                 f"audit record leaked a non-name register id: "
-                f"{record.vreg!r}"
+                f"{record['vreg']!r}"
             )
 
     def test_profile_listing_uses_register_names(self):
         from repro.sim import estimate_dynamic_conflicts
 
-        obs.PROFILE.enable()
-        obs.PROFILE.reset()
+        obs.TRACER.enable(views=("profile",))
+        obs.TRACER.reset()
         register_file = BankedRegisterFile(8, 2)
         fn = _kernel("hotspot", 6, trip_count=16)
         result = run_pipeline(fn, PipelineConfig(register_file, "non"))
         estimate_dynamic_conflicts(result.function, register_file)
-        listing = obs.PROFILE.annotate(result.function)
+        listing = obs.Profile(obs.TRACER.spans).annotate(result.function)
         # The annotated listing is real printed IR: physical registers
         # appear as $f<N>; a leaked interned id would print as a bare
         # integer operand, which the grammar has no place for.

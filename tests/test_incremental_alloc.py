@@ -2,9 +2,9 @@
 
 The proof is observable twice over: the
 :class:`~repro.service.incremental.IncrementalAllocator` counters report
-the reuse/execute split, and the global pass-run instrumentation
-(:data:`repro.passes.instrument.GLOBAL`) shows the pipeline passes ran
-exactly once per *changed* function — unchanged fragments never touch
+the reuse/execute split, and the recorder's pass spans (folded by
+:func:`repro.obs.pass_table`) show the pipeline passes ran exactly once
+per *changed* function — unchanged fragments never touch
 the pass manager, and within an executed function the shared analysis
 cache keeps hitting (preserved analyses are reused, not recomputed).
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.ir import IRBuilder, print_module
 from repro.ir.function import Module
-from repro.passes.instrument import GLOBAL
+from repro.obs import TRACER, pass_table
 from repro.service import (
     AllocationService,
     IncrementalAllocator,
@@ -30,11 +30,11 @@ BPC_PASSES = ("coalescing", "scheduling", "bank-assignment", "allocation")
 
 @pytest.fixture(autouse=True)
 def _instrumented():
-    GLOBAL.reset()
-    GLOBAL.enable()
+    TRACER.reset()
+    TRACER.enable()
     yield
-    GLOBAL.enable(False)
-    GLOBAL.reset()
+    TRACER.enable(False)
+    TRACER.reset()
 
 
 def _kernel(name: str, n: int, trip_count: int = 8):
@@ -57,7 +57,8 @@ def _module(trips: list[int]) -> str:
 
 
 def _pass_runs() -> dict[str, int]:
-    return {name: stats.runs for name, stats in GLOBAL.passes.items()}
+    passes, _ = pass_table(TRACER.spans)
+    return {name: row["runs"] for name, row in passes.items()}
 
 
 class TestPassRunCounters:
@@ -93,9 +94,9 @@ class TestPassRunCounters:
         scheduler's post-reorder intervals are cache *hits* for the bank
         assigner and allocator, not recomputations."""
         IncrementalAllocator().allocate(_module([8, 8]), SPEC, "bpc")
-        intervals = GLOBAL.analyses.get("LiveIntervals")
+        intervals = pass_table(TRACER.spans)[1].get("LiveIntervals")
         assert intervals is not None
-        assert intervals.hits >= 2, (
+        assert intervals["hits"] >= 2, (
             "live intervals were recomputed instead of reused"
         )
 

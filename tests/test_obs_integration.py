@@ -1,11 +1,12 @@
 """Observability end to end: zero overhead off, deterministic merged on.
 
-The two ISSUE-level guarantees:
+The two load-bearing guarantees:
 
-* with every layer disabled, pipeline outputs are byte-identical to a
-  run that never heard of ``repro.obs``;
-* with tracing on, a ``--jobs 4`` suite run merges worker spans into a
-  tree structurally identical to the serial run's.
+* with the recorder off, pipeline outputs are byte-identical to a run
+  that never heard of ``repro.obs``, and with every view on they are
+  still byte-identical;
+* a ``--jobs N`` suite run merges worker spans into a tree structurally
+  identical to the serial run's, so every view over it matches too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 from repro import cli, obs
 from repro.banks import BankedRegisterFile
-from repro.experiments.harness import run_suite
+from repro.experiments.harness import _run_program_task, run_suite
 from repro.ir import print_function
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.sim import analyze_static
@@ -26,12 +27,14 @@ from repro.workloads.specfp import specfp_suite
 from .conftest import build_mac_kernel
 
 
+ALL_VIEWS = ("metrics", "explain", "profile")
+
+
 @pytest.fixture(autouse=True)
 def _restore_globals():
     yield
-    for layer in (obs.TRACER, obs.METRICS, obs.AUDIT, obs.PROFILE):
-        layer.enable(False)
-        layer.reset()
+    obs.TRACER.enable(False, views=())
+    obs.TRACER.reset()
 
 
 def allocate_and_render(method="bpc"):
@@ -51,41 +54,42 @@ class TestZeroOverheadDisabled:
     def test_disabled_layers_record_nothing(self):
         allocate_and_render()
         assert len(obs.TRACER) == 0
-        assert not obs.METRICS.counters
-        assert len(obs.AUDIT) == 0
-        assert len(obs.PROFILE) == 0
+        assert obs.TRACER.spans == []
 
     def test_outputs_identical_with_and_without_observability(self):
         baseline = [allocate_and_render(m) for m in ("non", "bcr", "bpc")]
-        obs.TRACER.enable()
-        obs.METRICS.enable()
-        obs.AUDIT.enable()
-        obs.PROFILE.enable()
+        obs.TRACER.enable(views=ALL_VIEWS)
         observed = [allocate_and_render(m) for m in ("non", "bcr", "bpc")]
         assert observed == baseline
-        assert len(obs.TRACER) > 0  # it really was recording
+        spans = obs.TRACER.spans
+        assert len(spans) > 0  # it really was recording
+        assert obs.decisions(spans)  # ... every producer included
+        assert obs.metrics_doc(spans)["counters"]
 
     def test_snapshot_all_is_empty_when_disabled(self):
-        assert not obs.any_enabled()
-        snap = obs.snapshot_all()
-        assert snap == {
-            "trace": None, "metrics": None, "audit": None, "profile": None,
-        }
-        obs.merge_all(snap)  # no-op, no error
+        """A worker whose parent does not record ships no spans back."""
+        suite = specfp_suite(0.02, seed=0)
+        payload = (suite.programs[0], platform_rv1().file_for(4), "bpc",
+                   {"suite_name": suite.name}, None)
+        result, spans = _run_program_task(payload)
+        assert spans is None
+        assert result.functions > 0
+        assert len(obs.TRACER) == 0
 
 
 class TestFlagsPlumbing:
     def test_enabled_flags_roundtrip(self):
-        obs.TRACER.enable()
-        obs.AUDIT.enable()
-        flags = obs.enabled_flags()
-        assert flags == (True, False, True, False)
-        obs.TRACER.enable(False)
-        obs.AUDIT.enable(False)
-        obs.apply_flags(flags)
-        assert obs.enabled_flags() == flags
-        obs.apply_flags(None)  # tolerated
-        assert obs.enabled_flags() == flags
+        """The payload carries the parent's views to the worker, which
+        runs exactly those producers and resets around the task."""
+        suite = specfp_suite(0.02, seed=0)
+        payload = (suite.programs[0], platform_rv1().file_for(4), "bpc",
+                   {"suite_name": suite.name}, frozenset({"explain"}))
+        result, spans = _run_program_task(payload)
+        assert obs.TRACER.enabled and obs.TRACER.views == {"explain"}
+        assert len(obs.TRACER) == 0  # the task's spans left with it
+        assert obs.decisions(spans)
+        assert not obs.Profile(spans).sites  # profile was not asked for
+        assert {s["trace"] for s in spans if s["cat"] == "program"}
 
 
 @pytest.mark.parallel
@@ -123,11 +127,11 @@ class TestParallelDeterminism:
         assert phases == {"M", "X"}
 
     def test_structural_metrics_match_serial(self):
-        obs.METRICS.enable()
+        obs.TRACER.enable(views=("metrics",))
         self._suite_run(jobs=1)
-        serial = obs.METRICS.to_json()
+        serial = obs.metrics_doc(obs.TRACER.spans)
         self._suite_run(jobs=4)
-        parallel = obs.METRICS.to_json()
+        parallel = obs.metrics_doc(obs.TRACER.spans)
         assert parallel["counters"] == serial["counters"]
         assert parallel["gauges"].keys() == serial["gauges"].keys()
         for name, g in parallel["gauges"].items():
@@ -137,12 +141,38 @@ class TestParallelDeterminism:
             assert h["count"] == serial["histograms"][name]["count"]
 
     def test_audit_merges_across_the_pool(self):
-        obs.AUDIT.enable()
+        obs.TRACER.enable(views=("explain",))
         self._suite_run(jobs=1)
-        serial = obs.AUDIT.to_json()
+        serial = obs.decisions(obs.TRACER.spans)
         self._suite_run(jobs=4)
-        parallel = obs.AUDIT.to_json()
+        parallel = obs.decisions(obs.TRACER.spans)
         assert parallel == serial
+        assert serial
+
+
+def _count_columns(spans):
+    """The ``--pass-stats`` tables without their wall-clock column."""
+    passes, analyses = obs.pass_table(spans)
+    for row in passes.values():
+        del row["seconds"]
+    return passes, analyses
+
+
+def test_pass_stats_counts_match_at_any_job_count():
+    """``--pass-stats`` counts at ``--jobs 2`` equal the serial run's:
+    each program's pass and analysis spans come back with its spans."""
+    suite = specfp_suite(0.02, seed=0)
+    rf = platform_rv1().file_for(4)
+    obs.TRACER.enable()
+    tables = []
+    for jobs in (1, 2):
+        obs.reset_all()
+        run_suite(suite, rf, "bpc", file_key="rv1:4", jobs=jobs)
+        tables.append(_count_columns(obs.TRACER.spans))
+    assert tables[0] == tables[1]
+    passes, analyses = tables[0]
+    assert passes["allocation"]["runs"] == sum(1 for _ in suite.functions())
+    assert analyses["LiveIntervals"]["hits"] > 0
 
 
 class TestCliFlags:
@@ -177,5 +207,12 @@ class TestCliFlags:
     def test_flags_off_leaves_layers_disabled(self, capsys):
         code = cli.main(["allocate", "--method", "non"])
         assert code == 0
-        assert not obs.any_enabled()
+        assert not obs.TRACER.enabled and not obs.TRACER.views
         assert len(obs.TRACER) == 0
+
+    def test_pass_stats_prints_both_tables(self, capsys):
+        assert cli.main(["--pass-stats", "allocate", "--method", "bpc"]) == 0
+        err = capsys.readouterr().err
+        assert "bank-assignment" in err and "LiveIntervals" in err
+        # --pass-stats records spans but runs no expensive producer.
+        assert obs.TRACER.enabled and not obs.TRACER.views

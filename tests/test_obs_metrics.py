@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, disabled path, pool-safe merging."""
+"""The metrics view: span args folded into counters, gauges, histograms."""
 
 from __future__ import annotations
 
@@ -6,144 +6,174 @@ import json
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro import cli
+from repro.obs import TRACER, metrics_doc, render_metrics
+from repro.obs.telemetry import StreamingHistogram
+
+
+@pytest.fixture(autouse=True)
+def _restore_recorder():
+    yield
+    TRACER.enable(False, views=())
+    TRACER.reset()
+
+
+def span(**args) -> dict:
+    """One recorded span carrying *args*, as a worker ships it."""
+    return {"trace": "t", "sid": 1, "parent": 0, "name": "phase",
+            "cat": "stage", "proc": "main", "ts": 0.0, "dur": 0.0,
+            "args": args}
+
+
+def worker(spills, pressure, cost) -> list[dict]:
+    """A worker's span list: one span noting one sample of each kind."""
+    TRACER.enable()
+    TRACER.reset()
+    with TRACER.span("phase"):
+        TRACER.note(**{
+            "alloc.spilled_vregs": spills,
+            "prescount.bank_pressure.bank0": pressure,
+            "prescount.residual_cost": cost,
+        })
+    spans = TRACER.spans
+    TRACER.reset()
+    return spans
 
 
 class TestInstruments:
     def test_counter_accumulates(self):
-        c = Counter()
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+        doc = metrics_doc([span(**{"alloc.evictions": 1}),
+                           span(**{"alloc.evictions": 4})])
+        assert doc["counters"] == {"alloc.evictions": 5}
 
     def test_gauge_tracks_last_and_max(self):
-        g = Gauge()
-        g.set(3)
-        g.set(9)
-        g.set(2)
-        assert g.value == 2
-        assert g.max == 9
-        assert g.samples == 3
+        name = "prescount.bank_pressure.bank1"
+        doc = metrics_doc([span(**{name: v}) for v in (3, 9, 2)])
+        assert doc["gauges"][name] == {"value": 2, "max": 9, "samples": 3}
 
     def test_histogram_summary(self):
-        h = Histogram()
-        for v in (2.0, 4.0, 6.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.total == 12.0
-        assert h.min == 2.0 and h.max == 6.0
-        assert h.mean == pytest.approx(4.0)
+        doc = metrics_doc([span(**{"sdg.rounds": v}) for v in (2.0, 4.0, 6.0)])
+        h = doc["histograms"]["sdg.rounds"]
+        assert h["count"] == 3
+        assert h["total"] == 12.0
+        assert h["min"] == 2.0 and h["max"] == 6.0
+        assert h["mean"] == pytest.approx(4.0)
 
     def test_empty_histogram_mean_is_zero(self):
-        assert Histogram().mean == 0.0
+        assert StreamingHistogram().mean == 0.0
 
 
 class TestRegistry:
     def test_disabled_records_nothing(self):
-        m = MetricsRegistry()
-        m.inc("a")
-        m.set_gauge("b", 1)
-        m.observe("c", 2.0)
-        assert not m.counters and not m.gauges and not m.histograms
+        with TRACER.span("phase"):
+            TRACER.note(**{"alloc.evictions": 1})
+        assert TRACER.spans == []
+        assert metrics_doc(TRACER.spans) == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
 
     def test_enabled_records(self):
-        m = MetricsRegistry(enabled=True)
-        m.inc("spills", 2)
-        m.inc("spills")
-        m.set_gauge("pressure.bank0", 7)
-        m.observe("seconds", 0.25)
-        assert m.counters["spills"].value == 3
-        assert m.gauges["pressure.bank0"].value == 7
-        assert m.histograms["seconds"].count == 1
+        spans = worker(spills=3, pressure=7, cost=0.25)
+        doc = metrics_doc(spans)
+        assert doc["counters"]["alloc.spilled_vregs"] == 3
+        assert doc["gauges"]["prescount.bank_pressure.bank0"]["value"] == 7
+        assert doc["histograms"]["prescount.residual_cost"]["count"] == 1
 
     def test_reset(self):
-        m = MetricsRegistry(enabled=True)
-        m.inc("a")
-        m.reset()
-        assert not m.counters
+        TRACER.enable()
+        with TRACER.span("phase"):
+            TRACER.note(**{"alloc.evictions": 1})
+        TRACER.reset()
+        assert not metrics_doc(TRACER.spans)["counters"]
 
 
 class TestSnapshotMerge:
-    def _worker(self):
-        m = MetricsRegistry(enabled=True)
-        m.inc("spills", 2)
-        m.set_gauge("pressure", 5)
-        m.observe("cost", 10.0)
-        return m.snapshot()
+    """A ``--jobs N`` run folds each worker's span list into the parent."""
 
     def test_snapshot_is_plain_json_data(self):
-        json.dumps(self._worker())
+        json.dumps(worker(2, 5, 10.0))
 
     def test_counters_and_histograms_add(self):
-        m = MetricsRegistry(enabled=True)
-        m.merge(self._worker())
-        m.merge(self._worker())
-        assert m.counters["spills"].value == 4
-        assert m.histograms["cost"].count == 2
-        assert m.histograms["cost"].total == 20.0
+        spans = worker(2, 5, 10.0)
+        TRACER.enable()
+        TRACER.record_raw(spans)
+        TRACER.record_raw(spans)
+        doc = metrics_doc(TRACER.spans)
+        assert doc["counters"]["alloc.spilled_vregs"] == 4
+        assert doc["histograms"]["prescount.residual_cost"]["count"] == 2
+        assert doc["histograms"]["prescount.residual_cost"]["total"] == 20.0
 
     def test_gauges_combine_max_and_sum_samples(self):
-        m = MetricsRegistry(enabled=True)
-        w1 = MetricsRegistry(enabled=True)
-        w1.set_gauge("pressure", 9)
-        w2 = MetricsRegistry(enabled=True)
-        w2.set_gauge("pressure", 4)
-        m.merge(w1.snapshot())
-        m.merge(w2.snapshot())
-        assert m.gauges["pressure"].max == 9
-        assert m.gauges["pressure"].value == 4  # last in merge order
-        assert m.gauges["pressure"].samples == 2
+        first, second = worker(0, 9, 0.0), worker(0, 4, 0.0)
+        TRACER.enable()
+        TRACER.record_raw(first)
+        TRACER.record_raw(second)
+        gauge = metrics_doc(TRACER.spans)["gauges"][
+            "prescount.bank_pressure.bank0"
+        ]
+        assert gauge["max"] == 9
+        assert gauge["value"] == 4  # last in merge order
+        assert gauge["samples"] == 2
 
     def test_merge_none_is_noop(self):
-        m = MetricsRegistry(enabled=True)
-        m.merge(None)
-        assert not m.counters
+        TRACER.enable()
+        TRACER.record_raw(None)
+        assert not metrics_doc(TRACER.spans)["counters"]
 
     def test_merge_totals_are_order_independent(self):
-        snaps = []
-        for spills, pressure in [(1, 3), (2, 8), (3, 5)]:
-            w = MetricsRegistry(enabled=True)
-            w.inc("spills", spills)
-            w.set_gauge("pressure", pressure)
-            w.observe("cost", float(spills))
-            snaps.append(w.snapshot())
-        a = MetricsRegistry(enabled=True)
-        b = MetricsRegistry(enabled=True)
-        for s in snaps:
-            a.merge(s)
-        for s in reversed(snaps):
-            b.merge(s)
-        assert a.counters["spills"].value == b.counters["spills"].value
-        assert a.gauges["pressure"].max == b.gauges["pressure"].max
-        assert a.histograms["cost"].total == b.histograms["cost"].total
+        workers = [worker(s, p, float(s)) for s, p in [(1, 3), (2, 8), (3, 5)]]
+        forward = metrics_doc([s for w in workers for s in w])
+        backward = metrics_doc([s for w in reversed(workers) for s in w])
+        assert forward["counters"] == backward["counters"]
+        gauge = "prescount.bank_pressure.bank0"
+        assert forward["gauges"][gauge]["max"] == backward["gauges"][gauge]["max"]
+        cost = "prescount.residual_cost"
+        assert (forward["histograms"][cost]["total"]
+                == backward["histograms"][cost]["total"])
 
 
 class TestExport:
     def test_to_json_shape(self):
-        m = MetricsRegistry(enabled=True)
-        m.inc("spills", 2)
-        m.set_gauge("pressure", 5)
-        m.observe("cost", 10.0)
-        doc = m.to_json()
-        assert doc["counters"] == {"spills": 2}
-        assert doc["gauges"]["pressure"]["max"] == 5
-        assert doc["histograms"]["cost"]["mean"] == 10.0
+        doc = metrics_doc(worker(2, 5, 10.0))
+        assert doc["counters"] == {"alloc.spilled_vregs": 2}
+        assert doc["gauges"]["prescount.bank_pressure.bank0"]["max"] == 5
+        assert doc["histograms"]["prescount.residual_cost"]["mean"] == 10.0
         json.dumps(doc)  # finite everywhere
 
     def test_write_json(self, tmp_path):
-        m = MetricsRegistry(enabled=True)
-        m.inc("a")
+        """``--metrics out.json`` writes exactly the view of the run."""
         path = tmp_path / "metrics.json"
-        m.write_json(str(path))
-        assert json.loads(path.read_text())["counters"]["a"] == 1
+        assert cli.main(["--metrics", str(path), "allocate"]) == 0
+        written = json.loads(path.read_text())
+        assert written == json.loads(json.dumps(metrics_doc(TRACER.spans)))
+        assert written["counters"]["sim.static_bank_conflicts"] >= 0
 
     def test_render_lists_everything(self):
-        m = MetricsRegistry(enabled=True)
-        m.inc("spills", 2)
-        m.set_gauge("pressure", 5)
-        m.observe("cost", 10.0)
-        text = m.render()
-        assert "spills" in text and "pressure" in text and "cost" in text
+        text = render_metrics(metrics_doc(worker(2, 5, 10.0)))
+        for name in ("alloc.spilled_vregs", "bank_pressure", "residual_cost"):
+            assert name in text
 
     def test_render_empty(self):
-        assert "(nothing recorded)" in MetricsRegistry().render()
+        assert "(nothing recorded)" in render_metrics(metrics_doc([]))
+
+
+def test_pass_spans_feed_pass_seconds_and_cost_deltas():
+    """Pass spans give ``pass.seconds.*``; the cost deltas are the
+    metrics view's expensive producer and run only when it is asked."""
+    from repro.banks import BankedRegisterFile
+    from repro.prescount import PipelineConfig, run_pipeline
+
+    from .conftest import build_mac_kernel
+
+    def run(views):
+        TRACER.enable(views=views)
+        TRACER.reset()
+        run_pipeline(build_mac_kernel(n_pairs=4),
+                     PipelineConfig(BankedRegisterFile(16, 2), "bpc"))
+        return metrics_doc(TRACER.spans)["histograms"]
+
+    plain = run(())
+    assert plain["pass.seconds.allocation"]["count"] == 1
+    assert not any(name.startswith("phase.cost_delta.") for name in plain)
+    full = run(("metrics",))
+    assert full["phase.cost_delta.coalescing"]["count"] == 1

@@ -1,8 +1,9 @@
-"""Conflict hotspot profiler: site attribution, merging, rendering.
+"""Conflict hotspot profile: site attribution, merging, rendering.
 
-The load-bearing guarantee is **100% attribution**: with the profiler on,
-the sum of per-site stall cycles equals the aggregate conflict penalty
-the simulators report — nothing is lost, nothing double-counted.  The
+The load-bearing guarantee is **100% attribution**: with the profile
+view on, the simulators' ``sites`` events fold (:class:`repro.obs.Profile`)
+so that the sum of per-site stall cycles equals the aggregate conflict
+penalty the simulators report — nothing is lost, nothing double-counted.  The
 hand-allocated Fig. 2-style kernel pins the exact sites: registers are
 chosen so the bank and subgroup decodes (2x4 file: ``bank=(r%8)//4``,
 ``subgroup=r%4``) are known in advance.
@@ -17,7 +18,7 @@ import pytest
 from repro import obs
 from repro.banks import BankedRegisterFile, BankSubgroupRegisterFile
 from repro.ir import parse_function
-from repro.obs import ConflictProfiler, loop_paths
+from repro.obs import TRACER, Profile, loop_paths
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.sim import DsaMachine, DynamicSimulator, estimate_dynamic_conflicts
 from repro.sim.exec import ValueInterpreter
@@ -28,10 +29,19 @@ from .conftest import build_mac_kernel
 
 
 @pytest.fixture(autouse=True)
-def _restore_global_profile():
+def _restore_recorder():
     yield
-    obs.PROFILE.enable(False)
-    obs.PROFILE.reset()
+    TRACER.enable(False, views=())
+    TRACER.reset()
+
+
+def profiling():
+    TRACER.enable(views=("profile",))
+    TRACER.reset()
+
+
+def profile() -> Profile:
+    return Profile(TRACER.spans)
 
 
 #: Fig. 2's v0..v3 dependence shape, hand-allocated on a 2x4 file so
@@ -66,17 +76,17 @@ def dsa_file():
 
 class TestSiteAttribution:
     def test_dsa_sites_and_full_cycle_attribution(self):
-        obs.PROFILE.enable()
+        profiling()
         report = DsaMachine(dsa_file()).run(fig2())
         # Aggregate ground truth: 1 bank conflict + 2 misalignments per
         # iteration, 10 iterations.
         assert report.conflict_penalty_cycles == pytest.approx(10.0)
         assert report.alignment_penalty_cycles == pytest.approx(20.0)
         # 100% attribution: every stall cycle lands on a site.
-        assert obs.PROFILE.total_cycles() == pytest.approx(
+        assert profile().total_cycles() == pytest.approx(
             report.conflict_penalty_cycles + report.alignment_penalty_cycles
         )
-        sites = obs.PROFILE.sites
+        sites = profile().sites
         nest = ("loop1.header",)
         assert sites[
             ("fig2", nest, "loop1.header", 0, "fadd", "bank0($fp0,$fp1)")
@@ -92,11 +102,11 @@ class TestSiteAttribution:
         assert all(key[2] == "loop1.header" for key in sites)
 
     def test_estimator_attribution_matches_aggregate(self):
-        obs.PROFILE.enable()
+        profiling()
         stats = estimate_dynamic_conflicts(fig2(), dsa_file())
         assert stats.dynamic_conflicts == 10
         assert stats.dynamic_subgroup_violations == 20
-        assert obs.PROFILE.total_conflicts() == pytest.approx(
+        assert profile().total_conflicts() == pytest.approx(
             stats.total_hazards
         )
 
@@ -106,25 +116,34 @@ class TestSiteAttribution:
         fn = build_mac_kernel(n_pairs=4)
         rf = BankedRegisterFile(16, 2)
         allocated = run_pipeline(fn, PipelineConfig(rf, "non")).function
-        obs.PROFILE.enable()
+        profiling()
         stats = DynamicSimulator(rf).run(allocated)
-        assert obs.PROFILE.total_conflicts() == stats.total_hazards
+        assert profile().total_conflicts() == stats.total_hazards
 
     def test_execution_heat_covers_every_executed_instruction(self):
-        obs.PROFILE.enable()
+        profiling()
         trace = ValueInterpreter(seed=0).run(fig2())
-        total_heat = sum(s.executions for s in obs.PROFILE.sites.values())
+        total_heat = sum(s.executions for s in profile().sites.values())
         assert total_heat == trace.executed_instructions
         # Pure heat: no hazard decode, so no cycles are claimed.
-        assert obs.PROFILE.total_cycles() == 0.0
-        assert all(key[5] == "" for key in obs.PROFILE.sites)
+        assert profile().total_cycles() == 0.0
+        assert all(key[5] == "" for key in profile().sites)
 
     def test_disabled_records_nothing(self):
-        assert not obs.PROFILE.enabled
-        DsaMachine(dsa_file()).run(fig2())
-        estimate_dynamic_conflicts(fig2(), dsa_file())
-        ValueInterpreter().run(fig2())
-        assert len(obs.PROFILE) == 0
+        def run_all():
+            DsaMachine(dsa_file()).run(fig2())
+            estimate_dynamic_conflicts(fig2(), dsa_file())
+            DynamicSimulator(dsa_file()).run(fig2())
+            ValueInterpreter().run(fig2())
+
+        assert not TRACER.enabled
+        run_all()
+        assert len(TRACER) == 0
+        # Recording without the profile view: spans, but no site rows.
+        TRACER.enable()
+        run_all()
+        assert len(TRACER) > 0
+        assert len(profile()) == 0
 
 
 class TestLoopPaths:
@@ -139,17 +158,18 @@ class TestLoopPaths:
 
 class TestSnapshotMerge:
     def test_roundtrip_restores_tuple_keys(self):
-        worker = ConflictProfiler(enabled=True)
+        TRACER.enable()
         key = ("f", ("loop1.header",), "b", 3, "fadd", "bank0($fp0,$fp8)")
-        worker.record(key, conflicts=2.0, cycles=2.0, executions=4.0)
-        snap = worker.snapshot()
-        json.dumps(snap)  # picklable and JSON-safe
-        parent = ConflictProfiler(enabled=True)
-        parent.merge(snap)
-        parent.merge(snap)
-        parent.merge(None)
-        assert parent.sites[key].cycles == 4.0
-        assert parent.sites[key].executions == 8.0
+        TRACER.fact("sites", rows=[(*key, 2.0, 2.0, 4.0)])
+        # A worker's spans cross the pool as plain, JSON-safe data.
+        shipped = json.loads(json.dumps(TRACER.spans))
+        TRACER.reset()
+        TRACER.record_raw(shipped)
+        TRACER.record_raw(shipped)
+        TRACER.record_raw(None)
+        sites = profile().sites
+        assert sites[key].cycles == 4.0
+        assert sites[key].executions == 8.0
 
     @pytest.mark.parallel
     def test_parallel_suite_profile_matches_serial(self):
@@ -162,9 +182,9 @@ class TestSnapshotMerge:
                 suite, platform_rv2().file_for(2), "non",
                 file_key="rv2:2", measure_dynamic=True, jobs=jobs,
             )
-            return obs.PROFILE.to_json()
+            return profile().to_json()
 
-        obs.PROFILE.enable()
+        profiling()
         serial = sweep(jobs=1)
         parallel = sweep(jobs=4)
         assert parallel == serial
@@ -173,25 +193,25 @@ class TestSnapshotMerge:
 
 class TestRendering:
     def _profiled_fig2(self):
-        obs.PROFILE.enable()
+        profiling()
         fn = fig2()
         DsaMachine(dsa_file()).run(fn)
         return fn
 
     def test_render_top_table(self):
         self._profiled_fig2()
-        text = obs.PROFILE.render(n=2)
+        text = profile().render(n=2)
         assert "3 sites, 30 attributed stall cycles" in text
         assert "fig2:loop1.header#0 fadd bank0($fp0,$fp1)" in text
         assert "[loop1.header]" in text
         assert "1 cooler sites elided" in text
 
     def test_render_empty(self):
-        assert "(nothing recorded)" in ConflictProfiler().render()
+        assert "(nothing recorded)" in Profile().render()
 
     def test_folded_stacks_format(self):
         self._profiled_fig2()
-        lines = obs.PROFILE.folded_stacks().splitlines()
+        lines = profile().folded_stacks().splitlines()
         assert (
             "fig2;loop1.header;loop1.header;fadd#0[bank0($fp0,$fp1)] 10"
             in lines
@@ -203,18 +223,16 @@ class TestRendering:
 
     def test_annotated_listing_roundtrips(self):
         fn = self._profiled_fig2()
-        listing = obs.PROFILE.annotate(fn)
+        listing = profile().annotate(fn)
         assert "; 20 stall cycles" in listing  # fadd: bank + align
         assert "bank0($fp0,$fp1)" in listing
         # Annotations are comments: the listing still parses back.
         reparsed = parse_function(listing)
         assert reparsed.instruction_count() == fn.instruction_count()
 
-    def test_json_schema(self, tmp_path):
+    def test_json_schema(self):
         self._profiled_fig2()
-        path = tmp_path / "profile.json"
-        obs.PROFILE.write_json(str(path))
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(profile().to_json()))
         assert doc["schema"] == 1
         assert doc["total_cycles"] == pytest.approx(30.0)
         assert len(doc["sites"]) == 3

@@ -183,6 +183,30 @@ class TestContexts:
         assert spans["explicit"]["dur"] == 0.0
         assert spans["implicit"]["parent"] == span.span_id
 
+    def test_producers_annotate_the_innermost_open_span(self):
+        """``note``/``count`` land on the innermost span, never on a bare
+        context; a ``fact`` with nothing active roots its own trace; and
+        ``wants`` names only the views asked for, only while recording."""
+        tracer = Tracer(enabled=True)
+        tracer.enable(views=("profile",))
+        with tracer.activate(TraceContext.new()):
+            tracer.note(lost=1)
+            tracer.count("lost")
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    tracer.note(**{"alloc.evictions": 2})
+                    tracer.count("hit:CFG")
+                    tracer.count("hit:CFG")
+        tracer.fact("decision", vreg="%v1")
+        spans = by_name(tracer)
+        assert spans["inner"]["args"] == {"alloc.evictions": 2, "hit:CFG": 2}
+        assert spans["outer"]["args"] == {}
+        assert spans["decision"]["parent"] == 0
+        assert spans["decision"]["trace"] != spans["outer"]["trace"]
+        assert tracer.wants("profile") and not tracer.wants("metrics")
+        tracer.enable(False)
+        assert not tracer.wants("profile")
+
     def test_threads_keep_separate_stacks(self):
         tracer = Tracer(enabled=True)
         with tracer.span("main-thread"):

@@ -12,13 +12,13 @@ from repro.banks import BankedRegisterFile, BankSubgroupRegisterFile
 from repro.ir import IRBuilder, print_function
 from repro.ir import instruction as ins
 from repro.ir.types import FP
+from repro.obs import TRACER, pass_table
 from repro.passes import (
     CFG_ONLY,
     PRESERVE_ALL,
     AnalysisManager,
     CFGAnalysis,
     FunctionPassManager,
-    InstrumentationRegistry,
     LiveIntervalsAnalysis,
     LivenessAnalysis,
     LoopInfoAnalysis,
@@ -111,19 +111,25 @@ class TestInvalidationThroughPasses:
         assert state == {"rename": 1}
 
     def test_instrumentation_records_per_pass(self, mac_kernel):
-        registry = InstrumentationRegistry(enabled=True)
-        fpm = FunctionPassManager(
-            [SplitBlockPass(), RenameRegisterPass()], instrumentation=registry
-        )
+        fpm = FunctionPassManager([SplitBlockPass(), RenameRegisterPass()])
         am = AnalysisManager(mac_kernel)
         am.get(LiveIntervalsAnalysis)
-        fpm.run(mac_kernel, am=am)
-        split = registry.passes["split-block"]
-        assert split.runs == 1
-        assert split.instructions_delta == 1  # the appended ret
+        TRACER.enable()
+        TRACER.reset()
+        try:
+            fpm.run(mac_kernel, am=am)
+            passes, analyses = pass_table(TRACER.spans)
+        finally:
+            TRACER.enable(False)
+            TRACER.reset()
+        split = passes["split-block"]
+        assert split["runs"] == 1
+        assert split["d_instrs"] == 1  # the appended ret
         # cfg/slots/liveness/intervals, plus the flat lowering.
-        assert split.invalidations == 5
-        assert registry.passes["rename"].runs == 1
+        assert split["inval"] == 5
+        assert passes["rename"]["runs"] == 1
+        # The pass spans' invalidations are the per-analysis ones.
+        assert sum(a["inval"] for a in analyses.values()) == 5
 
 
 class TestFigure4Passes:

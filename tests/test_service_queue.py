@@ -164,22 +164,43 @@ def test_deadline_exhausted_degrades_to_bottom_tier(service):
 
 
 def test_degradation_emits_metrics_and_audit(service):
-    obs.METRICS.enable()
-    obs.AUDIT.enable()
+    obs.TRACER.enable()
     obs.reset_all()
     try:
-        service.submit(make_request(deadline_ms=0))
+        job = service.submit(make_request(deadline_ms=0))
         service.process_once()
-        snapshot = obs.METRICS.snapshot()
-        assert snapshot["counters"]["service.degraded"] == 1
-        assert snapshot["counters"]["service.tier.non"] == 1
-        records = [r for r in obs.AUDIT.records if r.step == "service-degrade"]
-        assert len(records) == 1
-        assert records[0].detail["requested"] == "bpc"
-        assert records[0].detail["served"] == "non"
+        assert service.counters["degraded"] == 1
+        assert service.counters["tier_non"] == 1
+        events = [s for s in obs.TRACER.spans if s["name"] == "service.degrade"]
+        assert len(events) == 1
+        assert events[0]["trace"] == job.trace.trace_id
+        assert events[0]["args"]["requested"] == "bpc"
+        assert events[0]["args"]["served"] == "non"
+        assert events[0]["args"]["remaining_ms"] is not None
     finally:
-        obs.METRICS.enable(False)
-        obs.AUDIT.enable(False)
+        obs.TRACER.enable(False)
+        obs.reset_all()
+
+
+def test_each_service_reports_its_own_counts_with_every_view_on():
+    """In-process services (a ``LocalShard`` fleet) share one process
+    and one recorder, yet each ``/v1/metrics`` sample counts only the
+    requests that service took."""
+    obs.TRACER.enable(views=("metrics", "explain", "profile"))
+    obs.reset_all()
+    try:
+        first = AllocationService(ServiceConfig(workers=0))
+        second = AllocationService(ServiceConfig(workers=0))
+        for trip in (8, 16, 24):
+            first.submit(make_request(trip_count=trip))
+        second.submit(make_request(trip_count=32))
+        first.process_once()
+        second.process_once()
+        counts = [svc.metrics_sample()["counters"]["service.requests"]
+                  for svc in (first, second)]
+        assert counts == [3, 1]
+    finally:
+        obs.TRACER.enable(False, views=())
         obs.reset_all()
 
 

@@ -30,10 +30,10 @@ P = PhysicalRegister
 
 
 @pytest.fixture(autouse=True)
-def _restore_global_profile():
+def _restore_recorder():
     yield
-    obs.PROFILE.enable(False)
-    obs.PROFILE.reset()
+    obs.TRACER.enable(False, views=())
+    obs.TRACER.reset()
 
 
 def dsa_file():
@@ -262,15 +262,16 @@ class TestProfiler:
             "  $fp10 = fadd $fp1, $fp6\n"     # subgroup misalignment
             "  ret\n}"
         )
-        obs.PROFILE.enable()
+        obs.TRACER.enable(views=("profile",))
         report = machine(
             OooConfig(issue_width=1, read_ports=1, rename=False),
             register_file=dsa_file(),
         ).run(fn)
         total = report.conflict_penalty_cycles + report.alignment_penalty_cycles
         assert total > 0
-        assert obs.PROFILE.total_cycles() == pytest.approx(total)
-        details = {key[5] for key in obs.PROFILE.sites}
+        profile = obs.Profile(obs.TRACER.spans)
+        assert profile.total_cycles() == pytest.approx(total)
+        details = {key[5] for key in profile.sites}
         assert any(d.startswith("port(") for d in details)
         assert any(d.startswith("align(") for d in details)
 
