@@ -130,6 +130,21 @@ class Instruction:
     def latency(self) -> int:
         return self.attrs.get("latency", BASE_LATENCY[self.kind])
 
+    def memo(self) -> dict:
+        """Results of pure functions of the operands, made on first use.
+
+        Operands are immutable (``uses`` is a tuple and rewrites go
+        through :meth:`rewrite`, which returns a fresh copy), so such
+        results never go stale.  :meth:`bankable_reads` keeps its scans
+        here by register class, and the simulators keep the bank rule's
+        result (:func:`repro.sim.hazards.instruction_hazards`) by
+        ``(register file, register class)``.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = self.__dict__["_memo"] = {}
+        return memo
+
     def bankable_reads(self, regclass: RegClass | None = None) -> tuple[Register, ...]:
         """Distinct bankable register operands read by this instruction.
 
@@ -140,14 +155,9 @@ class Instruction:
         one register is served by a single port access in the modeled
         hardware.
         """
-        # Operands are immutable (``uses`` is a tuple and rewrites go
-        # through :meth:`rewrite`, which returns a fresh copy), so the
-        # scan result is memoized per (instruction, regclass) — this is
-        # the innermost loop of every conflict-cost fold.
-        cache = getattr(self, "_bankable_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_bankable_cache", cache)
+        # The innermost loop of every conflict-cost fold, so a memo that
+        # exists is read without the call.
+        cache = self.__dict__.get("_memo") or self.memo()
         hit = cache.get(regclass)
         if hit is not None:
             return hit

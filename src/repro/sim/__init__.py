@@ -1,6 +1,8 @@
 """Simulation substrate: static conflict statistics, dynamic execution
-(the QEMU-trace substitute), the DSA VLIW cycle model, and platform
-descriptions for RV#1 / RV#2 / DSA.
+(the QEMU-trace substitute), the DSA VLIW and out-of-order cycle models,
+register-file energy, and platform descriptions for RV#1 / RV#2 / DSA.
+Every model counts stalls with the one bank-conflict rule of
+:mod:`repro.sim.hazards`.
 """
 
 from .dsa import DsaCycleReport, DsaMachine
@@ -18,6 +20,7 @@ from .dynamic import (
     estimate_dynamic_conflicts,
     expected_block_frequencies,
 )
+from .hazards import instruction_hazards
 from .machine import (
     DSA_SUBGROUPED,
     Platform,
@@ -32,14 +35,7 @@ from .ooo import (
     OooMachine,
     normalize_machine_spec,
 )
-from .static_stats import (
-    StaticStats,
-    analyze_module_static,
-    analyze_static,
-    count_conflict_relevant,
-    instruction_bank_conflicts,
-    instruction_subgroup_violations,
-)
+from .static_stats import StaticStats, analyze_static, count_conflict_relevant
 
 __all__ = [
     "DSA_SUBGROUPED",
@@ -59,13 +55,11 @@ __all__ = [
     "OooMachine",
     "Platform",
     "StaticStats",
-    "analyze_module_static",
     "analyze_static",
     "count_conflict_relevant",
     "estimate_dynamic_conflicts",
     "expected_block_frequencies",
-    "instruction_bank_conflicts",
-    "instruction_subgroup_violations",
+    "instruction_hazards",
     "interleaved_files",
     "normalize_machine_spec",
     "platform_dsa",

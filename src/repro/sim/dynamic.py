@@ -14,29 +14,32 @@ carries everything needed to do the same without a foreign ISA:
   the flow equations ``f(b) = [b == entry] + sum_p f(p) * prob(p -> b)``
   gives expected execution counts (builder latches encode
   ``taken_prob = (t-1)/t``, so a loop body's expected frequency is exactly
-  the trip product).  :func:`estimate_dynamic_conflicts` folds the
-  per-block conflict degrees through these frequencies; on branch-free
-  kernels it agrees with the interpreter exactly, and the experiment
-  harness uses it for large suites.
+  the trip product).  :func:`executed_blocks` is the block fold over
+  them that every frequency-weighted model shares (the DSA and OoO cycle
+  models, energy, and :func:`estimate_dynamic_conflicts`, which on
+  branch-free kernels agrees with the interpreter exactly and is what the
+  experiment harness uses for large suites).
+
+Every model counts hazards with the one rule of :mod:`repro.sim.hazards`
+and reports per-site attribution to the profile view through
+:class:`Sites`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..banks.register_file import BankSubgroupRegisterFile, RegisterFile
+from ..banks.register_file import RegisterFile
+from ..ir.block import BasicBlock
 from ..ir.cfg import CFG
 from ..ir.function import Function
 from ..ir.instruction import OpKind
 from ..ir.types import FP, RegClass
-from .static_stats import (
-    instruction_bank_conflicts,
-    instruction_conflict_details,
-    instruction_subgroup_violations,
-)
+from ..obs import TRACER, loop_paths
+from .hazards import instruction_hazards
 
 
 @dataclass
@@ -64,24 +67,11 @@ class DynamicStats:
     def total_hazards(self) -> int:
         return self.dynamic_conflicts + self.dynamic_subgroup_violations
 
-    def merge(self, other: "DynamicStats") -> "DynamicStats":
-        return DynamicStats(
-            executed_instructions=self.executed_instructions + other.executed_instructions,
-            executed_conflict_relevant=(
-                self.executed_conflict_relevant + other.executed_conflict_relevant
-            ),
-            dynamic_conflicts=self.dynamic_conflicts + other.dynamic_conflicts,
-            dynamic_subgroup_violations=(
-                self.dynamic_subgroup_violations + other.dynamic_subgroup_violations
-            ),
-            conflicting_sites=self.conflicting_sites + other.conflicting_sites,
-            truncated=self.truncated or other.truncated,
-        )
-
 
 @dataclass
 class DynamicSimulator:
-    """Interprets an allocated function, counting conflicts as they run.
+    """Interprets an allocated function's control flow, then counts the
+    conflicts of every executed instruction instance.
 
     Attributes:
         register_file: Decodes register banks (and subgroups on the DSA).
@@ -96,96 +86,52 @@ class DynamicSimulator:
     max_instructions: int = 2_000_000
 
     def run(self, function: Function) -> DynamicStats:
-        from ..obs import TRACER
-
-        rng = random.Random(self.seed)
-        is_dsa = isinstance(self.register_file, BankSubgroupRegisterFile)
         stats = DynamicStats()
-
-        # Per-block conflict degree cache: the decode is loop-invariant.
-        conflict_cache: dict[int, tuple[int, int, bool]] = {}
-
-        def decode(instr) -> tuple[int, int, bool]:
-            key = id(instr)
-            cached = conflict_cache.get(key)
-            if cached is None:
-                conflicts = instruction_bank_conflicts(
+        sites = Sites(function)
+        # The walk only follows control flow; the rule is then folded over
+        # each executed block once, weighted by its execution count.
+        for label, count in self._walk(function, stats).items():
+            block = function.block(label)
+            for index, instr in enumerate(block):
+                hazards = instruction_hazards(
                     instr, self.register_file, self.regclass
                 )
-                violations = (
-                    instruction_subgroup_violations(
-                        instr, self.register_file, self.regclass
-                    )
-                    if is_dsa
-                    else 0
-                )
-                relevant = instr.is_conflict_relevant(self.regclass)
-                cached = (conflicts, violations, relevant)
-                conflict_cache[key] = cached
-            return cached
+                if instr.is_conflict_relevant(self.regclass):
+                    stats.executed_conflict_relevant += count
+                stats.dynamic_conflicts += hazards.conflicts * count
+                stats.dynamic_subgroup_violations += hazards.violations * count
+                if hazards.conflicts or hazards.violations:
+                    stats.conflicting_sites += hazards.conflicts + hazards.violations
+                    if sites.paths is not None:
+                        for detail, events in hazards.sites():
+                            sites.add(block, index, instr.opcode, detail,
+                                      float(events * count), float(count))
+                if instr.kind is OpKind.RET:
+                    break
+        sites.emit()
+        return stats
 
-        # Hotspot attribution (only for the profile view): executed
-        # instances accumulate in run-local dicts, emitted as one event.
-        profiling = TRACER.wants("profile")
-        site_keys: dict[int, list] = {}
-        local_counts: dict[int, tuple[float, float]] = {}
-        paths: dict[str, tuple[str, ...]] = {}
-        if profiling:
-            from ..obs import loop_paths
-
-            paths = loop_paths(function)
-
-        def attribute(block, index, instr) -> None:
-            keys = site_keys.get(id(instr))
-            if keys is None:
-                loops = paths.get(block.label, ())
-                keys = site_keys[id(instr)] = [
-                    (
-                        (function.name, loops, block.label, index,
-                         instr.opcode, detail),
-                        events,
-                    )
-                    for detail, events in instruction_conflict_details(
-                        instr, self.register_file, self.regclass
-                    )
-                ]
-            for key, events in keys:
-                hazards, executions = local_counts.get(key, (0.0, 0.0))
-                local_counts[key] = (hazards + events, executions + 1.0)
-
-        def flush() -> None:
-            if local_counts:
-                TRACER.fact("sites", rows=[
-                    (*key, hazards, hazards, executions)
-                    for key, (hazards, executions) in local_counts.items()
-                ])
-
+    def _walk(self, function: Function, stats: DynamicStats) -> dict[str, int]:
+        """Execute *function*'s control flow, counting executed
+        instructions into *stats*; returns each executed block's
+        execution count by label, in first-execution order."""
+        rng = random.Random(self.seed)
+        visits: dict[str, int] = {}
         # Loop latch bookkeeping: remaining iterations per header label.
         remaining: dict[str, int] = {}
-        executed_sites: set[int] = set()
         block = function.entry
         while block is not None:
             if stats.executed_instructions >= self.max_instructions:
                 stats.truncated = True
                 break
+            visits[block.label] = visits.get(block.label, 0) + 1
             next_label = None
-            for index, instr in enumerate(block):
+            for instr in block:
                 stats.executed_instructions += 1
-                conflicts, violations, relevant = decode(instr)
-                if relevant:
-                    stats.executed_conflict_relevant += 1
-                stats.dynamic_conflicts += conflicts
-                stats.dynamic_subgroup_violations += violations
-                if profiling and (conflicts or violations):
-                    attribute(block, index, instr)
-                if (conflicts or violations) and id(instr) not in executed_sites:
-                    executed_sites.add(id(instr))
-                    stats.conflicting_sites += conflicts + violations
                 if instr.kind is OpKind.JUMP:
                     next_label = instr.attrs["target"]
                 elif instr.kind is OpKind.RET:
-                    flush()
-                    return stats
+                    return visits
                 elif instr.kind is OpKind.BRANCH:
                     target = instr.attrs["target"]
                     if instr.attrs.get("loop_latch"):
@@ -207,8 +153,7 @@ class DynamicSimulator:
             if next_label is None:
                 next_label = function.next_label(block)
             block = function.block(next_label) if next_label is not None else None
-        flush()
-        return stats
+        return visits
 
 
 def expected_block_frequencies(function: Function, cfg: CFG | None = None) -> dict[str, float]:
@@ -253,66 +198,88 @@ def expected_block_frequencies(function: Function, cfg: CFG | None = None) -> di
     return {label: max(0.0, float(freqs[index[label]])) for label in labels}
 
 
+def executed_blocks(function: Function, am=None) -> list[tuple[BasicBlock, float]]:
+    """``(block, expected frequency)`` of every block expected to run, in
+    layout order: the fold every frequency-weighted model sums over.
+
+    With *am* given, the flow system is solved over the cached CFG (valid
+    after allocation, which preserves block structure)."""
+    cfg = None
+    if am is not None:
+        from ..passes import CFGAnalysis
+
+        cfg = am.get(CFGAnalysis)
+    frequencies = expected_block_frequencies(function, cfg)
+    return [
+        (block, freq)
+        for block in function.blocks
+        if (freq := frequencies.get(block.label, 0.0)) > 0.0
+    ]
+
+
+class Sites:
+    """The profile view's ``sites`` rows of one function's measurement.
+
+    Inert unless the view is on (:attr:`paths` is then ``None``).  A row
+    is ``(function, loops, block, index, opcode, label, cycles,
+    conflicts, executions)``; every hazard event of the rule stalls one
+    cycle, so its cycles and conflicts are the same number.
+    """
+
+    def __init__(self, function: Function):
+        self.name = function.name
+        self.paths = loop_paths(function) if TRACER.wants("profile") else None
+        self.rows: list[tuple] = []
+
+    def add(self, block: BasicBlock, index: int, opcode: str, label: str,
+            events: float, executions: float) -> None:
+        self.rows.append((
+            self.name, self.paths.get(block.label, ()), block.label, index,
+            opcode, label, events, events, executions,
+        ))
+
+    def add_block(self, block: BasicBlock, freq: float,
+                  register_file: RegisterFile, regclass: RegClass | None) -> None:
+        """Charge each hazard of *block*'s instructions ``events * freq``."""
+        if self.paths is None:
+            return
+        for index, instr in enumerate(block):
+            hazards = instruction_hazards(instr, register_file, regclass)
+            for label, events in hazards.sites():
+                self.add(block, index, instr.opcode, label, events * freq, freq)
+
+    def emit(self) -> None:
+        if self.rows:
+            TRACER.fact("sites", rows=self.rows)
+
+
 def estimate_dynamic_conflicts(
     function: Function,
     register_file: RegisterFile,
     regclass: RegClass | None = FP,
-    frequencies: dict[str, float] | None = None,
     am=None,
 ) -> DynamicStats:
     """Expected dynamic counts: per-block conflict degrees folded through
-    :func:`expected_block_frequencies`.  Counts are rounded to integers at
-    the block level so aggregates remain comparable to interpreter runs.
-
-    With *am* given, the flow system is solved over the cached CFG (valid
-    after allocation, which preserves block structure)."""
-    from ..obs import TRACER
-
+    :func:`executed_blocks`.  Counts are rounded to integers at the block
+    level so aggregates remain comparable to interpreter runs."""
     with TRACER.span(
         "dynamic-estimate", category="measure", function=function.name
     ) as span:
-        if frequencies is None:
-            cfg = None
-            if am is not None:
-                from ..passes import CFGAnalysis
-
-                cfg = am.get(CFGAnalysis)
-            frequencies = expected_block_frequencies(function, cfg)
-        is_dsa = isinstance(register_file, BankSubgroupRegisterFile)
         stats = DynamicStats()
-        paths = rows = None
-        if TRACER.wants("profile"):
-            from ..obs import loop_paths
-
-            paths, rows = loop_paths(function), []
-        for block in function.blocks:
-            freq = frequencies.get(block.label, 0.0)
-            if freq <= 0.0:
-                continue
+        sites = Sites(function)
+        for block, freq in executed_blocks(function, am):
+            # Expected conflict instances (one stall cycle each) are
+            # attributed to their sites, frequency-weighted.
+            sites.add_block(block, freq, register_file, regclass)
             block_conflicts = 0
             block_violations = 0
             block_relevant = 0
-            for index, instr in enumerate(block):
-                block_conflicts += instruction_bank_conflicts(
-                    instr, register_file, regclass
-                )
-                if is_dsa:
-                    block_violations += instruction_subgroup_violations(
-                        instr, register_file, regclass
-                    )
+            for instr in block:
+                hazards = instruction_hazards(instr, register_file, regclass)
+                block_conflicts += hazards.conflicts
+                block_violations += hazards.violations
                 if instr.is_conflict_relevant(regclass):
                     block_relevant += 1
-                if paths is not None:
-                    # Attribute expected conflict instances (one stall
-                    # cycle each) to the site, frequency-weighted.
-                    for detail, events in instruction_conflict_details(
-                        instr, register_file, regclass
-                    ):
-                        rows.append((
-                            function.name, paths.get(block.label, ()),
-                            block.label, index, instr.opcode, detail,
-                            events * freq, events * freq, freq,
-                        ))
             stats.executed_instructions += round(len(block.instructions) * freq)
             stats.executed_conflict_relevant += round(block_relevant * freq)
             stats.dynamic_conflicts += round(block_conflicts * freq)
@@ -322,8 +289,7 @@ def estimate_dynamic_conflicts(
             stats.conflicting_sites += (block_conflicts + block_violations) * min(
                 1.0, freq
             )
-        if rows:
-            TRACER.fact("sites", rows=rows)
+        sites.emit()
         span.note(**{
             "sim.dynamic_conflicts": stats.dynamic_conflicts,
             "sim.dynamic_subgroup_violations":

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..banks.register_file import BankSubgroupRegisterFile, RegisterFile
+from ..banks.register_file import RegisterFile
 from ..ir.function import Function
 from ..ir.instruction import OpKind
 from ..ir.types import FP, PhysicalRegister, RegClass
-from .dynamic import expected_block_frequencies
-from .static_stats import instruction_bank_conflicts, instruction_subgroup_violations
+from .dynamic import executed_blocks
+from .hazards import instruction_hazards
 
 #: Per-event energy, in units of one register access on a 1-bank file.
 ACCESS_ENERGY = 1.0
@@ -58,14 +58,6 @@ class EnergyReport:
             + self.spill_energy
         )
 
-    def merge(self, other: "EnergyReport") -> "EnergyReport":
-        return EnergyReport(
-            access_energy=self.access_energy + other.access_energy,
-            conflict_energy=self.conflict_energy + other.conflict_energy,
-            alignment_energy=self.alignment_energy + other.alignment_energy,
-            spill_energy=self.spill_energy + other.spill_energy,
-        )
-
 
 def _per_access(register_file: RegisterFile) -> float:
     """Per-access energy, scaled by bank count (decode/mux overhead)."""
@@ -79,14 +71,9 @@ def estimate_energy(
     regclass: RegClass | None = FP,
 ) -> EnergyReport:
     """Frequency-weighted register-file energy of an allocated function."""
-    is_dsa = isinstance(register_file, BankSubgroupRegisterFile)
-    frequencies = expected_block_frequencies(function)
     per_access = _per_access(register_file)
     report = EnergyReport()
-    for block in function.blocks:
-        freq = frequencies.get(block.label, 0.0)
-        if freq <= 0.0:
-            continue
+    for block, freq in executed_blocks(function):
         for instr in block:
             accesses = sum(
                 1
@@ -95,17 +82,9 @@ def estimate_energy(
                 and (regclass is None or reg.regclass == regclass)
             )
             report.access_energy += accesses * per_access * freq
-            report.conflict_energy += (
-                instruction_bank_conflicts(instr, register_file, regclass)
-                * CONFLICT_ENERGY
-                * freq
-            )
-            if is_dsa:
-                report.alignment_energy += (
-                    instruction_subgroup_violations(instr, register_file, regclass)
-                    * ALIGNMENT_ENERGY
-                    * freq
-                )
+            hazards = instruction_hazards(instr, register_file, regclass)
+            report.conflict_energy += hazards.conflicts * CONFLICT_ENERGY * freq
+            report.alignment_energy += hazards.violations * ALIGNMENT_ENERGY * freq
             if instr.kind in (OpKind.LOAD, OpKind.STORE) and instr.attrs.get("spill"):
                 report.spill_energy += MEMORY_ENERGY * freq
     return report

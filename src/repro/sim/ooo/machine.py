@@ -22,8 +22,9 @@ read ports) point is the sweep's headline number.
 The degenerate configuration — width 1, one read port, rename off —
 issues exactly one instruction per read-stage occupancy, so its per-
 block conflict and alignment counts are the same integers the in-order
-:class:`~repro.sim.dsa.DsaMachine` computes, and :meth:`OooMachine.run`
-folds them through ``expected_block_frequencies`` with the identical
+:class:`~repro.sim.dsa.DsaMachine` computes (both apply the rule of
+:mod:`repro.sim.hazards`), and :meth:`OooMachine.run` folds them through
+the same :func:`~repro.sim.dynamic.executed_blocks` in the identical
 accumulation order: the resulting ``conflict_penalty_cycles`` /
 ``alignment_penalty_cycles`` match the DSA model bit-for-bit.
 """
@@ -32,13 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...banks.register_file import BankSubgroupRegisterFile, RegisterFile
+from ...banks.register_file import RegisterFile
 from ...ir.block import BasicBlock
 from ...ir.function import Function
 from ...ir.instruction import OpKind
-from ...ir.types import FP, PhysicalRegister, RegClass
-from ..dynamic import expected_block_frequencies
-from ..static_stats import instruction_subgroup_violations
+from ...ir.types import FP, RegClass
+from ...obs import TRACER
+from ..dynamic import Sites, executed_blocks
+from ..hazards import instruction_hazards
 from .config import OooConfig
 from .issue_queue import IssueQueue
 from .regfile import ReadPortArbiter
@@ -67,28 +69,6 @@ class OooCycleReport:
     copy_instructions: int = 0
     spill_instructions: int = 0
 
-    def merge(self, other: "OooCycleReport") -> "OooCycleReport":
-        return OooCycleReport(
-            cycles=self.cycles + other.cycles,
-            instructions=self.instructions + other.instructions,
-            conflict_penalty_cycles=(
-                self.conflict_penalty_cycles + other.conflict_penalty_cycles
-            ),
-            alignment_penalty_cycles=(
-                self.alignment_penalty_cycles + other.alignment_penalty_cycles
-            ),
-            memory_penalty_cycles=(
-                self.memory_penalty_cycles + other.memory_penalty_cycles
-            ),
-            rob_stall_cycles=self.rob_stall_cycles + other.rob_stall_cycles,
-            iq_stall_cycles=self.iq_stall_cycles + other.iq_stall_cycles,
-            rename_stall_cycles=(
-                self.rename_stall_cycles + other.rename_stall_cycles
-            ),
-            copy_instructions=self.copy_instructions + other.copy_instructions,
-            spill_instructions=self.spill_instructions + other.spill_instructions,
-        )
-
 
 @dataclass
 class OooMachine:
@@ -107,38 +87,12 @@ class OooMachine:
 
     def __post_init__(self):
         self._arbiter = ReadPortArbiter(self.register_file, self.config.read_ports)
-        self._is_dsa = isinstance(self.register_file, BankSubgroupRegisterFile)
 
     # ------------------------------------------------------------------
     def _phys_pool(self) -> int:
         if self.config.phys_regs is not None:
             return self.config.phys_regs
         return self.register_file.num_registers + 2 * self.config.rob_size
-
-    def _bankable_reads(self, instr) -> tuple[PhysicalRegister, ...]:
-        return tuple(
-            r
-            for r in instr.bankable_reads(self.regclass)
-            if isinstance(r, PhysicalRegister)
-        )
-
-    def _align_events(self, instr) -> tuple[int, str]:
-        """Subgroup-misalignment routing cycles and the profiler detail."""
-        if not self._is_dsa:
-            return 0, ""
-        violations = instruction_subgroup_violations(
-            instr, self.register_file, self.regclass
-        )
-        if not violations:
-            return 0, ""
-        regs = list(self._bankable_reads(instr)) + [
-            d for d in instr.reg_defs()
-            if isinstance(d, PhysicalRegister) and d.regclass.bankable
-            and (self.regclass is None or d.regclass == self.regclass)
-        ]
-        subgroups = sorted({self.register_file.subgroup_of(r) for r in regs})
-        detail = "align(" + "|".join(f"sg{s}" for s in subgroups) + ")"
-        return violations, detail
 
     # ------------------------------------------------------------------
     def simulate_block(
@@ -165,7 +119,10 @@ class OooMachine:
         if n == 0:
             return report, sites
 
-        reads = [self._bankable_reads(i) for i in instrs]
+        hazards = [
+            instruction_hazards(i, self.register_file, self.regclass)
+            for i in instrs
+        ]
         rob = ReorderBuffer(cfg.rob_size)
         iq = IssueQueue(cfg.iq_size)
         renamer = RegisterRenamer(self._phys_pool()) if cfg.rename else None
@@ -221,7 +178,9 @@ class OooMachine:
             if cycle >= read_free_at:
                 group = iq.select(cfg.issue_width, lambda i: ready(i, cycle))
                 if group:
-                    arb = self._arbiter.arbitrate([(i, reads[i]) for i in group])
+                    arb = self._arbiter.arbitrate(
+                        [(i, hazards[i].reads) for i in group]
+                    )
                     report.conflict_penalty_cycles += arb.extra_cycles
                     if collect_sites:
                         for i, detail, events in arb.sites:
@@ -229,11 +188,13 @@ class OooMachine:
                     read_free_at = cycle + 1 + arb.extra_cycles
                     for i in group:
                         read_done[i] = cycle + 1 + arb.extra_cycles
-                        align, detail = self._align_events(instrs[i])
-                        if align:
-                            report.alignment_penalty_cycles += align
-                            if collect_sites:
-                                sites.append((i, instrs[i].opcode, detail, align))
+                        align = hazards[i].violations
+                        report.alignment_penalty_cycles += align
+                        if align and collect_sites:
+                            # The misalignment is the last hazard site.
+                            sites.append(
+                                (i, instrs[i].opcode, *hazards[i].sites()[-1])
+                            )
                         ready_at[i] = (
                             read_done[i] + (instrs[i].latency - 1) + align
                         )
@@ -283,44 +244,23 @@ class OooMachine:
     def run(self, function: Function, am=None) -> OooCycleReport:
         """Frequency-weighted cycle total over the whole function.
 
-        Mirrors :meth:`DsaMachine.run` block for block — same frequency
-        solve, same skip rule, same accumulation order — so the
+        Mirrors :meth:`DsaMachine.run` block for block — the same
+        :func:`executed_blocks` fold, same accumulation order — so the
         degenerate configuration's penalty totals are bit-identical to
         the in-order model's.
         """
-        from ...obs import TRACER
-
         with TRACER.span(
             "ooo-cycles", category="measure", function=function.name,
             config=self.config.describe(),
         ) as span:
-            cfg = None
-            if am is not None:
-                from ...passes import CFGAnalysis
-
-                cfg = am.get(CFGAnalysis)
-            frequencies = expected_block_frequencies(function, cfg)
             total = OooCycleReport()
-            paths = rows = None
-            if TRACER.wants("profile"):
-                from ...obs import loop_paths
-
-                paths, rows = loop_paths(function), []
-            for block in function.blocks:
-                freq = frequencies.get(block.label, 0.0)
-                if freq <= 0.0:
-                    continue
+            sites = Sites(function)
+            for block, freq in executed_blocks(function, am):
                 per_exec, hazard_sites = self.simulate_block(
-                    block, collect_sites=paths is not None
+                    block, collect_sites=sites.paths is not None
                 )
-                if paths is not None:
-                    loops = paths.get(block.label, ())
-                    for index, opcode, detail, events in hazard_sites:
-                        rows.append((
-                            function.name, loops, block.label, index,
-                            opcode, detail, events * freq, events * freq,
-                            freq,
-                        ))
+                for index, opcode, detail, events in hazard_sites:
+                    sites.add(block, index, opcode, detail, events * freq, freq)
                 total.cycles += per_exec.cycles * freq
                 total.instructions += per_exec.instructions
                 total.conflict_penalty_cycles += (
@@ -367,7 +307,6 @@ class OooMachine:
                 with TRACER.span(stage, category="measure",
                                  function=function.name, **args):
                     pass
-            if rows:
-                TRACER.fact("sites", rows=rows)
+            sites.emit()
             span.note(**{"sim.ooo_cycles": total.cycles})
         return total

@@ -1,34 +1,37 @@
 """Multi-ported banked register-file read stage.
 
 Each bank of the underlying :class:`~repro.banks.register_file` exposes
-``ports_per_bank`` read ports per cycle.  When an issue group's operand
-reads oversubscribe a bank, the surplus reads recirculate: the bank
-serves its reads in *waves* of ``ports_per_bank``, oldest instruction
-first, and every wave past the first holds the read stage one extra
-cycle.  The group's total conflict cost is therefore::
+``ports_per_bank`` read ports per cycle.  An issue group's operand reads
+go through the bank rule of :mod:`repro.sim.hazards` with
+``P = ports_per_bank``: each bank serves its reads in *waves* of ``P``,
+oldest instruction first, and every wave past the first holds the read
+stage one extra cycle.  The group's total conflict cost is therefore::
 
     sum over banks of (ceil(reads_in_bank / ports) - 1)
 
-With one read port and a one-instruction group this collapses to the
-paper's N-1 serialization penalty — exactly
-:func:`repro.sim.static_stats.instruction_bank_conflicts` — which is
-what makes the degenerate machine configuration reproduce the in-order
+With one read port and a one-instruction group this is the paper's N-1
+serialization penalty that the in-order models charge, which is what
+makes the degenerate machine configuration reproduce the in-order
 ``DsaMachine`` conflict cycle counts bit-identically.
 
 Arbitration is *fair by age*: reads are queued in (instruction program
 order, operand order), so the oldest instruction's reads always land in
-the earliest waves and each extra cycle is attributed to the youngest
-instruction that forced the wave (the owner of the wave's first read).
-The attributed per-instruction cycles always sum back to the group
-total, keeping the hotspot profiler reconciled with the cycle model.
+the earliest waves.  Each extra cycle goes to the owner of each
+recirculation wave's first read: with one port, the group ``[(0,
+($fp0, $fp2, $fp4)), (1, ($fp6,))]`` reading one bank four times
+charges instruction 0 two cycles and instruction 1 one.  The attributed
+cycles always sum back to the group total, keeping the hotspot profiler
+reconciled with the cycle model.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ...banks.register_file import RegisterFile
 from ...ir.types import PhysicalRegister
+from ..hazards import bank_waves, reg_names
 
 
 @dataclass
@@ -37,12 +40,18 @@ class ReadArbitration:
 
     #: Extra read-stage cycles for the whole group (beyond the base 1).
     extra_cycles: int = 0
-    #: Extra cycles attributed per instruction index; sums to
-    #: :attr:`extra_cycles`.
-    per_instruction: dict[int, int] = field(default_factory=dict)
     #: ``(index, detail, events)`` profiler sites: *index*'s reads of a
-    #: bank forced *events* recirculation waves described by *detail*.
+    #: bank owned the first read of *events* recirculation waves.
     sites: list[tuple[int, str, int]] = field(default_factory=list)
+
+    @property
+    def per_instruction(self) -> dict[int, int]:
+        """Extra cycles attributed per instruction index; sums to
+        :attr:`extra_cycles`."""
+        charged: Counter = Counter()
+        for index, _, events in self.sites:
+            charged[index] += events
+        return dict(charged)
 
 
 @dataclass(frozen=True)
@@ -68,32 +77,13 @@ class ReadPortArbiter:
         (a repeated read of one register is one port access).
         """
         result = ReadArbitration()
-        by_bank: dict[int, list[tuple[int, PhysicalRegister]]] = {}
-        for index, reads in group:
-            for reg in reads:
-                by_bank.setdefault(self.register_file.bank_of(reg), []).append(
-                    (index, reg)
-                )
         ports = self.ports_per_bank
-        for bank in sorted(by_bank):
-            queue = by_bank[bank]
-            waves = (len(queue) + ports - 1) // ports
-            if waves <= 1:
-                continue
-            result.extra_cycles += waves - 1
-            owners: dict[int, int] = {}
-            for wave in range(1, waves):
-                owner = queue[wave * ports][0]
-                owners[owner] = owners.get(owner, 0) + 1
-                result.per_instruction[owner] = (
-                    result.per_instruction.get(owner, 0) + 1
-                )
+        reads = [(index, reg) for index, regs in group for reg in regs]
+        for bank, queue, extra in bank_waves(reads, self.register_file, ports):
+            result.extra_cycles += extra
+            owners = Counter(queue[wave * ports][0] for wave in range(1, extra + 1))
             for owner, events in owners.items():
-                names = ",".join(
-                    f"${r.regclass.name}{r.index}"
-                    for i, r in queue
-                    if i == owner
-                )
+                names = reg_names(read for read in queue if read[0] == owner)
                 result.sites.append(
                     (owner, f"port(bank{bank}:{names})/{ports}", events)
                 )

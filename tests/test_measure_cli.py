@@ -90,19 +90,27 @@ class TestOooMeasure:
 
 class TestParityDump:
     def test_degenerate_dump_is_byte_identical_to_dsa(self, tmp_path, capsys):
-        dsa_out = tmp_path / "dsa.json"
-        deg_out = tmp_path / "degenerate.json"
-        assert measure(tmp_path, "--out", str(dsa_out)) == 0
-        assert measure(
-            tmp_path, "--machine", "ooo", "--no-rename",
-            "--issue-width", "1", "--read-ports", "1",
-            "--out", str(deg_out),
-        ) == 0
-        capsys.readouterr()
-        assert dsa_out.read_bytes() == deg_out.read_bytes()
-        payload = json.loads(dsa_out.read_text())
-        assert set(payload) == {"non", "bcr", "bpc"}
-        assert all(payload.values())
+        # DSA-OP on the 2x4 bank-subgroup file, then SPECfp on RV#2's flat
+        # 2-bank file, where neither machine may charge alignment cycles.
+        for workload in ((), ("--suite", "SPECfp", "--platform", "rv2",
+                              "--banks", "2")):
+            dsa_out = tmp_path / "dsa.json"
+            deg_out = tmp_path / "degenerate.json"
+            assert measure(tmp_path, *workload, "--out", str(dsa_out)) == 0
+            assert measure(
+                tmp_path, *workload, "--machine", "ooo", "--no-rename",
+                "--issue-width", "1", "--read-ports", "1",
+                "--out", str(deg_out),
+            ) == 0
+            capsys.readouterr()
+            assert dsa_out.read_bytes() == deg_out.read_bytes()
+            payload = json.loads(dsa_out.read_text())
+            assert set(payload) == {"non", "bcr", "bpc"}
+            assert all(payload.values())
+        assert all(
+            row["alignment_cycles"] == 0.0
+            for rows in payload.values() for row in rows.values()
+        )
 
     def test_dump_is_byte_stable_across_jobs(self, tmp_path, capsys):
         serial = tmp_path / "serial.json"

@@ -96,13 +96,6 @@ class TestInterpreter:
         stats = DynamicSimulator(rf, max_instructions=5).run(fn)
         assert stats.truncated
 
-    def test_merge(self):
-        fn = _mark_latch(conflicted_loop(4))
-        rf = BankedRegisterFile(8, 2)
-        a = DynamicSimulator(rf).run(fn)
-        merged = a.merge(a)
-        assert merged.dynamic_conflicts == 2 * a.dynamic_conflicts
-
 
 class TestExpectedFrequencies:
     def test_loop_frequency_is_trip_count(self):

@@ -91,10 +91,3 @@ class TestMethodComparison:
         e_soft = estimate_energy(soft.function, soft_rf)
         e_hard = estimate_energy(hard.function, hard_rf)
         assert e_soft.total < e_hard.total
-
-    def test_merge(self):
-        fn = clean_fn()
-        rf = BankedRegisterFile(8, 2)
-        a = estimate_energy(fn, rf)
-        merged = a.merge(a)
-        assert merged.total == pytest.approx(2 * a.total)

@@ -120,12 +120,16 @@ class TestArbitration:
 
     def test_oldest_first_read_never_pays(self):
         # All four reads hit bank 0; the oldest instruction's first read
-        # rides the free wave, the recirculation waves are attributed to
-        # whoever owns their first read.
+        # rides the free wave, and each recirculation wave is charged to
+        # the owner of its first read.
         arb = ReadPortArbiter(flat_file(), ports_per_bank=1)
         result = arb.arbitrate([(0, (P(0),)), (1, (P(2), P(8)))])
         assert result.extra_cycles == 2
         assert result.per_instruction == {1: 2}  # the younger pays
+        # Not always the youngest: the oldest owns two of three waves.
+        result = arb.arbitrate([(0, (P(0), P(2), P(4))), (1, (P(6),))])
+        assert result.extra_cycles == 3
+        assert result.per_instruction == {0: 2, 1: 1}
 
     def test_attribution_reconciles_with_total(self):
         arb = ReadPortArbiter(flat_file(), ports_per_bank=1)
@@ -136,7 +140,7 @@ class TestArbitration:
         assert sum(e for _, _, e in result.sites) == result.extra_cycles
 
     def test_single_instruction_group_matches_paper_penalty(self):
-        from repro.sim import instruction_bank_conflicts
+        from repro.sim import instruction_hazards
 
         fn = parse_function(
             "func @f {\nblock entry:\n  $fp8 = fmadd $fp0, $fp2, $fp4\n  ret\n}"
@@ -145,9 +149,9 @@ class TestArbitration:
         arb = ReadPortArbiter(flat_file(), ports_per_bank=1)
         reads = tuple(instr.bankable_reads(P(0).regclass))
         result = arb.arbitrate([(0, reads)])
-        assert result.extra_cycles == instruction_bank_conflicts(
+        assert result.extra_cycles == instruction_hazards(
             instr, flat_file(), P(0).regclass
-        )
+        ).conflicts
 
 
 # ----------------------------------------------------------------------

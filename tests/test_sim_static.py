@@ -4,13 +4,7 @@ from repro.banks import BankedRegisterFile, BankSubgroupRegisterFile
 from repro.ir import instruction as ins
 from repro.ir import parse_function
 from repro.ir.types import PhysicalRegister
-from repro.sim import (
-    analyze_module_static,
-    analyze_static,
-    count_conflict_relevant,
-    instruction_bank_conflicts,
-    instruction_subgroup_violations,
-)
+from repro.sim import analyze_static, count_conflict_relevant, instruction_hazards
 
 P = PhysicalRegister
 
@@ -19,17 +13,17 @@ class TestInstructionBankConflicts:
     def test_same_bank_pair_conflicts(self):
         rf = BankedRegisterFile(8, 2)
         i = ins.arith("fadd", P(4), P(0), P(2))  # banks 0, 0
-        assert instruction_bank_conflicts(i, rf) == 1
+        assert instruction_hazards(i, rf).conflicts == 1
 
     def test_cross_bank_pair_clean(self):
         rf = BankedRegisterFile(8, 2)
         i = ins.arith("fadd", P(4), P(0), P(1))  # banks 0, 1
-        assert instruction_bank_conflicts(i, rf) == 0
+        assert instruction_hazards(i, rf).conflicts == 0
 
     def test_three_same_bank_reads_cost_two(self):
         rf = BankedRegisterFile(16, 2)
         i = ins.arith("fmadd", P(1), P(0), P(2), P(4))  # all bank 0
-        assert instruction_bank_conflicts(i, rf) == 2
+        assert instruction_hazards(i, rf).conflicts == 2
 
     def test_two_pairs_in_two_banks(self):
         rf = BankedRegisterFile(16, 2)
@@ -37,51 +31,53 @@ class TestInstructionBankConflicts:
         from repro.ir.instruction import Instruction, OpKind
 
         i = Instruction("quad", OpKind.ARITH, (P(8),), (P(0), P(2), P(1), P(3)))
-        assert instruction_bank_conflicts(i, rf) == 2  # (0,2) and (1,3)
+        assert instruction_hazards(i, rf).conflicts == 2  # (0,2) and (1,3)
 
     def test_repeated_register_is_one_port(self):
         rf = BankedRegisterFile(8, 2)
         i = ins.arith("fmul", P(4), P(0), P(0))
-        assert instruction_bank_conflicts(i, rf) == 0
+        assert instruction_hazards(i, rf).conflicts == 0
 
     def test_defs_do_not_conflict(self):
         rf = BankedRegisterFile(8, 2)
         i = ins.arith("fadd", P(0), P(1), P(2))  # def bank irrelevant
-        assert instruction_bank_conflicts(i, rf) == 0
+        assert instruction_hazards(i, rf).conflicts == 0
 
     def test_virtual_operands_ignored(self):
         from repro.ir.types import VirtualRegister
 
         rf = BankedRegisterFile(8, 2)
         i = ins.arith("fadd", P(4), VirtualRegister(0), P(2))
-        assert instruction_bank_conflicts(i, rf) == 0
+        assert instruction_hazards(i, rf).conflicts == 0
 
 
 class TestSubgroupViolations:
     def test_misaligned_operands(self):
         rf = BankSubgroupRegisterFile(16, 2, 4)
         i = ins.arith("fadd", P(1), P(5), P(10))  # subgroups 1, 1, 2
-        assert instruction_subgroup_violations(i, rf) == 1
+        assert instruction_hazards(i, rf).violations == 1
+        # A flat file decodes every register to subgroup 0.
+        assert instruction_hazards(i, BankedRegisterFile(16, 2)).violations == 0
 
     def test_aligned_operands(self):
         rf = BankSubgroupRegisterFile(16, 2, 4)
         i = ins.arith("fadd", P(1), P(5), P(13))  # subgroups all 1
-        assert instruction_subgroup_violations(i, rf) == 0
+        assert instruction_hazards(i, rf).violations == 0
 
     def test_three_distinct_subgroups(self):
         rf = BankSubgroupRegisterFile(16, 2, 4)
         i = ins.arith("fadd", P(0), P(1), P(2))  # subgroups 0, 1, 2
-        assert instruction_subgroup_violations(i, rf) == 2
+        assert instruction_hazards(i, rf).violations == 2
 
     def test_copies_exempt(self):
         rf = BankSubgroupRegisterFile(16, 2, 4)
         i = ins.copy(P(0), P(1))  # different subgroups, still fine
-        assert instruction_subgroup_violations(i, rf) == 0
+        assert instruction_hazards(i, rf).violations == 0
 
     def test_loads_exempt(self):
         rf = BankSubgroupRegisterFile(16, 2, 4)
         i = ins.load(P(1), spill_slot=0)
-        assert instruction_subgroup_violations(i, rf) == 0
+        assert instruction_hazards(i, rf).violations == 0
 
 
 class TestAnalyzeStatic:
@@ -134,22 +130,6 @@ class TestAnalyzeStatic:
         stats = analyze_static(fn, rf)
         assert stats.bank_conflicts == 1
         assert stats.weighted_conflicts == 10.0
-
-    def test_merge(self):
-        rf = BankedRegisterFile(8, 2)
-        a = analyze_static(self.allocated_function(), rf)
-        merged = a.merge(a)
-        assert merged.bank_conflicts == 2 * a.bank_conflicts
-        assert merged.instructions == 2 * a.instructions
-
-    def test_module_aggregation(self):
-        from repro.ir import Module
-
-        rf = BankedRegisterFile(8, 2)
-        m = Module("m")
-        m.add(self.allocated_function())
-        per_fn = analyze_static(self.allocated_function(), rf)
-        assert analyze_module_static(m, rf).bank_conflicts == per_fn.bank_conflicts
 
 
 class TestCountConflictRelevant:
