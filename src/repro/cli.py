@@ -281,14 +281,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the allocation service until interrupted."""
     from .obs import EVENTS, TRACER
     from .selfcheck import SelfCheckError, run_selfcheck
-    from .service import (
-        ServiceConfig,
-        make_server,
-        make_shard_server,
-        shutdown_server,
-        shutdown_shard_server,
-    )
-    from .service.server import ServiceHandler
+    from .service import ServiceConfig, make_server, make_shard_server
+    from .service.server import ServiceHandler, serve_until_stopped
 
     # Boot-time self-check: never serve allocations that drifted from
     # the recorded canned-kernel output.
@@ -331,46 +325,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = make_shard_server(
             args.host, args.port, shards=args.shards, config=config
         )
-        shutdown = shutdown_shard_server
         what = f"repro shard service ({args.shards} workers)"
     else:
         server = make_server(args.host, args.port, config)
-        shutdown = shutdown_server
         what = "repro service"
 
-    # SIGTERM means *graceful*: stop accepting, let in-flight jobs
-    # finish, sync the journal, then exit.  (SIGKILL is the crash the
-    # journal exists for — recovery replays on the next boot.)  Shard
-    # workers install their own in-process handler; the frontend only
-    # needs to stop serving, router.close() SIGTERMs each worker.
-    import signal
-    import threading
+    def _announce() -> None:
+        host, port = server.server_address[:2]
+        print(f"{what} listening on http://{host}:{port}", flush=True)
+        if TRACER.enabled:
+            print(
+                "telemetry on: GET /v1/metrics (Prometheus), "
+                "GET /v1/trace/<trace_id> (merged spans)",
+                flush=True,
+            )
 
-    def _graceful(signum, frame):  # noqa: ARG001 - signal signature
-        def _drain_and_stop():
-            service = getattr(server, "service", None)
-            if service is not None:
-                service.drain_wait(timeout=10.0)
-            server.shutdown()
-
-        threading.Thread(target=_drain_and_stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _graceful)
-
-    host, port = server.server_address[:2]
-    print(f"{what} listening on http://{host}:{port}", flush=True)
-    if TRACER.enabled:
-        print(
-            "telemetry on: GET /v1/metrics (Prometheus), "
-            "GET /v1/trace/<trace_id> (merged spans)",
-            flush=True,
-        )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        shutdown(server)
+    serve_until_stopped(server, _announce)  # SIGTERM drains first
     return 0
 
 
@@ -396,7 +366,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .service.loadgen import (
         HttpTarget,
         LoadgenConfig,
-        RouterTarget,
         loadgen_record,
         run_loadgen,
     )
@@ -438,20 +407,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         target = HttpTarget(ServiceClient(args.server, timeout=args.timeout))
     else:
         from .service import LocalShard, ShardRouter
-        from .service.shard import shard_cache_dir
+        from .service.shard import shard_configs
 
-        shards = [
-            LocalShard(
-                f"s{i}",
-                ServiceConfig(
-                    cache_dir=shard_cache_dir(args.cache_dir, f"s{i}"),
-                    journal_dir=shard_cache_dir(args.journal, f"s{i}"),
-                ),
-            )
-            for i in range(max(1, args.shards))
-        ]
-        router = ShardRouter(shards)
-        target = RouterTarget(router)
+        configs = shard_configs(
+            ServiceConfig(cache_dir=args.cache_dir, journal_dir=args.journal),
+            args.shards,
+        )
+        router = target = ShardRouter(
+            [LocalShard(name, config) for name, config in configs.items()]
+        )
         if args.rolling_restart:
             # Fire drain→restart→rejoin across the fleet mid-run: start
             # about halfway through the arrival schedule so requests

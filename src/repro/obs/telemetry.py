@@ -1,8 +1,10 @@
 """Fleet-wide telemetry: live metrics, events, and SLOs.
 
-The batch layers (tracer / metrics / audit / profiler) dump at exit.
-This module adds the live aggregates the sharded service serves while
-it runs; its spans go to the one recorder, :data:`repro.obs.TRACER`.
+A batch run records spans into the one recorder,
+:data:`repro.obs.TRACER`, and folds its views (pass statistics,
+metrics, audit, profile — :mod:`repro.obs.views`) from them at exit.
+This module adds the live aggregates the service and the sharded fleet
+serve while they run.
 
 * :class:`StreamingHistogram` / :class:`RingSeries` — O(1)-per-sample
   aggregates cheap enough for the request hot path; the histogram keeps
@@ -222,9 +224,11 @@ def render_prometheus(samples) -> str:
     """Render ``[(labels, sample), ...]`` as Prometheus text exposition.
 
     Each *sample* is the ``{"counters": .., "gauges": .., "histograms":
-    ..}`` shape produced by ``AllocationService.metrics_sample()`` /
-    ``MetricsRegistry.snapshot()``; *labels* (e.g. ``{"shard": "s0"}``)
-    distinguish fleet members while keeping one family per metric name.
+    ..}`` shape produced by ``AllocationService.metrics_sample()`` (the
+    same shape as a ``--metrics`` document, ``repro.obs.views.
+    metrics_doc``); *labels* (e.g. ``{"shard": "s0"}``) distinguish fleet
+    members while keeping one family per metric name.  The pairs are
+    what a server backend's ``metrics_samples()`` returns.
     """
 
     counters: "dict[str, list]" = {}

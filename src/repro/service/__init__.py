@@ -16,10 +16,14 @@ stack rather than a batch script (see ``docs/SERVICE.md``):
   accepted-but-unfinished jobs, checkpoint compaction (see the
   "Durability & lifecycle" section of ``docs/RESILIENCE.md``);
 * :mod:`.server` / :mod:`.client` — the HTTP/JSON front-end behind
-  ``repro serve`` and its Python client;
+  ``repro serve`` and its Python client.  One server class and one
+  handler serve every mount; the handler answers from a backend with
+  one request surface — :class:`~repro.service.server.ServiceBackend`
+  over one service, or the shard router;
 * :mod:`.shard` — the horizontal scale-out layer: consistent-hash
   routing over N worker processes with health-check/evict/respawn
-  (``repro serve --shards N``, see ``docs/SCALING.md``);
+  (``repro serve --shards N``, see ``docs/SCALING.md``), whose shards
+  answer the same surface;
 * :mod:`.loadgen` — the seeded open-loop traffic harness behind
   ``repro loadgen`` (arrival ramps, Zipf popularity, deadline mixes,
   p50/p99/p999 + goodput reporting into the BENCH history schema).
@@ -59,17 +63,15 @@ from .queue import (
     ServiceDrainingError,
     ServiceOverloadError,
 )
-from .server import ServiceServer, make_server, shutdown_server
+from .server import ServiceBackend, ServiceServer, make_server, shutdown_server
 from .shard import (
     HashRing,
     LocalShard,
     NoShardAvailableError,
     ProcessShard,
     ShardError,
-    ShardFrontendServer,
     ShardRouter,
     make_shard_server,
-    shutdown_shard_server,
 )
 
 __all__ = [
@@ -90,6 +92,7 @@ __all__ = [
     "ProcessShard",
     "RequestError",
     "SCHEMA_VERSION",
+    "ServiceBackend",
     "ServiceClient",
     "ServiceConfig",
     "ServiceDrainingError",
@@ -97,7 +100,6 @@ __all__ = [
     "ServiceOverloadError",
     "ServiceServer",
     "ShardError",
-    "ShardFrontendServer",
     "ShardRouter",
     "TierCostModel",
     "artifact_bytes",
@@ -115,5 +117,4 @@ __all__ = [
     "run_loadgen",
     "select_tier",
     "shutdown_server",
-    "shutdown_shard_server",
 ]

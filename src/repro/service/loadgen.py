@@ -51,7 +51,6 @@ from ..obs.telemetry import SLOTracker
 from .artifact import artifact_bytes, build_artifact
 from .client import ServiceClient, ServiceError
 from .queue import ServiceOverloadError
-from .shard import ShardError, ShardRouter
 
 __all__ = [
     "LoadgenConfig",
@@ -184,25 +183,6 @@ def percentile(sorted_values: list[float], pct: float) -> float | None:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-class RouterTarget:
-    """Drive a :class:`~repro.service.shard.ShardRouter` in-process."""
-
-    def __init__(self, router: ShardRouter):
-        self.router = router
-
-    def submit(self, body: dict, trace: TraceContext | None = None) -> dict:
-        return self.router.submit(body, trace=trace)
-
-    def wait(self, job_id: str, timeout: float) -> dict:
-        return self.router.wait(job_id, timeout=timeout)
-
-    def result(self, job_id: str) -> bytes:
-        return self.router.result(job_id)
-
-    def stats(self) -> dict:
-        return self.router.stats()
-
-
 class HttpTarget:
     """Drive a running server (single-process or sharded) over HTTP."""
 
@@ -225,9 +205,10 @@ class HttpTarget:
 def run_loadgen(target, config: LoadgenConfig | None = None) -> dict:
     """Replay one seeded scenario against *target*; return the report.
 
-    *target* is a :class:`RouterTarget`, :class:`HttpTarget`, or
-    anything with the same ``submit``/``wait``/``result``/``stats``
-    quartet.  The report's deterministic fields (``goodput``,
+    *target* is a :class:`~repro.service.shard.ShardRouter` (driven
+    in-process), an :class:`HttpTarget`, or anything else with the
+    request surface's ``submit``/``wait``/``result``/``stats``.  The
+    report's deterministic fields (``goodput``,
     ``failed``, ``verify_failed``, ``samples``, ``shards``) are what CI
     gates on; its timing fields are informational.
     """
@@ -266,10 +247,7 @@ def run_loadgen(target, config: LoadgenConfig | None = None) -> dict:
             else None
         )
         try:
-            if trace is not None:
-                status = target.submit(body, trace=trace)
-            else:
-                status = target.submit(body)
+            status = target.submit(body, trace=trace)
             if status["status"] not in ("done", "failed"):
                 status = target.wait(status["job_id"], config.timeout_s)
             if status["status"] != "done":
@@ -281,7 +259,7 @@ def run_loadgen(target, config: LoadgenConfig | None = None) -> dict:
                 data = target.result(status["job_id"])
             latency = time.perf_counter() - arrived_mono
             return ("ok", arrival, latency, status, data, trace)
-        except (ServiceOverloadError, ServiceError, ShardError) as exc:
+        except (ServiceOverloadError, ServiceError) as exc:
             return ("failed", arrival, None, str(exc), None, trace)
 
     started = time.perf_counter()

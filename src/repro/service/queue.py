@@ -275,8 +275,9 @@ class Job:
 
     @property
     def function_name(self) -> str:
+        """The name in the (first) ``func @name {`` header, or ``?``."""
         head = self.ir.split("{", 1)[0]
-        return head.replace("func", "").strip().lstrip("@") or "?"
+        return head.partition("func @")[2].strip() or "?"
 
     @property
     def finished(self) -> bool:
@@ -989,46 +990,12 @@ class AllocationService:
                 error, transient = errors.get(i, ("execution failed", True))
                 self._handle_failure(job, error, retryable=transient)
                 continue
-            artifact = outcome["artifact"]
-            seconds = outcome["seconds"]
-            job.stages["alloc"] = seconds
             TRACER.record_raw(outcome.get("spans"))
-            data = artifact_bytes(artifact)
-            if self.verifier.should_verify("computed"):
-                verify_started = time.perf_counter()
-                with TRACER.activate(job.trace):
-                    report = self.verifier.verify_bytes(
-                        data,
-                        expected_key=artifact["key"],
-                        original_ir=(
-                            job.ir if tier == job.requested_method else None
-                        ),
-                    )
-                job.stages["verify"] = time.perf_counter() - verify_started
-                with self._lock:
-                    self.counters["verified"] += 1
-                if not report.ok:
-                    # Fail-stop: a computed artifact that fails its own
-                    # verification is never cached or served.
-                    with self._lock:
-                        self.counters["verify_failed"] += 1
-                    TRACER.event(
-                        "service.verify_fail", ctx=job.trace,
-                        job=job.job_id, findings=report.findings[:3],
-                    )
-                    self._handle_failure(
-                        job,
-                        "artifact failed verification: "
-                        + "; ".join(report.findings[:3]),
-                        retryable=True,  # recompute is the healing path
-                    )
-                    continue
-            job.execution_s = seconds
-            self.cost_model.observe(tier, seconds)
-            self.cache.put(artifact["key"], data)
-            self._finish(job, data, tier, tier != job.requested_method)
-            with self._lock:
-                self.counters["executed"] += 1
+            # Verified against the request's IR only at the tier asked for.
+            self._complete(
+                job, tier, outcome["artifact"], outcome["seconds"],
+                original_ir=job.ir if tier == job.requested_method else None,
+            )
 
     def _execute_module(self, job: Job, tier: str) -> None:
         """One incremental module allocation, inline on the dispatcher.
@@ -1054,15 +1021,25 @@ class AllocationService:
             self._handle_failure(job, str(exc), retryable=transient)
             return
         seconds = time.perf_counter() - started
-        job.stages["alloc"] = seconds
         with self._lock:
             self.incremental["modules"] += 1
+        self._complete(job, tier, artifact, seconds, original_ir=None)
+
+    def _complete(
+        self, job: Job, tier: str, artifact: dict, seconds: float,
+        original_ir: str | None,
+    ) -> None:
+        """Verify a computed artifact (against *original_ir*, when given),
+        then cache and serve it.  Fail-stop: an artifact that fails its
+        own verification is never cached or served, and the job retries
+        — recompute is the healing path."""
+        job.stages["alloc"] = seconds
         data = artifact_bytes(artifact)
         if self.verifier.should_verify("computed"):
             verify_started = time.perf_counter()
             with TRACER.activate(job.trace):
                 report = self.verifier.verify_bytes(
-                    data, expected_key=artifact["key"]
+                    data, expected_key=artifact["key"], original_ir=original_ir
                 )
             job.stages["verify"] = time.perf_counter() - verify_started
             with self._lock:
@@ -1076,7 +1053,7 @@ class AllocationService:
                 )
                 self._handle_failure(
                     job,
-                    "module artifact failed verification: "
+                    "artifact failed verification: "
                     + "; ".join(report.findings[:3]),
                     retryable=True,
                 )

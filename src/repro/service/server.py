@@ -1,23 +1,31 @@
-"""HTTP/JSON front-end for the allocation service (``repro serve``).
+"""HTTP/JSON front-end of the allocation service (``repro serve``).
 
-Stdlib-only (``http.server``): a :class:`ThreadingHTTPServer` whose
-handlers call straight into one shared
-:class:`~repro.service.queue.AllocationService`.
+Stdlib-only (``http.server``): one :class:`ServiceServer` class and one
+:class:`ServiceHandler` class serve every mount.  The handler answers
+each request with one call on the server's *backend*:
 
-Endpoints (all JSON):
+===============================  ========================================
+``GET  /healthz``                ``health()`` → ``{"ok": true}``
+``GET  /v1/stats``               ``stats()``: counters, queue depth,
+                                 cache, tiers, dead letters, faults
+``POST /v1/submit``              ``submit(body, trace)`` → job status
+``GET  /v1/jobs/<id>``           ``poll(id, wait_s)``; ``?wait_s=``
+                                 long-polls
+``GET  /v1/jobs/<id>/result``    ``result(id)``: the artifact bytes
+``POST /v1/allocate``            submit, ``wait(id, timeout)`` and
+                                 result (``?timeout_s=``)
+``GET  /v1/metrics``             ``metrics_samples()`` as Prometheus
+                                 text (``?format=json``: the samples)
+``GET  /v1/trace/<trace_id>``    ``trace(trace_id)``: buffered spans
+``POST /v1/admin/drain``         ``drain(name)`` (``?shard=NAME``)
+===============================  ========================================
 
-========================  ====================================================
-``GET  /healthz``         liveness probe → ``{"ok": true}``
-``GET  /v1/stats``        counters, queue depth, cache stats, tier estimates,
-                          dead-letter record, fault-plan accounting
-``POST /v1/submit``       enqueue a request → ``{job_id, cache, status}``
-``GET  /v1/jobs/<id>``    job status (no artifact); ``?wait_s=`` long-polls
-``GET  /v1/jobs/<id>/result``  the stored artifact bytes, verbatim
-``POST /v1/allocate``     submit + wait (``?timeout_s=``) → status + artifact
-``GET  /v1/metrics``      live metrics — Prometheus text exposition
-                          (``?format=json`` for the raw sample)
-``GET  /v1/trace/<trace_id>``  buffered spans of one distributed trace
-========================  ====================================================
+:class:`ServiceBackend` is that surface over one in-process
+:class:`~repro.service.queue.AllocationService` — the backend of
+``repro serve`` and of every shard worker.  The
+:class:`~repro.service.shard.ShardRouter` is the backend of ``repro
+serve --shards N``, and its shards answer the same surface, so the API
+is the same at both mounts by construction.
 
 ``/v1/jobs/<id>/result`` writes the cache's canonical bytes directly to
 the socket — a cache hit is bit-identical to the cold run that filled
@@ -29,10 +37,17 @@ ACK); a connection idle for :data:`IDLE_TIMEOUT_S` is closed.  A request
 body the handler did not read is drained before the response, so the
 next request on the connection parses from its first byte.
 
+Errors answer alike at every mount: a :class:`RequestError` is **400**;
+a shed or draining submit (:class:`~repro.service.queue.
+ServiceOverloadError`) is **503** + ``Retry-After``; any other
+:class:`~repro.service.client.ServiceError` answers its own status —
+``404`` for an unknown job, ``202``/``500`` with the job's status for
+the ``/result`` of a job that is pending/failed, ``503`` for a shard
+that cannot answer.
+
 Overload behavior (see ``docs/RESILIENCE.md``):
 
-* a full service queue sheds the submit with **503** + ``Retry-After``
-  (:class:`~repro.service.queue.ServiceOverloadError`);
+* a full service queue sheds the submit with **503** + ``Retry-After``;
 * more than ``max_concurrent_requests`` simultaneous handlers sheds
   with **429** + ``Retry-After`` before any work is done;
 * the synchronous ``/v1/allocate`` wait and the ``/v1/jobs/<id>``
@@ -49,6 +64,7 @@ turn any request into an injected ``5xx`` (``error``), a stall
 from __future__ import annotations
 
 import json
+import signal
 import socket
 import threading
 import time
@@ -59,9 +75,9 @@ from ..obs import TRACE_HEADER, TRACER, TraceContext
 from ..obs.telemetry import render_prometheus
 from ..resilience.faults import FAULTS
 from .artifact import RequestError
+from .client import ServiceError
 from .queue import (
     AllocationService,
-    Job,
     ServiceConfig,
     ServiceDrainingError,
     ServiceOverloadError,
@@ -69,7 +85,7 @@ from .queue import (
 
 #: Every route the service answers, as ``(method, path template)``.
 #: The docs-check test cross-references this against ``docs/SERVICE.md``
-#: and a live server, so neither the table nor the handlers can drift.
+#: and requests each one from a live server on both mounts.
 ROUTES: tuple[tuple[str, str], ...] = (
     ("GET", "/healthz"),
     ("GET", "/v1/stats"),
@@ -95,9 +111,8 @@ IDLE_TIMEOUT_S = 30.0
 #: the connection is closed instead.
 MAX_DRAIN_BYTES = 1 << 20
 
-
-def _job_status(job: Job) -> dict:
-    return job.describe()
+#: Seconds a SIGTERM waits for accepted work to finish before exiting.
+DRAIN_TIMEOUT_S = 10.0
 
 
 def _query_seconds(url, name: str, default: float) -> float:
@@ -110,8 +125,95 @@ def _query_seconds(url, name: str, default: float) -> float:
     return min(max(value, 0.0), MAX_SYNC_TIMEOUT_S)
 
 
+class ServiceBackend:
+    """The request surface of one in-process allocation service.
+
+    Statuses are :meth:`~repro.service.queue.Job.describe` views.  A job
+    that left the job table answers from its durable dead-letter record;
+    an unknown one raises :class:`ServiceError` ``404``, and the
+    :meth:`result` of a job that is not done raises it with the job's
+    status as the payload — ``202`` while pending, ``500`` once failed.
+    """
+
+    #: The span the handler opens around a submit.
+    span_name = "server.request"
+
+    def __init__(self, service: AllocationService):
+        self.service = service
+
+    def _live(self) -> AllocationService:
+        """The service to answer from (a dead shard raises here)."""
+        return self.service
+
+    def _view(self, service: AllocationService, job_id: str) -> dict:
+        view = service.lookup(job_id)  # durable dead-letter view
+        if view is None:
+            raise ServiceError(f"unknown job {job_id!r}", status=404)
+        return view
+
+    def health(self) -> dict:
+        return {"ok": True}
+
+    def submit(self, body: dict, trace: TraceContext | None = None) -> dict:
+        return self._live().submit(body, trace=trace).describe()
+
+    def poll(self, job_id: str, wait_s: float = 0.0) -> dict:
+        """The job's status, after waiting up to *wait_s* for it to finish."""
+        service = self._live()
+        job = service.get(job_id)
+        if job is None:
+            return self._view(service, job_id)
+        if wait_s:
+            job.wait(wait_s)
+        return job.describe()
+
+    def wait(self, job_id: str, timeout: float = 30.0) -> dict:
+        """The job's status once it finishes or *timeout* runs out."""
+        return self.poll(job_id, wait_s=timeout)
+
+    def result(self, job_id: str) -> bytes:
+        """The artifact bytes; a job that is not done raises with its
+        status (a done job's bytes come back without one)."""
+        service = self._live()
+        job = service.get(job_id)
+        if job is not None and job.status == "done":
+            return job.artifact or b"{}"
+        view = job.describe() if job is not None else self._view(service, job_id)
+        raise ServiceError(
+            f"job {job_id!r} is {view['status']}",
+            status=500 if view["status"] == "failed" else 202,
+            payload=view,
+        )
+
+    def stats(self) -> dict:
+        return self._live().stats()
+
+    def metrics_samples(self) -> list:
+        """``[(labels, sample), ...]`` — one unlabeled sample here; a
+        router stamps the ``shard`` label on."""
+        return [({}, self._live().metrics_sample())]
+
+    def trace(self, trace_id: str) -> dict:
+        """Everything this process buffered for one trace."""
+        self._live()
+        return {"trace_id": trace_id, "spans": TRACER.spans_for(trace_id)}
+
+    def drain(self, name: str | None = None) -> dict:
+        """Enter draining mode (idempotent; *name* is the router's and is
+        ignored here).  Returns the live lifecycle view, so callers poll
+        this until ``drained`` flips true before restarting."""
+        return self._live().drain()
+
+    def drain_wait(self, timeout: float = 30.0) -> bool:
+        """Drain and block until quiescent (or *timeout*); True if drained."""
+        return self._live().drain_wait(timeout=timeout)
+
+    def close(self) -> None:
+        self.service.stop()
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
-    """One request; the service lives on ``self.server.service``."""
+    """One request, answered by ``self.server.backend``."""
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
@@ -185,29 +287,32 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise RequestError(f"invalid JSON body: {exc}") from exc
 
     @property
-    def service(self) -> AllocationService:
-        return self.server.service  # type: ignore[attr-defined]
+    def backend(self):
+        return self.server.backend  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Distributed tracing (see repro.obs.tracer)
     # ------------------------------------------------------------------
-
-    #: Span recorded around submit/allocate; the shard frontend renames
-    #: it so merged traces read frontend → shard → worker.
-    span_name = "server.request"
-
     def _trace_context(self) -> TraceContext | None:
         """The caller's trace coordinates, from ``X-Repro-Trace``."""
         if not TRACER.enabled:
             return None
         return TraceContext.parse(self.headers.get(TRACE_HEADER))
 
+    def _request_span(self):
+        """The backend's request span under the caller's trace context,
+        rooting a fresh trace when an untraced submit arrives while
+        tracing is on."""
+        return TRACER.span(
+            self.backend.span_name, category="server", path=self.path
+        )
+
     # ------------------------------------------------------------------
     # Guard rail every request passes through: fault injection first,
-    # then the concurrent-handler limit; a RequestError from any handler
-    # answers 400.  The incoming trace context is activated for the
-    # whole handler so deep call sites (fault injector, cache probes)
-    # attach events to the right trace.
+    # then the concurrent-handler limit; an error raised by any handler
+    # answers as the module docstring lists.  The incoming trace context
+    # is activated for the whole handler so deep call sites (fault
+    # injector, cache probes) attach events to the right trace.
     # ------------------------------------------------------------------
     def _guarded(self, handler) -> None:
         self._body_read = False
@@ -248,6 +353,22 @@ class ServiceHandler(BaseHTTPRequestHandler):
             handler()
         except RequestError as exc:
             self._send_json({"error": str(exc)}, 400)
+        except ServiceOverloadError as exc:
+            payload = {"error": str(exc)}
+            if isinstance(exc, ServiceDrainingError):
+                payload["draining"] = True
+            self._send_json(payload, 503, retry_after_s=exc.retry_after_s)
+        except ServiceError as exc:
+            # A job that is not done answers with its status; anything
+            # else with the error, under the status it carries.
+            payload = exc.payload
+            if payload is None or "job_id" not in payload:
+                payload = {"error": str(exc)}
+            self._send_json(
+                payload,
+                exc.status or 502,
+                retry_after_s=1.0 if exc.status in (202, 503) else None,
+            )
         finally:
             slots.release()
 
@@ -259,30 +380,23 @@ class ServiceHandler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         parts = [p for p in url.path.split("/") if p]
         if url.path == "/healthz":
-            self._send_json({"ok": True})
+            self._send_json(self.backend.health())
         elif url.path == "/v1/stats":
-            self._send_json(self.service.stats())
+            self._send_json(self.backend.stats())
         elif url.path == "/v1/metrics":
             self._get_metrics(url)
         elif len(parts) == 3 and parts[:2] == ["v1", "trace"]:
-            self._send_json(self._trace_payload(parts[2]))
+            self._send_json(self.backend.trace(parts[2]))
         elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
             wait_s = _query_seconds(url, "wait_s", 0.0)
-            self._get_job(parts[2], want_result=False, wait_s=wait_s)
+            self._send_json(self.backend.poll(parts[2], wait_s=wait_s))
         elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
-            self._get_job(parts[2], want_result=True)
+            self._send_bytes(self.backend.result(parts[2]))
         else:
             self._send_json({"error": f"no such path {url.path!r}"}, 404)
 
-    # -- live metrics / trace flush ------------------------------------
-
-    def _metrics_samples(self) -> list:
-        """``[(labels, sample), ...]`` — one unlabeled sample here; the
-        shard frontend overrides this with per-shard labeled samples."""
-        return [({}, self.service.metrics_sample())]
-
     def _get_metrics(self, url) -> None:
-        samples = self._metrics_samples()
+        samples = self.backend.metrics_samples()
         query = parse_qs(url.query)
         if query.get("format", [""])[0] == "json":
             self._send_json(
@@ -295,98 +409,46 @@ class ServiceHandler(BaseHTTPRequestHandler):
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
-    def _trace_payload(self, trace_id: str) -> dict:
-        """Everything this process buffered for one trace; the shard
-        frontend overrides this to also flush every shard's buffers."""
-        return {"trace_id": trace_id, "spans": TRACER.spans_for(trace_id)}
-
-    def _get_job(
-        self, job_id: str, want_result: bool, wait_s: float = 0.0
-    ) -> None:
-        """A job's status or result; *wait_s* > 0 long-polls the status,
-        answering as soon as the job finishes (the handler holds its
-        request slot meanwhile, as ``/v1/allocate`` does)."""
-        job = self.service.get(job_id)
-        if job is not None and wait_s:
-            job.wait(wait_s)
-        if job is None:
-            # Dead-lettered jobs outlive the job table (and, with a
-            # journal, the process): answer from the durable record.
-            view = self.service.lookup(job_id)
-            if view is None:
-                self._send_json({"error": f"unknown job {job_id!r}"}, 404)
-            else:
-                self._send_json(view, 500 if want_result else 200)
-            return
-        if not want_result:
-            self._send_json(_job_status(job))
-            return
-        if job.status == "failed":
-            self._send_json(_job_status(job), 500)
-        elif job.status != "done":
-            self._send_json(_job_status(job), 202, retry_after_s=1.0)
-        else:
-            self._send_bytes(job.artifact or b"{}")
-
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
         self._guarded(self._do_post)
 
     def _do_post(self) -> None:
         url = urlparse(self.path)
-        try:
-            if url.path == "/v1/submit":
-                with self._request_span() as span:
-                    job = self._submit(self._read_body(), span.ctx)
-                self._send_json(_job_status(job), 202 if job.status == "queued" else 200)
-            elif url.path == "/v1/allocate":
-                self._allocate_sync(url)
-            elif url.path == "/v1/admin/drain":
-                self._drain(url)
-            else:
-                self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except ServiceOverloadError as exc:
-            payload = {"error": str(exc)}
-            if isinstance(exc, ServiceDrainingError):
-                payload["draining"] = True
-            self._send_json(payload, 503, retry_after_s=exc.retry_after_s)
+        if url.path == "/v1/submit":
+            with self._request_span() as span:
+                status = self.backend.submit(self._read_body(), trace=span.ctx)
+            self._send_json(status, 202 if status["status"] == "queued" else 200)
+        elif url.path == "/v1/allocate":
+            self._allocate(url)
+        elif url.path == "/v1/admin/drain":
+            # Idempotent: repeat to poll ``drained``.  A router needs
+            # ``?shard=NAME`` to know which worker to take down.
+            name = parse_qs(url.query).get("shard", [None])[0]
+            self._send_json(self.backend.drain(name))
+        else:
+            self._send_json({"error": f"no such path {url.path!r}"}, 404)
 
-    def _drain(self, url) -> None:
-        """Enter draining mode (idempotent; body is optional and ignored).
-
-        Returns the live lifecycle view so callers can poll this same
-        endpoint until ``drained`` flips true before restarting.
-        """
-        self._send_json(self.service.drain())
-
-    def _request_span(self):
-        """A :attr:`span_name` span under the caller's trace context,
-        rooting a fresh trace when an untraced submit arrives while
-        tracing is on."""
-        return TRACER.span(self.span_name, category="server", path=self.path)
-
-    def _submit(self, body: dict, ctx: TraceContext | None) -> Job:
-        return self.service.submit(body, trace=ctx)
-
-    def _allocate_sync(self, url) -> None:
+    def _allocate(self, url) -> None:
         timeout = _query_seconds(url, "timeout_s", DEFAULT_SYNC_TIMEOUT_S)
         with self._request_span() as span:
-            job = self._submit(self._read_body(), span.ctx)
-            job.wait(timeout)
-        status = _job_status(job)
-        if job.status == "failed":
+            status = self.backend.submit(self._read_body(), trace=span.ctx)
+            if status["status"] not in ("done", "failed"):
+                status = self.backend.wait(status["job_id"], timeout)
+        if status["status"] == "failed":
             self._send_json(status, 500)
-        elif job.status != "done":
+        elif status["status"] != "done":
             self._send_json(status, 202, retry_after_s=1.0)
         else:
-            status["artifact"] = json.loads(job.artifact)
+            status["artifact"] = json.loads(self.backend.result(status["job_id"]))
             self._send_json(status)
 
 
-class KeepAliveHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server whose close does not wait out idle
-    kept-alive connections.
+class ServiceServer(ThreadingHTTPServer):
+    """The threading HTTP server of every mount: one
+    :class:`ServiceHandler` per request, all answered by *backend*.
 
+    Closing does not wait out idle kept-alive connections:
     ``server_close`` joins every handler thread, and a thread waiting
     for the next request on an idle connection would hold it for up to
     :data:`IDLE_TIMEOUT_S`.  Shutting the read side of each open
@@ -397,10 +459,11 @@ class KeepAliveHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, address, handler, max_concurrent_requests: int):
+    def __init__(self, address, backend, max_concurrent_requests: int = 32):
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
-        super().__init__(address, handler)
+        super().__init__(address, ServiceHandler)
+        self.backend = backend
         self.request_slots = threading.BoundedSemaphore(
             max(1, max_concurrent_requests)
         )
@@ -426,34 +489,59 @@ class KeepAliveHTTPServer(ThreadingHTTPServer):
         super().server_close()
 
 
-class ServiceServer(KeepAliveHTTPServer):
-    """Threading HTTP server bound to one :class:`AllocationService`."""
-
-    def __init__(self, address: tuple[str, int], service: AllocationService):
-        super().__init__(
-            address, ServiceHandler, service.config.max_concurrent_requests
-        )
-        self.service = service
-
-
 def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
     config: ServiceConfig | None = None,
     service: AllocationService | None = None,
 ) -> ServiceServer:
-    """Build (but do not run) a server; ``port=0`` binds a free port.
+    """Build (but do not run) a server over one service; ``port=0``
+    binds a free port.
 
     The dispatcher is started; callers own ``serve_forever`` /
     ``shutdown`` plus :func:`shutdown_server` for the service side.
     """
     service = service or AllocationService(config)
     service.start()
-    return ServiceServer((host, port), service)
+    return ServiceServer(
+        (host, port), ServiceBackend(service),
+        service.config.max_concurrent_requests,
+    )
 
 
 def shutdown_server(server: ServiceServer) -> None:
-    """Stop the HTTP loop and the service dispatcher."""
+    """Stop the HTTP loop, then close the backend (the service's
+    dispatcher, or a router's health loop and workers)."""
     server.shutdown()
     server.server_close()
-    server.service.stop()
+    server.backend.close()
+
+
+def serve_until_stopped(server: ServiceServer, ready) -> None:
+    """Serve on this (main) thread until SIGTERM or Ctrl-C, then shut down.
+
+    SIGTERM is graceful: the backend drains while the server still
+    answers — new submits get a draining ``503``, accepted jobs finish
+    and stay pollable, the journal syncs — and only then does the HTTP
+    loop stop.  SIGKILL skips all of it: that is the crash the
+    write-ahead journal recovers from.  *ready* announces the server
+    (prints its address, or sends a worker's port to its parent) once
+    the handler is in place, so a SIGTERM sent on the announcement is
+    graceful too.
+    """
+
+    def _graceful(signum, frame):  # noqa: ARG001 - signal signature
+        def _stop():
+            server.backend.drain_wait(timeout=DRAIN_TIMEOUT_S)
+            server.shutdown()
+
+        threading.Thread(target=_stop, daemon=True).start()
+
+    signal.signal(signal.SIGTERM, _graceful)
+    ready()
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        shutdown_server(server)

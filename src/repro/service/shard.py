@@ -9,13 +9,13 @@ working because identical requests always land on the same shard.
 
 Topology (see ``docs/SCALING.md``)::
 
-    client ──HTTP──▶ ShardFrontendServer ──▶ ShardRouter
+    client ──HTTP──▶ ServiceServer ──▶ ShardRouter (its backend)
                                               │ consistent-hash ring
                     ┌─────────────────────────┼─────────────────────┐
                     ▼                         ▼                     ▼
               worker shard s0           worker shard s1       worker shard s2
-              (AllocationService        (own process,         ...
-               + cache dir s0)          cache dir s1)
+              (ServiceServer over       (own process,         ...
+               its service, cache s0)   cache dir s1)
 
 The pieces:
 
@@ -24,15 +24,17 @@ The pieces:
   back exactly its old slice of the key space, and removing a dead
   shard remaps **only that shard's keys** (everything else keeps its
   owner — the rebalance-on-eviction invariant the tests pin down).
-* :class:`LocalShard` — an in-process worker (one
+* :class:`LocalShard` — an in-process worker: the
+  :class:`~repro.service.server.ServiceBackend` of one
   :class:`~repro.service.queue.AllocationService` with its own cache
-  dir).  Deterministic and fast; the tests, benches, and the loadgen
-  direct mode run on it.
+  dir, plus the shard lifecycle.  Deterministic and fast; the tests,
+  benches, and the loadgen direct mode run on it.
 * :class:`ProcessShard` — a worker *process* running the stock HTTP
   server on a free port (the child sends the port back over a pipe),
   spoken to through :class:`~repro.service.client.ServiceClient` —
   which brings the PR-5 retry/backoff machinery to every hop, and one
   kept-alive connection per frontend thread (handler or health loop).
+  It raises what a :class:`LocalShard` raises for the same answer.
 * :class:`ShardRouter` — normalizes each request **once**
   (:func:`~repro.service.artifact.normalize_request`), routes by
   content address down the ring's preference order, and namespaces job
@@ -43,9 +45,11 @@ The pieces:
   failing its probe is **evicted** from the ring (its keys rehash to
   the survivors) and, once the breaker's cooldown admits a trial,
   **respawned** and re-added — taking its old keys back.
-* :class:`ShardFrontendServer` / :func:`make_shard_server` — the HTTP
-  face (``repro serve --shards N``), same routes as the single-process
-  server; ``/v1/stats`` aggregates counters across shards.
+* :func:`make_shard_server` — the HTTP face (``repro serve --shards
+  N``): the one :class:`~repro.service.server.ServiceServer` with the
+  router as its backend.  Every shard and the router answer the same
+  request surface, so the routes are the single server's;
+  ``/v1/stats`` aggregates counters across shards.
 
 Chaos coverage: the ``shard.route`` fault site (mode ``handoff``)
 forces the router to skip its first choice, and ``shard.worker``
@@ -74,30 +78,28 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import os
 import threading
 import time
 from dataclasses import asdict, replace
-from urllib.parse import parse_qs, urlparse
 
 from ..obs import TRACER, TraceContext
 from ..obs.telemetry import SLOTracker, StreamingHistogram
 from ..resilience.faults import FAULTS
 from .artifact import RequestError, normalize_request
-from .client import ServiceClient, ServiceError, _CircuitBreaker
+from .client import (
+    RETRYABLE_STATUSES,
+    ServiceClient,
+    ServiceError,
+    _CircuitBreaker,
+)
 from .queue import (
     AllocationService,
     ServiceConfig,
     ServiceDrainingError,
     ServiceOverloadError,
 )
-from .server import (
-    DEFAULT_SYNC_TIMEOUT_S,
-    KeepAliveHTTPServer,
-    ServiceHandler,
-    _query_seconds,
-)
+from .server import ServiceBackend, ServiceServer
 
 __all__ = [
     "HashRing",
@@ -105,17 +107,19 @@ __all__ = [
     "NoShardAvailableError",
     "ProcessShard",
     "ShardError",
-    "ShardFrontendHandler",
-    "ShardFrontendServer",
     "ShardRouter",
     "make_shard_server",
     "shard_cache_dir",
-    "shutdown_shard_server",
+    "shard_configs",
 ]
 
 
-class ShardError(RuntimeError):
-    """A shard worker failed at the transport level (dead, unreachable)."""
+class ShardError(ServiceError):
+    """A shard worker failed at the transport level (dead, unreachable,
+    not in the ring): ``503`` + ``Retry-After`` upstream."""
+
+    def __init__(self, message: str):
+        super().__init__(message, status=503)
 
 
 class NoShardAvailableError(ShardError):
@@ -217,7 +221,22 @@ def shard_cache_dir(base: str | None, name: str) -> str | None:
     return os.path.join(base, f"shard-{name}")
 
 
-class LocalShard:
+def shard_configs(config: ServiceConfig, count: int) -> dict[str, ServiceConfig]:
+    """Worker names ``s0..s{N-1}`` and each worker's config: *config*
+    with a private cache shard and journal under its directories (the
+    journal follows the same per-name layout and the same
+    no-cross-worker-race argument)."""
+    return {
+        name: replace(
+            config,
+            cache_dir=shard_cache_dir(config.cache_dir, name),
+            journal_dir=shard_cache_dir(config.journal_dir, name),
+        )
+        for name in (f"s{i}" for i in range(max(1, count)))
+    }
+
+
+class LocalShard(ServiceBackend):
     """An in-process shard: one dispatcher-driven allocation service.
 
     Used by the tests, the benches, and ``repro loadgen``'s direct mode
@@ -229,7 +248,7 @@ class LocalShard:
     def __init__(self, name: str, config: ServiceConfig | None = None):
         self.name = name
         self._config = config or ServiceConfig()
-        self.service = AllocationService(self._config)
+        super().__init__(AllocationService(self._config))
         self.service.start()
         self._dead = False
 
@@ -265,72 +284,19 @@ class LocalShard:
         self.service = fresh
         self._dead = False
 
-    def drain(self) -> dict:
-        """Finish in-flight work, reject new submits; returns lifecycle."""
-        self._check()
-        return self.service.drain()
-
-    def resume(self) -> dict:
-        self._check()
-        return self.service.resume()
-
     def healthy(self) -> bool:
         return not self._dead
 
-    def _check(self) -> None:
+    def _live(self) -> AllocationService:
         if self._dead:
             raise ShardError(f"shard {self.name!r} is dead")
+        return self.service
 
-    # -- request surface ----------------------------------------------
-    def submit(self, body: dict, trace: TraceContext | None = None) -> dict:
-        self._check()
-        return self.service.submit(body, trace=trace).describe()
-
-    def poll(self, job_id: str, wait_s: float = 0.0) -> dict:
-        """The job's status, after waiting up to *wait_s* for it to finish."""
-        self._check()
-        job = self.service.get(job_id)
-        if job is None:
-            return self._view(job_id)
-        if wait_s:
-            job.wait(wait_s)
-        return job.describe()
-
-    def _view(self, job_id: str) -> dict:
-        view = self.service.lookup(job_id)  # durable dead-letter view
-        if view is None:
-            raise ServiceError(f"unknown job {job_id!r}", status=404)
-        return view
-
-    def result(self, job_id: str) -> bytes:
-        """The artifact bytes, answered as the server's ``/result`` is:
-        a job that is not done raises with its status as the payload,
-        ``202`` while pending and ``500`` once failed."""
-        self._check()
-        job = self.service.get(job_id)
-        view = job.describe() if job is not None else self._view(job_id)
-        if view["status"] == "done":
-            return job.artifact or b"{}"
-        raise ServiceError(
-            f"job {job_id!r} is {view['status']}",
-            status=500 if view["status"] == "failed" else 202,
-            payload=view,
-        )
-
-    def stats(self) -> dict:
-        self._check()
-        return self.service.stats()
-
-    def metrics_sample(self) -> list:
-        """``[(labels, sample), ...]`` — one unlabeled sample here; the
-        router stamps the ``shard`` label on."""
-        self._check()
-        return [({}, self.service.metrics_sample())]
-
+    # -- request surface: the service's, save for the trace ------------
     def trace(self, trace_id: str) -> dict:
         """Local shards share the frontend's span buffer (same process,
         same recorder) — return nothing so the merge never duplicates."""
-        self._check()
+        self._live()
         return {"trace_id": trace_id, "spans": []}
 
 
@@ -348,36 +314,19 @@ def _shard_worker_main(
     the parent's :data:`~repro.obs.TRACER` enablement (the fork start
     method would inherit it, but spawn would not), and *name* labels
     the child's spans ``shard-<name>`` so the merged trace shows which
-    worker ran what.
+    worker ran what.  SIGTERM drains the worker before it exits.
     """
-    import signal
-
-    from .server import make_server
+    from .server import make_server, serve_until_stopped
 
     if telemetry:
         TRACER.enable(process=f"shard-{name}" if name else "shard", bounded=True)
     server = make_server(host, 0, ServiceConfig(**config_kwargs))
 
-    def _graceful(signum, frame):
-        # SIGTERM = graceful: finish in-flight work, sync the journal,
-        # then leave.  SIGKILL skips all of this — that is the crash
-        # the write-ahead journal recovers from.
-        def _stop():
-            server.service.drain_wait(timeout=10.0)
-            server.shutdown()
+    def _report_port() -> None:
+        conn.send(server.server_address[1])
+        conn.close()
 
-        threading.Thread(target=_stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _graceful)
-    conn.send(server.server_address[1])
-    conn.close()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        server.service.stop()  # closes + syncs the journal
+    serve_until_stopped(server, _report_port)
 
 
 class ProcessShard:
@@ -387,6 +336,8 @@ class ProcessShard:
     on a free port and pipes the port number back; the parent talks to
     it through a :class:`~repro.service.client.ServiceClient`, which
     carries the PR-5 retry/backoff + Retry-After handling on every hop.
+    Each call raises what a :class:`LocalShard` raises for the same
+    worker answer (see :meth:`_call`).
     """
 
     def __init__(
@@ -471,17 +422,6 @@ class ProcessShard:
         self.kill()
         self._boot()
 
-    def drain(self) -> dict:
-        """``POST /v1/admin/drain`` on the worker; poll until drained."""
-        return self._call(self.client.drain)
-
-    def resume(self) -> dict:
-        # The HTTP surface has no resume: a drained worker restarts
-        # (fresh process, fresh non-draining service) instead.
-        raise ShardError(
-            f"shard {self.name!r}: resume means respawn for process shards"
-        )
-
     def healthy(self) -> bool:
         if self.process is None or not self.process.is_alive():
             return False
@@ -492,6 +432,8 @@ class ProcessShard:
 
     # -- request surface ----------------------------------------------
     def _call(self, fn, *args, **kwargs):
+        """One call to the worker; its error answers raised as the
+        worker's own service raises them in-process."""
         try:
             return fn(*args, **kwargs)
         except ServiceError as exc:
@@ -499,6 +441,12 @@ class ProcessShard:
                 # No HTTP status = the transport itself failed — the
                 # worker is gone, not the request.
                 raise ShardError(f"shard {self.name!r}: {exc}") from exc
+            if exc.draining:
+                raise ServiceDrainingError() from exc
+            if exc.status in RETRYABLE_STATUSES:
+                raise ServiceOverloadError(0, 0) from exc
+            if exc.status == 400:
+                raise RequestError(str(exc)) from exc
             raise
 
     def submit(self, body: dict, trace: TraceContext | None = None) -> dict:
@@ -513,7 +461,7 @@ class ProcessShard:
     def stats(self) -> dict:
         return self._call(self.client.stats)
 
-    def metrics_sample(self) -> list:
+    def metrics_samples(self) -> list:
         """The worker's ``/v1/metrics?format=json`` samples, as
         ``[(labels, sample), ...]`` ready for router relabeling."""
         payload = self._call(self.client.metrics_json)
@@ -525,6 +473,10 @@ class ProcessShard:
     def trace(self, trace_id: str) -> dict:
         """The worker process's span buffer for *trace_id*."""
         return self._call(self.client.trace, trace_id)
+
+    def drain(self, name: str | None = None) -> dict:
+        """``POST /v1/admin/drain`` on the worker; poll until drained."""
+        return self._call(self.client.drain)
 
 
 # ----------------------------------------------------------------------
@@ -544,7 +496,13 @@ class ShardRouter:
     ``health_interval_s=None`` (the default) leaves health checking to
     explicit :meth:`check_health` calls — the deterministic mode the
     tests drive; :meth:`start_health_loop` runs it on a timer thread.
+
+    The router answers the request surface its shards answer (see
+    :mod:`repro.service.server`), so one server class mounts either.
     """
+
+    #: The span the handler opens around a submit at the frontend.
+    span_name = "frontend.request"
 
     def __init__(
         self,
@@ -635,14 +593,21 @@ class ShardRouter:
         TRACER.event("router.respawn", shard=name)
 
     # -- lifecycle: drain / rolling restart ---------------------------
-    def drain(self, name: str) -> dict:
+    def drain(self, name: str | None = None) -> dict:
         """Put shard *name* in draining mode and take it off the ring.
 
         New keys route to the survivors immediately; the shard stays in
         :attr:`shards` so polls/results for its in-flight jobs keep
         resolving until it quiesces.  Returns the shard's lifecycle view
-        (call again to poll ``drained``).
+        (call again to poll ``drained``).  Without a *name* the router
+        cannot guess which worker to take down: :class:`RequestError`
+        with the fleet roster.
         """
+        if name is None:
+            raise RequestError(
+                "drain which shard? pass ?shard=NAME, one of "
+                f"{self.ring.members}"
+            )
         with self._lock:
             shard = self.shards.get(name)
             if shard is None:
@@ -686,7 +651,7 @@ class ShardRouter:
             report["order"].append(name)
             try:
                 lifecycle = self.drain(name)
-            except (ShardError, ServiceError) as exc:
+            except ServiceError as exc:
                 report["timed_out"].append({"shard": name, "error": str(exc)})
                 continue
             deadline = time.monotonic() + wait_timeout_s
@@ -696,7 +661,7 @@ class ShardRouter:
                 time.sleep(poll_s)
                 try:
                     lifecycle = self.drain(name)  # idempotent poll
-                except (ShardError, ServiceError):
+                except ServiceError:
                     break
             with self._lock:
                 shard = self.shards.get(name)
@@ -750,7 +715,7 @@ class ShardRouter:
                     elif point.mode == "kill9":
                         # SIGKILL: no drain, no journal sync — recovery
                         # must come from the write-ahead journal alone.
-                        getattr(shard, "kill9", shard.kill)()
+                        shard.kill9()
                     elif point.mode == "unhealthy":
                         forced_unhealthy = True
             ok = not forced_unhealthy and shard.healthy()
@@ -800,6 +765,12 @@ class ShardRouter:
         self._health_stop.set()
         self._health_thread.join(timeout=5)
         self._health_thread = None
+
+    def drain_wait(self, timeout: float = 30.0) -> bool:
+        """The router holds no accepted work of its own: each worker
+        drains itself when :meth:`close` stops it (a process worker on
+        SIGTERM), so there is nothing to wait for here."""
+        return True
 
     def close(self) -> None:
         self.stop_health_loop()
@@ -868,7 +839,15 @@ class ShardRouter:
             )
 
     def _route(self, body: dict, key: str, chain: list, ctx) -> dict:
-        """Walk the preference chain under the ``route`` span's context."""
+        """Walk the preference chain under the ``route`` span's context.
+
+        Every shard kind raises alike, so each outcome has one branch: a
+        bad request or a shed propagates (handing it to another shard
+        would fail identically, or trade cache affinity for queue
+        depth); a draining shard hands the key on without touching its
+        breaker; any other failure counts against the breaker and fails
+        over.
+        """
         if chain and FAULTS.enabled:
             point = FAULTS.fire("shard.route", label=key)
             if point is not None and point.mode == "handoff" and len(chain) > 1:
@@ -887,43 +866,17 @@ class ShardRouter:
                     self.counters["handoffs"] += 1
                 TRACER.event("router.handoff", ctx=ctx, shard=name, hop=hop)
             try:
-                if ctx is not None:
-                    status = shard.submit(body, trace=ctx)
-                else:
-                    status = shard.submit(body)
-            except RequestError:
-                raise
+                status = shard.submit(body, trace=ctx)
             except ServiceDrainingError as exc:
-                # A draining shard is healthy, just leaving: hand the
-                # key to the next choice without touching the breaker.
+                # A draining shard is healthy, just leaving.
                 with self._lock:
                     self.counters["drain_handoffs"] += 1
                 TRACER.event("router.drain_handoff", ctx=ctx, shard=name)
                 last_error = exc
                 continue
-            except ServiceOverloadError:
+            except (RequestError, ServiceOverloadError):
                 raise
             except ServiceError as exc:
-                if exc.draining:
-                    with self._lock:
-                        self.counters["drain_handoffs"] += 1
-                    TRACER.event("router.drain_handoff", ctx=ctx, shard=name)
-                    last_error = exc
-                    continue
-                if exc.status in (429, 503):
-                    raise ServiceOverloadError(
-                        0, 0, retry_after_s=1.0
-                    ) from exc
-                if exc.status is not None and exc.status < 500:
-                    raise
-                self._shard_failed(name)
-                TRACER.event(
-                    "router.shard_failed", ctx=ctx, shard=name,
-                    error=str(exc)[:160],
-                )
-                last_error = exc
-                continue
-            except ShardError as exc:
                 self._shard_failed(name)
                 TRACER.event(
                     "router.shard_failed", ctx=ctx, shard=name,
@@ -992,6 +945,9 @@ class ShardRouter:
             raise
 
     # -- stats ---------------------------------------------------------
+    def health(self) -> dict:
+        return {"ok": True, "shards": len(self.ring)}
+
     def stats(self) -> dict:
         """Fleet view: per-shard stats plus cross-shard aggregates.
 
@@ -1034,7 +990,7 @@ class ShardRouter:
         for name, shard in sorted(live.items()):
             try:
                 shard_stats[name] = shard.stats()
-            except (ShardError, ServiceError) as exc:
+            except ServiceError as exc:
                 shard_stats[name] = {"error": str(exc)}
         counters: dict[str, int] = {}
         incremental: dict[str, int] = {}
@@ -1083,11 +1039,8 @@ class ShardRouter:
                 ({"shard": name}, {"counters": {"router.routed": float(count)}})
             )
         for name, shard in live:
-            fetch = getattr(shard, "metrics_sample", None)
-            if fetch is None:
-                continue
             try:
-                shard_samples = fetch()
+                shard_samples = shard.metrics_samples()
             except Exception:
                 continue
             for labels, sample in shard_samples:
@@ -1102,158 +1055,11 @@ class ShardRouter:
         with self._lock:
             live = sorted(self.shards.items())
         for name, shard in live:
-            fetch = getattr(shard, "trace", None)
-            if fetch is None:
-                continue
             try:
-                payload = fetch(trace_id)
+                spans.extend(shard.trace(trace_id).get("spans") or ())
             except Exception:
                 continue
-            if isinstance(payload, dict):
-                spans.extend(payload.get("spans") or ())
         return {"trace_id": trace_id, "spans": spans}
-
-
-# ----------------------------------------------------------------------
-# HTTP front end
-# ----------------------------------------------------------------------
-
-class ShardFrontendHandler(ServiceHandler):
-    """Same routes as :class:`ServiceHandler`, served by the router.
-
-    Reuses the base handler's JSON plumbing and ``_guarded`` rail (the
-    ``server.request`` fault site and the concurrent-handler limit work
-    unchanged at the frontend), but resolves every request through
-    ``self.server.router`` instead of a local service.
-    """
-
-    server_version = "repro-shard-frontend/1"
-    span_name = "frontend.request"
-
-    @property
-    def router(self) -> ShardRouter:
-        return self.server.router  # type: ignore[attr-defined]
-
-    def _metrics_samples(self) -> list:
-        # The fleet exposition: router counters + per-shard registries.
-        return self.router.metrics_samples()
-
-    def _trace_payload(self, trace_id: str) -> dict:
-        # Merged across the frontend process and every worker shard.
-        return self.router.trace(trace_id)
-
-    def _do_get(self) -> None:
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if url.path == "/healthz":
-                self._send_json({"ok": True, "shards": len(self.router.ring)})
-            elif url.path == "/v1/stats":
-                self._send_json(self.router.stats())
-            elif url.path == "/v1/metrics":
-                self._get_metrics(url)
-            elif len(parts) == 3 and parts[:2] == ["v1", "trace"]:
-                self._send_json(self._trace_payload(parts[2]))
-            elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                wait_s = _query_seconds(url, "wait_s", 0.0)
-                self._send_json(self.router.poll(parts[2], wait_s=wait_s))
-            elif (
-                len(parts) == 4
-                and parts[:2] == ["v1", "jobs"]
-                and parts[3] == "result"
-            ):
-                self._get_result(parts[2])
-            else:
-                self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except ServiceError as exc:
-            self._send_json({"error": str(exc)}, exc.status or 502)
-        except ShardError as exc:
-            self._send_json({"error": str(exc)}, 503, retry_after_s=1.0)
-
-    def _get_result(self, job_id: str) -> None:
-        try:
-            data = self.router.result(job_id)
-        except ServiceError as exc:
-            if exc.payload is None or "job_id" not in exc.payload:
-                raise
-            # Not done: its status, 202 while pending, 500 once failed.
-            retry_after_s = 1.0 if exc.status == 202 else None
-            self._send_json(exc.payload, exc.status, retry_after_s)
-            return
-        self._send_bytes(data)
-
-    def _do_post(self) -> None:
-        url = urlparse(self.path)
-        try:
-            if url.path == "/v1/submit":
-                with self._request_span() as span:
-                    status = self.router.submit(
-                        self._read_body(), trace=span.ctx
-                    )
-                self._send_json(
-                    status, 202 if status["status"] == "queued" else 200
-                )
-            elif url.path == "/v1/allocate":
-                self._allocate(url)
-            elif url.path == "/v1/admin/drain":
-                self._drain(url)
-            else:
-                self._send_json({"error": f"no such path {url.path!r}"}, 404)
-        except ServiceOverloadError as exc:
-            payload = {"error": str(exc)}
-            if isinstance(exc, ServiceDrainingError):
-                payload["draining"] = True
-            self._send_json(payload, 503, retry_after_s=exc.retry_after_s)
-        except (ShardError, ServiceError) as exc:
-            self._send_json({"error": str(exc)}, 503, retry_after_s=1.0)
-
-    def _drain(self, url) -> None:
-        """``POST /v1/admin/drain?shard=NAME`` — drain one worker shard.
-
-        Idempotent: repeat to poll ``drained``.  Without the ``shard``
-        query the frontend cannot guess which worker to take down, so it
-        answers 400 with the fleet roster.
-        """
-        query = parse_qs(url.query)
-        name = query.get("shard", [None])[0]
-        if name is None:
-            raise RequestError(
-                "drain which shard? pass ?shard=NAME, one of "
-                f"{self.router.ring.members}"
-            )
-        self._send_json(self.router.drain(name))
-
-    def _allocate(self, url) -> None:
-        timeout = _query_seconds(url, "timeout_s", DEFAULT_SYNC_TIMEOUT_S)
-        with self._request_span() as span:
-            status = self.router.submit(self._read_body(), trace=span.ctx)
-        if status["status"] not in ("done", "failed"):
-            try:
-                status = self.router.wait(status["job_id"], timeout=timeout)
-            except ServiceError:
-                pass  # still pending: fall through to the 202 below
-        if status["status"] == "failed":
-            self._send_json(status, 500)
-        elif status["status"] != "done":
-            self._send_json(status, 202, retry_after_s=1.0)
-        else:
-            status["artifact"] = json.loads(
-                self.router.result(status["job_id"])
-            )
-            self._send_json(status)
-
-
-class ShardFrontendServer(KeepAliveHTTPServer):
-    """The sharded fleet's HTTP face; one router behind many handlers."""
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        router: ShardRouter,
-        max_concurrent_requests: int = 32,
-    ):
-        super().__init__(address, ShardFrontendHandler, max_concurrent_requests)
-        self.router = router
 
 
 def make_shard_server(
@@ -1265,39 +1071,24 @@ def make_shard_server(
     replicas: int = 64,
     health_interval_s: float | None = 1.0,
     router: ShardRouter | None = None,
-) -> ShardFrontendServer:
+) -> ServiceServer:
     """Boot a worker fleet and bind the front end (``repro serve --shards``).
 
-    Workers are named ``s0..s{N-1}``; each gets a private cache shard
-    under the configured ``cache_dir`` (:func:`shard_cache_dir`), and —
-    when ``journal_dir`` is configured — a private write-ahead journal
-    under it (same per-name layout, same no-cross-worker-race argument:
-    keyspace partitioning means no two live shards share a journal).
-    Pass a pre-built *router* to serve custom shard objects (the tests
-    mount :class:`LocalShard` fleets this way).  ``port=0`` binds a free
-    port.
+    Workers are named ``s0..s{N-1}``, each a :class:`ProcessShard` over
+    its :func:`shard_configs` config.  Pass a pre-built *router* to
+    serve custom shard objects (the tests mount :class:`LocalShard`
+    fleets this way).  ``port=0`` binds a free port; stop it with
+    :func:`~repro.service.server.shutdown_server`.
     """
     base = config or ServiceConfig()
     if router is None:
-        workers = []
-        for i in range(max(1, shards)):
-            name = f"s{i}"
-            worker_config = replace(
-                base,
-                cache_dir=shard_cache_dir(base.cache_dir, name),
-                journal_dir=shard_cache_dir(base.journal_dir, name),
-            )
-            workers.append(ProcessShard(name, worker_config, host=host))
-        router = ShardRouter(workers, replicas=replicas)
+        router = ShardRouter(
+            [
+                ProcessShard(name, worker_config, host=host)
+                for name, worker_config in shard_configs(base, shards).items()
+            ],
+            replicas=replicas,
+        )
     if health_interval_s is not None:
         router.start_health_loop(health_interval_s)
-    return ShardFrontendServer(
-        (host, port), router, base.max_concurrent_requests
-    )
-
-
-def shutdown_shard_server(server) -> None:
-    """Stop the HTTP loop, the health loop, and every worker."""
-    server.shutdown()
-    server.server_close()
-    server.router.close()
+    return ServiceServer((host, port), router, base.max_concurrent_requests)

@@ -185,24 +185,53 @@ def test_documented_endpoints_match_server_routes():
 
 def test_shard_frontend_serves_the_same_routes():
     # The sharded front end must not fork the HTTP surface: every route
-    # in ROUTES resolves through ShardFrontendHandler's dispatch too
-    # (both handlers 404 unknown paths with a "no such path" marker).
-    import inspect
+    # in ROUTES answers on both mounts — a single server, and a frontend
+    # over two local shards — with anything but the "no such path" 404
+    # an unknown path gets.
+    import http.client
+    import threading
 
-    from repro.service import shard
+    from repro.service import (
+        LocalShard,
+        ServiceConfig,
+        ShardRouter,
+        make_server,
+        make_shard_server,
+        shutdown_server,
+    )
     from repro.service.server import ROUTES
 
-    source = inspect.getsource(shard.ShardFrontendHandler)
-    for _, path in ROUTES:
-        # Each literal path segment must appear in the dispatch source
-        # (placeholder segments like <id> are matched positionally).
-        for segment in path.split("?", 1)[0].split("/"):
-            if segment and not segment.startswith("<"):
-                assert segment in source, (
-                    f"frontend handler lost route {path} (segment "
-                    f"{segment!r})"
+    router = ShardRouter(
+        [LocalShard(f"s{i}", ServiceConfig(workers=0)) for i in range(2)]
+    )
+    mounts = {
+        "single": make_server("127.0.0.1", 0, ServiceConfig(workers=0)),
+        "frontend": make_shard_server(
+            "127.0.0.1", 0, router=router, health_interval_s=None
+        ),
+    }
+    for mount, server in mounts.items():
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+
+        def answer(method, path):
+            body = b"{}" if method == "POST" else None
+            conn.request(method, path, body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return response.status, response.read().decode("utf-8")
+
+        try:
+            status, text = answer("GET", "/v1/nope")
+            assert status == 404 and "no such path" in text, (mount, text)
+            for method, template in ROUTES:
+                path = re.sub(r"<[^>]+>", "j000001@s0", template)
+                status, text = answer(method, path)
+                assert not (status == 404 and "no such path" in text), (
+                    f"{mount} does not serve {method} {template}: {text}"
                 )
-    assert "no such path" in source
+        finally:
+            conn.close()
+            shutdown_server(server)
 
 
 def test_durability_doc_is_wired_in():

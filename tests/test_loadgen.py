@@ -15,7 +15,6 @@ from repro.service import (
     run_loadgen,
 )
 from repro.service.loadgen import (
-    RouterTarget,
     build_kernel_pool,
     build_schedule,
     percentile,
@@ -40,7 +39,7 @@ def run_fleet(config, shards=3):
         [LocalShard(f"s{i}", ServiceConfig()) for i in range(shards)]
     )
     try:
-        return run_loadgen(RouterTarget(router), config)
+        return run_loadgen(router, config)
     finally:
         router.close()
 

@@ -33,7 +33,7 @@ from repro.service import (
 )
 from repro.service.client import ServiceClient
 from repro.service.durability import frame_record, parse_frame
-from repro.service.loadgen import LoadgenConfig, RouterTarget, run_loadgen
+from repro.service.loadgen import LoadgenConfig, run_loadgen
 from repro.service.shard import LocalShard, ShardRouter, shard_cache_dir
 
 from .conftest import build_mac_kernel
@@ -503,7 +503,7 @@ def test_rolling_restart_under_load_loses_zero_goodput(tmp_path):
     restarter = threading.Thread(target=_restart, daemon=True)
     try:
         restarter.start()
-        report = run_loadgen(RouterTarget(router), config)
+        report = run_loadgen(router, config)
         restarter.join(timeout=60.0)
     finally:
         router.close()

@@ -244,6 +244,23 @@ def test_unallocatable_request_fails_job_not_service(service):
     assert ok.status == "done"
 
 
+@pytest.mark.parametrize("name", ["myfunc", "func_a", "defunct"])
+def test_function_name_is_the_name_after_func(service, name):
+    # "func" inside the name is part of it, not the header keyword.
+    ir = make_request()["ir"].replace("func @mac {", f"func @{name} {{")
+    job = service.submit({"ir": ir, "file": {"registers": 32, "banks": 2},
+                          "method": "bpc"})
+    assert job.describe()["function"] == name
+    # 2 registers cannot hold the kernel: the job dead-letters at once.
+    failed = service.submit({"ir": ir, "file": {"registers": 2, "banks": 2},
+                             "method": "non"})
+    service.process_once()
+    assert failed.status == "failed" and failed.dead_lettered
+    (record,) = service.stats()["dead_letter"]
+    assert record["function"] == name
+    assert failed.describe()["function"] == name
+
+
 @pytest.mark.parallel
 def test_process_pool_execution_matches_inline():
     inline = AllocationService(ServiceConfig(workers=0))

@@ -23,11 +23,8 @@ from repro.service import (
     normalize_request,
 )
 from repro.service.client import ServiceClient
-from repro.service.shard import (
-    ShardFrontendServer,
-    shard_cache_dir,
-    shutdown_shard_server,
-)
+from repro.service.server import ServiceServer, shutdown_server
+from repro.service.shard import shard_cache_dir
 
 from .conftest import build_mac_kernel
 
@@ -333,7 +330,7 @@ def test_route_handoff_fault_skips_the_owner():
 @pytest.fixture
 def frontend():
     router = make_router()
-    server = ShardFrontendServer(("127.0.0.1", 0), router)
+    server = ServiceServer(("127.0.0.1", 0), router)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -341,7 +338,7 @@ def frontend():
     try:
         yield client, router
     finally:
-        shutdown_shard_server(server)
+        shutdown_server(server)
         thread.join(timeout=5)
 
 

@@ -22,21 +22,19 @@ from repro.obs import TRACER, TraceContext, reset_all
 from repro.resilience import FAULTS, FaultPlan
 from repro.resilience.faults import FaultPoint
 from repro.service import (
+    RequestError,
     ServiceConfig,
+    ServiceDrainingError,
     ServiceError,
+    ServiceOverloadError,
+    ShardError,
     make_server,
     shutdown_server,
 )
 from repro.service import server as server_module
 from repro.service.client import ServiceClient
-from repro.service.server import KeepAliveHTTPServer, ServiceHandler
-from repro.service.shard import (
-    LocalShard,
-    ProcessShard,
-    ShardFrontendServer,
-    ShardRouter,
-    shutdown_shard_server,
-)
+from repro.service.server import ServiceHandler, ServiceServer
+from repro.service.shard import LocalShard, ProcessShard, ShardRouter
 
 from .conftest import build_mac_kernel
 
@@ -123,14 +121,14 @@ class Fleet:
     def __init__(self, kind: str, config: ServiceConfig):
         shard = ThreadShard if kind == "http" else LocalShard
         self.shards = [shard(f"s{i}", config) for i in range(2)]
-        self.server = ShardFrontendServer(
+        self.server = ServiceServer(
             ("127.0.0.1", 0), ShardRouter(self.shards)
         )
         self.accepts = count_accepts(self.server)
         self.url = serve(self.server)
 
     def close(self) -> None:
-        shutdown_shard_server(self.server)
+        shutdown_server(self.server)
 
 
 @pytest.fixture
@@ -180,11 +178,11 @@ def test_unread_body_does_not_break_the_next_request(kind, case):
         server = make_server("127.0.0.1", 0, ServiceConfig(workers=0))
         stop = shutdown_server
     else:
-        server = ShardFrontendServer(
+        server = ServiceServer(
             ("127.0.0.1", 0),
             ShardRouter([LocalShard("s0", ServiceConfig(workers=0))]),
         )
-        stop = shutdown_shard_server
+        stop = shutdown_server
     serve(server)
     held: list = []
     path = {"unknown": "/v1/nope", "drain": "/v1/admin/drain"}.get(
@@ -249,6 +247,30 @@ def test_local_shard_result_of_a_pending_job_raises_202():
             shard.result(status["job_id"])
         assert excinfo.value.status == 202
         assert excinfo.value.payload["status"] in ("queued", "running")
+    finally:
+        shard.close()
+
+
+@pytest.mark.parametrize("kind", ["local", "http"])
+def test_both_shard_kinds_raise_alike(kind):
+    # A queue depth of 0 sheds every miss.
+    config = ServiceConfig(workers=0, max_queue_depth=0)
+    if kind == "local":
+        shard = LocalShard("s0", config)
+    else:
+        shard = ThreadShard("s0", config, client_retries=0)
+    try:
+        with pytest.raises(RequestError):
+            shard.submit({"ir": "not ir", "file": FILE, "method": "bpc"})
+        with pytest.raises(ServiceOverloadError) as excinfo:
+            shard.submit(request_for())
+        assert not isinstance(excinfo.value, ServiceDrainingError)
+        shard.drain()
+        with pytest.raises(ServiceDrainingError):
+            shard.submit(request_for())
+        shard.kill()
+        with pytest.raises(ShardError):
+            shard.submit(request_for())
     finally:
         shard.close()
 
@@ -406,7 +428,8 @@ class _IgnoresWait(BaseHTTPRequestHandler):
 
 
 def test_wait_does_not_busy_loop_when_wait_s_is_ignored():
-    server = KeepAliveHTTPServer(("127.0.0.1", 0), _IgnoresWait, 4)
+    server = ServiceServer(("127.0.0.1", 0), None, 4)
+    server.RequestHandlerClass = _IgnoresWait
     server.polls = 0
     url = serve(server)
     try:
