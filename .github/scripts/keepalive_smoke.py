@@ -1,4 +1,5 @@
-"""One kept-alive connection survives an unread body; a long-poll returns done.
+"""One kept-alive connection survives an unread body; a long-poll returns
+done; a burst of new connections is answered at once.
 
 Runs against a live ``repro serve`` on 127.0.0.1 — a single server or a
 shard frontend, which answer through the same handler::
@@ -11,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import sys
+import threading
 
 from repro.cli import _demo_kernel
 from repro.ir import print_function
@@ -41,6 +43,35 @@ def main(port: int) -> None:
     final = json.loads(body)
     assert status == 200 and final["status"] == "done", (status, final)
     print("keep-alive + long-poll ok:", final["job_id"])
+    burst(port)
+
+
+def burst(port: int, clients: int = 32) -> None:
+    """*clients* fresh connections at once each get ``/healthz`` within
+    0.5 s.  One beyond the listen backlog has its SYN dropped and resent
+    after the kernel's 1 s.  32 is the default ``max_concurrent_requests``,
+    so nothing is shed."""
+    barrier = threading.Barrier(clients, timeout=10)
+    statuses = []
+
+    def healthz():
+        barrier.wait()
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=0.5)
+        try:
+            conn.request("GET", "/healthz")
+            statuses.append(conn.getresponse().status)
+        except OSError as exc:
+            statuses.append(repr(exc))
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=healthz) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert statuses == [200] * clients, statuses
+    print(f"burst ok: {clients} new connections answered")
 
 
 if __name__ == "__main__":

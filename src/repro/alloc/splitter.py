@@ -133,31 +133,22 @@ def try_region_split(
     # predecessor of the header (the preheader, where the copy executes once
     # rather than per iteration) and out of the loop at each exit edge, but
     # only where the parent is actually live across the boundary.
+    cfg = loop_info.cfg
     header_start, __ = slots.block_range[loop.header]
     if interval.covers(header_start):
-        for block in function.blocks:
-            if block.label in loop.body:
-                continue
-            succs = block.successor_labels(function.next_label(block))
-            if loop.header in succs:
-                result.copies.append(CopyAction(block.label, "end", hot_child, cold_child))
-    exit_labels = _loop_exit_labels(function, loop)
-    for label in exit_labels:
+        for pred in cfg.preds[loop.header]:
+            if pred not in loop.body:
+                result.copies.append(CopyAction(pred, "end", hot_child, cold_child))
+    exits: dict[str, None] = {}
+    for label in loop.body:
+        for succ in cfg.succs[label]:
+            if succ not in loop.body:
+                exits.setdefault(succ)
+    for label in exits:
         start, __ = slots.block_range[label]
         if interval.covers(start):
             result.copies.append(CopyAction(label, "begin", cold_child, hot_child))
     return result
-
-
-def _loop_exit_labels(function: Function, loop: Loop) -> list[str]:
-    """Blocks outside *loop* that are successors of loop blocks."""
-    exits = []
-    for label in loop.body:
-        block = function.block(label)
-        for succ in block.successor_labels(function.next_label(block)):
-            if succ not in loop.body and succ not in exits:
-                exits.append(succ)
-    return exits
 
 
 def materialize_copies(

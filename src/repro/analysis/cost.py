@@ -168,37 +168,10 @@ class ConflictCostModel:
         return sum(self._reg_cost.values())
 
 
-def loop_shape_signature(function: Function) -> tuple:
-    """Cheap fingerprint of everything block frequencies depend on.
-
-    :meth:`LoopInfo.block_frequency` is a trip-count product over the
-    loop nest, which is fully determined by (a) the CFG edge shape —
-    each block's label and successor labels — and (b) the ``trip_count``
-    metadata on header blocks.  Hashing just those lets hot callers (the
-    pass manager's per-phase costing) reuse one frequency map across
-    passes that rewrite instructions without restructuring control flow,
-    skipping the CFG + dominator + loop rebuild entirely.
-    """
-    blocks = function.blocks
-    last = len(blocks) - 1
-    # Layout-order successor lookup inlined: Function.next_label scans
-    # blocks with list.index (dataclass __eq__), which would dominate the
-    # very fold this signature exists to keep cheap.
-    return tuple(
-        (
-            block.label,
-            block.successor_labels(blocks[i + 1].label if i < last else None),
-            block.attrs.get("trip_count"),
-        )
-        for i, block in enumerate(blocks)
-    )
-
-
 def total_potential_cost(
     function: Function,
     loop_info: LoopInfo | None = None,
     regclass: RegClass | None = None,
-    frequencies: dict[str, float] | None = None,
 ) -> float:
     """:meth:`ConflictCostModel.total_cost` without building the model.
 
@@ -206,22 +179,15 @@ def total_potential_cost(
     contributes ``freq * len(bankable_reads)`` — so callers that only
     need the scalar (the per-phase ``phase.cost_delta.*`` metrics) skip
     the model's three per-register dicts entirely.  Callers that cost
-    the same function repeatedly can pass a precomputed *frequencies*
-    map (see :func:`block_frequencies` / :func:`loop_shape_signature`)
-    to also skip the loop analysis; blocks missing from the map count at
-    frequency 1.0, matching :meth:`LoopInfo.block_frequency` for code
-    outside any loop.
+    the same function repeatedly pass the *loop_info* they hold to also
+    skip the loop analysis.
     """
-    if frequencies is None:
-        if loop_info is None:
-            loop_info = LoopInfo.build(function)
-        frequencies = {
-            b.label: loop_info.block_frequency(b.label) for b in function.blocks
-        }
+    if loop_info is None:
+        loop_info = LoopInfo.build(function)
     total = 0.0
     arith = OpKind.ARITH
     for block in function.blocks:
-        freq = frequencies.get(block.label, 1.0)
+        freq = loop_info.block_frequency(block.label)
         for instr in block:
             # Inlined is_conflict_relevant so the (expensive) operand
             # scan runs once per instruction instead of twice.

@@ -919,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-retries", type=int, default=1,
-        help="retries when a worker crashes or a job raises",
+        help="in-dispatch retries when a pool worker dies",
     )
     p_serve.add_argument(
         "--retry-backoff-ms", type=float, default=50.0,

@@ -2,7 +2,8 @@
 
 A block is a labeled straight-line instruction sequence ending in at most
 one terminator.  Successor edges are derived from the terminator's target
-labels plus fall-through; the function object resolves labels to blocks.
+labels plus fall-through; :class:`repro.ir.cfg.CFG` supplies the
+fall-through and resolves every block's successors.
 """
 
 from __future__ import annotations

@@ -1,17 +1,22 @@
-"""Control-flow graph, reverse postorder, and dominators.
+"""Control-flow graph, reverse postorder, dominators, and the seeded walk.
 
-The CFG is derived, not stored: edges come from terminator targets plus
-layout fall-through.  Dominators use the Cooper–Harvey–Kennedy iterative
-algorithm over reverse postorder, which is plenty fast for the function
-sizes generated in this reproduction (tens to a few hundred blocks).
+The one control-flow model of the IR.  The CFG is derived, not stored:
+edges come from terminator targets plus layout fall-through.  Dominators
+use the Cooper–Harvey–Kennedy iterative algorithm over reverse
+postorder, which is plenty fast for the function sizes generated in this
+reproduction (tens to a few hundred blocks).  :func:`walk` replays one
+execution's block sequence for the interpreters.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .block import BasicBlock
 from .function import Function
+from .instruction import OpKind
 
 
 @dataclass
@@ -22,6 +27,8 @@ class CFG:
         function: The analyzed function.
         succs: label -> successor labels (in branch order).
         preds: label -> predecessor labels (in layout order).
+        fallthrough: label -> label of the next block in layout order
+            (``None`` for the last block).
         rpo: Block labels in reverse postorder from the entry.  Blocks
             unreachable from the entry are excluded from ``rpo`` (and from
             dominator queries) but remain in ``succs``/``preds``.
@@ -30,6 +37,7 @@ class CFG:
     function: Function
     succs: dict[str, list[str]] = field(default_factory=dict)
     preds: dict[str, list[str]] = field(default_factory=dict)
+    fallthrough: dict[str, str | None] = field(default_factory=dict)
     rpo: list[str] = field(default_factory=list)
     _idom: dict[str, str] = field(default_factory=dict)
     _rpo_index: dict[str, int] = field(default_factory=dict)
@@ -37,10 +45,12 @@ class CFG:
     @classmethod
     def build(cls, function: Function) -> "CFG":
         cfg = cls(function)
-        cfg.succs = {b.label: [] for b in function.blocks}
-        cfg.preds = {b.label: [] for b in function.blocks}
+        labels = [b.label for b in function.blocks]
+        cfg.fallthrough = dict(zip(labels, labels[1:] + [None]))
+        cfg.succs = {label: [] for label in labels}
+        cfg.preds = {label: [] for label in labels}
         for block in function.blocks:
-            for succ in block.successor_labels(function.next_label(block)):
+            for succ in block.successor_labels(cfg.fallthrough[block.label]):
                 cfg.succs[block.label].append(succ)
                 cfg.preds[succ].append(block.label)
         cfg._compute_rpo()
@@ -148,3 +158,43 @@ class CFG:
 
     def block(self, label: str) -> BasicBlock:
         return self.function.block(label)
+
+
+def walk(function: Function, seed: int = 0) -> Iterator[BasicBlock]:
+    """The blocks one execution of *function* runs, in execution order.
+
+    A counted loop latch (a branch tagged ``loop_latch``) returns to its
+    header ``trip_count`` times per entry into the loop; any other branch
+    is taken when a ``random.Random(seed)`` draw falls below its
+    ``taken_prob``, standing in for input-dependent behaviour.  The walk
+    ends after a returning block or at the end of the layout; callers
+    that keep an execution budget stop iterating when it runs out.
+    """
+    fallthrough = CFG.build(function).fallthrough
+    blocks = {block.label: block for block in function.blocks}
+    rng = random.Random(seed)
+    remaining: dict[str, int] = {}  # latch iterations left, by header label
+    block = function.entry
+    while True:
+        yield block
+        label = fallthrough[block.label]
+        term = block.terminator
+        if term is not None:
+            if term.kind is OpKind.RET:
+                return
+            if term.kind is OpKind.JUMP:
+                label = term.attrs["target"]
+            elif term.attrs.get("loop_latch"):
+                target = term.attrs["target"]
+                trips = int(blocks[target].attrs.get("trip_count", 1))
+                left = remaining.setdefault(target, trips - 1)
+                if left > 0:
+                    remaining[target] = left - 1
+                    label = target
+                else:
+                    remaining.pop(target, None)  # reset for re-entry
+            elif rng.random() < float(term.attrs.get("taken_prob", 0.5)):
+                label = term.attrs["target"]
+        if label is None:
+            return
+        block = blocks[label]

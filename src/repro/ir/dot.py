@@ -31,9 +31,9 @@ def cfg_to_dot(function: Function, *, include_instructions: bool = False) -> str
                 extra = f" (loop x{block.attrs.get('trip_count', '?')})"
             label = f"{block.label}{extra}"
         lines.append(f'  "{block.label}" [label="{label}"];')
-    for block in function.blocks:
-        for succ in block.successor_labels(function.next_label(block)):
-            lines.append(f'  "{block.label}" -> "{succ}";')
+    for label, succs in cfg.succs.items():
+        for succ in succs:
+            lines.append(f'  "{label}" -> "{succ}";')
     lines.append("}")
     return "\n".join(lines)
 

@@ -55,16 +55,6 @@ class Function:
             raise ValueError(f"function {self.name} has no blocks")
         return self.blocks[0]
 
-    def next_label(self, block: BasicBlock) -> str | None:
-        """Label of the block following *block* in layout order."""
-        idx = self.blocks.index(block)
-        if idx + 1 < len(self.blocks):
-            return self.blocks[idx + 1].label
-        return None
-
-    def successors(self, block: BasicBlock) -> list[BasicBlock]:
-        return [self.block(lbl) for lbl in block.successor_labels(self.next_label(block))]
-
     # ------------------------------------------------------------------
     # Instruction / register iteration
     # ------------------------------------------------------------------

@@ -20,55 +20,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.function import Function
+from ..ir.loops import LoopInfo
 from ..obs import TRACER
-from .analysis_manager import PRESERVE_NONE, AnalysisManager, CFGAnalysis
+from .analysis_manager import (
+    PRESERVE_NONE,
+    AnalysisManager,
+    CFGAnalysis,
+    LoopInfoAnalysis,
+)
 
 
 def _potential_cost(
-    function: Function,
-    pass_: "Pass",
-    freq_cache: list | None = None,
-    am: "AnalysisManager | None" = None,
+    function: Function, pass_: "Pass", am: AnalysisManager
 ) -> float:
     """Total Eq. 2 conflict cost of *function*'s current state.
 
     Only computed for the metrics view (``TRACER.wants("metrics")``); the
     per-phase difference is noted as the pass span's ``cost_delta``.
-    Computed directly (not through the analysis manager) so it never
-    perturbs the pass spans' cache counters, and via the scalar
-    :func:`~repro.analysis.cost.total_potential_cost` fold so it never
-    allocates the full cost model's per-register dicts.
-
-    *freq_cache* is a caller-owned ``[signature, frequencies, cfg]``
-    triple: block frequencies depend only on the CFG edge shape and
-    trip-count metadata (:func:`~repro.analysis.cost.loop_shape_signature`),
-    so the loop analysis is rebuilt only when a pass actually
-    restructures control flow — most passes rewrite instructions in
-    place, and for them the cached frequency map makes costing a plain
-    fold.  The third slot remembers the identity of *am*'s cached CFG
-    analysis: while the exact same CFG object stays cached, no pass can
-    have restructured control flow (any that did must invalidate it),
-    so even the signature walk is skipped.
+    Computed via the scalar :func:`~repro.analysis.cost.total_potential_cost`
+    fold so it never allocates the full cost model's per-register dicts.
+    Block frequencies come from the loop forest *am* holds, peeked with
+    :meth:`AnalysisManager.cached` so costing never perturbs the pass
+    spans' cache counters; only when none is cached is one built, over
+    the cached CFG when there is one.  A cached forest is current: a pass
+    that restructured control flow would have to invalidate it.
     """
-    from ..analysis.cost import (
-        block_frequencies,
-        loop_shape_signature,
-        total_potential_cost,
-    )
+    from ..analysis.cost import total_potential_cost
 
     regclass = getattr(getattr(pass_, "config", None), "regclass", None)
-    if freq_cache is None:
-        return total_potential_cost(function, regclass=regclass)
-    cfg = am.cached(CFGAnalysis) if am is not None else None
-    if cfg is None or cfg is not freq_cache[2]:
-        signature = loop_shape_signature(function)
-        if freq_cache[0] != signature:
-            freq_cache[0] = signature
-            freq_cache[1] = block_frequencies(function)
-        freq_cache[2] = cfg
-    return total_potential_cost(
-        function, regclass=regclass, frequencies=freq_cache[1]
-    )
+    loop_info = am.cached(LoopInfoAnalysis)
+    if loop_info is None:
+        loop_info = LoopInfo.build(function, am.cached(CFGAnalysis))
+    return total_potential_cost(function, loop_info, regclass)
 
 
 class Pass:
@@ -138,10 +121,6 @@ class FunctionPassManager:
         # phases (keyed by the costing regclass) instead of rebuilding the
         # cost model twice per pass.
         carried_cost: tuple[object, float] | None = None
-        # Block-frequency cache for the costing above: [signature, freqs],
-        # threaded through _potential_cost so loop analysis reruns only
-        # when a pass changes the CFG shape (see loop_shape_signature).
-        freq_cache: list = [None, None, None]
         for pass_ in self.passes:
             if traced:
                 hits0 = am.total_hits()
@@ -155,7 +134,7 @@ class FunctionPassManager:
                 if carried_cost is not None and carried_cost[0] == regclass:
                     cost0 = carried_cost[1]
                 else:
-                    cost0 = _potential_cost(function, pass_, freq_cache, am)
+                    cost0 = _potential_cost(function, pass_, am)
             with TRACER.span(
                 pass_.name, category="pass", function=function.name
             ) as span:
@@ -172,7 +151,7 @@ class FunctionPassManager:
                     if pass_.cost_neutral:
                         cost1 = cost0
                     else:
-                        cost1 = _potential_cost(function, pass_, freq_cache, am)
+                        cost1 = _potential_cost(function, pass_, am)
                     carried_cost = (regclass, cost1)
                     span.note(cost_delta=cost1 - cost0)
             state[pass_.name] = result

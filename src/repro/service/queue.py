@@ -122,8 +122,18 @@ class _FragmentView:
         self._service.cache.put(key, data)
 
 
+def _transient(exc: Exception) -> bool:
+    """Whether a failed execution is worth a retry: injected faults, I/O
+    errors and timeouts are; anything else (bad IR, an infeasible
+    register file) fails identically every attempt."""
+    return isinstance(exc, (InjectedFault, OSError, TimeoutError))
+
+
 def _execute_request(payload: tuple) -> dict:
     """One allocation, plus its wall time, inline or in a pool worker.
+
+    A failure is returned, not raised, already classified:
+    ``{"error": text, "transient": bool}`` (see :func:`_transient`).
 
     Carries the ``queue.execute`` fault point so chaos schedules can
     kill (``death``), stall (``stall``), or fail (``error``) the worker
@@ -138,23 +148,26 @@ def _execute_request(payload: tuple) -> dict:
     analysis spans nest inside it, and fault events land on the job.
     """
     ir, file_spec, method, flags, machine, trace_header = payload
-    with TRACER.activate(TraceContext.parse(trace_header)):
-        if FAULTS.enabled:
-            point = FAULTS.fire("queue.execute", label=method)
-            if point is not None:
-                if point.mode == "death":
-                    import multiprocessing
+    try:
+        with TRACER.activate(TraceContext.parse(trace_header)):
+            if FAULTS.enabled:
+                point = FAULTS.fire("queue.execute", label=method)
+                if point is not None:
+                    if point.mode == "death":
+                        import multiprocessing
 
-                    if multiprocessing.parent_process() is not None:
-                        os._exit(17)  # real worker death, not an exception
-                    raise InjectedFault(point.site, point.mode)
-                if point.mode == "stall":
-                    time.sleep(float(point.detail.get("stall_s", 0.05)))
-                elif point.mode == "error":
-                    raise InjectedFault(point.site, point.mode)
-        started = time.perf_counter()
-        with TRACER.span("worker.execute", category="worker", method=method):
-            artifact = build_artifact(ir, file_spec, method, flags, machine)
+                        if multiprocessing.parent_process() is not None:
+                            os._exit(17)  # real worker death, not an exception
+                        raise InjectedFault(point.site, point.mode)
+                    if point.mode == "stall":
+                        time.sleep(float(point.detail.get("stall_s", 0.05)))
+                    elif point.mode == "error":
+                        raise InjectedFault(point.site, point.mode)
+            started = time.perf_counter()
+            with TRACER.span("worker.execute", category="worker", method=method):
+                artifact = build_artifact(ir, file_spec, method, flags, machine)
+    except Exception as exc:
+        return {"error": str(exc), "transient": _transient(exc)}
     return {"artifact": artifact, "seconds": time.perf_counter() - started}
 
 
@@ -187,8 +200,8 @@ class ServiceConfig:
     workers: int = 0
     #: Max jobs drained into one dispatch batch.
     batch_size: int = 8
-    #: Retries when a worker crashes or a job raises (within one
-    #: dispatch, via the harness's crash-tolerant pool).
+    #: Retries when a pool worker dies (within one dispatch, via the
+    #: harness's crash-tolerant pool).
     max_retries: int = 1
     #: Base backoff between pool retry rounds (doubling per round,
     #: capped at 2 s; see :func:`repro.experiments.harness.run_tasks`).
@@ -952,20 +965,7 @@ class AllocationService:
         for job in jobs:
             job.attempts += 1
         if self.config.workers <= 0:
-            outcomes: list[dict | None] = []
-            errors: dict[int, tuple[str, bool]] = {}
-            for i, payload in enumerate(payloads):
-                try:
-                    outcomes.append(_execute_request(payload))
-                except Exception as exc:
-                    outcomes.append(None)
-                    # Injected faults and I/O errors are transient —
-                    # worth a retry.  Anything else (bad IR, infeasible
-                    # register file) fails identically every attempt.
-                    transient = isinstance(
-                        exc, (InjectedFault, OSError, TimeoutError)
-                    )
-                    errors[i] = (str(exc), transient)
+            outcomes = [_execute_request(payload) for payload in payloads]
         else:
             outcomes, task_failures = run_tasks(
                 _execute_pooled,
@@ -975,22 +975,17 @@ class AllocationService:
                 backoff_s=self.config.retry_backoff_s,
                 labels=[job.job_id for job in jobs],
             )
-            # Pool failures arrive as strings; crashed workers and
-            # injected faults are the transient ones.
-            errors = {
-                f.index: (
-                    f.error,
-                    "crash" in f.error or "injected fault" in f.error,
-                )
-                for f in task_failures
-            }
-        for i, (job, tier) in enumerate(zip(jobs, tiers)):
-            outcome = outcomes[i]
-            if outcome is None:
-                error, transient = errors.get(i, ("execution failed", True))
-                self._handle_failure(job, error, retryable=transient)
-                continue
+            # The pooled entry returns its own failures classified, so a
+            # task that failed here lost its worker: that is transient.
+            for f in task_failures:
+                outcomes[f.index] = {"error": f.error, "transient": True}
+        for job, tier, outcome in zip(jobs, tiers, outcomes):
             TRACER.record_raw(outcome.get("spans"))
+            if "error" in outcome:
+                self._handle_failure(
+                    job, outcome["error"], retryable=outcome["transient"]
+                )
+                continue
             # Verified against the request's IR only at the tier asked for.
             self._complete(
                 job, tier, outcome["artifact"], outcome["seconds"],
@@ -1017,8 +1012,7 @@ class AllocationService:
                     store=_FragmentView(self), counters=self.incremental,
                 )
         except Exception as exc:
-            transient = isinstance(exc, (InjectedFault, OSError, TimeoutError))
-            self._handle_failure(job, str(exc), retryable=transient)
+            self._handle_failure(job, str(exc), retryable=_transient(exc))
             return
         seconds = time.perf_counter() - started
         with self._lock:

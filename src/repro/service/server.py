@@ -458,6 +458,10 @@ class ServiceServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    #: Listen backlog (the kernel caps it at its own limit).
+    #: ``socketserver``'s default of 5 drops the SYNs of a burst of new
+    #: connections, and the kernel resends those only after 1 s.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, backend, max_concurrent_requests: int = 32):
         self._open: set[socket.socket] = set()

@@ -4,11 +4,12 @@ The paper runs riscv-64 executables under QEMU and counts executed
 instances of conflicting instructions (Platform-RV Setting #2).  Our IR
 carries everything needed to do the same without a foreign ISA:
 
-* :class:`DynamicSimulator` — an interpreter that walks the CFG.  Counted
-  loops (builder-generated latches) iterate exactly their trip count;
-  data-dependent branches draw seeded pseudo-random decisions from their
-  ``taken_prob``, standing in for input-dependent behaviour.  Every
-  executed instruction contributes its conflict degree.
+* :class:`DynamicSimulator` — an interpreter that follows the seeded
+  walk of :func:`repro.ir.cfg.walk`.  Counted loops (builder-generated
+  latches) iterate exactly their trip count; data-dependent branches
+  draw seeded pseudo-random decisions from their ``taken_prob``, standing
+  in for input-dependent behaviour.  Every executed instruction
+  contributes its conflict degree.
 
 * :func:`expected_block_frequencies` — a closed-form alternative: solving
   the flow equations ``f(b) = [b == entry] + sum_p f(p) * prob(p -> b)``
@@ -27,14 +28,13 @@ and reports per-site attribution to the profile view through
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..banks.register_file import RegisterFile
 from ..ir.block import BasicBlock
-from ..ir.cfg import CFG
+from ..ir.cfg import CFG, walk
 from ..ir.function import Function
 from ..ir.instruction import OpKind
 from ..ir.types import FP, RegClass
@@ -88,9 +88,17 @@ class DynamicSimulator:
     def run(self, function: Function) -> DynamicStats:
         stats = DynamicStats()
         sites = Sites(function)
-        # The walk only follows control flow; the rule is then folded over
-        # each executed block once, weighted by its execution count.
-        for label, count in self._walk(function, stats).items():
+        # The walk only follows control flow, counting each block's runs
+        # in first-execution order; the rule is then folded over each
+        # executed block once, weighted by its execution count.
+        visits: dict[str, int] = {}
+        for block in walk(function, self.seed):
+            if stats.executed_instructions >= self.max_instructions:
+                stats.truncated = True
+                break
+            visits[block.label] = visits.get(block.label, 0) + 1
+            stats.executed_instructions += len(block)
+        for label, count in visits.items():
             block = function.block(label)
             for index, instr in enumerate(block):
                 hazards = instruction_hazards(
@@ -106,54 +114,8 @@ class DynamicSimulator:
                         for detail, events in hazards.sites():
                             sites.add(block, index, instr.opcode, detail,
                                       float(events * count), float(count))
-                if instr.kind is OpKind.RET:
-                    break
         sites.emit()
         return stats
-
-    def _walk(self, function: Function, stats: DynamicStats) -> dict[str, int]:
-        """Execute *function*'s control flow, counting executed
-        instructions into *stats*; returns each executed block's
-        execution count by label, in first-execution order."""
-        rng = random.Random(self.seed)
-        visits: dict[str, int] = {}
-        # Loop latch bookkeeping: remaining iterations per header label.
-        remaining: dict[str, int] = {}
-        block = function.entry
-        while block is not None:
-            if stats.executed_instructions >= self.max_instructions:
-                stats.truncated = True
-                break
-            visits[block.label] = visits.get(block.label, 0) + 1
-            next_label = None
-            for instr in block:
-                stats.executed_instructions += 1
-                if instr.kind is OpKind.JUMP:
-                    next_label = instr.attrs["target"]
-                elif instr.kind is OpKind.RET:
-                    return visits
-                elif instr.kind is OpKind.BRANCH:
-                    target = instr.attrs["target"]
-                    if instr.attrs.get("loop_latch"):
-                        header = function.block(target)
-                        trips = int(header.attrs.get("trip_count", 1))
-                        left = remaining.setdefault(target, trips - 1)
-                        if left > 0:
-                            remaining[target] = left - 1
-                            next_label = target
-                        else:
-                            remaining.pop(target, None)  # reset for re-entry
-                            next_label = function.next_label(block)
-                    else:
-                        prob = float(instr.attrs.get("taken_prob", 0.5))
-                        if rng.random() < prob:
-                            next_label = target
-                        else:
-                            next_label = function.next_label(block)
-            if next_label is None:
-                next_label = function.next_label(block)
-            block = function.block(next_label) if next_label is not None else None
-        return visits
 
 
 def expected_block_frequencies(function: Function, cfg: CFG | None = None) -> dict[str, float]:
@@ -178,7 +140,7 @@ def expected_block_frequencies(function: Function, cfg: CFG | None = None) -> di
         if term is not None and term.kind is OpKind.BRANCH:
             prob = float(term.attrs.get("taken_prob", 0.5))
             target = term.attrs["target"]
-            fallthrough = function.next_label(block)
+            fallthrough = cfg.fallthrough[label]
             transition[index[label]][index[target]] += prob
             if fallthrough is not None and fallthrough in index:
                 transition[index[label]][index[fallthrough]] += 1.0 - prob

@@ -7,18 +7,19 @@ the return value and the multiset of stored values.  This catches wrong
 rewrites, broken spill code, misplaced split copies, and coalescing bugs
 at the semantic level, independent of any structural invariant.
 
-Branch decisions replay deterministically: counted latches run their trip
-counts, data-dependent branches draw from a seeded RNG — the same seed
-yields the same path in the pre- and post-allocation functions because
-the pipeline never adds or removes branches.
+Branch decisions replay deterministically through the seeded walk of
+:func:`repro.ir.cfg.walk`: counted latches run their trip counts,
+data-dependent branches draw from a seeded RNG — the same seed yields
+the same path in the pre- and post-allocation functions because the
+pipeline never adds or removes branches.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
+from ..ir.cfg import walk
 from ..ir.function import Function
 from ..ir.instruction import OpKind
 from ..ir.types import Immediate, Register
@@ -95,12 +96,10 @@ class ValueInterpreter:
     def run(self, function: Function) -> ExecutionTrace:
         from ..obs import TRACER
 
-        rng = random.Random(self.seed)
         env: dict[Register, float] = {}
         spill_memory: dict[int, float] = {}
         input_counter = 0
         trace = ExecutionTrace()
-        remaining: dict[str, int] = {}
 
         # Execution-heat profiling: the interpreter has no register file,
         # so it attributes executed instances (empty detail), giving the
@@ -130,9 +129,7 @@ class ValueInterpreter:
                     f"{function.name}: read of undefined register {operand!r}"
                 ) from None
 
-        block = function.entry
-        while block is not None:
-            next_label = None
+        for block in walk(function, self.seed):
             for index, instr in enumerate(block):
                 trace.executed_instructions += 1
                 if trace.executed_instructions > self.max_instructions:
@@ -185,30 +182,8 @@ class ValueInterpreter:
                     trace.return_values = tuple(read(u) for u in instr.uses)
                     flush()
                     return trace
-                elif kind is OpKind.JUMP:
-                    next_label = instr.attrs["target"]
-                elif kind is OpKind.BRANCH:
-                    target = instr.attrs["target"]
-                    if instr.attrs.get("loop_latch"):
-                        header = function.block(target)
-                        trips = int(header.attrs.get("trip_count", 1))
-                        left = remaining.setdefault(target, trips - 1)
-                        if left > 0:
-                            remaining[target] = left - 1
-                            next_label = target
-                        else:
-                            remaining.pop(target, None)
-                            next_label = function.next_label(block)
-                    else:
-                        prob = float(instr.attrs.get("taken_prob", 0.5))
-                        if rng.random() < prob:
-                            next_label = target
-                        else:
-                            next_label = function.next_label(block)
-                # NOP / CALL: no value effect in this model.
-            if next_label is None:
-                next_label = function.next_label(block)
-            block = function.block(next_label) if next_label is not None else None
+                # JUMP / BRANCH: the walk follows them.  NOP / CALL: no
+                # value effect in this model.
         flush()
         return trace
 

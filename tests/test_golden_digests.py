@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.ir import parse_function, print_function
+from repro.ir import CFG, parse_function, print_function
 from repro.obs import TRACER
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.service import artifact_bytes, build_artifact
@@ -110,6 +110,33 @@ def test_artifacts_match_golden_digests(method):
     assert produced.keys() == golden.keys()
     moved = sorted(key for key in produced if produced[key] != golden[key])
     assert not moved, f"{len(moved)} artifacts moved: {moved[:5]}"
+
+
+def block_structure(function) -> list[tuple]:
+    """Each block's label, CFG successors and ``trip_count``, in layout
+    order: all that Eq. 1's frequencies and the seeded walk read."""
+    cfg = CFG.build(function)
+    return [
+        (block.label, cfg.succs[block.label], block.attrs.get("trip_count"))
+        for block in function.blocks
+    ]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_pipeline_keeps_block_structure(method):
+    # No Fig. 4 pass adds, removes or rewires a block, so the splitter
+    # takes preheaders and exits from the cached LoopInfo's CFG, and the
+    # metrics view costs every phase with the cached LoopInfo.
+    for label, fn in workload_functions():
+        ir = print_function(fn)
+        for file_name, spec in FILES.items():
+            function = parse_function(ir)
+            before = block_structure(function)
+            register_file = build_register_file(normalize_file_spec(spec))
+            pipe = run_pipeline(function, PipelineConfig(register_file, method))
+            assert block_structure(pipe.function) == before, (
+                f"{method} {file_name} {label}"
+            )
 
 
 #: OoO points pinned beside the in-order models: the parity anchor, the

@@ -1,6 +1,8 @@
-"""Tests for CFG construction, reverse postorder, and dominators."""
+"""Tests for CFG construction, reverse postorder, dominators, and the
+seeded walk."""
 
 from repro.ir import CFG, IRBuilder, parse_function
+from repro.ir.cfg import walk
 from tests.conftest import build_diamond_kernel, build_nested_loops
 
 
@@ -119,3 +121,27 @@ class TestDominators:
         )
         then = next(l for l in cfg.rpo if l.endswith(".then"))
         assert cfg.dominates(header, then)
+
+
+class TestWalk:
+    def test_counted_latch_runs_its_trip_count_per_entry(self):
+        fn = build_nested_loops((3, 4))
+        labels = [block.label for block in walk(fn)]
+        headers = [b.label for b in fn.blocks if b.attrs.get("loop_header")]
+        assert [labels.count(h) for h in headers] == [3, 12]
+        assert labels[0] == "entry" and labels[-1] == fn.blocks[-1].label
+
+    def test_branch_draws_replay_with_the_seed(self):
+        b = IRBuilder("f")
+        acc = b.const(0.0)
+        with b.if_then(0.5):
+            b.arith_into(acc, "fadd", acc, acc)
+        b.ret(acc)
+        fn = b.finish()
+        then = next(blk.label for blk in fn.blocks if blk.label.endswith(".then"))
+
+        def path(seed):
+            return [blk.label for blk in walk(fn, seed)]
+
+        assert all(path(seed) == path(seed) for seed in range(16))
+        assert {then in path(seed) for seed in range(16)} == {True, False}

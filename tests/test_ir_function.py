@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir import Function, Module, instruction as ins
+from repro.ir import CFG, Function, Module, instruction as ins
 from repro.ir.types import FP, GP, VirtualRegister
 from tests.conftest import build_mac_kernel
 
@@ -35,16 +35,16 @@ class TestBlocks:
 
     def test_next_label(self):
         fn = Function("f")
-        a = fn.add_block("a")
-        b = fn.add_block("b")
-        assert fn.next_label(a) == "b"
-        assert fn.next_label(b) is None
+        fn.add_block("a")
+        fn.add_block("b")
+        assert CFG.build(fn).fallthrough == {"a": "b", "b": None}
 
     def test_successors_resolve_blocks(self):
         fn = build_mac_kernel()
+        cfg = CFG.build(fn)
         for block in fn.blocks:
-            for succ in fn.successors(block):
-                assert succ in fn.blocks
+            for succ in cfg.succs[block.label]:
+                assert cfg.block(succ) in fn.blocks
 
 
 class TestRegisters:

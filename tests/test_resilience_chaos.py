@@ -165,6 +165,21 @@ def test_persistent_execute_fault_dead_letters():
     assert ok.artifact == BASELINE
 
 
+def test_pooled_worker_death_is_retried_before_it_dead_letters():
+    # Each fresh pool worker inherits the plan and dies once, so every
+    # dispatch loses its worker.  A lost worker is transient: the job is
+    # requeued job_retries times, then dead-letters.
+    arm(FaultPoint(site="queue.execute", mode="death", times=1))
+    service = AllocationService(ServiceConfig(
+        workers=1, job_retries=2, job_backoff_s=0.0, retry_backoff_s=0.0,
+    ))
+    job = run_to_done(service, REQUEST)
+    assert job.status == "failed" and job.dead_lettered
+    assert job.attempts == 3  # 1 try + 2 retries
+    assert service.counters["retried"] == 2
+    assert "terminated abruptly" in job.error
+
+
 def test_worker_stall_still_serves_correct_bytes():
     arm(FaultPoint(site="queue.execute", mode="stall",
                    detail={"stall_s": 0.01}, times=1))

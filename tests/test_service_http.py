@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 
@@ -128,3 +129,32 @@ def test_cache_dir_persists_across_server_restart(server, client, tmp_path):
     finally:
         shutdown_server(other)
         thread.join(timeout=5)
+
+
+def test_burst_of_new_connections_is_answered_at_once(server):
+    # 32 (the default max_concurrent_requests, so nothing is shed) fresh
+    # connections at once.  One beyond the listen backlog has its SYN
+    # dropped and resent after the kernel's 1 s, past the 0.5 s timeout.
+    host, port = server.server_address[:2]
+    clients = 32
+    barrier = threading.Barrier(clients, timeout=10)
+    statuses = []
+
+    def healthz():
+        barrier.wait()
+        conn = http.client.HTTPConnection(host, port, timeout=0.5)
+        try:
+            conn.request("GET", "/healthz")
+            statuses.append(conn.getresponse().status)
+        except OSError as exc:
+            statuses.append(repr(exc))
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=healthz) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert statuses == [200] * clients
