@@ -150,32 +150,3 @@ def try_region_split(
             result.copies.append(CopyAction(label, "begin", cold_child, hot_child))
     return result
 
-
-def materialize_copies(
-    function: Function,
-    copies: list[CopyAction],
-    assignment: dict,
-) -> int:
-    """Insert split copies into *function* (physical operands); returns the
-    number of copy instructions added.  Copies whose source and destination
-    landed in the same physical register are elided (coalesced for free).
-    """
-    from ..ir import instruction as ins
-
-    inserted = 0
-    for action in copies:
-        dst = assignment.get(action.dst, action.dst)
-        src = assignment.get(action.src, action.src)
-        if dst == src:
-            continue
-        block = function.block(action.block_label)
-        copy_instr = ins.copy(dst, src, split_copy=True)
-        if action.position == "begin":
-            block.insert(0, copy_instr)
-        else:
-            index = len(block.instructions)
-            if block.terminator is not None:
-                index -= 1
-            block.insert(index, copy_instr)
-        inserted += 1
-    return inserted

@@ -10,7 +10,7 @@ from .chordal import (
     maximum_cardinality_search,
 )
 from .conflict_graph import ConflictGraph
-from .cost import ConflictCostModel, block_frequencies
+from .cost import ConflictCostModel
 from .interference import InterferenceGraph
 from .intervals import LiveInterval, LiveIntervals, Segment
 from .liveness import Liveness
@@ -29,7 +29,6 @@ __all__ = [
     "SameDisplacementGraph",
     "Segment",
     "SlotIndexes",
-    "block_frequencies",
     "chordal_coloring",
     "chromatic_number",
     "is_chordal",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.cfg import CFG
 from ..ir.function import Function
 from ..ir.instruction import Instruction, OpKind
 from ..ir.loops import LoopInfo
@@ -197,8 +196,3 @@ def total_potential_cost(
                     total += freq * reads
     return total
 
-
-def block_frequencies(function: Function, cfg: CFG | None = None) -> dict[str, float]:
-    """Convenience map: block label -> static execution frequency."""
-    loop_info = LoopInfo.build(function, cfg)
-    return {b.label: loop_info.block_frequency(b.label) for b in function.blocks}

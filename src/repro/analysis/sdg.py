@@ -11,14 +11,21 @@ assignment and are cut by the splitting heuristic of Figs. 8/9, which
 targets "centered" vertices: high out-degree (input sharing, one value
 feeding many operations) or high in-degree (output sharing, a reduction
 accumulator written by many operations).
+
+The graph counts each edge's inducing instructions and records where each
+vertex first appears, so the splitting pass can patch it at every cut
+(:meth:`SameDisplacementGraph.remove_operands`,
+:meth:`~SameDisplacementGraph.add_operands`,
+:meth:`~SameDisplacementGraph.reseat`) instead of rebuilding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..ir.flat import FlatFunction
 from ..ir.function import Function
-from ..ir.instruction import Instruction, OpKind
+from ..ir.instruction import OpKind
 from ..ir.types import RegClass, VirtualRegister
 
 
@@ -29,80 +36,39 @@ class SameDisplacementGraph:
     regclass: RegClass | None
     out_edges: dict[VirtualRegister, set[VirtualRegister]] = field(default_factory=dict)
     in_edges: dict[VirtualRegister, set[VirtualRegister]] = field(default_factory=dict)
-    #: (src, dst) -> instructions inducing the edge.
-    edge_instrs: dict[tuple[VirtualRegister, VirtualRegister], list[Instruction]] = field(
+    #: (src, dst) -> number of aligned instructions inducing the edge.
+    edge_count: dict[tuple[VirtualRegister, VirtualRegister], int] = field(
         default_factory=dict
     )
+    #: Vertex -> ``(ordinal, slot)`` of its first aligned operand: the
+    #: instruction's index in the lowering and the operand's position
+    #: among that instruction's outputs, then inputs.  A build meets the
+    #: vertices in this order; :meth:`components` walks them in it.
+    first: dict[VirtualRegister, tuple[int, int]] = field(default_factory=dict)
 
     @classmethod
     def build(
         cls,
         function: Function,
         regclass: RegClass | None = None,
-        flat=None,
+        flat: FlatFunction | None = None,
     ) -> "SameDisplacementGraph":
+        if flat is None:
+            flat = FlatFunction(function)
         graph = cls(regclass)
-        if flat is not None:
-            graph._build_flat(flat)
-            return graph
-        for _, instr in function.instructions():
-            if not cls.needs_alignment(instr, regclass):
-                continue
-            inputs = [
-                r for r in instr.bankable_reads(regclass)
-                if isinstance(r, VirtualRegister)
-            ]
-            outputs = [
-                d for d in instr.vreg_defs()
-                if d.regclass.bankable
-                and (regclass is None or d.regclass == regclass)
-            ]
-            for dst in outputs:
-                graph._add_node(dst)
-            for src in inputs:
-                graph._add_node(src)
-                for dst in outputs:
-                    graph.add_edge(src, dst, instr)
+        for ordinal in range(len(flat.instrs)):
+            operands = graph.operands(flat, ordinal)
+            if operands is not None:
+                graph.add_operands(ordinal, *operands)
         return graph
-
-    def _build_flat(self, flat) -> None:
-        """Flat-array scan: same nodes/edges in the same insertion order,
-        without re-deriving operand tuples per instruction."""
-        regs = flat.regs
-        reg_virtual = flat.reg_virtual
-        regclass = self.regclass
-        for i in range(len(flat.instrs)):
-            aligned = self.flat_alignment(flat, i, regclass)
-            if aligned is None:
-                continue
-            bank, vdefs = aligned
-            inputs = [rid for rid in bank if reg_virtual[rid]]
-            outputs = [
-                rid for rid in vdefs
-                if regs[rid].regclass.bankable
-                and (regclass is None or regs[rid].regclass == regclass)
-            ]
-            instr = flat.instrs[i]
-            for dst in outputs:
-                self._add_node(regs[dst])
-            for src in inputs:
-                self._add_node(regs[src])
-                for dst in outputs:
-                    self.add_edge(regs[src], regs[dst], instr)
-
-    @staticmethod
-    def needs_alignment(instr: Instruction, regclass: RegClass | None = None) -> bool:
-        """The DSA aligns the operands of every vector arithmetic
-        instruction (its ALUs read all ports at one displacement)."""
-        if instr.kind is not OpKind.ARITH:
-            return False
-        return len(instr.bankable_reads(regclass)) >= 1 and len(instr.vreg_defs()) >= 1
 
     @staticmethod
     def flat_alignment(flat, ordinal: int, regclass: RegClass | None = None):
-        """:meth:`needs_alignment` for one lowered instruction: its
-        distinct bankable read rids and its virtual def rids, or ``None``
-        when it needs no alignment."""
+        """Whether one lowered instruction needs alignment: the DSA aligns
+        the operands of every vector arithmetic instruction (its ALUs read
+        all ports at one displacement) that reads a bankable register and
+        writes a virtual one.  Returns its distinct bankable read rids and
+        its virtual def rids, or ``None``."""
         if flat.kinds[ordinal] is not OpKind.ARITH:
             return None
         start, end = flat.def_start[ordinal], flat.def_start[ordinal + 1]
@@ -114,25 +80,80 @@ class SameDisplacementGraph:
             return None
         return bank, vdefs
 
+    def operands(self, flat, ordinal: int):
+        """The aligned ``(inputs, outputs)`` registers of one lowered
+        instruction under this graph's register class, or ``None`` when it
+        needs no alignment."""
+        regclass = self.regclass
+        aligned = self.flat_alignment(flat, ordinal, regclass)
+        if aligned is None:
+            return None
+        bank, vdefs = aligned
+        regs = flat.regs
+        inputs = [regs[rid] for rid in bank if flat.reg_virtual[rid]]
+        outputs = [
+            regs[rid] for rid in vdefs
+            if regs[rid].regclass.bankable
+            and (regclass is None or regs[rid].regclass == regclass)
+        ]
+        return inputs, outputs
+
     # ------------------------------------------------------------------
-    def _add_node(self, reg: VirtualRegister) -> None:
-        self.out_edges.setdefault(reg, set())
-        self.in_edges.setdefault(reg, set())
+    def add_operands(
+        self,
+        ordinal: int,
+        inputs: list[VirtualRegister],
+        outputs: list[VirtualRegister],
+    ) -> None:
+        """Count in the aligned instruction at *ordinal*: its operands
+        become vertices, and each input gains an edge to each output."""
+        first = self.first
+        for slot, reg in enumerate(outputs + inputs):
+            if reg not in first:
+                first[reg] = (ordinal, slot)
+                self.out_edges[reg] = set()
+                self.in_edges[reg] = set()
+        count = self.edge_count
+        for src in inputs:
+            for dst in outputs:
+                if src == dst:
+                    continue  # accumulator updates (a = op a, b) impose no new constraint
+                key = (src, dst)
+                n = count.get(key, 0)
+                count[key] = n + 1
+                if not n:
+                    self.out_edges[src].add(dst)
+                    self.in_edges[dst].add(src)
 
-    def add_edge(self, src: VirtualRegister, dst: VirtualRegister, instr: Instruction | None = None) -> None:
-        if src == dst:
-            return  # accumulator updates (a = op a, b) impose no new constraint
-        self._add_node(src)
-        self._add_node(dst)
-        self.out_edges[src].add(dst)
-        self.in_edges[dst].add(src)
-        if instr is not None:
-            self.edge_instrs.setdefault((src, dst), []).append(instr)
+    def remove_operands(
+        self, inputs: list[VirtualRegister], outputs: list[VirtualRegister]
+    ) -> None:
+        """Count out the edges :meth:`add_operands` counted in for these
+        operands.  Vertices stay: :meth:`reseat` moves or drops them."""
+        count = self.edge_count
+        for src in inputs:
+            for dst in outputs:
+                if src == dst:
+                    continue
+                key = (src, dst)
+                n = count[key] - 1
+                if n:
+                    count[key] = n
+                else:
+                    del count[key]
+                    self.out_edges[src].discard(dst)
+                    self.in_edges[dst].discard(src)
+
+    def reseat(self, reg: VirtualRegister, first: tuple[int, int] | None) -> None:
+        """*reg* now first appears at *first*; ``None`` when no aligned
+        operand names it any more, which drops its (edgeless) vertex."""
+        if first is not None:
+            self.first[reg] = first
+            return
+        assert not self.out_edges[reg] and not self.in_edges[reg], reg
+        del self.first[reg], self.out_edges[reg], self.in_edges[reg]
 
     # ------------------------------------------------------------------
-    def nodes(self) -> list[VirtualRegister]:
-        return list(self.out_edges)
-
     def out_degree(self, reg: VirtualRegister) -> int:
         return len(self.out_edges.get(reg, ()))
 
@@ -144,10 +165,11 @@ class SameDisplacementGraph:
         return self.out_edges.get(reg, set()) | self.in_edges.get(reg, set())
 
     def components(self) -> list[set[VirtualRegister]]:
-        """Weakly connected components: the alignment subgroups."""
+        """Weakly connected components: the alignment subgroups, in the
+        order of their first-appearing vertex."""
         seen: set[VirtualRegister] = set()
         result = []
-        for root in self.out_edges:
+        for root in sorted(self.first, key=self.first.__getitem__):
             if root in seen:
                 continue
             comp = {root}

@@ -50,9 +50,6 @@ class IRBuilder:
         """A fresh virtual register (defaults to the builder's class)."""
         return self.function.new_vreg(regclass or self.regclass)
 
-    def fresh_many(self, count: int, regclass: RegClass | None = None) -> list[VirtualRegister]:
-        return [self.fresh(regclass) for _ in range(count)]
-
     # ------------------------------------------------------------------
     # Blocks
     # ------------------------------------------------------------------

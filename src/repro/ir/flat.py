@@ -8,9 +8,7 @@ dataclasses on every query.  :class:`FlatFunction` lowers a function
 once into *interned integer ids* and flat arrays:
 
 * registers are interned to dense ``rid`` ints (``regs[rid]`` raises
-  back to the original object, ``reg_names[rid]`` to its printed name —
-  the id→name table the observability layers use so listings and audit
-  records keep showing ``%v5``, never a bare ``rid``);
+  back to the original object);
 * use/def operands are CSR arrays (``use_start``/``use_ids``) indexed by
   instruction ordinal, preserving operand order and duplicates exactly
   as :meth:`Instruction.reg_uses`/``reg_defs`` report them;
@@ -25,7 +23,8 @@ once into *interned integer ids* and flat arrays:
 This is the only production path: the analysis manager hands one
 lowering to every hot analysis, the scheduler and the coalescer.  The
 object-graph analysis bodies (``X.build(fn)`` without ``flat=``) stay as
-the reference implementation the differential tests compare against.
+the reference implementation the differential tests compare against;
+the SDG has no such body (its reference lives in the tests).
 
 Coverage bitmasks: a slot range ``[start, end)`` maps to the integer
 ``(1 << end) - (1 << start)``; interval overlap becomes a single ``&``.
@@ -62,7 +61,6 @@ class FlatFunction:
         "function",
         "regs",
         "reg_ids",
-        "reg_names",
         "reg_virtual",
         "instrs",
         "ordinal_of",
@@ -87,7 +85,6 @@ class FlatFunction:
         self.function = function
         regs: list = []
         reg_ids: dict = {}
-        reg_names: list[str] = []
         reg_virtual: list[bool] = []
         instrs: list = []
         ordinal_of: dict[int, int] = {}
@@ -109,7 +106,6 @@ class FlatFunction:
                 rid = len(regs)
                 reg_ids[reg] = rid
                 regs.append(reg)
-                reg_names.append(reg.name)
                 reg_virtual.append(isinstance(reg, VirtualRegister))
             return rid
 
@@ -152,7 +148,6 @@ class FlatFunction:
 
         self.regs = regs
         self.reg_ids = reg_ids
-        self.reg_names = reg_names
         self.reg_virtual = reg_virtual
         self.instrs = instrs
         self.ordinal_of = ordinal_of
@@ -176,14 +171,6 @@ class FlatFunction:
     @property
     def num_regs(self) -> int:
         return len(self.regs)
-
-    def name_of(self, rid: int) -> str:
-        """Original printed name of an interned register id.
-
-        The raising shim for anything user-facing: profiler listings and
-        audit records must render ``%v5``/``$fp3``, never a bare rid.
-        """
-        return self.reg_names[rid]
 
     def bank_reads(self, ordinal: int, regclass=None) -> list[int]:
         """Distinct bankable-read rids of one instruction, operand order.

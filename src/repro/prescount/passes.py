@@ -94,7 +94,7 @@ class SdgSplitPass(_ConfiguredPass):
         return split_subgroups(function, config.regclass, sdg_config, am=am)
 
     def preserved(self, result):
-        return PRESERVE_ALL  # split_subgroups() invalidates per cutting round
+        return PRESERVE_ALL  # split_subgroups() invalidates once, after its last cut
 
 
 @register_pass

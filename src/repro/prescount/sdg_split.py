@@ -71,10 +71,14 @@ def split_subgroups(
 ) -> SdgSplitResult:
     """Split oversized SDG components of *function* in place.
 
-    The per-round SDG comes from *am* (created on demand); rounds that cut
-    invalidate all but the CFG-level analyses, so the final no-cut round
-    leaves a cached SDG that matches the function — Algorithm 2's subgroup
-    state construction reuses it for free.
+    The SDG comes from *am* (created on demand), and the first round with
+    an oversized component builds the aligned-access index from the same
+    lowering.  Both then serve the whole split: every cut patches them to
+    the live function, so each round reads the components of the
+    function as it stands without rebuilding either.  A split that cut
+    anything ends with one invalidation of all but the CFG-level
+    analyses; one that cut nothing leaves its SDG cached, and Algorithm
+    2's subgroup state construction reuses it for free.
     """
     from ..obs import TRACER
 
@@ -82,11 +86,12 @@ def split_subgroups(
     if am is None:
         am = AnalysisManager(function)
     result = SdgSplitResult()
+    sdg = am.get(SDGAnalysis, regclass=regclass)
+    index = None
     for _round in range(config.max_rounds):
         with TRACER.span(
             "sdg-round", category="stage", function=function.name, round=_round
         ):
-            sdg = am.get(SDGAnalysis, regclass=regclass)
             oversized = [
                 comp
                 for comp in sdg.components()
@@ -95,15 +100,17 @@ def split_subgroups(
             if not oversized:
                 break
             result.rounds += 1
-            index = _AlignedAccessIndex(am.get(FlatIRAnalysis))
+            if index is None:
+                index = _AlignedAccessIndex(am.get(FlatIRAnalysis), sdg)
             progressed = False
             for component in oversized:
                 centers = sdg.sharing_centers(component, config.fanout_threshold)
-                # Cut several centers per round: each cut updates the index
-                # to the live function, so sequential cuts compose safely,
-                # and big shared-input kernels (idft) converge in few SDG
-                # rebuilds.  The SDG itself stays the round's snapshot: its
-                # node order fixes the cut order and the new vreg numbers.
+                # Cut several centers per round: each cut patches the index
+                # and the SDG to the live function, so sequential cuts
+                # compose safely.  The components stay the snapshot taken
+                # above, and a component's centers are ranked before its
+                # first cut (a cut only moves edges of its own component):
+                # that order fixes the cut order and the new vreg numbers.
                 cuts = 0
                 for center, kind, fanout in centers:
                     if kind == "input_sharing":
@@ -116,11 +123,11 @@ def split_subgroups(
                         progressed = True
                         cuts += 1
                         if cuts >= 8:
-                            break  # re-analyze before cutting further
-            if progressed:
-                am.invalidate(CFG_ONLY)
-            else:
+                            break  # re-read the components before cutting further
+            if not progressed:
                 break
+    if result.copies_inserted:
+        am.invalidate(CFG_ONLY)
     TRACER.note(**{
         "sdg.copies_inserted": result.copies_inserted,
         "sdg.rounds": result.rounds,
@@ -130,30 +137,41 @@ def split_subgroups(
 
 # ----------------------------------------------------------------------
 class _AlignedAccessIndex:
-    """Each register's aligned readers and aligned writers, per block.
+    """Each register's aligned readers and aligned writers, per block,
+    and the SDG they induce, both kept equal to the live function.
 
     An access is *aligned* under the SDG's own filter,
-    ``needs_alignment(instr, None)``: a reader holds the register in
-    ``bankable_reads()``, a writer in ``vreg_defs()``.  The index is
-    built once per cutting round from the round's flat lowering.
+    ``SameDisplacementGraph.flat_alignment(flat, ordinal)``: a reader
+    holds the register among the instruction's distinct bankable reads, a
+    writer among its virtual defs.  The index is built once per split,
+    from the lowering the split's SDG was built from.
 
-    Instructions are named by *coordinate*: their index in the block when
-    the round began.  A cut keeps coordinates valid because it touches a
+    Instructions are named by *coordinate*: their index in the block in
+    that lowering.  A cut keeps coordinates valid because it touches a
     single block, rewrites instructions in place (only the cut register
     changes, to a fresh one: :meth:`rename`), and inserts one COPY, which
     is never aligned, so it joins no list; the index only remembers where
     it went (:meth:`insert_copy`) to map coordinates back to live
     positions.
+
+    :meth:`rename` patches the SDG in the same step: each rewritten
+    instruction's aligned operands are counted out of the graph and back
+    in with the fresh register, so the SDG stays equal to a fresh build of
+    the live function without the lowering being touched.
     """
 
-    def __init__(self, flat: FlatFunction):
+    def __init__(self, flat: FlatFunction, sdg: SameDisplacementGraph):
         self.function = flat.function
+        self.flat = flat
+        self.sdg = sdg
         regs = flat.regs
         self.readers: list[dict[Register, list[int]]] = []
         self.writers: list[dict[Register, list[int]]] = []
         #: Per block, sorted: ``2c - 1`` for a copy inserted before the
         #: instruction at coordinate ``c``, ``2c + 1`` for one after it.
         self._copies: list[list[int]] = []
+        #: Ordinal -> the SDG operands of each instruction a cut rewrote.
+        self._rewritten: dict[int, tuple[list[Register], list[Register]]] = {}
         for start, end in flat.block_bounds:
             readers: dict[Register, list[int]] = {}
             writers: dict[Register, list[int]] = {}
@@ -183,20 +201,71 @@ class _AlignedAccessIndex:
             for coordinate in entries.get(reg, ())
         ]
 
-    @staticmethod
     def rename(
-        table: list[dict[Register, list[int]]],
+        self,
         b: int,
         old: Register,
         new: Register,
         coordinates: list[int],
+        seeded: bool = False,
     ) -> None:
         """The instructions at *coordinates* of block *b* now access the
-        fresh register *new* where they accessed *old*."""
+        fresh register *new* wherever they accessed *old* — except that,
+        when *seeded*, the first of them still reads *old*."""
         moved = set(coordinates)
-        entries = table[b].get(old, [])
-        table[b][old] = [c for c in entries if c not in moved]
-        table[b][new] = [c for c in entries if c in moved]
+        for table, at in (
+            (self.writers, moved),
+            (self.readers, moved - {coordinates[0]} if seeded else moved),
+        ):
+            entries = table[b].get(old, [])
+            table[b][old] = [c for c in entries if c not in at]
+            table[b][new] = [c for c in entries if c in at]
+
+        def swap(regs: list[Register]) -> list[Register]:
+            return [new if reg == old else reg for reg in regs]
+
+        sdg = self.sdg
+        start = self.flat.block_bounds[b][0]
+        for c in coordinates:
+            ordinal = start + c
+            operands = self.operands(ordinal)
+            if operands is None:
+                continue
+            inputs, outputs = operands
+            rewritten = (
+                inputs if seeded and c == coordinates[0] else swap(inputs),
+                swap(outputs),
+            )
+            sdg.remove_operands(inputs, outputs)
+            sdg.add_operands(ordinal, *rewritten)
+            self._rewritten[ordinal] = rewritten
+        first = sdg.first.get(old)
+        if first is not None and first[0] - start in moved:
+            sdg.reseat(old, self._first_access(old))
+
+    def operands(self, ordinal: int):
+        """The live SDG operands of the instruction at *ordinal* of the
+        lowering (``None`` when it is not aligned)."""
+        operands = self._rewritten.get(ordinal)
+        if operands is None:
+            operands = self.sdg.operands(self.flat, ordinal)
+        return operands
+
+    def _first_access(self, reg: Register) -> tuple[int, int] | None:
+        """Where *reg* first appears among the SDG's aligned operands:
+        its earliest entry in either table that the SDG aligns too."""
+        best = None
+        for table in (self.writers, self.readers):
+            for b, coordinate in self.accesses(table, reg):
+                ordinal = self.flat.block_bounds[b][0] + coordinate
+                operands = self.operands(ordinal)
+                if operands is not None:
+                    inputs, outputs = operands
+                    key = (ordinal, (outputs + inputs).index(reg))
+                    if best is None or key < best:
+                        best = key
+                    break
+        return best
 
     def position(self, b: int, coordinate: int) -> int:
         """Live index in block *b* of the instruction at *coordinate*."""
@@ -246,7 +315,7 @@ def _split_input_sharing(
     for c in coordinates:
         at = index.position(b, c)
         instructions[at] = instructions[at].rewrite(mapping)
-    index.rename(index.readers, b, center, clone, coordinates)
+    index.rename(b, center, clone, coordinates)
     # Insert the copy right before the first rewritten reader.
     copy = ins.copy(clone, center, sdg_copy=True)
     index.insert_copy(b, first, copy, after=False)
@@ -299,8 +368,7 @@ def _split_output_sharing(
     for c in coordinates[1:]:
         at = index.position(b, c)
         instructions[at] = instructions[at].rewrite(mapping)
-    index.rename(index.writers, b, center, partial, coordinates)
-    index.rename(index.readers, b, center, partial, coordinates[1:])
+    index.rename(b, center, partial, coordinates, seeded=True)
     # Copy the partial result back into the center after the last
     # rewritten writer.
     copy = ins.copy(center, partial, sdg_copy=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ConflictCostModel, block_frequencies
+from repro.analysis import ConflictCostModel
 from repro.ir import IRBuilder
 from tests.conftest import build_nested_loops
 
@@ -90,14 +90,6 @@ class TestSpillWeight:
         cm = ConflictCostModel.build(fn)
         # acc: def (li) + fadd def&use + 32x fmul def&use.
         assert cm.access_cost(acc) > cm.cost_of_register(acc)
-
-
-class TestBlockFrequencies:
-    def test_matches_loop_info(self):
-        fn = build_nested_loops((3, 5))
-        freqs = block_frequencies(fn)
-        assert freqs["entry"] == 1.0
-        assert max(freqs.values()) == pytest.approx(15.0)
 
 
 class TestTotalPotentialCost:

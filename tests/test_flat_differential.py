@@ -2,7 +2,8 @@
 
 Production builds every hot analysis through the :class:`AnalysisManager`,
 which hands them the shared flat lowering.  The object-graph bodies —
-reached by ``X.build(fn)`` without ``flat=`` — are the readable
+reached by ``X.build(fn)`` without ``flat=``, and for the SDG
+``reference_sdg`` in ``tests/reference_sdg.py`` — are the readable
 reference implementation; on every workload function, before allocation
 (virtual registers) and after a bpc allocation (physical registers plus
 spill and split code), the two must agree exactly.  Dict-valued results
@@ -19,7 +20,6 @@ from repro.analysis.conflict_graph import ConflictGraph
 from repro.analysis.cost import ConflictCostModel
 from repro.analysis.intervals import LiveIntervals
 from repro.analysis.liveness import Liveness
-from repro.analysis.sdg import SameDisplacementGraph
 from repro.ir.types import FP
 from repro.passes import (
     AnalysisManager,
@@ -32,6 +32,7 @@ from repro.passes import (
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.service.artifact import build_register_file
 
+from .reference_sdg import reference_sdg
 from .test_golden_digests import workload_functions
 
 REGCLASSES = (None, FP)
@@ -106,8 +107,8 @@ class TestFlatMatchesObjectReference:
             am = AnalysisManager(fn)
             for regclass in REGCLASSES:
                 flat = am.get(SDGAnalysis, regclass=regclass)
-                ref = SameDisplacementGraph.build(fn, regclass)
-                for name in ("out_edges", "in_edges", "edge_instrs"):
+                ref = reference_sdg(fn, regclass)
+                for name in ("out_edges", "in_edges", "edge_count", "first"):
                     assert _ordered(getattr(flat, name)) == _ordered(
                         getattr(ref, name)
                     ), f"{label} regclass={regclass}: SDG.{name}"

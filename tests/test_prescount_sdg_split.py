@@ -9,9 +9,19 @@ from repro.ir import IRBuilder, OpKind, print_function, verify_function
 from repro.ir import instruction as ins
 from repro.ir.flat import FlatFunction
 from repro.ir.instruction import Instruction
-from repro.ir.types import FP
-from repro.prescount import SdgSplitConfig, SdgSplitResult, sdg_split, split_subgroups
+from repro.ir.types import FP, RegClass
+from repro.passes import SDGAnalysis
+from repro.prescount import (
+    PipelineConfig,
+    SdgSplitConfig,
+    SdgSplitResult,
+    run_pipeline,
+    sdg_split,
+    split_subgroups,
+)
+from repro.prescount import passes as prescount_passes
 from repro.sim import observably_equivalent
+from repro.sim.machine import DSA_SUBGROUPED, platform_dsa
 from repro.workloads import (
     DSA_KERNELS,
     idft_kernel,
@@ -19,6 +29,8 @@ from repro.workloads import (
     reduce_kernel,
     shared_use_kernel,
 )
+
+from .reference_sdg import needs_alignment, reference_sdg
 
 
 def count_sdg_copies(fn):
@@ -115,7 +127,7 @@ def reference_split_subgroups(function, regclass=FP, config=None):
     config = config or SdgSplitConfig()
     result = SdgSplitResult()
     for _round in range(config.max_rounds):
-        sdg = SameDisplacementGraph.build(function, regclass)
+        sdg = reference_sdg(function, regclass)
         oversized = [
             comp
             for comp in sdg.components()
@@ -130,9 +142,9 @@ def reference_split_subgroups(function, regclass=FP, config=None):
             cuts = 0
             for center, kind, fanout in centers:
                 if kind == "input_sharing":
-                    done = _reference_split_input_sharing(function, sdg, center)
+                    done = _reference_split_input_sharing(function, center)
                 else:
-                    done = _reference_split_output_sharing(function, sdg, center)
+                    done = _reference_split_output_sharing(function, center)
                 if done:
                     result.copies_inserted += 1
                     result.splits.append((kind, fanout))
@@ -154,12 +166,12 @@ def _ordered_instructions(function):
     return out
 
 
-def _reference_split_input_sharing(function, sdg, center):
+def _reference_split_input_sharing(function, center):
     ordered = _ordered_instructions(function)
     readers = [
         (pos, label, index, instr)
         for pos, (label, index, instr) in enumerate(ordered)
-        if sdg.needs_alignment(instr, None) and center in instr.bankable_reads()
+        if needs_alignment(instr, None) and center in instr.bankable_reads()
     ]
     if len(readers) < 2:
         return False
@@ -186,12 +198,12 @@ def _reference_split_input_sharing(function, sdg, center):
     return True
 
 
-def _reference_split_output_sharing(function, sdg, center):
+def _reference_split_output_sharing(function, center):
     ordered = _ordered_instructions(function)
     writers = [
         (pos, label, index, instr)
         for pos, (label, index, instr) in enumerate(ordered)
-        if sdg.needs_alignment(instr, None) and center in instr.vreg_defs()
+        if needs_alignment(instr, None) and center in instr.vreg_defs()
     ]
     if len(writers) < 2:
         return False
@@ -270,6 +282,41 @@ def reduce_then_share_kernel():
     return b.finish()
 
 
+def arith_seeded_reduction_kernel():
+    """A reduction whose first write is arithmetic and reads no earlier
+    value of the accumulator.  Its output cut leaves the accumulator no
+    operand at that write, so the accumulator's first appearance moves
+    past the cut, and with it the accumulator's place in the component
+    order."""
+    b = IRBuilder("arith-seeded")
+    values = [b.const(float(i)) for i in range(8)]
+    acc = b.arith("fmul", values[0], values[1])
+    for value in values[2:]:
+        b.arith_into(acc, "fadd", acc, value)
+    b.ret(acc)
+    return b.finish()
+
+
+def second_bankable_class_kernel():
+    """A reduction into an fp accumulator whose later writes read only
+    registers of a second bankable class.  The fp SDG aligns none of
+    those writes, so once the output cut renames the earlier ones the
+    accumulator is no aligned operand at all, and its vertex goes."""
+    wide_class = RegClass("wide", bankable=True)
+    b = IRBuilder("second-bankable-class")
+    values = [b.const(float(i)) for i in range(6)]
+    wide = [b.fresh(wide_class) for __ in range(2)]
+    for reg in wide:
+        b.copy(reg, values[0])
+    acc = b.arith("fmul", values[0], values[1])
+    for value in values[2:]:
+        b.arith_into(acc, "fadd", acc, value)
+    for __ in range(6):
+        b.arith_into(acc, "wop", wide[0], wide[1])
+    b.ret(acc)
+    return b.finish()
+
+
 DIFFERENTIAL_CONFIGS = {
     "4-8-32": SdgSplitConfig(4, 8, 32),
     "4-16-64": SdgSplitConfig(4, 16, 64),
@@ -287,6 +334,8 @@ DIFFERENTIAL_INPUTS = {
     "reduce-16": partial(reduce_kernel, inputs=16, trip_count=2),
     "interleaved-reader": interleaved_reader_kernel,
     "reduce-then-share": reduce_then_share_kernel,
+    "arith-seeded": arith_seeded_reduction_kernel,
+    "second-bankable-class": second_bankable_class_kernel,
 }
 KERNEL_CASES = [
     (name, config)
@@ -339,13 +388,20 @@ def live_entries(index, table, b):
 
 def test_index_matches_a_fresh_build_after_every_cut(monkeypatch):
     """Every in-place update keeps the index equal to one built from the
-    live function, including entries no later cut of the round reads."""
+    live function, including entries no later cut reads, and keeps the
+    patched SDG equal to a fresh build: its edges, their counts, and its
+    components in order (that order fixes the cut order and the numbers
+    of the fresh vregs).  Both persist across rounds, so the checks run
+    through every round of a split."""
     checked = []
 
     def checking(cut):
         def run(function, index, center):
             done = cut(function, index, center)
-            fresh = sdg_split._AlignedAccessIndex(FlatFunction(function))
+            flat = FlatFunction(function)
+            sdg = index.sdg
+            fresh_sdg = SameDisplacementGraph.build(function, sdg.regclass, flat)
+            fresh = sdg_split._AlignedAccessIndex(flat, fresh_sdg)
             for b in range(len(function.blocks)):
                 assert live_entries(index, index.readers, b) == live_entries(
                     fresh, fresh.readers, b
@@ -353,6 +409,10 @@ def test_index_matches_a_fresh_build_after_every_cut(monkeypatch):
                 assert live_entries(index, index.writers, b) == live_entries(
                     fresh, fresh.writers, b
                 )
+            assert sdg.out_edges == fresh_sdg.out_edges
+            assert sdg.in_edges == fresh_sdg.in_edges
+            assert sdg.edge_count == fresh_sdg.edge_count
+            assert sdg.components() == fresh_sdg.components()
             checked.append(done)
             return done
 
@@ -360,6 +420,44 @@ def test_index_matches_a_fresh_build_after_every_cut(monkeypatch):
 
     for name in ("_split_input_sharing", "_split_output_sharing"):
         monkeypatch.setattr(sdg_split, name, checking(getattr(sdg_split, name)))
-    for make in (partial(idft_kernel, points=4), reduce_then_share_kernel):
+    for make in (
+        partial(idft_kernel, points=4),
+        reduce_then_share_kernel,
+        arith_seeded_reduction_kernel,
+        second_bankable_class_kernel,
+    ):
         split_subgroups(make(), config=SdgSplitConfig(2, 4, 256))
+    # The dsa-op file's split config (a 128-register share): 8 rounds.
+    result = split_subgroups(DSA_KERNELS["tr18987"](), config=SdgSplitConfig())
+    assert result.rounds == 8
     assert True in checked and False in checked
+
+
+def test_split_builds_the_sdg_once(monkeypatch):
+    """One SDG serves every cutting round of a pipeline's split."""
+    builds = []
+    build = SameDisplacementGraph.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(args)
+        return build(cls, *args, **kwargs)
+
+    splits = []
+
+    def counting_split(*args, **kwargs):
+        before = len(builds)
+        result = split_subgroups(*args, **kwargs)
+        splits.append((len(builds) - before, result.rounds))
+        return result
+
+    monkeypatch.setattr(
+        SameDisplacementGraph, "build", classmethod(counting_build)
+    )
+    monkeypatch.setattr(prescount_passes, "split_subgroups", counting_split)
+    register_file = platform_dsa().file_for(DSA_SUBGROUPED)
+    pipe = run_pipeline(
+        DSA_KERNELS["tr18987"](), PipelineConfig(register_file, "bpc")
+    )
+    assert splits == [(1, 8)]
+    # The split's SDG, then Algorithm 2's of the split function.
+    assert pipe.analyses.counter(SDGAnalysis).misses == 2
