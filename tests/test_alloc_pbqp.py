@@ -1,10 +1,15 @@
 """Tests for the bank-aware PBQP allocator."""
 
+import hashlib
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.alloc import PbqpAllocator
 from repro.analysis import InterferenceGraph, LiveIntervals
 from repro.banks import BankedRegisterFile
+from repro.ir import print_function
 from repro.ir.types import FP, VirtualRegister
 from repro.prescount import PresCountBankAssigner
 from repro.sim import analyze_static, observably_equivalent
@@ -94,3 +99,42 @@ class TestBankAwareness:
         result = PbqpAllocator(rf).run(fn)
         assert result.spill_count == 0
         assert analyze_static(result.function, rf).bank_conflicts == 0
+
+
+def ablation_kernels():
+    """The 8 kernels of ``benchmarks/bench_ablation_pbqp.py``."""
+    path = pathlib.Path(__file__).parent.parent / "benchmarks" / "bench_ablation_pbqp.py"
+    spec = importlib.util.spec_from_file_location("bench_ablation_pbqp", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.kernels()
+
+
+def printed_digest(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(print_function(result.function).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    """PBQP output bytes are pinned: no other tier-1 test fixes them."""
+
+    def test_ablation_kernels_with_and_without_bank_terms(self):
+        rf = BankedRegisterFile(64, 2)
+        results = [
+            PbqpAllocator(rf, bank_conflict_weight=weight).run(kernel)
+            for kernel in ablation_kernels()
+            for weight in (1.0, 0.0)
+        ]
+        assert printed_digest(results) == (
+            "fe4c06da60e2460dc053656bf2a27482aa991b444140dd1bad2866e18c4a51b9"
+        )
+
+    def test_spilling_kernels(self):
+        rf = BankedRegisterFile(8, 2)
+        results = [PbqpAllocator(rf).run(k) for k in ablation_kernels()[:4]]
+        assert all(result.spill_count > 0 for result in results)
+        assert printed_digest(results) == (
+            "dfd8b8b9fb06f453226d259f3711e8348283a982dd1ae6e18a8744564a922ed7"
+        )
