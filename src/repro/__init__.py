@@ -4,8 +4,8 @@ Reproduces "PresCount: Effective Register Allocation for Bank Conflict
 Reduction" (CGO 2024) as a pure-Python compiler stack:
 
 * :mod:`repro.ir` — machine IR (builder, CFG, loops, printer/parser);
-* :mod:`repro.analysis` — liveness, live intervals, RIG, RCG, conflict
-  costs (Eq. 1/2), bank pressure, SDG;
+* :mod:`repro.analysis` — live intervals, RIG, RCG, conflict costs
+  (Eq. 1/2), bank pressure, SDG;
 * :mod:`repro.banks` — banked and bank-subgroup register files (Fig. 6);
 * :mod:`repro.alloc` — the greedy allocator (plus a bank-aware PBQP
   allocator), coalescing, scheduling, split/spill;

@@ -33,18 +33,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.conflict_graph import ConflictGraph
-from ..analysis.cost import ConflictCostModel
-from ..analysis.intervals import LiveIntervals
-from ..analysis.interference import InterferenceGraph
-from ..analysis.slots import SlotIndexes
 from ..banks.assignment import BankAssignment
 from ..banks.register_file import RegisterFile
 from ..ir import instruction as ins
 from ..ir.function import Function
 from ..ir.instruction import Instruction
-from ..ir.loops import LoopInfo
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
+from ..passes import (
+    CFG_ONLY,
+    AnalysisManager,
+    ConflictCostAnalysis,
+    ConflictGraphAnalysis,
+    InterferenceAnalysis,
+    LiveIntervalsAnalysis,
+    SlotIndexesAnalysis,
+)
 from .base import AllocationError, AllocationResult
 from .spiller import SpillPlan, spill_interval
 
@@ -87,18 +90,23 @@ class PbqpAllocator:
 
     # ------------------------------------------------------------------
     def run(self, function: Function, *, clone: bool = True) -> AllocationResult:
+        """Allocate *function*, spilling and re-solving up to
+        ``spill_rounds`` times.  One :class:`AnalysisManager` serves the
+        whole run: spill code never touches the block graph, so each
+        round drops all but the CFG-level analyses."""
         if clone:
             function = function.clone()
         result = AllocationResult(function)
         plan = SpillPlan()
+        am = AnalysisManager(function)
         #: Reload/store vregs from earlier rounds: spilling them again
         #: would never converge, so their spill option costs infinity.
         unspillable: set[VirtualRegister] = set()
 
         for _round in range(self.spill_rounds):
-            slots = SlotIndexes.build(function)
-            live = LiveIntervals.build(function, slots=slots)
-            solution, spill_choices = self._solve_once(function, live, unspillable)
+            slots = am.get(SlotIndexesAnalysis)
+            live = am.get(LiveIntervalsAnalysis)
+            solution, spill_choices = self._solve_once(am, unspillable)
             if not spill_choices:
                 result.assignment.update(solution)
                 result.spill_instructions += _materialize(
@@ -114,6 +122,7 @@ class PbqpAllocator:
                 for tiny in spill_interval(function, slots, live.of(vreg), plan):
                     unspillable.add(tiny.reg)
             self._apply_spills(function, plan, result)
+            am.invalidate(CFG_ONLY)
         raise AllocationError(
             f"pbqp: did not converge within {self.spill_rounds} spill rounds"
         )
@@ -143,18 +152,16 @@ class PbqpAllocator:
 
     def _build_nodes(
         self,
-        function: Function,
-        live: LiveIntervals,
+        am: AnalysisManager,
         unspillable: set[VirtualRegister] = frozenset(),
     ) -> dict[VirtualRegister, _Node]:
-        loop_info = LoopInfo.build(function)
-        cost_model = ConflictCostModel.build(function, loop_info, regclass=self.regclass)
-        rig = InterferenceGraph.build(function, live, self.regclass)
-        rcg = ConflictGraph.build(function, cost_model, self.regclass)
+        cost_model = am.get(ConflictCostAnalysis, regclass=self.regclass)
+        rig = am.get(InterferenceAnalysis, regclass=self.regclass)
+        rcg = am.get(ConflictGraphAnalysis, regclass=self.regclass)
         domain = self._domain()
 
         nodes: dict[VirtualRegister, _Node] = {}
-        for interval in live.vreg_intervals(self.regclass):
+        for interval in am.get(LiveIntervalsAnalysis).vreg_intervals(self.regclass):
             vreg = interval.reg
             options: list[PhysicalRegister | None] = [None] + list(domain)
             costs = np.zeros(len(options))
@@ -231,8 +238,8 @@ class PbqpAllocator:
     # ------------------------------------------------------------------
     # Heuristic PBQP solve
     # ------------------------------------------------------------------
-    def _solve_once(self, function, live, unspillable=frozenset()):
-        nodes = self._build_nodes(function, live, unspillable)
+    def _solve_once(self, am, unspillable=frozenset()):
+        nodes = self._build_nodes(am, unspillable)
         order: list[VirtualRegister] = []
         alive = dict(nodes)
 
@@ -279,7 +286,7 @@ class PbqpAllocator:
                 assignment[vreg] = option
         # Safety: verify no interference violation slipped through the
         # heuristic (can happen with RN); demote violators to spills.
-        rig = InterferenceGraph.build(function, live, self.regclass)
+        rig = am.get(InterferenceAnalysis, regclass=self.regclass)
         for a in list(assignment):
             for b in rig.neighbors(a):
                 if b in assignment and assignment[a] == assignment[b]:

@@ -1,6 +1,7 @@
-"""Program analyses: slot indexing, liveness, live intervals, interference
-(RIG), conflict graph (RCG), conflict cost estimation (Eq. 1/2), register
-and bank pressure tracking, and the Same Displacement Graph (SDG).
+"""Program analyses: slot indexing, live intervals (over the flat
+lowering's block liveness), interference (RIG), conflict graph (RCG),
+conflict cost estimation (Eq. 1/2), register and bank pressure tracking,
+and the Same Displacement Graph (SDG).
 """
 
 from .chordal import (
@@ -13,7 +14,6 @@ from .conflict_graph import ConflictGraph
 from .cost import ConflictCostModel
 from .interference import InterferenceGraph
 from .intervals import LiveInterval, LiveIntervals, Segment
-from .liveness import Liveness
 from .pressure import BankPressureTracker
 from .sdg import SameDisplacementGraph
 from .slots import SlotIndexes
@@ -25,7 +25,6 @@ __all__ = [
     "InterferenceGraph",
     "LiveInterval",
     "LiveIntervals",
-    "Liveness",
     "SameDisplacementGraph",
     "Segment",
     "SlotIndexes",

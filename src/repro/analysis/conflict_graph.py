@@ -14,10 +14,10 @@ nodes carry ``Cost_R`` (Eq. 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
+from ..ir.flat import FlatFunction
 from ..ir.function import Function
-from ..ir.instruction import Instruction
+from ..ir.instruction import OpKind
 from ..ir.types import RegClass, VirtualRegister
 from .cost import ConflictCostModel
 
@@ -31,15 +31,12 @@ class ConflictGraph:
         edge_cost: frozenset({a, b}) -> summed Cost_I of the inducing
             instructions.
         node_cost: vreg -> Cost_R (Eq. 2).
-        edge_instrs: frozenset({a, b}) -> list of inducing instructions,
-            used by the static statistics pass and by tests.
     """
 
     regclass: RegClass | None
     adjacency: dict[VirtualRegister, set[VirtualRegister]] = field(default_factory=dict)
     edge_cost: dict[frozenset, float] = field(default_factory=dict)
     node_cost: dict[VirtualRegister, float] = field(default_factory=dict)
-    edge_instrs: dict[frozenset, list[Instruction]] = field(default_factory=dict)
     #: *Soft* edges (e.g. VLIW bundle edges): they never constrain the
     #: color choice, they only bias tie-breaking — a monochromatic soft
     #: edge costs issue bandwidth, not a register-file stall.
@@ -52,78 +49,44 @@ class ConflictGraph:
         function: Function,
         cost_model: ConflictCostModel | None = None,
         regclass: RegClass | None = None,
-        flat=None,
+        flat: FlatFunction | None = None,
     ) -> "ConflictGraph":
+        """Build the RCG over *flat* (lowered here when not given).
+
+        Adjacency and edge costs accumulate over interned ids (one tuple
+        hash per edge instead of a frozen-dataclass hash per operand) and
+        are raised to the register-keyed dicts once, in the instruction
+        walk's first-touch order.  ``Cost_I`` is read by ordinal from
+        *cost_model*, which must cost the same lowering (one is built
+        over *flat* when not given).
+        """
+        if flat is None:
+            flat = FlatFunction(function)
         if cost_model is None:
             cost_model = ConflictCostModel.build(
                 function, regclass=regclass, flat=flat
             )
         graph = cls(regclass)
-        if flat is not None:
-            graph._build_flat(flat, cost_model)
-            return graph
-        for _, instr in function.instructions():
-            if not instr.is_conflict_relevant(regclass):
-                continue
-            reads = [
-                r for r in instr.bankable_reads(regclass)
-                if isinstance(r, VirtualRegister)
-            ]
-            if len(reads) < 2:
-                continue
-            cost = cost_model.cost_of_instruction(instr)
-            for reg in reads:
-                graph.adjacency.setdefault(reg, set())
-                graph.node_cost[reg] = cost_model.cost_of_register(reg)
-            for a, b in combinations(reads, 2):
-                key = frozenset((a, b))
-                graph.adjacency[a].add(b)
-                graph.adjacency[b].add(a)
-                graph.edge_cost[key] = graph.edge_cost.get(key, 0.0) + cost
-                graph.edge_instrs.setdefault(key, []).append(instr)
-        return graph
-
-    def _build_flat(self, flat, cost_model: ConflictCostModel) -> None:
-        """Rid-space version of :meth:`build`'s instruction walk.
-
-        Accumulates adjacency/edge costs over interned ids (one tuple
-        hash per edge instead of a frozen-dataclass hash per operand) and
-        raises to the object-keyed dicts once, preserving the object
-        walk's insertion order and float accumulation order exactly.
-        """
-        from ..ir.instruction import OpKind
-
-        ordinal_cost = getattr(cost_model, "_ordinal_cost", None)
-        if getattr(cost_model, "_flat", None) is not flat:
-            ordinal_cost = None
+        instr_cost = cost_model.instr_cost
         kinds = flat.kinds
-        instrs = flat.instrs
         reg_virtual = flat.reg_virtual
         arith = OpKind.ARITH
         adj: dict[int, set[int]] = {}
         edge_cost: dict[tuple[int, int], float] = {}
-        edge_instrs: dict[tuple[int, int], list] = {}
-        node_seen: set[int] = set()
         node_order: list[int] = []
-        for i in range(len(instrs)):
+        for i in range(len(flat.instrs)):
             if kinds[i] is not arith:
                 continue
-            bank = flat.bank_reads(i, self.regclass)
-            if len(bank) < 2:
-                continue
-            reads = [rid for rid in bank if reg_virtual[rid]]
+            reads = [
+                rid for rid in flat.bank_reads(i, regclass) if reg_virtual[rid]
+            ]
             if len(reads) < 2:
                 continue
-            cost = (
-                ordinal_cost[i]
-                if ordinal_cost is not None
-                else cost_model.cost_of_instruction(instrs[i])
-            )
+            cost = instr_cost[i]
             for rid in reads:
-                if rid not in node_seen:
-                    node_seen.add(rid)
-                    node_order.append(rid)
+                if rid not in adj:
                     adj[rid] = set()
+                    node_order.append(rid)
             for x in range(len(reads) - 1):
                 a = reads[x]
                 for y in range(x + 1, len(reads)):
@@ -132,22 +95,18 @@ class ConflictGraph:
                     adj[a].add(b)
                     adj[b].add(a)
                     edge_cost[key] = edge_cost.get(key, 0.0) + cost
-                    edge_instrs.setdefault(key, []).append(instrs[i])
         regs = flat.regs
-        self.adjacency = {
+        graph.adjacency = {
             regs[r]: {regs[n] for n in adj[r]} for r in node_order
         }
-        self.node_cost = {
+        graph.node_cost = {
             regs[r]: cost_model.cost_of_register(regs[r]) for r in node_order
         }
-        self.edge_cost = {
+        graph.edge_cost = {
             frozenset((regs[a], regs[b])): c
             for (a, b), c in edge_cost.items()
         }
-        self.edge_instrs = {
-            frozenset((regs[a], regs[b])): lst
-            for (a, b), lst in edge_instrs.items()
-        }
+        return graph
 
     # ------------------------------------------------------------------
     # Queries

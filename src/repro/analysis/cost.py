@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..ir.flat import FlatFunction
 from ..ir.function import Function
 from ..ir.instruction import Instruction, OpKind
 from ..ir.loops import LoopInfo
@@ -31,13 +32,16 @@ class ConflictCostModel:
             the ones that can actually trigger a bank conflict.  When
             False, every access contributes (useful for the spill-weight
             reuse of the same machinery).
+        flat: The lowering the costs were walked over.
+        instr_cost: Eq. 1 ``Cost_I`` per instruction ordinal of *flat*.
     """
 
     function: Function
     loop_info: LoopInfo
     regclass: RegClass | None = None
     conflict_relevant_only: bool = True
-    _instr_cost: dict[int, float] = field(default_factory=dict)
+    flat: FlatFunction = field(init=False)
+    instr_cost: list[float] = field(init=False, default_factory=list)
     _reg_cost: dict[Register, float] = field(default_factory=dict)
     _access_cost: dict[Register, float] = field(default_factory=dict)
 
@@ -48,26 +52,19 @@ class ConflictCostModel:
         loop_info: LoopInfo | None = None,
         regclass: RegClass | None = None,
         conflict_relevant_only: bool = True,
-        flat=None,
+        flat: FlatFunction | None = None,
     ) -> "ConflictCostModel":
+        """Cost *function* over *flat* (lowered here when not given).
+
+        Per-register float sums accumulate in instruction walk order, and
+        the raised dicts are keyed in first-touch order of that walk.
+        """
         if loop_info is None:
             loop_info = LoopInfo.build(function)
+        if flat is None:
+            flat = FlatFunction(function)
         model = cls(function, loop_info, regclass, conflict_relevant_only)
-        if flat is not None:
-            model._compute_flat(flat)
-        else:
-            model._compute()
-        return model
-
-    def _compute_flat(self, flat) -> None:
-        """Rid-array version of :meth:`_compute`.
-
-        Per-register float accumulation follows the identical instruction
-        walk order, so sums are bit-identical; the raised dicts are keyed
-        in the same first-touch order as the object walk.
-        """
-        from ..ir.instruction import OpKind
-
+        model.flat = flat
         nregs = flat.num_regs
         access = [0.0] * nregs
         access_order: list[int] = []
@@ -75,19 +72,16 @@ class ConflictCostModel:
         reg_cost = [0.0] * nregs
         cost_order: list[int] = []
         cost_seen = [False] * nregs
-        ordinal_cost = [0.0] * len(flat.instrs)
+        instr_cost = model.instr_cost = [0.0] * len(flat.instrs)
         use_start, use_ids = flat.use_start, flat.use_ids
         def_start, def_ids = flat.def_start, flat.def_ids
         kinds = flat.kinds
-        instrs = flat.instrs
-        instr_cost = self._instr_cost
         arith = OpKind.ARITH
-        block_frequency = self.loop_info.block_frequency
+        block_frequency = loop_info.block_frequency
         for b, (bstart, bend) in enumerate(flat.block_bounds):
             freq = block_frequency(flat.block_labels[b])
             for i in range(bstart, bend):
-                instr_cost[id(instrs[i])] = freq
-                ordinal_cost[i] = freq
+                instr_cost[i] = freq
                 u0, u1 = use_start[i], use_start[i + 1]
                 d0, d1 = def_start[i], def_start[i + 1]
                 for j in range(u0, u1):
@@ -102,12 +96,12 @@ class ConflictCostModel:
                         access_seen[rid] = True
                         access_order.append(rid)
                     access[rid] += freq
-                bank = flat.bank_reads(i, self.regclass)
-                relevant = kinds[i] is arith and len(bank) >= 2
-                if self.conflict_relevant_only:
-                    if not relevant:
+                if conflict_relevant_only:
+                    # Conflict-relevant: an ARITH op with two or more
+                    # distinct bankable reads.
+                    targets = flat.bank_reads(i, regclass)
+                    if kinds[i] is not arith or len(targets) < 2:
                         continue
-                    targets = bank
                 else:
                     targets = [use_ids[j] for j in range(u0, u1)]
                     targets += [def_ids[j] for j in range(d0, d1)]
@@ -117,35 +111,14 @@ class ConflictCostModel:
                         cost_order.append(rid)
                     reg_cost[rid] += freq
         regs = flat.regs
-        self._access_cost = {regs[r]: access[r] for r in access_order}
-        self._reg_cost = {regs[r]: reg_cost[r] for r in cost_order}
-        # Let the conflict-graph build (sharing this flat) index Eq. 1
-        # costs by ordinal instead of hashing instruction ids.
-        self._flat = flat
-        self._ordinal_cost = ordinal_cost
-
-    def _compute(self) -> None:
-        for block in self.function.blocks:
-            freq = self.loop_info.block_frequency(block.label)
-            for instr in block:
-                self._instr_cost[id(instr)] = freq
-                for reg in instr.regs():
-                    self._access_cost[reg] = self._access_cost.get(reg, 0.0) + freq
-                relevant = instr.is_conflict_relevant(self.regclass)
-                if self.conflict_relevant_only and not relevant:
-                    continue
-                regs = (
-                    instr.bankable_reads(self.regclass)
-                    if self.conflict_relevant_only
-                    else tuple(instr.regs())
-                )
-                for reg in regs:
-                    self._reg_cost[reg] = self._reg_cost.get(reg, 0.0) + freq
+        model._access_cost = {regs[r]: access[r] for r in access_order}
+        model._reg_cost = {regs[r]: reg_cost[r] for r in cost_order}
+        return model
 
     # ------------------------------------------------------------------
     def cost_of_instruction(self, instr: Instruction) -> float:
         """Eq. 1: the trip-count product of the instruction's loop nest."""
-        return self._instr_cost[id(instr)]
+        return self.instr_cost[self.flat.ordinal_of[id(instr)]]
 
     def cost_of_register(self, reg: Register) -> float:
         """Eq. 2: summed instruction costs over accesses of *reg*."""

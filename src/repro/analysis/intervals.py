@@ -3,7 +3,9 @@
 Built from block liveness the same way LLVM's LiveIntervals pass does:
 walk each block backwards seeded with its live-out set, ending segments at
 write points and beginning them at read points (see
-:mod:`repro.analysis.slots` for the read/write point convention).
+:mod:`repro.analysis.slots` for the read/write point convention).  The
+walk runs on the flat lowering (:class:`~repro.ir.flat.FlatFunction`),
+whose memoised ``liveness_masks`` supply each block's live-out set.
 
 The interval objects are the currency of the whole allocator stack: the
 RIG, the bank pressure counter, the greedy allocator's queues, and the
@@ -15,11 +17,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from ..ir.cfg import CFG
+from ..ir.flat import FlatFunction
 from ..ir.function import Function
 from ..ir.types import Register, RegClass, VirtualRegister
-from .liveness import Liveness
-from .slots import SlotIndexes
 
 
 @dataclass(frozen=True)
@@ -171,102 +171,28 @@ class LiveIntervals:
     """All live intervals of one function, keyed by register."""
 
     function: Function
-    slots: SlotIndexes
-    liveness: Liveness
     intervals: dict[Register, LiveInterval] = field(default_factory=dict)
 
     @classmethod
     def build(
-        cls,
-        function: Function,
-        cfg: CFG | None = None,
-        slots: SlotIndexes | None = None,
-        liveness: Liveness | None = None,
-        flat=None,
+        cls, function: Function, flat: FlatFunction | None = None
     ) -> "LiveIntervals":
-        """Build all intervals.
+        """Build all intervals over *flat* (lowered here when not given).
 
-        When *flat* (a :class:`~repro.ir.flat.FlatFunction`) is given,
-        the walk runs on interned rid arrays and constructs each
-        interval's canonical segment list in one shot — the result is
-        value-identical to the object-graph walk (same canonical merged
-        segments, same sorted use/def slots).
+        The walk runs on interned rid arrays and constructs each
+        interval's canonical segment list in one shot.  Raw ``(start,
+        end)`` pairs are collected per rid and canonicalized once (sort +
+        touching merge), which equals the incremental
+        :meth:`LiveInterval.add_segment` insertion in any order: both
+        produce the maximal union of touching ranges.  The interval dict
+        is keyed in first-touch walk order, with each block's live-out
+        set seeded in rid order, so the order does not depend on the hash
+        seed.
         """
-        if cfg is None:
-            cfg = CFG.build(function)
-        if slots is None:
-            slots = SlotIndexes.build(function)
-        if liveness is None:
-            liveness = Liveness.build(function, cfg, flat=flat)
-        analysis = cls(function, slots, liveness)
-        if flat is not None:
-            analysis._compute_flat(flat)
-        else:
-            analysis._compute()
-        return analysis
-
-    def _interval(self, reg: Register) -> LiveInterval:
-        if reg not in self.intervals:
-            self.intervals[reg] = LiveInterval(reg)
-        return self.intervals[reg]
-
-    def _compute(self) -> None:
-        for block in self.function.blocks:
-            block_start, block_end = self.slots.block_range[block.label]
-            if block_start == block_end:
-                continue  # empty block
-            # `live_end[r]`: the slot up to which r must stay live, walking
-            # backwards.  Seed with live-out registers extending to the
-            # block end boundary.
-            live_end: dict[Register, int] = {
-                reg: block_end for reg in self.liveness.live_out[block.label]
-            }
-            for instr in reversed(block.instructions):
-                read = self.slots.read_point(instr)
-                write = self.slots.write_point(instr)
-                for reg in instr.reg_defs():
-                    interval = self._interval(reg)
-                    interval.def_slots.append(write)
-                    end = live_end.pop(reg, None)
-                    if end is None:
-                        # Dead def: live for just the write point.
-                        interval.add_segment(write, write + 1)
-                    else:
-                        interval.add_segment(write, end)
-                for reg in instr.reg_uses():
-                    self._interval(reg).use_slots.append(read)
-                    # The value must cover its read point; liveness extends
-                    # backwards from here (end = read + 1 covers slot `read`).
-                    live_end.setdefault(reg, read + 1)
-            # Whatever is still pending is live-in: extend to block start.
-            for reg, end in live_end.items():
-                self._interval(reg).add_segment(block_start, end)
-        for interval in self.intervals.values():
-            interval.use_slots.sort()
-            interval.def_slots.sort()
-
-    def _compute_flat(self, flat) -> None:
-        """The same backward walk as :meth:`_compute`, on rid arrays.
-
-        Raw ``(start, end)`` pairs are collected per rid and canonicalized
-        once (sort + touching merge) — the result equals the incremental
-        :meth:`LiveInterval.add_segment` insertion order-independently,
-        because both produce the maximal union of touching ranges.  The
-        interval dict is keyed in deterministic first-touch walk order;
-        downstream passes are provably order-independent (the object walk
-        seeds from frozensets, whose iteration order is hash-seed
-        dependent, yet outputs are seed-stable).
-        """
-        liveness = self.liveness
-        live_out_masks = getattr(liveness, "_live_out_masks", None)
-        if live_out_masks is None or getattr(liveness, "_flat", None) is not flat:
-            reg_ids = flat.reg_ids
-            live_out_masks = []
-            for label in flat.block_labels:
-                m = 0
-                for reg in liveness.live_out[label]:
-                    m |= 1 << reg_ids[reg]
-                live_out_masks.append(m)
+        if flat is None:
+            flat = FlatFunction(function)
+        analysis = cls(function)
+        live_out_masks = flat.liveness_masks()[3]
         nregs = flat.num_regs
         seg_lists: list[list | None] = [None] * nregs
         use_lists: list[list | None] = [None] * nregs
@@ -289,6 +215,8 @@ class LiveIntervals:
                 continue  # empty block
             block_start = 2 * bstart
             block_end = 2 * bend
+            # `live_end[r]`: the slot up to which r must stay live, walking
+            # backwards; live-out registers extend to the block end.
             live_end: dict[int, int] = {}
             m = live_out_masks[b]
             while m:
@@ -302,18 +230,21 @@ class LiveIntervals:
                     rid = def_ids[j]
                     segs = touch(rid)
                     def_lists[rid].append(write)
+                    # A dead def is live for just the write point.
                     end = live_end.pop(rid, None)
                     segs.append((write, write + 1 if end is None else end))
                 for j in range(use_start[i], use_start[i + 1]):
                     rid = use_ids[j]
                     touch(rid)
                     use_lists[rid].append(read)
+                    # The value must cover its read point (read + 1).
                     if rid not in live_end:
                         live_end[rid] = read + 1
+            # Whatever is still pending is live-in: extend to block start.
             for rid, end in live_end.items():
                 touch(rid).append((block_start, end))
 
-        intervals = self.intervals
+        intervals = analysis.intervals
         regs = flat.regs
         for rid in order:
             raw = seg_lists[rid]
@@ -334,6 +265,7 @@ class LiveIntervals:
             defs.sort()
             reg = regs[rid]
             intervals[reg] = LiveInterval(reg, merged, uses, defs)
+        return analysis
 
     # ------------------------------------------------------------------
     def of(self, reg: Register) -> LiveInterval:

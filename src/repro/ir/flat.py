@@ -16,15 +16,18 @@ once into *interned integer ids* and flat arrays:
   mirroring :meth:`Instruction.bankable_reads` dedup order;
 * blocks become index ranges over the ordinal sequence plus successor
   index lists mirroring :meth:`BasicBlock.successor_labels`;
-* liveness is computed as per-block big-int bitmasks over rids (a
-  drop-in for the frozenset dataflow solve — same fixpoint, ~100x less
-  allocation).
+* block liveness is per-block big-int bitmasks over rids
+  (:meth:`FlatFunction.liveness_masks`, memoised on the lowering): the
+  backward dataflow fixpoint, which the live-interval build reads
+  directly.
 
 This is the only production path: the analysis manager hands one
-lowering to every hot analysis, the scheduler and the coalescer.  The
-object-graph analysis bodies (``X.build(fn)`` without ``flat=``) stay as
-the reference implementation the differential tests compare against;
-the SDG has no such body (its reference lives in the tests).
+lowering to every hot analysis (live intervals, the Eq. 1/2 cost model,
+the RCG, the SDG), the scheduler and the coalescer.  Each of those
+analyses has one body, over the lowering, and its ``build`` lowers the
+function itself when it is given none.  Their object-graph references
+live in ``tests/reference_analyses.py``, which the differential tests
+compare them with on every workload function.
 
 Coverage bitmasks: a slot range ``[start, end)`` maps to the integer
 ``(1 << end) - (1 << start)``; interval overlap becomes a single ``&``.
@@ -35,15 +38,7 @@ from __future__ import annotations
 
 from .types import VirtualRegister
 
-__all__ = ["FlatFunction", "iter_bits"]
-
-
-def iter_bits(mask: int):
-    """Yield set bit positions of *mask*, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
+__all__ = ["FlatFunction"]
 
 
 class FlatFunction:
@@ -189,9 +184,15 @@ class FlatFunction:
     def liveness_masks(self):
         """Per-block ``(gen, kill, live_in, live_out)`` rid bitmasks.
 
-        The same backward dataflow fixpoint as
-        :meth:`repro.analysis.liveness.Liveness.build`, over int
-        bitmasks instead of frozensets; cached after the first call.
+        The standard backward dataflow fixpoint over the CFG::
+
+            live_out(B) = union of live_in(S) for S in succ(B)
+            live_in(B)  = gen(B) | (live_out(B) - kill(B))
+
+        where gen(B) holds the registers with an upward-exposed use in B
+        and kill(B) those defined in B, each as an int bitmask over rids.
+        Blocks are swept in reverse layout order until nothing changes;
+        cached after the first call.
         """
         if self._live is None:
             nblocks = len(self.block_labels)

@@ -2,10 +2,11 @@
 
 The Fig. 4 pipeline phases are expressed as :class:`Pass` objects run by a
 :class:`FunctionPassManager`; the :class:`AnalysisManager` lazily computes
-and caches the analyses they share (liveness, live intervals, the RCG,
-loop info, ...) and invalidates precisely what each transform fails to
-preserve.  See :mod:`repro.prescount.passes` for the concrete phase
-passes and :func:`repro.obs.render_pass_stats` for ``--pass-stats``.
+and caches the analyses they share (the flat lowering, live intervals,
+the RCG, loop info, ...) and invalidates precisely what each transform
+fails to preserve.  See :mod:`repro.prescount.passes` for the concrete
+phase passes and :func:`repro.obs.render_pass_stats` for
+``--pass-stats``.
 """
 
 from .analysis_manager import (
@@ -22,7 +23,6 @@ from .analysis_manager import (
     FlatIRAnalysis,
     InterferenceAnalysis,
     LiveIntervalsAnalysis,
-    LivenessAnalysis,
     LoopInfoAnalysis,
     SDGAnalysis,
     SlotIndexesAnalysis,
@@ -43,7 +43,6 @@ __all__ = [
     "FunctionPassManager",
     "InterferenceAnalysis",
     "LiveIntervalsAnalysis",
-    "LivenessAnalysis",
     "LoopInfoAnalysis",
     "PRESERVE_ALL",
     "PRESERVE_NONE",

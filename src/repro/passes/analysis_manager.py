@@ -5,8 +5,9 @@ analyses they need through :meth:`AnalysisManager.get`, results are
 computed lazily and cached per ``(analysis class, parameters)`` key, and
 after a transform runs only the analyses it did *not* preserve are
 dropped.  An analysis is preserved only when every analysis it is derived
-from is preserved too (dropping :class:`LivenessAnalysis` transitively
-drops :class:`LiveIntervalsAnalysis`).
+from is preserved too (dropping :class:`FlatIRAnalysis` transitively
+drops :class:`LiveIntervalsAnalysis`, and with it
+:class:`InterferenceAnalysis`).
 
 The manager is bound to exactly one :class:`~repro.ir.function.Function`
 object — the mutable IR the Fig. 4 pipeline transforms in place — and
@@ -26,7 +27,6 @@ from ..analysis.conflict_graph import ConflictGraph
 from ..analysis.cost import ConflictCostModel
 from ..analysis.interference import InterferenceGraph
 from ..analysis.intervals import LiveIntervals
-from ..analysis.liveness import Liveness
 from ..analysis.sdg import SameDisplacementGraph
 from ..analysis.slots import SlotIndexes
 from ..ir.cfg import CFG
@@ -108,18 +108,6 @@ class SlotIndexesAnalysis(Analysis):
         return SlotIndexes.build(function)
 
 
-class LivenessAnalysis(Analysis):
-    """Block-level live-in/out sets (:class:`repro.analysis.liveness.Liveness`)."""
-
-    depends = (CFGAnalysis, FlatIRAnalysis)
-
-    @classmethod
-    def run(cls, function: Function, am: "AnalysisManager") -> Liveness:
-        return Liveness.build(
-            function, am.get(CFGAnalysis), flat=am.get(FlatIRAnalysis)
-        )
-
-
 class LoopInfoAnalysis(Analysis):
     """Loop forest and block frequencies (:class:`repro.ir.loops.LoopInfo`)."""
 
@@ -133,17 +121,11 @@ class LoopInfoAnalysis(Analysis):
 class LiveIntervalsAnalysis(Analysis):
     """Per-register live intervals (:class:`repro.analysis.intervals.LiveIntervals`)."""
 
-    depends = (CFGAnalysis, SlotIndexesAnalysis, LivenessAnalysis, FlatIRAnalysis)
+    depends = (FlatIRAnalysis,)
 
     @classmethod
     def run(cls, function: Function, am: "AnalysisManager") -> LiveIntervals:
-        return LiveIntervals.build(
-            function,
-            am.get(CFGAnalysis),
-            am.get(SlotIndexesAnalysis),
-            am.get(LivenessAnalysis),
-            flat=am.get(FlatIRAnalysis),
-        )
+        return LiveIntervals.build(function, flat=am.get(FlatIRAnalysis))
 
 
 class ConflictCostAnalysis(Analysis):
@@ -218,7 +200,6 @@ ALL_ANALYSES: tuple[type[Analysis], ...] = (
     CFGAnalysis,
     FlatIRAnalysis,
     SlotIndexesAnalysis,
-    LivenessAnalysis,
     LoopInfoAnalysis,
     LiveIntervalsAnalysis,
     ConflictCostAnalysis,

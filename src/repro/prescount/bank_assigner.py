@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..analysis.conflict_graph import ConflictGraph
-from ..analysis.cost import ConflictCostModel
 from ..analysis.intervals import LiveInterval, LiveIntervals
 from ..analysis.pressure import BankPressureTracker
 from ..banks.assignment import BankAssignment
@@ -41,6 +40,7 @@ from ..banks.register_file import RegisterFile
 from ..ir.function import Function
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
 from ..obs import TRACER
+from ..passes import AnalysisManager, ConflictGraphAnalysis, LiveIntervalsAnalysis
 
 #: The three Algorithm 1 outcomes an RCG-node decision can take (the
 #: ``path`` of its ``--explain`` record).
@@ -74,18 +74,18 @@ class PresCountBankAssigner:
         function: Function,
         rcg: ConflictGraph | None = None,
         intervals: LiveIntervals | None = None,
-        cost_model: ConflictCostModel | None = None,
     ) -> BankAssignment:
-        """Run the bank assignment phase on *function*."""
+        """Run the bank assignment phase on *function*; the RCG and the
+        intervals not given come from one :class:`AnalysisManager`."""
         # Explicit None checks: these objects define __len__, so an empty
         # graph (e.g. soft-edges-only, from the bundle-aware extension)
         # is falsy and `or` would silently rebuild it.
-        if cost_model is None:
-            cost_model = ConflictCostModel.build(function, regclass=self.regclass)
-        if rcg is None:
-            rcg = ConflictGraph.build(function, cost_model, self.regclass)
-        if intervals is None:
-            intervals = LiveIntervals.build(function)
+        if rcg is None or intervals is None:
+            am = AnalysisManager(function)
+            if rcg is None:
+                rcg = am.get(ConflictGraphAnalysis, regclass=self.regclass)
+            if intervals is None:
+                intervals = am.get(LiveIntervalsAnalysis)
 
         num_banks = self.register_file.num_banks
         assignment = BankAssignment(num_banks)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..analysis.cost import ConflictCostModel
 from ..analysis.intervals import LiveInterval
 from ..banks.register_file import RegisterFile
 from ..ir.function import Function
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
+from ..passes import ConflictCostAnalysis
 
 
 class BcrPolicy:
@@ -41,13 +41,9 @@ class BcrPolicy:
     def setup(self, allocator) -> None:
         self._allocator = allocator
         function: Function = allocator.function
-        am = getattr(allocator, "analyses", None)
-        if am is not None:
-            from ..passes import ConflictCostAnalysis
-
-            cost_model = am.get(ConflictCostAnalysis, regclass=self.regclass)
-        else:
-            cost_model = ConflictCostModel.build(function, regclass=self.regclass)
+        cost_model = allocator.analyses.get(
+            ConflictCostAnalysis, regclass=self.regclass
+        )
         self._partners = {}
         for _, instr in function.instructions():
             if not instr.is_conflict_relevant(self.regclass):

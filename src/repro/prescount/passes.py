@@ -33,6 +33,7 @@ from ..passes import (
     AnalysisManager,
     ConflictCostAnalysis,
     ConflictGraphAnalysis,
+    FlatIRAnalysis,
     LiveIntervalsAnalysis,
     Pass,
     SDGAnalysis,
@@ -138,22 +139,23 @@ class BankAssignmentPass(_ConfiguredPass):
             cost_ordering=config.cost_ordering,
             balance_free_registers=config.balance_free_registers,
         )
-        cost_model = am.get(ConflictCostAnalysis, regclass=config.regclass)
         if config.bundle_aware:
-            # The bundle extension adds soft edges; build a private RCG so
-            # the cached (hard-edges-only) graph stays pristine.
+            # The bundle extension adds soft edges; build a private RCG
+            # (over the cached lowering and cost model) so the cached
+            # hard-edges-only graph stays pristine.
             from ..analysis.conflict_graph import ConflictGraph
             from .bundle_aware import add_bundle_edges
 
-            rcg = ConflictGraph.build(function, cost_model, config.regclass)
+            cost_model = am.get(ConflictCostAnalysis, regclass=config.regclass)
+            rcg = ConflictGraph.build(
+                function, cost_model, config.regclass,
+                flat=am.get(FlatIRAnalysis),
+            )
             add_bundle_edges(rcg, function, cost_model, config.regclass)
         else:
             rcg = am.get(ConflictGraphAnalysis, regclass=config.regclass)
         assignment = assigner.assign(
-            function,
-            rcg=rcg,
-            intervals=am.get(LiveIntervalsAnalysis),
-            cost_model=cost_model,
+            function, rcg=rcg, intervals=am.get(LiveIntervalsAnalysis)
         )
         assignment.strict = bool(config.strict_banks)
         return assignment

@@ -15,7 +15,7 @@ class TestSpillDecomposition:
     def setup_method(self):
         self.fn = build_mac_kernel(n_pairs=3)
         self.slots = SlotIndexes.build(self.fn)
-        self.live = LiveIntervals.build(self.fn, slots=self.slots)
+        self.live = LiveIntervals.build(self.fn)
 
     def _spill(self, vreg):
         plan = SpillPlan()
@@ -85,7 +85,7 @@ class TestRegionSplit:
     def test_split_produces_two_children(self):
         fn, x = self.make_split_candidate()
         slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn, slots=slots)
+        live = LiveIntervals.build(fn)
         loops = LoopInfo.build(fn)
         result = try_region_split(fn, slots, loops, live.of(x))
         assert result is not None
@@ -94,7 +94,7 @@ class TestRegionSplit:
     def test_children_partition_uses(self):
         fn, x = self.make_split_candidate()
         slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn, slots=slots)
+        live = LiveIntervals.build(fn)
         loops = LoopInfo.build(fn)
         result = try_region_split(fn, slots, loops, live.of(x))
         total_uses = sum(len(c.use_slots) for c in result.children)
@@ -103,7 +103,7 @@ class TestRegionSplit:
     def test_boundary_copies_emitted(self):
         fn, x = self.make_split_candidate()
         slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn, slots=slots)
+        live = LiveIntervals.build(fn)
         loops = LoopInfo.build(fn)
         result = try_region_split(fn, slots, loops, live.of(x))
         # x is live into the loop: at least the entry copy exists.
@@ -118,7 +118,7 @@ class TestRegionSplit:
         b.ret(t)
         fn = b.finish()
         slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn, slots=slots)
+        live = LiveIntervals.build(fn)
         loops = LoopInfo.build(fn)
         assert try_region_split(fn, slots, loops, live.of(x)) is None
 
@@ -131,7 +131,7 @@ class TestRegionSplit:
         b.ret(acc)
         fn = b.finish()
         slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn, slots=slots)
+        live = LiveIntervals.build(fn)
         loops = LoopInfo.build(fn)
         t_reg = next(r for r in fn.virtual_registers() if len(live.of(r).use_slots) == 1
                      and len(live.of(r).def_slots) == 1 and live.of(r).span < 6)
@@ -140,7 +140,7 @@ class TestRegionSplit:
     def test_children_weights_ordered(self):
         fn, x = self.make_split_candidate()
         slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn, slots=slots)
+        live = LiveIntervals.build(fn)
         loops = LoopInfo.build(fn)
         interval = live.of(x)
         interval.weight = 10.0

@@ -111,7 +111,6 @@ class TestConstruction:
             """
         )
         live = LiveIntervals.build(fn)
-        slots = live.slots
         v0 = live.of(V(0))
         # Defined at write point 1, read at slot 2 -> [1, 3).
         assert v0.start == 1 and v0.end == 3
@@ -152,7 +151,7 @@ class TestConstruction:
         fn = build_mac_kernel()
         live = LiveIntervals.build(fn)
         header = next(b for b in fn.blocks if b.attrs.get("loop_header"))
-        start, end = live.slots.block_range[header.label]
+        start, end = SlotIndexes.build(fn).block_range[header.label]
         acc = fn.virtual_registers()[-2]  # accumulator defined before loop
         # At least one register is live across the whole loop body.
         covering = [

@@ -1,8 +1,22 @@
-"""Tests for block-level liveness dataflow."""
+"""Tests for block-level liveness dataflow: the lowering's per-block
+masks (``FlatFunction.liveness_masks``), raised to register sets."""
 
-from repro.analysis import Liveness
+from types import SimpleNamespace
+
 from repro.ir import IRBuilder, parse_function
+from repro.ir.flat import FlatFunction
 from tests.conftest import build_mac_kernel, build_nested_loops
+from tests.reference_analyses import raised_liveness
+
+
+def liveness(fn) -> SimpleNamespace:
+    """``gen``/``kill``/``live_in``/``live_out``: label -> register set."""
+    return SimpleNamespace(**raised_liveness(FlatFunction(fn)))
+
+
+def live_across(lv, register) -> list[str]:
+    """Labels of blocks where *register* is live on entry."""
+    return [label for label, regs in lv.live_in.items() if register in regs]
 
 
 class TestStraightLine:
@@ -19,7 +33,7 @@ class TestStraightLine:
             }
             """
         )
-        lv = Liveness.build(fn)
+        lv = liveness(fn)
         v0 = next(r for r in fn.virtual_registers() if r.vid == 0)
         v1 = next(r for r in fn.virtual_registers() if r.vid == 1)
         assert v0 not in lv.live_out["entry"]
@@ -28,21 +42,21 @@ class TestStraightLine:
 
     def test_entry_has_no_live_in(self):
         fn = build_mac_kernel()
-        lv = Liveness.build(fn)
+        lv = liveness(fn)
         assert lv.live_in["entry"] == frozenset()
 
 
 class TestLoops:
     def test_loop_carried_value_live_at_header(self):
         fn = build_mac_kernel()
-        lv = Liveness.build(fn)
+        lv = liveness(fn)
         header = next(b.label for b in fn.blocks if b.attrs.get("loop_header"))
         # The accumulator and all inputs are live into the header.
         assert len(lv.live_in[header]) >= 9  # 4 xs + 4 ys + acc
 
     def test_loop_invariant_live_through_nest(self):
         fn = build_nested_loops((2, 2))
-        lv = Liveness.build(fn)
+        lv = liveness(fn)
         x = next(r for r in fn.virtual_registers() if r.vid == 0)
         for block in fn.blocks:
             if block.attrs.get("loop_header"):
@@ -56,7 +70,7 @@ class TestLoops:
             b.arith_into(acc, "fadd", acc, x)
         b.ret(acc)
         fn = b.finish()
-        lv = Liveness.build(fn)
+        lv = liveness(fn)
         exit_label = next(bl.label for bl in fn.blocks if "exit" in bl.label)
         assert x not in lv.live_out[exit_label]
         assert acc in lv.live_in[exit_label]
@@ -74,7 +88,7 @@ class TestGenKill:
             }
             """
         )
-        lv = Liveness.build(fn)
+        lv = liveness(fn)
         # v0 is defined before its use: not upward-exposed.
         assert all(r.vid != 0 for r in lv.gen["entry"])
         assert {r.vid for r in lv.kill["entry"]} == {0, 1}
@@ -93,7 +107,7 @@ class TestGenKill:
             }
             """
         )
-        lv = Liveness.build(fn)
+        lv = liveness(fn)
         assert any(r.vid == 0 for r in lv.gen["body"])
         assert any(r.vid == 0 for r in lv.kill["body"])
 
@@ -101,6 +115,6 @@ class TestGenKill:
 class TestQueries:
     def test_live_across(self):
         fn = build_mac_kernel()
-        lv = Liveness.build(fn)
-        acc = max(fn.virtual_registers(), key=lambda r: lv.live_across(r).__len__())
-        assert len(lv.live_across(acc)) >= 1
+        lv = liveness(fn)
+        acc = max(fn.virtual_registers(), key=lambda r: live_across(lv, r).__len__())
+        assert len(live_across(lv, acc)) >= 1

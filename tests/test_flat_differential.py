@@ -1,52 +1,65 @@
 """Differential test: each flat analysis equals its object-graph reference.
 
-Production builds every hot analysis through the :class:`AnalysisManager`,
-which hands them the shared flat lowering.  The object-graph bodies —
-reached by ``X.build(fn)`` without ``flat=``, and for the SDG
-``reference_sdg`` in ``tests/reference_sdg.py`` — are the readable
-reference implementation; on every workload function, before allocation
-(virtual registers) and after a bpc allocation (physical registers plus
-spill and split code), the two must agree exactly.  Dict-valued results
-are compared in insertion order wherever downstream iteration depends on
-it; live intervals are compared as a mapping (their key order is
-documented to differ and no consumer depends on it).
+Production builds every hot analysis from the flat lowering, handed out
+by the :class:`AnalysisManager`; ``tests/reference_analyses.py`` holds
+the readable object-graph reference of each.  On every workload
+function — before allocation (virtual registers), after a bpc allocation
+and after a PBQP allocation (physical registers plus spill and split
+code) — the two must agree exactly.  Dict-valued results are compared in
+insertion order wherever downstream iteration depends on it; live
+intervals are compared as a mapping (the reference seeds each block's
+walk from a frozenset, so its key order may differ from the production
+walk's, which seeds in rid order).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.conflict_graph import ConflictGraph
-from repro.analysis.cost import ConflictCostModel
-from repro.analysis.intervals import LiveIntervals
-from repro.analysis.liveness import Liveness
+from repro.alloc import PbqpAllocator
 from repro.ir.types import FP
 from repro.passes import (
     AnalysisManager,
     ConflictCostAnalysis,
     ConflictGraphAnalysis,
+    FlatIRAnalysis,
     LiveIntervalsAnalysis,
-    LivenessAnalysis,
     SDGAnalysis,
 )
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.service.artifact import build_register_file
 
-from .reference_sdg import reference_sdg
+from .reference_analyses import (
+    LIVENESS_SETS,
+    raised_liveness,
+    reference_costs,
+    reference_intervals,
+    reference_liveness,
+    reference_rcg,
+    reference_sdg,
+)
 from .test_golden_digests import workload_functions
 
 REGCLASSES = (None, FP)
 
+#: PBQP's heuristic solve rescans every node's degree per elimination
+#: step; above this size one allocation takes about a minute (tr15651,
+#: 1215 instructions), so the fixture PBQP-allocates the smaller ones.
+PBQP_MAX_INSTRUCTIONS = 1000
+
 
 @pytest.fixture(scope="module")
 def functions():
-    """Every workload function before and after a bpc allocation."""
+    """Every workload function, plus its bpc and PBQP allocations."""
     register_file = build_register_file({"registers": 16, "banks": 2})
     picked = []
     for label, fn in workload_functions():
         picked.append((label, fn))
         allocated = run_pipeline(fn, PipelineConfig(register_file, "bpc"))
-        picked.append((f"{label} (allocated)", allocated.function))
+        picked.append((f"{label} (bpc)", allocated.function))
+        if fn.instruction_count() <= PBQP_MAX_INSTRUCTIONS:
+            pbqp = PbqpAllocator(register_file).run(fn)
+            picked.append((f"{label} (pbqp)", pbqp.function))
     return picked
 
 
@@ -54,21 +67,29 @@ def _ordered(mapping: dict) -> list:
     return list(mapping.items())
 
 
+def test_fixture_carries_pbqp_spill_code(functions):
+    spilling = [
+        label for label, fn in functions
+        if label.endswith("(pbqp)")
+        and any(i.attrs.get("spill") for __, i in fn.instructions())
+    ]
+    assert len(spilling) >= 5
+
+
 class TestFlatMatchesObjectReference:
     def test_liveness(self, functions):
         for label, fn in functions:
-            flat = AnalysisManager(fn).get(LivenessAnalysis)
-            ref = Liveness.build(fn)
-            for name in ("gen", "kill", "live_in", "live_out"):
-                assert _ordered(getattr(flat, name)) == _ordered(
-                    getattr(ref, name)
-                ), f"{label}: Liveness.{name}"
+            flat = raised_liveness(AnalysisManager(fn).get(FlatIRAnalysis))
+            ref = reference_liveness(fn)
+            for name in LIVENESS_SETS:
+                assert _ordered(flat[name]) == _ordered(ref[name]), (
+                    f"{label}: liveness {name}"
+                )
 
     def test_live_intervals(self, functions):
         for label, fn in functions:
             flat = AnalysisManager(fn).get(LiveIntervalsAnalysis)
-            ref = LiveIntervals.build(fn)
-            assert flat.intervals == ref.intervals, label
+            assert flat.intervals == reference_intervals(fn), label
 
     def test_conflict_cost(self, functions):
         for label, fn in functions:
@@ -80,24 +101,28 @@ class TestFlatMatchesObjectReference:
                         regclass=regclass,
                         conflict_relevant_only=relevant_only,
                     )
-                    ref = ConflictCostModel.build(
-                        fn,
-                        regclass=regclass,
-                        conflict_relevant_only=relevant_only,
+                    instr_cost, reg_cost, access_cost = reference_costs(
+                        fn, regclass, relevant_only
                     )
                     where = f"{label} regclass={regclass} {relevant_only}"
-                    for name in ("_instr_cost", "_reg_cost", "_access_cost"):
-                        assert _ordered(getattr(flat, name)) == _ordered(
-                            getattr(ref, name)
-                        ), f"{where}: ConflictCostModel.{name}"
+                    assert [
+                        flat.cost_of_instruction(instr)
+                        for __, instr in fn.instructions()
+                    ] == list(instr_cost.values()), f"{where}: Cost_I"
+                    assert _ordered(flat._reg_cost) == _ordered(reg_cost), (
+                        f"{where}: Cost_R"
+                    )
+                    assert _ordered(flat._access_cost) == _ordered(
+                        access_cost
+                    ), f"{where}: access cost"
 
     def test_conflict_graph(self, functions):
         for label, fn in functions:
             am = AnalysisManager(fn)
             for regclass in REGCLASSES:
                 flat = am.get(ConflictGraphAnalysis, regclass=regclass)
-                ref = ConflictGraph.build(fn, regclass=regclass)
-                for name in ("adjacency", "edge_cost", "node_cost", "edge_instrs"):
+                ref = reference_rcg(fn, regclass)
+                for name in ("adjacency", "edge_cost", "node_cost"):
                     assert _ordered(getattr(flat, name)) == _ordered(
                         getattr(ref, name)
                     ), f"{label} regclass={regclass}: ConflictGraph.{name}"

@@ -15,8 +15,9 @@ from repro.passes import (
     CFGAnalysis,
     ConflictCostAnalysis,
     ConflictGraphAnalysis,
+    FlatIRAnalysis,
+    InterferenceAnalysis,
     LiveIntervalsAnalysis,
-    LivenessAnalysis,
     LoopInfoAnalysis,
     SDGAnalysis,
     SlotIndexesAnalysis,
@@ -51,14 +52,14 @@ class TestCaching:
 
     def test_dependencies_are_cached_through_the_manager(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
-        am.get(LiveIntervalsAnalysis)
-        # Building intervals populated CFG, slots, and liveness too.
-        for dep in (CFGAnalysis, SlotIndexesAnalysis, LivenessAnalysis):
+        am.get(InterferenceAnalysis)
+        # Building the RIG populated the intervals and the lowering too.
+        for dep in (LiveIntervalsAnalysis, FlatIRAnalysis):
             assert dep in am
             assert am.counter(dep).misses == 1
         # A later direct request for a dependency is a pure hit.
-        am.get(LivenessAnalysis)
-        assert am.counter(LivenessAnalysis).hits == 1
+        am.get(LiveIntervalsAnalysis)
+        assert am.counter(LiveIntervalsAnalysis).hits == 1
 
     def test_params_key_the_cache(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
@@ -89,9 +90,11 @@ class TestCaching:
 class TestInvalidation:
     def test_preserve_none_drops_everything(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
-        am.get(LiveIntervalsAnalysis)
+        am.get(InterferenceAnalysis)
+        am.get(CFGAnalysis)
+        am.get(SlotIndexesAnalysis)
         dropped = am.invalidate(PRESERVE_NONE)
-        # intervals + cfg + slots + liveness + the flat lowering.
+        # RIG + intervals + the flat lowering + cfg + slots.
         assert dropped == 5
         assert len(am) == 0
         assert am.total_invalidations() == 5
@@ -104,24 +107,39 @@ class TestInvalidation:
 
     def test_cfg_only_keeps_block_level_analyses(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
-        am.get(LiveIntervalsAnalysis)
+        am.get(InterferenceAnalysis)
+        am.get(SlotIndexesAnalysis)
         am.get(LoopInfoAnalysis)
         am.invalidate(CFG_ONLY)
         assert CFGAnalysis in am
         assert LoopInfoAnalysis in am
-        for dropped in (SlotIndexesAnalysis, LivenessAnalysis, LiveIntervalsAnalysis):
+        for dropped in (
+            SlotIndexesAnalysis,
+            FlatIRAnalysis,
+            LiveIntervalsAnalysis,
+            InterferenceAnalysis,
+        ):
             assert dropped not in am
 
     def test_dependency_closure(self, mac_kernel):
         """Preserving an analysis without its dependencies drops it too."""
         am = AnalysisManager(mac_kernel)
-        am.get(LiveIntervalsAnalysis)
-        # Liveness is missing from the preserved set, so LiveIntervals
+        am.get(InterferenceAnalysis)
+        am.get(CFGAnalysis)
+        am.get(SlotIndexesAnalysis)
+        # LiveIntervals is missing from the preserved set, so the RIG
         # cannot survive even though it is named.
         am.invalidate(
-            frozenset({CFGAnalysis, SlotIndexesAnalysis, LiveIntervalsAnalysis})
+            frozenset({
+                CFGAnalysis,
+                SlotIndexesAnalysis,
+                FlatIRAnalysis,
+                InterferenceAnalysis,
+            })
         )
+        assert InterferenceAnalysis not in am
         assert LiveIntervalsAnalysis not in am
+        assert FlatIRAnalysis in am
         assert CFGAnalysis in am
         assert SlotIndexesAnalysis in am
 
@@ -158,14 +176,15 @@ class TestReporting:
 
     def test_totals(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
-        # Intervals miss 5 analyses (with the flat lowering); Liveness's
-        # internal CFG request hits, and the flat lowering is requested
-        # twice (Liveness, then LiveIntervals).
+        # The RIG misses 3 analyses (itself, the intervals and the flat
+        # lowering); the three later requests hit.
+        am.get(InterferenceAnalysis)
         am.get(LiveIntervalsAnalysis)
-        am.get(CFGAnalysis)
+        am.get(FlatIRAnalysis)
+        am.get(FlatIRAnalysis)
         assert am.total_hits() == 3
-        assert am.total_misses() == 5
-        counter = am.counter(CFGAnalysis)
+        assert am.total_misses() == 3
+        counter = am.counter(FlatIRAnalysis)
         assert counter.hit_rate == pytest.approx(2 / 3)
 
 

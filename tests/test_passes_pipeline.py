@@ -18,9 +18,10 @@ from repro.passes import (
     PRESERVE_ALL,
     AnalysisManager,
     CFGAnalysis,
+    FlatIRAnalysis,
     FunctionPassManager,
+    InterferenceAnalysis,
     LiveIntervalsAnalysis,
-    LivenessAnalysis,
     LoopInfoAnalysis,
     Pass,
     SlotIndexesAnalysis,
@@ -75,23 +76,27 @@ class RenameRegisterPass(Pass):
 class TestInvalidationThroughPasses:
     def test_cfg_mutation_invalidates_liveness_and_intervals(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
-        am.get(LiveIntervalsAnalysis)
+        am.get(InterferenceAnalysis)
+        am.get(CFGAnalysis)
         assert am.counter(LiveIntervalsAnalysis).misses == 1
 
         FunctionPassManager([SplitBlockPass()]).run(mac_kernel, am=am)
 
-        assert LivenessAnalysis not in am
+        # Block liveness lives in the flat lowering.
+        assert FlatIRAnalysis not in am
         assert LiveIntervalsAnalysis not in am
+        assert InterferenceAnalysis not in am
         assert CFGAnalysis not in am
         # The next consumer recomputes: a miss, not a stale hit.
         am.get(LiveIntervalsAnalysis)
         assert am.counter(LiveIntervalsAnalysis).misses == 2
         assert am.counter(LiveIntervalsAnalysis).hits == 0
-        assert am.counter(LivenessAnalysis).invalidations == 1
+        assert am.counter(FlatIRAnalysis).invalidations == 1
 
     def test_renaming_pass_keeps_cfg_level_cache(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
-        am.get(LiveIntervalsAnalysis)
+        am.get(InterferenceAnalysis)
+        am.get(SlotIndexesAnalysis)
         am.get(LoopInfoAnalysis)
         cfg_before = am.get(CFGAnalysis)
 
@@ -101,9 +106,11 @@ class TestInvalidationThroughPasses:
         assert am.get(CFGAnalysis) is cfg_before
         assert am.counter(CFGAnalysis).invalidations == 0
         assert am.counter(LoopInfoAnalysis).invalidations == 0
-        # Liveness-derived analyses were dropped.
-        assert am.counter(LivenessAnalysis).invalidations == 1
+        # The lowering (with its block liveness) and everything derived
+        # from it were dropped.
+        assert am.counter(FlatIRAnalysis).invalidations == 1
         assert am.counter(LiveIntervalsAnalysis).invalidations == 1
+        assert am.counter(InterferenceAnalysis).invalidations == 1
         assert am.counter(SlotIndexesAnalysis).invalidations == 1
 
     def test_state_maps_pass_names_to_results(self, mac_kernel):
@@ -113,7 +120,9 @@ class TestInvalidationThroughPasses:
     def test_instrumentation_records_per_pass(self, mac_kernel):
         fpm = FunctionPassManager([SplitBlockPass(), RenameRegisterPass()])
         am = AnalysisManager(mac_kernel)
-        am.get(LiveIntervalsAnalysis)
+        am.get(InterferenceAnalysis)
+        am.get(CFGAnalysis)
+        am.get(SlotIndexesAnalysis)
         TRACER.enable()
         TRACER.reset()
         try:
@@ -125,7 +134,7 @@ class TestInvalidationThroughPasses:
         split = passes["split-block"]
         assert split["runs"] == 1
         assert split["d_instrs"] == 1  # the appended ret
-        # cfg/slots/liveness/intervals, plus the flat lowering.
+        # cfg/slots, plus the flat lowering, the intervals and the RIG.
         assert split["inval"] == 5
         assert passes["rename"]["runs"] == 1
         # The pass spans' invalidations are the per-analysis ones.

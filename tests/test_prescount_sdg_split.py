@@ -30,7 +30,7 @@ from repro.workloads import (
     shared_use_kernel,
 )
 
-from .reference_sdg import needs_alignment, reference_sdg
+from .reference_analyses import needs_alignment, reference_sdg
 
 
 def count_sdg_copies(fn):
