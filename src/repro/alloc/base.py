@@ -36,7 +36,6 @@ class AllocationResult:
             and SDG subgroup splitting.
         copies_removed: Copies eliminated by coalescing.
         evictions: Number of evict-and-requeue events in the allocator.
-        stats: Free-form extra metrics (per-policy diagnostics).
     """
 
     function: Function
@@ -46,7 +45,6 @@ class AllocationResult:
     copies_inserted: int = 0
     copies_removed: int = 0
     evictions: int = 0
-    stats: dict = field(default_factory=dict)
 
     @property
     def spill_count(self) -> int:
@@ -99,7 +97,10 @@ class AllocationPolicy(Protocol):
 
     Implementations: :class:`repro.prescount.bcr.BcrPolicy`,
     :class:`repro.prescount.bank_assigner.PresCountPolicy`, and the
-    default :class:`NaturalOrderPolicy` below ("non").
+    default :class:`NaturalOrderPolicy` below ("non").  A policy may also
+    define ``on_split(parent, children)``, which the allocator calls after
+    a region split so split-generated registers inherit the parent's bank
+    (Algorithm 2's first branch).
     """
 
     def setup(self, allocator: "AllocatorContext") -> None:
@@ -116,12 +117,6 @@ class AllocationPolicy(Protocol):
         """
         ...
 
-    def on_assign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        """Notification after *vreg* was (re)assigned to *preg*."""
-
-    def on_unassign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        """Notification after *vreg* lost *preg* (eviction)."""
-
 
 class AllocatorContext(Protocol):
     """What a policy may observe about the in-progress allocation."""
@@ -130,7 +125,6 @@ class AllocatorContext(Protocol):
     register_file: RegisterFile
 
     def current_assignment(self) -> dict[VirtualRegister, PhysicalRegister]: ...
-    def interval_of(self, vreg: VirtualRegister) -> LiveInterval: ...
 
 
 class NaturalOrderPolicy:
@@ -151,9 +145,3 @@ class NaturalOrderPolicy:
         self, vreg: VirtualRegister, interval: LiveInterval
     ) -> Sequence[PhysicalRegister]:
         return self._registers
-
-    def on_assign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass
-
-    def on_unassign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass

@@ -28,20 +28,18 @@ from ..analysis.intervals import LiveInterval
 from ..banks.register_file import RegisterFile
 from ..ir import instruction as ins
 from ..ir.function import Function
-from ..ir.instruction import Instruction
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
 from ..obs import TRACER
 from ..passes import (
     CFG_ONLY,
     AnalysisManager,
-    CFGAnalysis,
     ConflictCostAnalysis,
+    FlatIRAnalysis,
     LiveIntervalsAnalysis,
     LoopInfoAnalysis,
-    SlotIndexesAnalysis,
 )
 from .base import AllocationError, AllocationPolicy, AllocationResult, NaturalOrderPolicy, PhysRegState
-from .spiller import SpillPlan, spill_interval
+from .spiller import SpillPlan, materialize, spill_interval
 from .splitter import CopyAction, try_region_split
 
 
@@ -78,7 +76,6 @@ class GreedyAllocator:
     #: The analysis manager of the current run; policies may consume
     #: cached analyses through it (see :class:`repro.prescount.bcr.BcrPolicy`).
     analyses: AnalysisManager | None = field(default=None, repr=False)
-    _intervals: dict[VirtualRegister, LiveInterval] = field(default_factory=dict, repr=False)
     _assignment: dict[VirtualRegister, PhysicalRegister] = field(default_factory=dict, repr=False)
     _preg_state: dict[PhysicalRegister, PhysRegState] = field(default_factory=dict, repr=False)
     _eviction_count: dict[VirtualRegister, int] = field(default_factory=dict, repr=False)
@@ -88,9 +85,6 @@ class GreedyAllocator:
     # ------------------------------------------------------------------
     def current_assignment(self) -> dict[VirtualRegister, PhysicalRegister]:
         return self._assignment
-
-    def interval_of(self, vreg: VirtualRegister) -> LiveInterval:
-        return self._intervals[vreg]
 
     # ------------------------------------------------------------------
     def run(
@@ -122,11 +116,11 @@ class GreedyAllocator:
         policy = self.policy if self.policy is not None else NaturalOrderPolicy()
 
         loop_info = am.get(LoopInfoAnalysis)
-        slots = am.get(SlotIndexesAnalysis)
+        # The lowering the intervals were built from: their slots index it.
+        flat = am.get(FlatIRAnalysis)
         live = am.get(LiveIntervalsAnalysis)
         cost_model = am.get(ConflictCostAnalysis, regclass=self.regclass)
 
-        self._intervals = {}
         self._assignment = {}
         self._eviction_count = {}
         self._preg_state = {
@@ -138,7 +132,6 @@ class GreedyAllocator:
         for interval in live.vreg_intervals(self.regclass):
             vreg = interval.reg
             interval.weight = cost_model.spill_weight(vreg, interval.size)
-            self._intervals[vreg] = interval
             heapq.heappush(queue, _QueueEntry(self._priority(interval), interval))
 
         policy.setup(self)
@@ -172,7 +165,6 @@ class GreedyAllocator:
                     preg = self._try_evict(interval, all_registers, queue, result)
             if preg is not None:
                 self._assign(interval, preg)
-                policy.on_assign(vreg, preg)
                 continue
 
             if (
@@ -180,7 +172,7 @@ class GreedyAllocator:
                 and not is_tiny
                 and vreg not in split_generated
             ):
-                split = try_region_split(function, slots, loop_info, interval)
+                split = try_region_split(function, flat, loop_info, interval)
                 if split is not None:
                     for instr_id, mapping in split.rewrites.items():
                         split_rewrites.setdefault(instr_id, {}).update(mapping)
@@ -188,7 +180,6 @@ class GreedyAllocator:
                     for child in split.children:
                         split_generated.add(child.reg)
                         split_parent[child.reg] = split_parent.get(vreg, vreg)
-                        self._intervals[child.reg] = child
                         heapq.heappush(
                             queue, _QueueEntry(self._priority(child), child)
                         )
@@ -227,17 +218,17 @@ class GreedyAllocator:
                 shared_slot = spill_plan.new_slot()
                 spill_plan.slot_of_vreg[origin] = shared_slot
             spill_plan.slot_of_vreg[vreg] = shared_slot
-            for tiny in spill_interval(function, slots, interval, spill_plan):
-                self._intervals[tiny.reg] = tiny
+            for tiny in spill_interval(function, flat, interval, spill_plan):
                 heapq.heappush(queue, _QueueEntry(self._priority(tiny), tiny))
 
         result.assignment = dict(self._assignment)
         with TRACER.span("materialize", category="stage", function=function.name):
-            result.copies_inserted += self._materialize(
-                function, spill_plan, split_rewrites, split_copies, result
+            result.spill_instructions += materialize(
+                function, spill_plan, self._assignment, split_rewrites
             )
-        result.stats["bank_histogram"] = self._bank_histogram()
-        result.stats["max_pressure"] = live.max_pressure(self.regclass)
+            result.copies_inserted += self._insert_split_copies(
+                function, split_copies, spill_plan, result
+            )
         if TRACER.enabled:
             TRACER.note(**{
                 "alloc.spilled_vregs": len(result.spilled),
@@ -245,7 +236,7 @@ class GreedyAllocator:
                 "alloc.evictions": result.evictions,
                 "alloc.copies_inserted": result.copies_inserted,
                 "alloc.split_children": len(split_generated),
-                "alloc.max_pressure": result.stats["max_pressure"],
+                "alloc.max_pressure": live.max_pressure(self.regclass),
             })
         # Materialization rewrote operands and inserted spill/split code;
         # block labels, terminators, and loop structure are untouched.
@@ -307,9 +298,6 @@ class GreedyAllocator:
     def _unassign(self, interval: LiveInterval, preg: PhysicalRegister) -> None:
         self._preg_state[preg].remove(interval)
         del self._assignment[interval.reg]
-        policy = self.policy
-        if policy is not None:
-            policy.on_unassign(interval.reg, preg)
 
     def _notify_split(self, policy: AllocationPolicy, parent: VirtualRegister, split) -> None:
         """Tell the policy about split-generated registers so it can
@@ -321,72 +309,6 @@ class GreedyAllocator:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
-    def _materialize(
-        self,
-        function: Function,
-        spill_plan: SpillPlan,
-        split_rewrites: dict[int, dict],
-        split_copies: list[CopyAction],
-        result: AllocationResult,
-    ) -> int:
-        """Apply all rewrites and insert spill/split code.  Returns the
-        number of copy instructions inserted."""
-        assignment = self._assignment
-        reloads: dict[int, list[Instruction]] = {}
-        stores: dict[int, list[Instruction]] = {}
-        for action in spill_plan.actions:
-            target = assignment.get(action.tiny, action.tiny)
-            if action.kind == "reload":
-                reloads.setdefault(action.instr_id, []).append(
-                    ins.load(target, spill_slot=action.slot_id, spill=True)
-                )
-            else:
-                stores.setdefault(action.instr_id, []).append(
-                    ins.store(target, spill_slot=action.slot_id, spill=True)
-                )
-            result.spill_instructions += 1
-
-        # Single-pass rewrite: the split, spill, and assignment maps are
-        # composed per operand, so each instruction is reconstructed once.
-        # Operand-wise composition of the three lookups is exactly the
-        # chained ``rewrite`` sequence, and the single Instruction
-        # construction shares ``attrs`` just as ``Instruction.rewrite``
-        # does.
-        is_reg = ins.is_reg
-        spill_rewrites = spill_plan.rewrites
-        for block in function.blocks:
-            new_instructions: list[Instruction] = []
-            for instr in block.instructions:
-                key = id(instr)
-                split_map = split_rewrites.get(key)
-                spill_map = spill_rewrites.get(key)
-                if split_map or spill_map:
-                    def look(r, _sp=split_map, _sl=spill_map):
-                        if _sp:
-                            r = _sp.get(r, r)
-                        if _sl:
-                            r = _sl.get(r, r)
-                        return assignment.get(r, r)
-                else:
-                    look = lambda r: assignment.get(r, r)  # noqa: E731
-                rewritten = Instruction(
-                    instr.opcode,
-                    instr.kind,
-                    tuple(look(d) for d in instr.defs),
-                    tuple(look(u) if is_reg(u) else u for u in instr.uses),
-                    instr.attrs,
-                )
-                pre = reloads.get(key)
-                if pre:
-                    new_instructions.extend(pre)
-                new_instructions.append(rewritten)
-                post = stores.get(key)
-                if post:
-                    new_instructions.extend(post)
-            block.instructions = new_instructions
-
-        return self._insert_split_copies(function, split_copies, spill_plan, result)
-
     def _insert_split_copies(
         self,
         function: Function,
@@ -421,9 +343,3 @@ class GreedyAllocator:
                 result.spill_instructions += 1
             # Both spilled: value already in memory; nothing to emit.
         return inserted
-
-    def _bank_histogram(self) -> list[int]:
-        histogram = [0] * self.register_file.num_banks
-        for preg in self._assignment.values():
-            histogram[self.register_file.bank_of(preg)] += 1
-        return histogram

@@ -35,21 +35,19 @@ import numpy as np
 
 from ..banks.assignment import BankAssignment
 from ..banks.register_file import RegisterFile
-from ..ir import instruction as ins
 from ..ir.function import Function
-from ..ir.instruction import Instruction
 from ..ir.types import FP, PhysicalRegister, RegClass, VirtualRegister
 from ..passes import (
     CFG_ONLY,
     AnalysisManager,
     ConflictCostAnalysis,
     ConflictGraphAnalysis,
+    FlatIRAnalysis,
     InterferenceAnalysis,
     LiveIntervalsAnalysis,
-    SlotIndexesAnalysis,
 )
 from .base import AllocationError, AllocationResult
-from .spiller import SpillPlan, spill_interval
+from .spiller import SpillPlan, materialize, spill_interval
 
 #: Cost standing in for "forbidden" (same register on interfering vregs).
 INFINITY = 1e18
@@ -104,13 +102,14 @@ class PbqpAllocator:
         unspillable: set[VirtualRegister] = set()
 
         for _round in range(self.spill_rounds):
-            slots = am.get(SlotIndexesAnalysis)
+            # The lowering the intervals were built from: their slots index it.
+            flat = am.get(FlatIRAnalysis)
             live = am.get(LiveIntervalsAnalysis)
             solution, spill_choices = self._solve_once(am, unspillable)
             if not spill_choices:
                 result.assignment.update(solution)
-                result.spill_instructions += _materialize(
-                    function, result.assignment, plan
+                result.spill_instructions += materialize(
+                    function, plan, result.assignment
                 )
                 return result
             for vreg in spill_choices:
@@ -119,9 +118,10 @@ class PbqpAllocator:
                         f"pbqp: {vreg!r} spilled twice in {function.name}"
                     )
                 result.spilled.add(vreg)
-                for tiny in spill_interval(function, slots, live.of(vreg), plan):
+                for tiny in spill_interval(function, flat, live.of(vreg), plan):
                     unspillable.add(tiny.reg)
-            self._apply_spills(function, plan, result)
+            # Spill code keeps its tiny vregs; the next round allocates them.
+            result.spill_instructions += materialize(function, plan, {})
             am.invalidate(CFG_ONLY)
         raise AllocationError(
             f"pbqp: did not converge within {self.spill_rounds} spill rounds"
@@ -160,10 +160,20 @@ class PbqpAllocator:
         rcg = am.get(ConflictGraphAnalysis, regclass=self.regclass)
         domain = self._domain()
 
+        # Every node has the same options, so the option list and the two
+        # edge matrices are built once: picking the same register (the
+        # diagonal past the spill option; domain registers are distinct)
+        # is forbidden, and picking two registers of one bank costs 1
+        # before scaling.
+        options: list[PhysicalRegister | None] = [None] + list(domain)
+        same_register = np.diag([0.0] + [INFINITY] * len(domain))
+        banks = np.array([self.register_file.bank_of(r) for r in domain])
+        same_bank = np.zeros((len(options), len(options)))
+        same_bank[1:, 1:] = banks[:, None] == banks[None, :]
+
         nodes: dict[VirtualRegister, _Node] = {}
         for interval in am.get(LiveIntervalsAnalysis).vreg_intervals(self.regclass):
             vreg = interval.reg
-            options: list[PhysicalRegister | None] = [None] + list(domain)
             costs = np.zeros(len(options))
             if vreg in unspillable:
                 costs[0] = INFINITY
@@ -188,8 +198,7 @@ class PbqpAllocator:
             for b in rig.neighbors(a):
                 if b not in nodes or b.vid <= a.vid:
                     continue
-                matrix = self._interference_matrix(nodes[a], nodes[b])
-                self._add_edge(nodes, a, b, matrix)
+                self._add_edge(nodes, a, b, same_register)
 
         # Conflict edges: same-bank penalized by Cost_I (the PresCount
         # objective as quadratic terms).
@@ -198,35 +207,14 @@ class PbqpAllocator:
                 a, b = tuple(key)
                 if a not in nodes or b not in nodes:
                     continue
-                matrix = self._bank_matrix(nodes[a], nodes[b]) * (
-                    cost * self.bank_conflict_weight
-                )
+                matrix = same_bank * (cost * self.bank_conflict_weight)
                 self._add_edge(nodes, a, b, matrix)
         return nodes
 
-    def _interference_matrix(self, a: _Node, b: _Node) -> np.ndarray:
-        matrix = np.zeros((len(a.options), len(b.options)))
-        for i, oa in enumerate(a.options):
-            for j, ob in enumerate(b.options):
-                if oa is not None and oa == ob:
-                    matrix[i][j] = INFINITY
-        return matrix
-
-    def _bank_matrix(self, a: _Node, b: _Node) -> np.ndarray:
-        matrix = np.zeros((len(a.options), len(b.options)))
-        for i, oa in enumerate(a.options):
-            if oa is None:
-                continue
-            bank_a = self.register_file.bank_of(oa)
-            for j, ob in enumerate(b.options):
-                if ob is None:
-                    continue
-                if self.register_file.bank_of(ob) == bank_a:
-                    matrix[i][j] = 1.0
-        return matrix
-
     @staticmethod
     def _add_edge(nodes, a, b, matrix) -> None:
+        """Add *matrix* to edge (a, b); matrices are never updated in
+        place, so one matrix may back many edges."""
         node_a, node_b = nodes[a], nodes[b]
         if b in node_a.edges:
             node_a.edges[b] = node_a.edges[b] + matrix
@@ -242,29 +230,30 @@ class PbqpAllocator:
         nodes = self._build_nodes(am, unspillable)
         order: list[VirtualRegister] = []
         alive = dict(nodes)
+        #: Alive neighbours per alive node, lowered as neighbours go.
+        degree = {v: len(node.edges) for v, node in nodes.items()}
 
-        def degree(v):
-            return sum(1 for u in nodes[v].edges if u in alive)
+        def eliminate(v):
+            order.append(v)
+            del alive[v]
+            for u in nodes[v].edges:
+                if u in alive:
+                    degree[u] -= 1
 
         while alive:
             # R0: independent nodes drop immediately.
-            zero = [v for v in alive if degree(v) == 0]
-            for v in zero:
-                order.append(v)
-                del alive[v]
+            for v in [v for v in alive if degree[v] == 0]:
+                eliminate(v)
             if not alive:
                 break
             # R1: degree-1 elimination (exact).
-            one = next((v for v in alive if degree(v) == 1), None)
+            one = next((v for v in alive if degree[v] == 1), None)
             if one is not None:
                 self._reduce_r1(nodes, alive, one)
-                order.append(one)
-                del alive[one]
+                eliminate(one)
                 continue
             # RN: heuristically eliminate the max-degree node.
-            victim = max(alive, key=lambda v: (degree(v), v.vid))
-            order.append(victim)
-            del alive[victim]
+            eliminate(max(alive, key=lambda v: (degree[v], v.vid)))
 
         # Back-propagate selections in reverse elimination order.
         selection: dict[VirtualRegister, int] = {}
@@ -307,65 +296,3 @@ class PbqpAllocator:
         matrix = node.edges[neighbor]  # shape: |v| x |n|
         folded = (node.costs[:, None] + matrix).min(axis=0)
         nodes[neighbor].costs = nodes[neighbor].costs + folded
-
-    def _apply_spills(self, function, plan, result) -> None:
-        """Insert spill code between rounds (re-analyzed next round)."""
-        reloads: dict[int, list[Instruction]] = {}
-        stores: dict[int, list[Instruction]] = {}
-        for action in plan.actions:
-            if action.kind == "reload":
-                reloads.setdefault(action.instr_id, []).append(
-                    ins.load(action.tiny, spill_slot=action.slot_id, spill=True)
-                )
-            else:
-                stores.setdefault(action.instr_id, []).append(
-                    ins.store(action.tiny, spill_slot=action.slot_id, spill=True)
-                )
-        result.spill_instructions += len(plan.actions)
-        for block in function.blocks:
-            new_instructions = []
-            for instr in block.instructions:
-                mapping = plan.rewrites.get(id(instr))
-                rewritten = instr.rewrite(mapping) if mapping else instr
-                new_instructions.extend(reloads.get(id(instr), []))
-                new_instructions.append(rewritten)
-                new_instructions.extend(stores.get(id(instr), []))
-            block.instructions = new_instructions
-        plan.actions.clear()
-        plan.rewrites.clear()
-
-
-def _materialize(
-    function: Function,
-    assignment: dict[VirtualRegister, PhysicalRegister],
-    plan: SpillPlan,
-) -> int:
-    """Insert the last round's spill code and rewrite operands to
-    physical registers; returns the number of spill instructions."""
-    inserted = 0
-    reloads: dict[int, list[Instruction]] = {}
-    stores: dict[int, list[Instruction]] = {}
-    for action in plan.actions:
-        target = assignment.get(action.tiny, action.tiny)
-        if action.kind == "reload":
-            reloads.setdefault(action.instr_id, []).append(
-                ins.load(target, spill_slot=action.slot_id, spill=True)
-            )
-        else:
-            stores.setdefault(action.instr_id, []).append(
-                ins.store(target, spill_slot=action.slot_id, spill=True)
-            )
-        inserted += 1
-    for block in function.blocks:
-        new_instructions: list[Instruction] = []
-        for instr in block.instructions:
-            rewritten = instr
-            spill_map = plan.rewrites.get(id(instr))
-            if spill_map:
-                rewritten = rewritten.rewrite(spill_map)
-            rewritten = rewritten.rewrite(assignment)
-            new_instructions.extend(reloads.get(id(instr), []))
-            new_instructions.append(rewritten)
-            new_instructions.extend(stores.get(id(instr), []))
-        block.instructions = new_instructions
-    return inserted

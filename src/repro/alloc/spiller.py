@@ -1,4 +1,4 @@
-"""Spill decomposition.
+"""Spill decomposition and materialization.
 
 Spilling a live range replaces it with memory residence plus *tiny*
 intervals around each instruction that touches the register: a reload
@@ -8,8 +8,8 @@ and are re-queued into the allocator.
 
 Decomposition works from the interval's recorded use/def slots rather
 than by scanning the IR, because split-generated children exist only as
-intervals until the final materialization pass (in
-:mod:`repro.alloc.greedy`) rewrites the function.
+intervals until :func:`materialize` rewrites the function — the one place
+either allocator (greedy and PBQP) turns a :class:`SpillPlan` into code.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 from ..analysis.intervals import LiveInterval
-from ..analysis.slots import SlotIndexes
+from ..ir import instruction as ins
+from ..ir.flat import FlatFunction
 from ..ir.function import Function
-from ..ir.types import VirtualRegister
+from ..ir.instruction import Instruction
+from ..ir.types import PhysicalRegister, VirtualRegister, is_reg
 
 #: Spill weight of tiny intervals: they may evict anything and never spill.
 TINY_WEIGHT = math.inf
@@ -60,15 +62,16 @@ class SpillPlan:
 
 def spill_interval(
     function: Function,
-    slots: SlotIndexes,
+    flat: FlatFunction,
     interval: LiveInterval,
     plan: SpillPlan,
 ) -> list[LiveInterval]:
     """Spill *interval*; return the tiny intervals to re-queue.
 
-    One tiny vreg is created per instruction touching the register (an
-    instruction that both reads and writes it — ``v = op v, x`` — shares a
-    single tiny vreg covering the read and write points).
+    *flat* is the lowering the interval's slots number.  One tiny vreg is
+    created per instruction touching the register (an instruction that
+    both reads and writes it — ``v = op v, x`` — shares a single tiny vreg
+    covering the read and write points).
     """
     vreg = interval.reg
     if not isinstance(vreg, VirtualRegister):
@@ -87,7 +90,7 @@ def spill_interval(
 
     tiny_intervals: list[LiveInterval] = []
     for slot, (reads, writes) in sorted(touching.items()):
-        instr = slots.instruction(slot)
+        instr = flat.instr_at(slot)
         tiny = function.new_vreg(vreg.regclass)
         start = slot - 1 if reads else slot + 1
         end = slot + 2 if writes else slot + 1
@@ -102,3 +105,72 @@ def spill_interval(
         plan.rewrites.setdefault(id(instr), {})[vreg] = tiny
         tiny_intervals.append(tiny_interval)
     return tiny_intervals
+
+
+def materialize(
+    function: Function,
+    plan: SpillPlan,
+    assignment: dict[VirtualRegister, PhysicalRegister],
+    rewrites: dict[int, dict[VirtualRegister, VirtualRegister]] | None = None,
+) -> int:
+    """Insert *plan*'s reloads and stores and rewrite every operand.
+
+    Each operand goes through the split *rewrites* (instruction id ->
+    {parent -> child}), then the plan's spill rewrites, then
+    *assignment*; composing the three lookups per operand is exactly the
+    chained :meth:`Instruction.rewrite` sequence, so each instruction is
+    rebuilt once (sharing ``attrs`` as ``rewrite`` does).  With an empty
+    assignment the spill code keeps its tiny vregs for a later round.
+    The plan's actions and rewrites are consumed; its stack slots stay.
+    Returns the number of spill instructions inserted.
+    """
+    reloads: dict[int, list[Instruction]] = {}
+    stores: dict[int, list[Instruction]] = {}
+    for action in plan.actions:
+        target = assignment.get(action.tiny, action.tiny)
+        if action.kind == "reload":
+            reloads.setdefault(action.instr_id, []).append(
+                ins.load(target, spill_slot=action.slot_id, spill=True)
+            )
+        else:
+            stores.setdefault(action.instr_id, []).append(
+                ins.store(target, spill_slot=action.slot_id, spill=True)
+            )
+
+    split_rewrites = rewrites or {}
+    spill_rewrites = plan.rewrites
+    for block in function.blocks:
+        new_instructions: list[Instruction] = []
+        for instr in block.instructions:
+            key = id(instr)
+            split_map = split_rewrites.get(key)
+            spill_map = spill_rewrites.get(key)
+            if split_map or spill_map:
+                def look(r, _sp=split_map, _sl=spill_map):
+                    if _sp:
+                        r = _sp.get(r, r)
+                    if _sl:
+                        r = _sl.get(r, r)
+                    return assignment.get(r, r)
+            else:
+                look = lambda r: assignment.get(r, r)  # noqa: E731
+            rewritten = Instruction(
+                instr.opcode,
+                instr.kind,
+                tuple(look(d) for d in instr.defs),
+                tuple(look(u) if is_reg(u) else u for u in instr.uses),
+                instr.attrs,
+            )
+            pre = reloads.get(key)
+            if pre:
+                new_instructions.extend(pre)
+            new_instructions.append(rewritten)
+            post = stores.get(key)
+            if post:
+                new_instructions.extend(post)
+        block.instructions = new_instructions
+
+    inserted = len(plan.actions)
+    plan.actions.clear()
+    plan.rewrites.clear()
+    return inserted

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.intervals import LiveInterval
-from ..analysis.slots import SlotIndexes
+from ..ir.flat import FlatFunction
 from ..ir.function import Function
 from ..ir.loops import Loop, LoopInfo
 from ..ir.types import VirtualRegister
@@ -46,15 +46,14 @@ class SplitResult:
 
 def _hottest_use_loop(
     interval: LiveInterval,
-    slots: SlotIndexes,
+    flat: FlatFunction,
     loop_info: LoopInfo,
 ) -> Loop | None:
     """The innermost loop containing the most frequent use of *interval*."""
     best: Loop | None = None
     best_freq = -1.0
     for use in interval.use_slots:
-        label = slots.block_of_slot(use).label
-        loop = loop_info.innermost_loop(label)
+        loop = loop_info.innermost_loop(flat.block_of_slot(use))
         if loop is None:
             continue
         freq = loop_info.block_frequency(loop.header)
@@ -65,23 +64,24 @@ def _hottest_use_loop(
 
 def try_region_split(
     function: Function,
-    slots: SlotIndexes,
+    flat: FlatFunction,
     loop_info: LoopInfo,
     interval: LiveInterval,
 ) -> SplitResult | None:
     """Split *interval* around its hottest use loop, or return None.
 
-    Returns None when splitting cannot help: all uses sit in one region,
-    the interval does not extend beyond the loop, or there is no loop.
+    *flat* is the lowering the interval's slots number.  Returns None
+    when splitting cannot help: all uses sit in one region, the interval
+    does not extend beyond the loop, or there is no loop.
     """
     vreg = interval.reg
     if not isinstance(vreg, VirtualRegister):
         return None
-    loop = _hottest_use_loop(interval, slots, loop_info)
+    loop = _hottest_use_loop(interval, flat, loop_info)
     if loop is None:
         return None
 
-    loop_ranges = sorted(slots.block_range[label] for label in loop.body)
+    loop_ranges = sorted(flat.block_slots(label) for label in loop.body)
     in_loop = lambda slot: any(lo <= slot < hi for lo, hi in loop_ranges)
 
     # Partition segments between the hot (in-loop) and cold children.
@@ -134,7 +134,7 @@ def try_region_split(
     # rather than per iteration) and out of the loop at each exit edge, but
     # only where the parent is actually live across the boundary.
     cfg = loop_info.cfg
-    header_start, __ = slots.block_range[loop.header]
+    header_start, __ = flat.block_slots(loop.header)
     if interval.covers(header_start):
         for pred in cfg.preds[loop.header]:
             if pred not in loop.body:
@@ -145,7 +145,7 @@ def try_region_split(
             if succ not in loop.body:
                 exits.setdefault(succ)
     for label in exits:
-        start, __ = slots.block_range[label]
+        start, __ = flat.block_slots(label)
         if interval.covers(start):
             result.copies.append(CopyAction(label, "begin", cold_child, hot_child))
     return result

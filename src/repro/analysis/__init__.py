@@ -1,7 +1,7 @@
-"""Program analyses: slot indexing, live intervals (over the flat
-lowering's block liveness), interference (RIG), conflict graph (RCG),
-conflict cost estimation (Eq. 1/2), register and bank pressure tracking,
-and the Same Displacement Graph (SDG).
+"""Program analyses: live intervals (over the flat lowering's slots and
+block liveness), interference (RIG), conflict graph (RCG), conflict cost
+estimation (Eq. 1/2), register and bank pressure tracking, and the Same
+Displacement Graph (SDG).
 """
 
 from .chordal import (
@@ -16,7 +16,6 @@ from .interference import InterferenceGraph
 from .intervals import LiveInterval, LiveIntervals, Segment
 from .pressure import BankPressureTracker
 from .sdg import SameDisplacementGraph
-from .slots import SlotIndexes
 
 __all__ = [
     "BankPressureTracker",
@@ -27,7 +26,6 @@ __all__ = [
     "LiveIntervals",
     "SameDisplacementGraph",
     "Segment",
-    "SlotIndexes",
     "chordal_coloring",
     "chromatic_number",
     "is_chordal",

@@ -2,10 +2,10 @@
 
 Built from block liveness the same way LLVM's LiveIntervals pass does:
 walk each block backwards seeded with its live-out set, ending segments at
-write points and beginning them at read points (see
-:mod:`repro.analysis.slots` for the read/write point convention).  The
-walk runs on the flat lowering (:class:`~repro.ir.flat.FlatFunction`),
-whose memoised ``liveness_masks`` supply each block's live-out set.
+write points and beginning them at read points.  The walk runs on the
+flat lowering (:class:`~repro.ir.flat.FlatFunction`), which also numbers
+the slots (instruction ``i`` reads at ``2*i`` and writes at ``2*i + 1``)
+and whose memoised ``liveness_masks`` supply each block's live-out set.
 
 The interval objects are the currency of the whole allocator stack: the
 RIG, the bank pressure counter, the greedy allocator's queues, and the

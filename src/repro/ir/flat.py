@@ -16,6 +16,13 @@ once into *interned integer ids* and flat arrays:
   mirroring :meth:`Instruction.bankable_reads` dedup order;
 * blocks become index ranges over the ordinal sequence plus successor
   index lists mirroring :meth:`BasicBlock.successor_labels`;
+* slots number the instructions for live intervals: instruction ``i``
+  (layout ordinal) **reads at slot** ``2*i`` and **writes at**
+  ``2*i + 1`` (:meth:`FlatFunction.instr_at`,
+  :meth:`~FlatFunction.block_slots`, :meth:`~FlatFunction.block_of_slot`).
+  With half-open interval segments a source that dies at an instruction
+  does not interfere with that instruction's destination (they may share
+  a register), while two sources read by the same instruction overlap;
 * block liveness is per-block big-int bitmasks over rids
   (:meth:`FlatFunction.liveness_masks`, memoised on the lowering): the
   backward dataflow fixpoint, which the live-interval build reads
@@ -179,6 +186,22 @@ class FlatFunction:
             return ids
         regs = self.regs
         return [rid for rid in ids if regs[rid].regclass == regclass]
+
+    # ------------------------------------------------------------------
+    # Slot queries (reads at ``2*i``, writes at ``2*i + 1``)
+    # ------------------------------------------------------------------
+    def instr_at(self, slot: int):
+        """The instruction whose read (or write) point is *slot*."""
+        return self.instrs[slot >> 1]
+
+    def block_slots(self, label: str) -> tuple[int, int]:
+        """The half-open slot range ``[start, end)`` of block *label*."""
+        start, end = self.block_bounds[self.block_index[label]]
+        return 2 * start, 2 * end
+
+    def block_of_slot(self, slot: int) -> str:
+        """The label of the block holding *slot*."""
+        return self.block_labels[self.inst_block[slot >> 1]]
 
     # ------------------------------------------------------------------
     def liveness_masks(self):

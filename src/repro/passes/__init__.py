@@ -25,7 +25,6 @@ from .analysis_manager import (
     LiveIntervalsAnalysis,
     LoopInfoAnalysis,
     SDGAnalysis,
-    SlotIndexesAnalysis,
     caching_disabled,
 )
 from .manager import FunctionPassManager, Pass
@@ -48,6 +47,5 @@ __all__ = [
     "PRESERVE_NONE",
     "Pass",
     "SDGAnalysis",
-    "SlotIndexesAnalysis",
     "caching_disabled",
 ]

@@ -28,7 +28,6 @@ from ..analysis.cost import ConflictCostModel
 from ..analysis.interference import InterferenceGraph
 from ..analysis.intervals import LiveIntervals
 from ..analysis.sdg import SameDisplacementGraph
-from ..analysis.slots import SlotIndexes
 from ..ir.cfg import CFG
 from ..ir.flat import FlatFunction
 from ..ir.function import Function
@@ -98,14 +97,6 @@ class FlatIRAnalysis(Analysis):
     @classmethod
     def run(cls, function: Function, am: "AnalysisManager") -> FlatFunction:
         return FlatFunction(function)
-
-
-class SlotIndexesAnalysis(Analysis):
-    """Linear instruction numbering (:class:`repro.analysis.slots.SlotIndexes`)."""
-
-    @classmethod
-    def run(cls, function: Function, am: "AnalysisManager") -> SlotIndexes:
-        return SlotIndexes.build(function)
 
 
 class LoopInfoAnalysis(Analysis):
@@ -199,7 +190,6 @@ CFG_ONLY = frozenset({CFGAnalysis, LoopInfoAnalysis})
 ALL_ANALYSES: tuple[type[Analysis], ...] = (
     CFGAnalysis,
     FlatIRAnalysis,
-    SlotIndexesAnalysis,
     LoopInfoAnalysis,
     LiveIntervalsAnalysis,
     ConflictCostAnalysis,

@@ -421,12 +421,6 @@ class PresCountPolicy:
             return self._by_bank[bank]
         return self._ordered_by_bank[bank]
 
-    def on_assign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass
-
-    def on_unassign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass
-
     def on_split(self, parent: VirtualRegister, children: list[VirtualRegister]) -> None:
         """Algorithm 2's split-generated-register rule, bank part: children
         keep the parent's bank so the assignment stays coherent."""

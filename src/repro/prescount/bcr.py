@@ -84,9 +84,3 @@ class BcrPolicy:
         for bank in bank_order:
             ordered.extend(self._by_bank[bank])
         return ordered
-
-    def on_assign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass
-
-    def on_unassign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass

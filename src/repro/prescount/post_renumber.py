@@ -72,7 +72,7 @@ def renumber_banks(
     (like the published renumbering schemes) until the conflict count
     stops improving or *max_passes* is hit.
 
-    Slot indexes and live intervals for each sweep come from *am*
+    The lowering and live intervals for each sweep come from *am*
     (created on demand): the first sweep hits whatever a preceding
     allocation left cached; sweeps that change the function invalidate
     all but the CFG-level analyses so the next sweep recomputes.
@@ -114,11 +114,13 @@ def _renumber_once(
     am,
 ) -> PostRenumberResult:
     """One renumbering sweep (see :func:`renumber_banks`)."""
-    from ..passes import LiveIntervalsAnalysis, SlotIndexesAnalysis
+    from ..passes import FlatIRAnalysis, LiveIntervalsAnalysis
 
     result = PostRenumberResult()
-    slots = am.get(SlotIndexesAnalysis)
-    live = am.get(LiveIntervalsAnalysis)
+    # The lowering the intervals were built from: instruction ``i`` reads
+    # at slot ``2*i``.
+    ordinal_of = am.get(FlatIRAnalysis).ordinal_of
+    intervals = am.get(LiveIntervalsAnalysis).intervals
 
     # Every candidate-vs-victim range check is one bitmask AND (the lazy
     # interval masks stay correct across the in-place `occupied()`
@@ -126,14 +128,11 @@ def _renumber_once(
     def overlaps(a: LiveInterval, b: LiveInterval) -> bool:
         return bool(a.mask & b.mask)
 
-    def interval_of(reg: PhysicalRegister) -> LiveInterval | None:
-        return live.intervals.get(reg)
-
     def occupied(reg: PhysicalRegister) -> LiveInterval:
-        interval = interval_of(reg)
+        interval = intervals.get(reg)
         if interval is None:
             interval = LiveInterval(reg)
-            live.intervals[reg] = interval
+            intervals[reg] = interval
         return interval
 
     #: pending copy insertions: instruction id -> list of copies.
@@ -193,8 +192,8 @@ def _renumber_once(
             result.conflicts_found += len(pairs)
             for __, victim in pairs:
                 victim = resolve(victim)
-                victim_interval = interval_of(victim)
-                slot = slots.slot(instr)
+                victim_interval = intervals.get(victim)
+                slot = 2 * ordinal_of[id(instr)]
                 moved = False
                 # 1. Global renumbering: a whole-range free register in
                 #    another bank.
@@ -209,7 +208,7 @@ def _renumber_once(
                         if register_file.bank_of(candidate) in victim_partner_banks:
                             # Would fix this site but conflict at another.
                             continue
-                        cand_interval = interval_of(candidate)
+                        cand_interval = intervals.get(candidate)
                         if cand_interval is None or not overlaps(
                             cand_interval, victim_interval
                         ):
@@ -227,7 +226,7 @@ def _renumber_once(
                             target = occupied(candidate)
                             for seg in victim_interval.segments:
                                 target.add_segment(seg.start, seg.end)
-                            live.intervals.pop(victim, None)
+                            intervals.pop(victim, None)
                             result.renumbered += 1
                             moved = True
                             break
@@ -239,7 +238,7 @@ def _renumber_once(
                         continue
                     if register_file.bank_of(candidate) == register_file.bank_of(victim):
                         continue
-                    cand_interval = interval_of(candidate)
+                    cand_interval = intervals.get(candidate)
                     probe = LiveInterval(candidate)
                     probe.add_segment(max(0, slot - 1), slot + 1)
                     if cand_interval is None or not overlaps(cand_interval, probe):

@@ -214,12 +214,6 @@ class DsaPresCountPolicy:
         self._ordered[(bank, displ)] = ordered
         return ordered
 
-    def on_assign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass
-
-    def on_unassign(self, vreg: VirtualRegister, preg: PhysicalRegister) -> None:
-        pass
-
     def on_split(self, parent: VirtualRegister, children: list[VirtualRegister]) -> None:
         """Split-generated registers keep the parent's bank *and* subgroup
         (they are copies of the same value, so alignment must carry over)."""

@@ -4,8 +4,8 @@ Production builds block liveness, live intervals, the Eq. 1/2 conflict
 costs, the RCG and the SDG from the flat lowering only
 (:class:`~repro.ir.flat.FlatFunction`); each ``build`` lowers the function
 itself when it is given no lowering.  This module reads the same facts off
-the ``Instruction`` objects instead, with frozensets, ``SlotIndexes`` and
-``CFG`` successors: ``tests/test_flat_differential.py`` compares the two on
+the ``Instruction`` objects instead, with frozensets, its own slot
+numbering and ``CFG`` successors: ``tests/test_flat_differential.py`` compares the two on
 every workload function, and ``reference_split_subgroups`` in
 ``tests/test_prescount_sdg_split.py`` cuts by :func:`reference_sdg`.
 """
@@ -17,7 +17,6 @@ from itertools import combinations
 from repro.analysis.conflict_graph import ConflictGraph
 from repro.analysis.intervals import LiveInterval
 from repro.analysis.sdg import SameDisplacementGraph
-from repro.analysis.slots import SlotIndexes
 from repro.ir.cfg import CFG
 from repro.ir.instruction import Instruction, OpKind
 from repro.ir.loops import LoopInfo
@@ -82,8 +81,9 @@ def reference_liveness(function) -> dict[str, dict[str, frozenset]]:
 
 def reference_intervals(function) -> dict[Register, LiveInterval]:
     """Live intervals by a backward walk over each block, seeded with its
-    frozenset live-out and inserting segments one at a time."""
-    slots = SlotIndexes.build(function)
+    frozenset live-out and inserting segments one at a time.  Slots count
+    instructions in layout order: the n-th reads at ``2*n`` and writes at
+    ``2*n + 1``."""
     live_out = reference_liveness(function)["live_out"]
     intervals: dict[Register, LiveInterval] = {}
 
@@ -92,14 +92,17 @@ def reference_intervals(function) -> dict[Register, LiveInterval]:
             intervals[reg] = LiveInterval(reg)
         return intervals[reg]
 
+    block_end = 0
     for block in function.blocks:
-        block_start, block_end = slots.block_range[block.label]
+        block_start = block_end
+        block_end = block_start + 2 * len(block.instructions)
         if block_start == block_end:
             continue
         live_end = {reg: block_end for reg in live_out[block.label]}
+        read = block_end
         for instr in reversed(block.instructions):
-            read = slots.read_point(instr)
-            write = slots.write_point(instr)
+            read -= 2
+            write = read + 1
             for reg in instr.reg_defs():
                 iv = interval(reg)
                 iv.def_slots.append(write)

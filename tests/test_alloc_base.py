@@ -60,7 +60,10 @@ class TestAllocationResult:
         result = AllocationResult(Function("f"))
         assert result.copies_inserted == 0
         assert result.evictions == 0
-        assert result.stats == {}
+        assert result.assignment == {}
+        assert result.spilled == set()
+        assert result.spill_instructions == 0
+        assert result.copies_removed == 0
 
 
 class TestNaturalOrderPolicy:

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.alloc import AllocationError, GreedyAllocator
+from repro.analysis import LiveIntervals
 from repro.banks import BankedRegisterFile
 from repro.ir import IRBuilder
 from repro.ir.types import FP, PhysicalRegister, VirtualRegister
+from repro.obs import TRACER
 from repro.sim import observably_equivalent
 from tests.conftest import build_mac_kernel
 
@@ -118,12 +120,6 @@ class TestPolicyIntegration:
             def order(self, vreg, interval):
                 return self.regs
 
-            def on_assign(self, vreg, preg):
-                pass
-
-            def on_unassign(self, vreg, preg):
-                pass
-
         fn = build_mac_kernel(n_pairs=2)
         result = GreedyAllocator(rf_rv2, OnlyBankZero()).run(fn)
         used_banks = {
@@ -142,28 +138,68 @@ class TestPolicyIntegration:
                 events.append("setup")
 
             def order(self, vreg, interval):
+                events.append("order")
                 return []
 
-            def on_assign(self, vreg, preg):
-                events.append("assign")
-
-            def on_unassign(self, vreg, preg):
-                events.append("unassign")
-
         fn = build_mac_kernel(n_pairs=2)
-        GreedyAllocator(rf_rv2, Recorder()).run(fn)
+        result = GreedyAllocator(rf_rv2, Recorder()).run(fn)
         assert events[0] == "setup"
-        assert events.count("assign") >= 5
+        assert events.count("order") >= 5
+        # Each assigned register was ordered at least once.
+        assert events.count("order") >= len(result.assignment)
+
+    def test_split_hook_fires(self):
+        events = []
+
+        class Recorder:
+            def setup(self, allocator):
+                self.regs = allocator.register_file.registers()
+
+            def order(self, vreg, interval):
+                return self.regs
+
+            def on_split(self, parent, children):
+                events.append((parent, tuple(children)))
+
+        fn = build_mac_kernel(n_pairs=10)
+        GreedyAllocator(BankedRegisterFile(8, 2), Recorder()).run(fn)
+        assert events
+        for parent, children in events:
+            assert len(children) == 2
+            assert parent not in children
 
 
 class TestStats:
     def test_bank_histogram_sums_to_assignments(self, rf_rv2):
         fn = build_mac_kernel()
         result = GreedyAllocator(rf_rv2).run(fn)
-        histogram = result.stats["bank_histogram"]
+        histogram = [0] * rf_rv2.num_banks
+        for preg in result.assignment.values():
+            histogram[rf_rv2.bank_of(preg)] += 1
         assert sum(histogram) == len(result.assignment)
+        # Index order alternates banks, so "non" fills both.
+        assert all(histogram)
 
     def test_max_pressure_reported(self, rf_rv2):
         fn = build_mac_kernel()
-        result = GreedyAllocator(rf_rv2).run(fn)
-        assert result.stats["max_pressure"] >= 9
+        TRACER.enable()
+        TRACER.reset()
+        try:
+            with TRACER.span("allocate"):
+                GreedyAllocator(rf_rv2).run(fn)
+            noted = [
+                s["args"]["alloc.max_pressure"] for s in TRACER.spans
+                if "alloc.max_pressure" in s["args"]
+            ]
+        finally:
+            TRACER.enable(False)
+            TRACER.reset()
+        assert noted == [LiveIntervals.build(fn).max_pressure(FP)]
+        assert noted[0] >= 9
+
+    def test_max_pressure_not_computed_when_not_recording(self, rf_rv2, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("max_pressure swept with the recorder off")
+
+        monkeypatch.setattr(LiveIntervals, "max_pressure", fail)
+        GreedyAllocator(rf_rv2).run(build_mac_kernel())

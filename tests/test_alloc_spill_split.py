@@ -4,22 +4,25 @@ import math
 
 import pytest
 
-from repro.alloc.spiller import TINY_WEIGHT, SpillPlan, spill_interval
+from repro.alloc.spiller import TINY_WEIGHT, SpillPlan, materialize, spill_interval
 from repro.alloc.splitter import try_region_split
-from repro.analysis import LiveIntervals, SlotIndexes
+from repro.analysis import LiveIntervals
 from repro.ir import IRBuilder, LoopInfo
+from repro.ir.flat import FlatFunction
+from repro.ir.types import PhysicalRegister, VirtualRegister
+from repro.sim import observably_equivalent
 from tests.conftest import build_mac_kernel
 
 
 class TestSpillDecomposition:
     def setup_method(self):
         self.fn = build_mac_kernel(n_pairs=3)
-        self.slots = SlotIndexes.build(self.fn)
-        self.live = LiveIntervals.build(self.fn)
+        self.flat = FlatFunction(self.fn)
+        self.live = LiveIntervals.build(self.fn, flat=self.flat)
 
     def _spill(self, vreg):
         plan = SpillPlan()
-        tinies = spill_interval(self.fn, self.slots, self.live.of(vreg), plan)
+        tinies = spill_interval(self.fn, self.flat, self.live.of(vreg), plan)
         return plan, tinies
 
     def test_one_tiny_per_touching_instruction(self):
@@ -69,6 +72,65 @@ class TestSpillDecomposition:
             assert tiny.span <= 3  # at most [slot-1, slot+2)
 
 
+class TestMaterialize:
+    def spilled(self):
+        """The mac kernel, a clone with its accumulator's spill planned,
+        and the plan."""
+        fn = build_mac_kernel(n_pairs=3)
+        work = fn.clone()
+        acc = work.virtual_registers()[-1]
+        flat = FlatFunction(work)
+        plan = SpillPlan()
+        spill_interval(work, flat, LiveIntervals.build(work, flat=flat).of(acc), plan)
+        return fn, work, acc, plan
+
+    def test_spill_code_keeps_tiny_vregs_without_assignment(self):
+        fn, work, acc, plan = self.spilled()
+        actions = len(plan.actions)
+        assert materialize(work, plan, {}) == actions
+        spill_ops = [i for __, i in work.instructions() if i.attrs.get("spill")]
+        assert len(spill_ops) == actions
+        assert all(r != acc for __, i in work.instructions() for r in i.regs())
+        assert observably_equivalent(fn, work)
+
+    def test_plan_is_consumed_but_keeps_its_slots(self):
+        __, work, acc, plan = self.spilled()
+        materialize(work, plan, {})
+        assert plan.actions == [] and plan.rewrites == {}
+        assert acc in plan.slot_of_vreg
+
+    def test_assignment_reaches_spill_code(self):
+        __, work, __, plan = self.spilled()
+        vregs = work.virtual_registers() + [a.tiny for a in plan.actions]
+        assignment = {
+            v: PhysicalRegister(i, v.regclass) for i, v in enumerate(vregs)
+        }
+        materialize(work, plan, assignment)
+        assert not any(
+            isinstance(r, VirtualRegister)
+            for __, i in work.instructions()
+            for r in i.regs()
+        )
+
+    def test_split_spill_and_assignment_maps_compose(self):
+        work = build_mac_kernel(n_pairs=1)
+        x = work.virtual_registers()[0]
+        child = work.new_vreg(x.regclass)
+        tiny = work.new_vreg(x.regclass)
+        readers = [i for __, i in work.instructions() if x in i.reg_uses()]
+        first = readers[0]
+        plan = SpillPlan(rewrites={id(first): {child: tiny}})
+        preg = PhysicalRegister(7, x.regclass)
+        materialize(
+            work, plan, {tiny: preg}, {id(i): {x: child} for i in readers}
+        )
+        reads = [i.reg_uses() for __, i in work.instructions()]
+        assert not any(x in regs for regs in reads)
+        # x -> child everywhere; at the first reader child -> tiny -> preg.
+        assert sum(preg in regs for regs in reads) == 1
+        assert sum(child in regs for regs in reads) == len(readers) - 1
+
+
 class TestRegionSplit:
     def make_split_candidate(self):
         """A value used before, inside, and after a hot loop."""
@@ -84,28 +146,28 @@ class TestRegionSplit:
 
     def test_split_produces_two_children(self):
         fn, x = self.make_split_candidate()
-        slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn)
+        flat = FlatFunction(fn)
+        live = LiveIntervals.build(fn, flat=flat)
         loops = LoopInfo.build(fn)
-        result = try_region_split(fn, slots, loops, live.of(x))
+        result = try_region_split(fn, flat, loops, live.of(x))
         assert result is not None
         assert len(result.children) == 2
 
     def test_children_partition_uses(self):
         fn, x = self.make_split_candidate()
-        slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn)
+        flat = FlatFunction(fn)
+        live = LiveIntervals.build(fn, flat=flat)
         loops = LoopInfo.build(fn)
-        result = try_region_split(fn, slots, loops, live.of(x))
+        result = try_region_split(fn, flat, loops, live.of(x))
         total_uses = sum(len(c.use_slots) for c in result.children)
         assert total_uses == len(live.of(x).use_slots)
 
     def test_boundary_copies_emitted(self):
         fn, x = self.make_split_candidate()
-        slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn)
+        flat = FlatFunction(fn)
+        live = LiveIntervals.build(fn, flat=flat)
         loops = LoopInfo.build(fn)
-        result = try_region_split(fn, slots, loops, live.of(x))
+        result = try_region_split(fn, flat, loops, live.of(x))
         # x is live into the loop: at least the entry copy exists.
         assert len(result.copies) >= 1
         positions = {(c.block_label, c.position) for c in result.copies}
@@ -117,10 +179,10 @@ class TestRegionSplit:
         t = b.arith("fneg", x)
         b.ret(t)
         fn = b.finish()
-        slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn)
+        flat = FlatFunction(fn)
+        live = LiveIntervals.build(fn, flat=flat)
         loops = LoopInfo.build(fn)
-        assert try_region_split(fn, slots, loops, live.of(x)) is None
+        assert try_region_split(fn, flat, loops, live.of(x)) is None
 
     def test_no_split_when_interval_entirely_inside_loop(self):
         b = IRBuilder("f")
@@ -130,20 +192,20 @@ class TestRegionSplit:
             b.arith_into(acc, "fadd", acc, t)
         b.ret(acc)
         fn = b.finish()
-        slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn)
+        flat = FlatFunction(fn)
+        live = LiveIntervals.build(fn, flat=flat)
         loops = LoopInfo.build(fn)
         t_reg = next(r for r in fn.virtual_registers() if len(live.of(r).use_slots) == 1
                      and len(live.of(r).def_slots) == 1 and live.of(r).span < 6)
-        assert try_region_split(fn, slots, loops, live.of(t_reg)) is None
+        assert try_region_split(fn, flat, loops, live.of(t_reg)) is None
 
     def test_children_weights_ordered(self):
         fn, x = self.make_split_candidate()
-        slots = SlotIndexes.build(fn)
-        live = LiveIntervals.build(fn)
+        flat = FlatFunction(fn)
+        live = LiveIntervals.build(fn, flat=flat)
         loops = LoopInfo.build(fn)
         interval = live.of(x)
         interval.weight = 10.0
-        result = try_region_split(fn, slots, loops, interval)
+        result = try_region_split(fn, flat, loops, interval)
         hot, cold = result.children
         assert hot.weight > interval.weight > cold.weight

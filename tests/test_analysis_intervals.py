@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis import LiveInterval, LiveIntervals, Segment, SlotIndexes
+from repro.analysis import LiveInterval, LiveIntervals, Segment
 from repro.ir import parse_function
+from repro.ir.flat import FlatFunction
 from repro.ir.types import VirtualRegister
 from tests.conftest import build_mac_kernel
 
@@ -151,7 +152,7 @@ class TestConstruction:
         fn = build_mac_kernel()
         live = LiveIntervals.build(fn)
         header = next(b for b in fn.blocks if b.attrs.get("loop_header"))
-        start, end = SlotIndexes.build(fn).block_range[header.label]
+        start, end = FlatFunction(fn).block_slots(header.label)
         acc = fn.virtual_registers()[-2]  # accumulator defined before loop
         # At least one register is live across the whole loop body.
         covering = [

@@ -4,6 +4,8 @@ Keeps the documentation site honest as the code moves:
 
 * every relative markdown link in README.md and docs/*.md points at a
   file that exists;
+* every ``repro/….py`` module path named in README.md, DESIGN.md and
+  docs/*.md exists under src/;
 * every ``repro.obs`` public symbol (``__all__``) is documented in
   docs/OBSERVABILITY.md;
 * every ``path · symbol`` anchor in docs/GLOSSARY.md names a real file
@@ -26,6 +28,9 @@ REPO = Path(__file__).resolve().parent.parent
 DOCS = sorted(REPO.glob("docs/*.md")) + [REPO / "README.md"]
 
 LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+#: A module path as the docs name it: ``repro/alloc/pbqp.py``, or with a
+#: brace list, ``repro/alloc/{greedy,spiller}.py``.
+MODULE_PATH = re.compile(r"repro/[\w/{},.]*?\.py")
 ANCHOR = re.compile(r"`(src/[\w/.]+\.py)` · `([\w.]+)`")
 
 
@@ -45,6 +50,35 @@ def test_relative_links_resolve(doc):
         if not (doc.parent / path).exists():
             broken.append(target)
     assert not broken, f"{doc.name}: broken links {broken}"
+
+
+def _expand_braces(path: str) -> list[str]:
+    """``a/{b,c}.py`` -> ``["a/b.py", "a/c.py"]`` (every brace list)."""
+    match = re.search(r"\{([^}]*)\}", path)
+    if match is None:
+        return [path]
+    return [
+        expanded
+        for part in match.group(1).split(",")
+        for expanded in _expand_braces(
+            path[: match.start()] + part + path[match.end():]
+        )
+    ]
+
+
+def test_named_module_paths_exist():
+    named = set()
+    for doc in DOCS + [REPO / "DESIGN.md"]:
+        for match in MODULE_PATH.findall(doc.read_text(encoding="utf-8")):
+            named.update(
+                (doc.name, path) for path in _expand_braces(match)
+            )
+    assert len(named) >= 60, "module-path pattern stopped matching?"
+    missing = sorted(
+        f"{doc}: {path}" for doc, path in named
+        if not (REPO / "src" / path).is_file()
+    )
+    assert not missing, missing
 
 
 def test_every_public_obs_symbol_is_documented():

@@ -7,10 +7,10 @@ from repro.analysis import (
     InterferenceGraph,
     LiveIntervals,
     SameDisplacementGraph,
-    SlotIndexes,
 )
 from repro.banks import BankedRegisterFile, BankSubgroupRegisterFile
 from repro.ir import Function, IRBuilder, instruction as ins, verify_function
+from repro.ir.flat import FlatFunction
 from repro.prescount import (
     PipelineConfig,
     PresCountBankAssigner,
@@ -49,7 +49,7 @@ class TestDegenerateFunctions:
         assert len(InterferenceGraph.build(fn)) == 0
         assert len(ConflictGraph.build(fn)) == 0
         assert len(SameDisplacementGraph.build(fn)) == 0
-        assert len(SlotIndexes.build(fn)) == 1  # the ret
+        assert FlatFunction(fn).num_slots == 2  # the ret
 
     def test_empty_through_pipeline(self, rf_rv2):
         for method in ("non", "bcr", "bpc"):

@@ -42,11 +42,6 @@ from .test_golden_digests import workload_functions
 
 REGCLASSES = (None, FP)
 
-#: PBQP's heuristic solve rescans every node's degree per elimination
-#: step; above this size one allocation takes about a minute (tr15651,
-#: 1215 instructions), so the fixture PBQP-allocates the smaller ones.
-PBQP_MAX_INSTRUCTIONS = 1000
-
 
 @pytest.fixture(scope="module")
 def functions():
@@ -57,9 +52,8 @@ def functions():
         picked.append((label, fn))
         allocated = run_pipeline(fn, PipelineConfig(register_file, "bpc"))
         picked.append((f"{label} (bpc)", allocated.function))
-        if fn.instruction_count() <= PBQP_MAX_INSTRUCTIONS:
-            pbqp = PbqpAllocator(register_file).run(fn)
-            picked.append((f"{label} (pbqp)", pbqp.function))
+        pbqp = PbqpAllocator(register_file).run(fn)
+        picked.append((f"{label} (pbqp)", pbqp.function))
     return picked
 
 
@@ -74,6 +68,8 @@ def test_fixture_carries_pbqp_spill_code(functions):
         and any(i.attrs.get("spill") for __, i in fn.instructions())
     ]
     assert len(spilling) >= 5
+    # The largest workload function (1215 instructions) is PBQP-allocated too.
+    assert "DSA-OP/tr15651 (pbqp)" in spilling
 
 
 class TestFlatMatchesObjectReference:

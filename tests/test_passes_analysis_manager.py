@@ -20,7 +20,6 @@ from repro.passes import (
     LiveIntervalsAnalysis,
     LoopInfoAnalysis,
     SDGAnalysis,
-    SlotIndexesAnalysis,
     caching_disabled,
 )
 
@@ -91,10 +90,9 @@ class TestInvalidation:
     def test_preserve_none_drops_everything(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
         am.get(InterferenceAnalysis)
-        am.get(CFGAnalysis)
-        am.get(SlotIndexesAnalysis)
+        am.get(LoopInfoAnalysis)
         dropped = am.invalidate(PRESERVE_NONE)
-        # RIG + intervals + the flat lowering + cfg + slots.
+        # RIG + intervals + the flat lowering + loop info + cfg.
         assert dropped == 5
         assert len(am) == 0
         assert am.total_invalidations() == 5
@@ -108,13 +106,13 @@ class TestInvalidation:
     def test_cfg_only_keeps_block_level_analyses(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
         am.get(InterferenceAnalysis)
-        am.get(SlotIndexesAnalysis)
+        am.get(SDGAnalysis, regclass=FP)
         am.get(LoopInfoAnalysis)
         am.invalidate(CFG_ONLY)
         assert CFGAnalysis in am
         assert LoopInfoAnalysis in am
         for dropped in (
-            SlotIndexesAnalysis,
+            SDGAnalysis,
             FlatIRAnalysis,
             LiveIntervalsAnalysis,
             InterferenceAnalysis,
@@ -125,14 +123,13 @@ class TestInvalidation:
         """Preserving an analysis without its dependencies drops it too."""
         am = AnalysisManager(mac_kernel)
         am.get(InterferenceAnalysis)
-        am.get(CFGAnalysis)
-        am.get(SlotIndexesAnalysis)
+        am.get(LoopInfoAnalysis)
         # LiveIntervals is missing from the preserved set, so the RIG
         # cannot survive even though it is named.
         am.invalidate(
             frozenset({
                 CFGAnalysis,
-                SlotIndexesAnalysis,
+                LoopInfoAnalysis,
                 FlatIRAnalysis,
                 InterferenceAnalysis,
             })
@@ -141,7 +138,7 @@ class TestInvalidation:
         assert LiveIntervalsAnalysis not in am
         assert FlatIRAnalysis in am
         assert CFGAnalysis in am
-        assert SlotIndexesAnalysis in am
+        assert LoopInfoAnalysis in am
 
     def test_transitive_dependency_closure(self, mac_kernel):
         """The closure recurses: RCG <- cost model <- loop info."""

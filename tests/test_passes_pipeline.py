@@ -18,13 +18,13 @@ from repro.passes import (
     PRESERVE_ALL,
     AnalysisManager,
     CFGAnalysis,
+    ConflictCostAnalysis,
     FlatIRAnalysis,
     FunctionPassManager,
     InterferenceAnalysis,
     LiveIntervalsAnalysis,
     LoopInfoAnalysis,
     Pass,
-    SlotIndexesAnalysis,
 )
 from repro.prescount import (
     PASS_REGISTRY,
@@ -96,7 +96,7 @@ class TestInvalidationThroughPasses:
     def test_renaming_pass_keeps_cfg_level_cache(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
         am.get(InterferenceAnalysis)
-        am.get(SlotIndexesAnalysis)
+        am.get(ConflictCostAnalysis, regclass=FP)
         am.get(LoopInfoAnalysis)
         cfg_before = am.get(CFGAnalysis)
 
@@ -111,7 +111,8 @@ class TestInvalidationThroughPasses:
         assert am.counter(FlatIRAnalysis).invalidations == 1
         assert am.counter(LiveIntervalsAnalysis).invalidations == 1
         assert am.counter(InterferenceAnalysis).invalidations == 1
-        assert am.counter(SlotIndexesAnalysis).invalidations == 1
+        # The cost model reads the lowering as well as the kept LoopInfo.
+        assert am.counter(ConflictCostAnalysis).invalidations == 1
 
     def test_state_maps_pass_names_to_results(self, mac_kernel):
         state = FunctionPassManager([RenameRegisterPass()]).run(mac_kernel)
@@ -121,8 +122,7 @@ class TestInvalidationThroughPasses:
         fpm = FunctionPassManager([SplitBlockPass(), RenameRegisterPass()])
         am = AnalysisManager(mac_kernel)
         am.get(InterferenceAnalysis)
-        am.get(CFGAnalysis)
-        am.get(SlotIndexesAnalysis)
+        am.get(LoopInfoAnalysis)
         TRACER.enable()
         TRACER.reset()
         try:
@@ -134,7 +134,7 @@ class TestInvalidationThroughPasses:
         split = passes["split-block"]
         assert split["runs"] == 1
         assert split["d_instrs"] == 1  # the appended ret
-        # cfg/slots, plus the flat lowering, the intervals and the RIG.
+        # cfg/loop info, plus the flat lowering, the intervals and the RIG.
         assert split["inval"] == 5
         assert passes["rename"]["runs"] == 1
         # The pass spans' invalidations are the per-analysis ones.
