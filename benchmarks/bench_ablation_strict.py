@@ -5,7 +5,7 @@ coloring — a star (one hot register co-read with N others) pushes all N
 leaves into the opposite bank, no heuristic can prevent it.  When N
 exceeds one bank's capacity the allocator must choose:
 
-* **soft** policy (our RV default): overflow leaves back into the hot
+* **soft** policy (the default): overflow leaves back into the hot
   register's bank — conflicts return, no spills;
 * **strict** policy: fight for the assignment with evictions and spills —
   the mechanism behind the paper's Tables III/V spill increments.

@@ -4,7 +4,7 @@ Measures the allocation service the way the obs benches measure their
 layers — identical work through each path, results asserted identical:
 
 * **cold** — a request that misses the cache and executes the full
-  pipeline (inline workers, so no process-pool noise);
+  pipeline (inline on the service's dispatcher);
 * **cached** — the same request again, served from the content-addressed
   cache;
 * **routed** — the same two measurements again through the shard
@@ -26,8 +26,8 @@ from repro.ir import IRBuilder, print_function, print_module
 from repro.ir.function import Module
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.service import (
+    AllocationCache,
     AllocationService,
-    IncrementalAllocator,
     LocalShard,
     ServiceConfig,
     ShardRouter,
@@ -105,7 +105,7 @@ def test_service_overhead(ctx, record_text):
     cold, cached = [], []
     artifacts = {}
     for round_index in range(ROUNDS):
-        service = AllocationService(ServiceConfig(workers=0))
+        service = AllocationService(ServiceConfig())
         for _, ir in kernels:
             seconds, job = _serve_once(service, ir)
             cold.append(seconds)
@@ -123,7 +123,7 @@ def test_service_overhead(ctx, record_text):
     overhead_pct = (cold_ms - bare_ms) / bare_ms * 100 if bare_ms else 0.0
     lines = [
         "service request latency (median over "
-        f"{ROUNDS} rounds x {len(kernels)} SPECfp kernels, workers=0):",
+        f"{ROUNDS} rounds x {len(kernels)} SPECfp kernels, inline):",
         f"  bare pipeline            {bare_ms:9.3f} ms",
         f"  cold request (miss)      {cold_ms:9.3f} ms   "
         f"(+{overhead_pct:.1f}% service layer: parse, key, cache, queue)",
@@ -166,7 +166,7 @@ def test_journal_overhead(ctx, record_text, tmp_path):
     kernels = _kernels(ctx)
 
     def _arm(journal_dir):
-        config = ServiceConfig(workers=0, journal_dir=journal_dir)
+        config = ServiceConfig(journal_dir=journal_dir)
         warm = []
         blobs = {}
         service = AllocationService(config)
@@ -227,7 +227,7 @@ def test_telemetry_overhead(ctx, record_text):
     passes, rounds = 40, 5
 
     def _arm(traced):
-        service = AllocationService(ServiceConfig(workers=0))
+        service = AllocationService(ServiceConfig())
         try:
             blobs = {}
             for _, ir in kernels:  # warm the cache outside the timing
@@ -320,13 +320,17 @@ def test_flat_incremental_speedup(record_text):
             module.add(_loop_kernel(f"fn{i}", 300, trip_count=trips))
         return print_module(module)
 
-    allocator = IncrementalAllocator()
-    allocator.allocate(_module(False), FILE_SPEC, "bpc")
-    executed_before = allocator.counters["functions_executed"]
+    store, counters = AllocationCache(None), {}
+    build_module_artifact(
+        _module(False), FILE_SPEC, "bpc", store=store, counters=counters
+    )
+    executed_before = counters["functions_executed"]
     started = time.perf_counter()
-    warm = allocator.allocate(_module(True), FILE_SPEC, "bpc")
+    warm = build_module_artifact(
+        _module(True), FILE_SPEC, "bpc", store=store, counters=counters
+    )
     warm_s = time.perf_counter() - started
-    executed = allocator.counters["functions_executed"] - executed_before
+    executed = counters["functions_executed"] - executed_before
     started = time.perf_counter()
     scratch = build_module_artifact(_module(True), FILE_SPEC, "bpc")
     scratch_s = time.perf_counter() - started

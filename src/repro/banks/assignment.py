@@ -25,10 +25,11 @@ class BankAssignment:
             was conflict-free when they were processed); their conflicts
             are expected residual cost, not allocator error.
         residual_cost: Summed Cost_I of RCG edges left monochromatic.
-        strict: When True the allocator must not place the register
-            outside its bank (DSA semantics); when False the bank is a
-            strong preference (RV platform semantics) and the allocator
-            may fall back to another bank instead of spilling.
+        strict: When True the banked-file policy offers only the
+            register's own bank (``PipelineConfig.strict_banks``, off by
+            default); when False the bank is a strong preference and the
+            allocator may fall back to another bank instead of spilling.
+            The DSA's policy orders the whole file either way.
     """
 
     num_banks: int

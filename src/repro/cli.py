@@ -192,7 +192,7 @@ def _allocate_ir(args: argparse.Namespace) -> int:
     functions changed re-runs only those K.
     """
     from .service import (
-        IncrementalAllocator,
+        AllocationCache,
         RequestError,
         artifact_bytes,
         build_artifact,
@@ -210,9 +210,11 @@ def _allocate_ir(args: argparse.Namespace) -> int:
     try:
         if is_module_text(text):
             if args.incremental:
-                allocator = IncrementalAllocator(args.store)
-                artifact = allocator.allocate(text, spec, args.method)
-                counters = allocator.counters
+                counters = {}
+                artifact = build_module_artifact(
+                    text, spec, args.method,
+                    store=AllocationCache(args.store), counters=counters,
+                )
             else:
                 artifact = build_module_artifact(text, spec, args.method)
         else:
@@ -308,10 +310,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         os.environ["REPRO_EVENTS"] = args.events
 
     config = ServiceConfig(
-        workers=args.workers,
         batch_size=args.batch_size,
-        max_retries=args.max_retries,
-        retry_backoff_s=args.retry_backoff_ms / 1000.0,
         cache_dir=args.cache_dir,
         verify=args.verify,
         job_retries=args.job_retries,
@@ -909,21 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 binds a free port; default 8377)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="process-pool workers per batch (0 = execute inline on the "
-        "dispatcher thread; default 0)",
-    )
-    p_serve.add_argument(
         "--batch-size", type=int, default=8,
         help="max queued jobs drained into one dispatch batch",
-    )
-    p_serve.add_argument(
-        "--max-retries", type=int, default=1,
-        help="in-dispatch retries when a pool worker dies",
-    )
-    p_serve.add_argument(
-        "--retry-backoff-ms", type=float, default=50.0,
-        help="base backoff between retry rounds",
     )
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1310,7 +1296,7 @@ def main(argv: list[str] | None = None) -> int:
         from .resilience import FAULTS, load_plan
 
         FAULTS.arm(load_plan(args.faults))
-        # Exported so process-pool workers re-arm the same plan on
+        # Exported so shard worker processes re-arm the same plan on
         # their side of the fork/spawn.
         os.environ["REPRO_FAULTS"] = args.faults
     try:

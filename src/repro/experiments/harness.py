@@ -30,7 +30,6 @@ run's.
 from __future__ import annotations
 
 import os
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -239,7 +238,6 @@ def run_tasks(
     *,
     jobs: int,
     retries: int = 1,
-    backoff_s: float = 0.0,
     labels: list[str] | None = None,
 ) -> tuple[list, list[TaskFailure]]:
     """Fan *payloads* over a process pool, surviving worker crashes.
@@ -248,14 +246,10 @@ def run_tasks(
     kill) into a :class:`BrokenProcessPool` that aborts everything.
     This helper instead collects each payload's outcome individually:
     a payload that raises — or whose pool dies under it — is retried
-    (``retries`` times, on a fresh pool, after an exponential
-    ``backoff_s * 2**(attempt-1)`` seconds, capped at 2 s), and
-    innocent victims of a neighbour's crash are retried with it.
-    Returns ``(results, failures)`` where ``results`` is
-    payload-ordered with ``None`` at failed indexes.
-
-    The experiment harness (:func:`run_suite`) and the allocation
-    service's batch executor (:mod:`repro.service.queue`) both run on
+    (``retries`` times, each on a fresh pool), and innocent victims of
+    a neighbour's crash are retried with it.  Returns ``(results,
+    failures)`` where ``results`` is payload-ordered with ``None`` at
+    failed indexes.  The experiment harness (:func:`run_suite`) runs on
     this.
     """
     results: list = [None] * len(payloads)
@@ -273,8 +267,6 @@ def run_tasks(
             break
         if attempt:
             TRACER.fact("harness.retry", **{"harness.task_retries": len(pending)})
-            if backoff_s:
-                time.sleep(min(backoff_s * (2 ** (attempt - 1)), 2.0))
         still_failing: list[int] = []
         if attempt == 0:
             with ProcessPoolExecutor(

@@ -107,8 +107,8 @@ def measure_wall_latency(rounds: int = 3) -> dict:
     """
     from ..ir import print_function, print_module
     from ..ir.function import Module
-    from ..service.artifact import build_artifact
-    from ..service.incremental import IncrementalAllocator
+    from ..service.artifact import build_artifact, build_module_artifact
+    from ..service.cache import AllocationCache
 
     spec = {"registers": 32, "banks": 4}
     ir = print_function(_latency_kernel())
@@ -122,10 +122,11 @@ def measure_wall_latency(rounds: int = 3) -> dict:
             module.add(_latency_kernel(f"probe{i}", trip_count=trips))
         return print_module(module)
 
-    allocator = IncrementalAllocator()
-    allocator.allocate(_module(False), spec, "bpc")
+    store = AllocationCache(None)
+    build_module_artifact(_module(False), spec, "bpc", store=store)
     incremental = _best_of(
-        lambda: allocator.allocate(_module(True), spec, "bpc"), 1
+        lambda: build_module_artifact(_module(True), spec, "bpc", store=store),
+        1,
     )
     return {
         "flat_ms": round(flat * 1000.0, 3),

@@ -417,8 +417,8 @@ class Tracer:
             bucket.append(span)
 
     def record_raw(self, spans, proc: str | None = None) -> None:
-        """Fold spans recorded elsewhere (a pool worker's, a harness
-        worker's) into this buffer.  *proc*, when given, relabels them
+        """Fold spans recorded elsewhere (a harness pool worker's) into
+        this buffer.  *proc*, when given, relabels them
         (a ``--jobs N`` program becomes its own lane); otherwise an
         unlabeled span gets this process's label."""
         if not self.enabled:
@@ -437,11 +437,6 @@ class Tracer:
     def spans_for(self, trace_id: str) -> list[dict]:
         with self._lock:
             return [dict(s) for s in self._traces.get(trace_id, ())]
-
-    def take(self, trace_id: str) -> list[dict]:
-        """Remove and return one trace's spans."""
-        with self._lock:
-            return self._traces.pop(trace_id, [])
 
     @property
     def spans(self) -> list[dict]:

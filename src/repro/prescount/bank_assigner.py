@@ -21,9 +21,11 @@ banks again (end of §III-B).
 
 :class:`PresCountPolicy` plugs the resulting
 :class:`~repro.banks.assignment.BankAssignment` into the greedy allocator:
-candidates from the assigned bank come first (soft constraint on the RV
-platforms, strict on the DSA), and split-generated registers inherit the
-bank of their parent.
+candidates from the assigned bank come first (a soft preference unless
+``PipelineConfig.strict_banks`` makes it a hard constraint), and
+split-generated registers inherit the bank of their parent.  On the DSA
+the allocator uses :class:`~repro.prescount.subgroup.DsaPresCountPolicy`
+instead, which always orders the whole file.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from ..alloc.coalescing import CoalescingResult, coalesce
 from ..alloc.greedy import GreedyAllocator
 from ..alloc.scheduling import SchedulingResult, schedule_function
 from ..banks.assignment import BankAssignment
-from ..banks.register_file import BankSubgroupRegisterFile
 from ..passes import (
     PRESERVE_ALL,
     AnalysisManager,
@@ -82,9 +81,7 @@ class SdgSplitPass(_ConfiguredPass):
     def run(self, function, am: AnalysisManager, state) -> SdgSplitResult:
         config = self.config
         sdg_config = config.sdg_config
-        if sdg_config is None and isinstance(
-            config.register_file, BankSubgroupRegisterFile
-        ):
+        if sdg_config is None and config.dsa:
             # Balance share: one bank's slice of a single subgroup.
             share = max(
                 4,
@@ -190,10 +187,6 @@ class AllocationPass(_ConfiguredPass):
             bank_assignment = state["bank-assignment"]
             if config.dsa:
                 file_ = config.register_file
-                if not isinstance(file_, BankSubgroupRegisterFile):
-                    raise TypeError(
-                        "DSA pipeline requires a BankSubgroupRegisterFile"
-                    )
                 subgroups = SubgroupState.from_function(
                     function, file_.num_subgroups, config.regclass, am=am
                 )

@@ -73,13 +73,14 @@ class PipelineConfig:
 
     Attributes:
         register_file: Target register file (banked, or bank-subgrouped
-            for the DSA).
+            for the DSA; a :class:`BankSubgroupRegisterFile` enables the
+            SDG phases, see :attr:`dsa`).
         method: One of :data:`METHODS`.
-        dsa: Enables the SDG phases (subgroup splitting + Algorithm 2
-            hints).  Automatically implied by a
-            :class:`BankSubgroupRegisterFile`.
-        strict_banks: Hard (True) vs soft (False) bank constraint for bpc;
-            defaults to the DSA-ness of the register file.
+        strict_banks: Hard (True) vs soft (False) bank constraint for
+            bpc on a banked file.  Soft by default on every file; the
+            DSA's policy always orders the whole file (Algorithm 2 hints,
+            then the rest of the bank, then the other banks), so the flag
+            has no effect there.
         thres_ratio: Algorithm 1's THRES as a fraction of the file size.
         use_pressure_counting / cost_ordering / balance_free_registers:
             ablation switches forwarded to the bank assigner.
@@ -88,11 +89,10 @@ class PipelineConfig:
     register_file: RegisterFile
     method: str = "bpc"
     regclass: RegClass = FP
-    dsa: bool | None = None
     run_coalescing: bool = True
     run_scheduling: bool = True
     enable_live_range_split: bool = True
-    strict_banks: bool | None = None
+    strict_banks: bool = False
     thres_ratio: float = DEFAULT_THRES_RATIO
     sdg_config: SdgSplitConfig | None = None
     use_pressure_counting: bool = True
@@ -105,10 +105,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.dsa is None:
-            self.dsa = isinstance(self.register_file, BankSubgroupRegisterFile)
-        if self.strict_banks is None:
-            self.strict_banks = bool(self.dsa)
+
+    @property
+    def dsa(self) -> bool:
+        """Whether the SDG phases run (subgroup splitting + Algorithm 2
+        hints): exactly when the file is a bank-subgroup (DSA) file."""
+        return isinstance(self.register_file, BankSubgroupRegisterFile)
 
 
 @dataclass

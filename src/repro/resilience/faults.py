@@ -15,8 +15,8 @@ Sites (see :data:`SITES` for the modes each accepts):
                       truncated entry straight to the final path,
                       bypassing the atomic rename; ``error`` raises
                       ``OSError``)
-``queue.execute``     kill, stall, or fail the worker executing a job
-                      (``death``, ``stall``, ``error``)
+``queue.execute``     stall or fail a job's execution (``stall``,
+                      ``error``)
 ``queue.dispatch``    deliver a drained job twice (``duplicate``)
 ``client.request``    fail an outgoing HTTP call (``timeout``,
                       ``connreset``)
@@ -45,7 +45,7 @@ responses under fault load.
 Zero overhead when off: injection sites guard on ``FAULTS.enabled``, a
 plain attribute that is ``False`` unless a plan was armed via
 ``repro --faults PLAN.json``, the ``REPRO_FAULTS`` environment variable
-(read at import, so process-pool workers inherit the plan), or
+(read at import, so shard worker processes inherit the plan), or
 :meth:`FaultInjector.arm`.
 """
 
@@ -71,7 +71,7 @@ __all__ = [
 SITES: dict[str, tuple[str, ...]] = {
     "cache.disk.read": ("bitflip", "truncate", "garbage"),
     "cache.disk.write": ("partial", "error"),
-    "queue.execute": ("death", "stall", "error"),
+    "queue.execute": ("stall", "error"),
     "queue.dispatch": ("duplicate",),
     "client.request": ("timeout", "connreset"),
     "server.request": ("error", "delay", "reset"),
@@ -311,7 +311,7 @@ FAULTS = FaultInjector()
 def _arm_from_env() -> None:
     """Arm from ``REPRO_FAULTS`` (a plan path) if set.
 
-    Runs at import so process-pool workers — which inherit the
+    Runs at import so shard worker processes — which inherit the
     environment but not the parent's Python state — rebuild the plan
     and inject on their side of the fork/spawn too.
     """

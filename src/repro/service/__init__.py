@@ -10,7 +10,8 @@ stack rather than a batch script (see ``docs/SERVICE.md``):
 * :mod:`.degrade` — the ``bpc → bcr → non`` deadline ladder and the
   EWMA :class:`~repro.service.degrade.TierCostModel`;
 * :mod:`.queue` — :class:`~repro.service.queue.AllocationService`:
-  submit/coalesce, batched dispatch, crash-tolerant execution;
+  submit/coalesce, batched dispatch, inline execution with job
+  retries and a dead-letter record;
 * :mod:`.durability` — the write-ahead job journal behind ``repro
   serve --journal``: checksummed JSONL frames, recovery replay of
   accepted-but-unfinished jobs, checkpoint compaction (see the
@@ -54,7 +55,6 @@ from .cache import AllocationCache
 from .client import CircuitOpenError, ServiceClient, ServiceError
 from .degrade import LADDER, TierCostModel, ladder_from, select_tier
 from .durability import JobJournal, JournalReplay
-from .incremental import FragmentStore, IncrementalAllocator
 from .loadgen import LoadgenConfig, loadgen_record, run_loadgen
 from .queue import (
     AllocationService,
@@ -79,9 +79,7 @@ __all__ = [
     "AllocationService",
     "CircuitOpenError",
     "FLAG_DEFAULTS",
-    "FragmentStore",
     "HashRing",
-    "IncrementalAllocator",
     "Job",
     "JobJournal",
     "JournalReplay",

@@ -408,15 +408,16 @@ def build_module_artifact(
     """Allocate every function of a module, reusing cached fragments.
 
     *store* is any object with ``get(key) -> bytes | None`` and
-    ``put(key, bytes)`` (an :class:`~repro.service.cache.AllocationCache`
-    or a plain dict via :class:`~repro.service.incremental.FragmentStore`).
-    Without a store every function executes — the from-scratch path the
-    parity tests compare against.
+    ``put(key, bytes)``: an :class:`~repro.service.cache.AllocationCache`
+    (``AllocationCache(None)`` keeps fragments in memory only), or the
+    service's verified view of its cache.  Without a store every
+    function executes — the from-scratch path the parity tests compare
+    against.
 
-    *counters*, when given, accumulates ``functions_total`` /
-    ``functions_reused`` / ``functions_executed`` across calls — the
-    observable proof that an incremental rebuild re-ran only the changed
-    functions.
+    *counters*, when given, accumulates ``modules`` / ``functions_total``
+    / ``functions_reused`` / ``functions_executed`` across successful
+    calls — the observable proof that an incremental rebuild re-ran only
+    the changed functions.
     """
     flags = normalize_flags(flags)
     file_spec = normalize_file_spec(file_spec)
@@ -447,6 +448,7 @@ def build_module_artifact(
             executed += 1
         fragments.append(fragment)
     if counters is not None:
+        counters["modules"] = counters.get("modules", 0) + 1
         counters["functions_total"] = (
             counters.get("functions_total", 0) + len(fragments)
         )

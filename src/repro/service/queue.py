@@ -15,10 +15,9 @@ degrade):
    the tier actually executed (:func:`~repro.service.degrade.select_tier`
    down the ``bpc → bcr → non`` ladder); a degraded tier re-probes the
    cache under its own key before any work is spent.
-4. **execute** — batches run inline (``workers=0``) or fan over the
-   experiment harness's crash-tolerant process-pool helper
-   (:func:`repro.experiments.harness.run_tasks`), which retries a
-   crashed worker with backoff instead of failing the batch.
+4. **execute** — each job of the batch runs inline on the dispatcher
+   thread, in submission order (``repro serve --shards N`` is how a
+   fleet uses more cores).
 
 Resilience (PR 5, see ``docs/RESILIENCE.md``):
 
@@ -38,9 +37,9 @@ Resilience (PR 5, see ``docs/RESILIENCE.md``):
 * a full queue sheds load: :meth:`AllocationService.submit` raises
   :class:`ServiceOverloadError`, which the HTTP layer turns into
   ``503`` + ``Retry-After``;
-* seeded fault points (:mod:`repro.resilience.faults`) cover worker
-  death/stall/error and duplicate dispatch; duplicate deliveries are
-  absorbed idempotently.
+* seeded fault points (:mod:`repro.resilience.faults`) cover an
+  execution stall or error and duplicate dispatch; duplicate deliveries
+  are absorbed idempotently.
 
 Every stage is traced through :data:`repro.obs.TRACER`: per-request
 spans, plus events on the job's trace for degradations, quarantines,
@@ -52,14 +51,12 @@ the cache's own counters back the server's ``/v1/stats`` and
 
 from __future__ import annotations
 
-import os
 import queue as _queue
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..experiments.harness import run_tasks
 from ..obs import TRACER, TraceContext
 from ..obs.telemetry import EVENTS, SLOTracker, StreamingHistogram
 from ..resilience import AllocationVerifier, FAULTS, InjectedFault
@@ -129,83 +126,12 @@ def _transient(exc: Exception) -> bool:
     return isinstance(exc, (InjectedFault, OSError, TimeoutError))
 
 
-def _execute_request(payload: tuple) -> dict:
-    """One allocation, plus its wall time, inline or in a pool worker.
-
-    A failure is returned, not raised, already classified:
-    ``{"error": text, "transient": bool}`` (see :func:`_transient`).
-
-    Carries the ``queue.execute`` fault point so chaos schedules can
-    kill (``death``), stall (``stall``), or fail (``error``) the worker
-    — inline or in a pool (workers re-arm from ``REPRO_FAULTS``).
-
-    The payload is ``(ir, file_spec, method, flags, machine,
-    trace_header)``, as :meth:`AllocationService._execute` builds it.
-    *machine* is the normalized cycle-model spec (``None`` = the
-    in-order default) and *is* part of the build inputs and cache key;
-    the trace header never is.  Under the job's trace the allocation
-    runs in a ``worker.execute`` span, so the pipeline's pass and
-    analysis spans nest inside it, and fault events land on the job.
-    """
-    ir, file_spec, method, flags, machine, trace_header = payload
-    try:
-        with TRACER.activate(TraceContext.parse(trace_header)):
-            if FAULTS.enabled:
-                point = FAULTS.fire("queue.execute", label=method)
-                if point is not None:
-                    if point.mode == "death":
-                        import multiprocessing
-
-                        if multiprocessing.parent_process() is not None:
-                            os._exit(17)  # real worker death, not an exception
-                        raise InjectedFault(point.site, point.mode)
-                    if point.mode == "stall":
-                        time.sleep(float(point.detail.get("stall_s", 0.05)))
-                    elif point.mode == "error":
-                        raise InjectedFault(point.site, point.mode)
-            started = time.perf_counter()
-            with TRACER.span("worker.execute", category="worker", method=method):
-                artifact = build_artifact(ir, file_spec, method, flags, machine)
-    except Exception as exc:
-        return {"error": str(exc), "transient": _transient(exc)}
-    return {"artifact": artifact, "seconds": time.perf_counter() - started}
-
-
-def _execute_pooled(payload: tuple) -> dict:
-    """Process-pool entry: :func:`_execute_request` in a worker, which
-    returns every span it recorded for the job and keeps none.
-
-    The trace header, not the recorder state the worker happened to
-    inherit, decides whether it records: a forked worker inherits the
-    service's recorder, a spawned or forkserver one starts disabled.
-    """
-    ctx = TraceContext.parse(payload[-1])
-    TRACER.enable(ctx is not None, process=f"worker-{os.getpid()}",
-                  bounded=True)
-    try:
-        result = _execute_request(payload)
-    finally:
-        spans = TRACER.take(ctx.trace_id) if ctx is not None else []
-    result["spans"] = spans
-    return result
-
-
 @dataclass
 class ServiceConfig:
     """Ops knobs of one :class:`AllocationService` instance."""
 
-    #: Process-pool workers per batch; 0 executes inline on the
-    #: dispatcher thread (lowest latency for small kernels, and fully
-    #: deterministic — the CI smoke job and tests use it).
-    workers: int = 0
     #: Max jobs drained into one dispatch batch.
     batch_size: int = 8
-    #: Retries when a pool worker dies (within one dispatch, via the
-    #: harness's crash-tolerant pool).
-    max_retries: int = 1
-    #: Base backoff between pool retry rounds (doubling per round,
-    #: capped at 2 s; see :func:`repro.experiments.harness.run_tasks`).
-    retry_backoff_s: float = 0.05
     #: Artifact cache directory (None = memory only).
     cache_dir: str | None = None
     #: In-memory cache capacity.
@@ -213,8 +139,8 @@ class ServiceConfig:
     #: Verifier mode: ``strict`` | ``cached-only`` | ``off``
     #: (see :mod:`repro.resilience.verifier`).
     verify: str = "cached-only"
-    #: Whole-job retry budget: a job whose execution fails (exception,
-    #: worker death, verification failure) is requeued up to this many
+    #: Whole-job retry budget: a job whose execution fails (a transient
+    #: exception or a verification failure) is requeued up to this many
     #: times before it dead-letters.
     job_retries: int = 2
     #: Exponential per-job backoff: ``job_backoff_s * 2**(attempt-1)``
@@ -938,86 +864,61 @@ class AllocationService:
             self._execute(to_execute, tiers)
 
     def _execute(self, jobs: list[Job], tiers: list[str]) -> None:
-        # Module jobs run inline on the dispatcher: incremental fragment
-        # reuse needs the shared artifact cache, which pool workers do
-        # not see.  Function artifacts *are* fragments, so earlier
-        # requests of either shape warm this path.
-        if any(job.kind == "module" for job in jobs):
-            rest: list[Job] = []
-            rest_tiers: list[str] = []
-            for job, tier in zip(jobs, tiers):
-                if job.kind == "module":
-                    job.attempts += 1
-                    self._execute_module(job, tier)
-                else:
-                    rest.append(job)
-                    rest_tiers.append(tier)
-            jobs, tiers = rest, rest_tiers
-            if not jobs:
-                return
-        payloads = [
-            (
-                job.ir, job.file_spec, tier, job.flags, job.machine,
-                job.trace.header() if job.trace is not None else None,
-            )
-            for job, tier in zip(jobs, tiers)
-        ]
-        for job in jobs:
-            job.attempts += 1
-        if self.config.workers <= 0:
-            outcomes = [_execute_request(payload) for payload in payloads]
-        else:
-            outcomes, task_failures = run_tasks(
-                _execute_pooled,
-                payloads,
-                jobs=self.config.workers,
-                retries=self.config.max_retries,
-                backoff_s=self.config.retry_backoff_s,
-                labels=[job.job_id for job in jobs],
-            )
-            # The pooled entry returns its own failures classified, so a
-            # task that failed here lost its worker: that is transient.
-            for f in task_failures:
-                outcomes[f.index] = {"error": f.error, "transient": True}
-        for job, tier, outcome in zip(jobs, tiers, outcomes):
-            TRACER.record_raw(outcome.get("spans"))
-            if "error" in outcome:
-                self._handle_failure(
-                    job, outcome["error"], retryable=outcome["transient"]
-                )
-                continue
-            # Verified against the request's IR only at the tier asked for.
-            self._complete(
-                job, tier, outcome["artifact"], outcome["seconds"],
-                original_ir=job.ir if tier == job.requested_method else None,
-            )
+        """Run each job inline on the dispatcher, one after another.
 
-    def _execute_module(self, job: Job, tier: str) -> None:
-        """One incremental module allocation, inline on the dispatcher.
-
-        Fragment probes go through the *verified* cache lookup (same
-        quarantine/recompute semantics as whole-artifact hits), so a
-        corrupted on-disk fragment heals instead of splicing garbage.
-        Only the functions whose fragments miss re-run the pipeline;
-        the reuse/execute split lands in :attr:`incremental`.
+        Under the job's trace the ``queue.execute`` fault point fires
+        (``stall`` sleeps, ``error`` raises), then the build runs in a
+        ``worker.execute`` span, so the pipeline's pass and analysis
+        spans nest inside it.  A module job reuses fragments through the
+        *verified* cache probe (:class:`_FragmentView`), so a corrupted
+        on-disk fragment heals instead of splicing garbage, and only the
+        functions whose fragments miss re-run the pipeline; the
+        reuse/execute split lands in :attr:`incremental`.  Function
+        artifacts *are* fragments, so earlier requests of either shape
+        warm the module path.
         """
-        started = time.perf_counter()
-        try:
-            with TRACER.activate(job.trace), TRACER.span(
-                "worker.execute", category="worker", method=tier, kind="module"
-            ):
-                artifact = build_module_artifact(
-                    job.ir, job.file_spec, tier, job.flags,
-                    machine=job.machine,
-                    store=_FragmentView(self), counters=self.incremental,
-                )
-        except Exception as exc:
-            self._handle_failure(job, str(exc), retryable=_transient(exc))
-            return
-        seconds = time.perf_counter() - started
-        with self._lock:
-            self.incremental["modules"] += 1
-        self._complete(job, tier, artifact, seconds, original_ir=None)
+        for job, tier in zip(jobs, tiers):
+            job.attempts += 1
+            try:
+                with TRACER.activate(job.trace):
+                    if FAULTS.enabled:
+                        point = FAULTS.fire("queue.execute", label=tier)
+                        if point is not None:
+                            if point.mode == "stall":
+                                stall_s = point.detail.get("stall_s", 0.05)
+                                time.sleep(float(stall_s))
+                            else:
+                                raise InjectedFault(point.site, point.mode)
+                    started = time.perf_counter()
+                    with TRACER.span(
+                        "worker.execute", category="worker", method=tier,
+                        kind=job.kind,
+                    ):
+                        if job.kind == "module":
+                            artifact = build_module_artifact(
+                                job.ir, job.file_spec, tier, job.flags,
+                                machine=job.machine,
+                                store=_FragmentView(self),
+                                counters=self.incremental,
+                            )
+                        else:
+                            artifact = build_artifact(
+                                job.ir, job.file_spec, tier, job.flags,
+                                job.machine,
+                            )
+            except Exception as exc:
+                self._handle_failure(job, str(exc), retryable=_transient(exc))
+                continue
+            # Verified against the request's IR only for a function job
+            # at the tier asked for.
+            original_ir = (
+                job.ir
+                if job.kind == "function" and tier == job.requested_method
+                else None
+            )
+            self._complete(
+                job, tier, artifact, time.perf_counter() - started, original_ir
+            )
 
     def _complete(
         self, job: Job, tier: str, artifact: dict, seconds: float,
@@ -1240,9 +1141,7 @@ class AllocationService:
             "slo": self.slo.snapshot(),
             "lifecycle": self.lifecycle(),
             "config": {
-                "workers": self.config.workers,
                 "batch_size": self.config.batch_size,
-                "max_retries": self.config.max_retries,
                 "verify": self.config.verify,
                 "job_retries": self.config.job_retries,
                 "job_retention": self.config.job_retention,

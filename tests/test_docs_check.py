@@ -236,10 +236,10 @@ def test_shard_frontend_serves_the_same_routes():
     from repro.service.server import ROUTES
 
     router = ShardRouter(
-        [LocalShard(f"s{i}", ServiceConfig(workers=0)) for i in range(2)]
+        [LocalShard(f"s{i}", ServiceConfig()) for i in range(2)]
     )
     mounts = {
-        "single": make_server("127.0.0.1", 0, ServiceConfig(workers=0)),
+        "single": make_server("127.0.0.1", 0, ServiceConfig()),
         "frontend": make_shard_server(
             "127.0.0.1", 0, router=router, health_interval_s=None
         ),

@@ -21,7 +21,7 @@ from repro.ir.function import Module
 from repro.prescount import PipelineConfig, run_pipeline
 from repro.selfcheck import SelfCheckError, run_selfcheck
 from repro.service import (
-    IncrementalAllocator,
+    AllocationCache,
     artifact_bytes,
     build_module_artifact,
 )
@@ -75,9 +75,12 @@ class TestIncrementalEqualsScratch:
     @pytest.mark.parametrize("changed", [1, 2, 5])
     def test_rebuild_matches_scratch(self, changed):
         base = [8, 8, 8, 8, 8]
-        allocator = IncrementalAllocator()
+        store, counters = AllocationCache(None), {}
         first = artifact_bytes(
-            allocator.allocate(_module(base), self.SPEC, "bpc")
+            build_module_artifact(
+                _module(base), self.SPEC, "bpc",
+                store=store, counters=counters,
+            )
         )
         scratch_first = artifact_bytes(
             build_module_artifact(_module(base), self.SPEC, "bpc")
@@ -88,15 +91,19 @@ class TestIncrementalEqualsScratch:
         for i in range(changed):
             after[i] += 8  # a different trip count changes the function
         rebuilt = artifact_bytes(
-            allocator.allocate(_module(after), self.SPEC, "bpc")
+            build_module_artifact(
+                _module(after), self.SPEC, "bpc",
+                store=store, counters=counters,
+            )
         )
         scratch = artifact_bytes(
             build_module_artifact(_module(after), self.SPEC, "bpc")
         )
         assert rebuilt == scratch
-        assert allocator.counters["functions_total"] == 10
-        assert allocator.counters["functions_executed"] == 5 + changed
-        assert allocator.counters["functions_reused"] == 5 - changed
+        assert counters["modules"] == 2
+        assert counters["functions_total"] == 10
+        assert counters["functions_executed"] == 5 + changed
+        assert counters["functions_reused"] == 5 - changed
 
 
 class TestNamesSurviveFlatPath:

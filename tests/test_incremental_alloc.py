@@ -1,10 +1,10 @@
 """Incremental reallocation re-runs only the changed functions.
 
-The proof is observable twice over: the
-:class:`~repro.service.incremental.IncrementalAllocator` counters report
-the reuse/execute split, and the recorder's pass spans (folded by
-:func:`repro.obs.pass_table`) show the pipeline passes ran exactly once
-per *changed* function — unchanged fragments never touch
+The proof is observable twice over: the *counters* of
+:func:`~repro.service.artifact.build_module_artifact` over a fragment
+store report the reuse/execute split, and the recorder's pass spans
+(folded by :func:`repro.obs.pass_table`) show the pipeline passes ran
+exactly once per *changed* function — unchanged fragments never touch
 the pass manager, and within an executed function the shared analysis
 cache keeps hitting (preserved analyses are reused, not recomputed).
 """
@@ -17,9 +17,10 @@ from repro.ir import IRBuilder, print_module
 from repro.ir.function import Module
 from repro.obs import TRACER, pass_table
 from repro.service import (
+    AllocationCache,
     AllocationService,
-    IncrementalAllocator,
     ServiceConfig,
+    build_module_artifact,
 )
 
 SPEC = {"registers": 16, "banks": 2}
@@ -63,37 +64,43 @@ def _pass_runs() -> dict[str, int]:
 
 class TestPassRunCounters:
     def test_only_changed_functions_reexecute(self):
-        allocator = IncrementalAllocator()
-        allocator.allocate(_module([8, 8, 8, 8]), SPEC, "bpc")
+        store, counters = AllocationCache(None), {}
+        build_module_artifact(
+            _module([8, 8, 8, 8]), SPEC, "bpc", store=store, counters=counters
+        )
         first = _pass_runs()
         for name in BPC_PASSES:
             assert first[name] == 4, f"{name} should run once per function"
 
         # One function changes: every pipeline pass runs exactly once
         # more — the three preserved fragments never reach a pass.
-        allocator.allocate(_module([24, 8, 8, 8]), SPEC, "bpc")
+        build_module_artifact(
+            _module([24, 8, 8, 8]), SPEC, "bpc", store=store, counters=counters
+        )
         second = _pass_runs()
         for name in BPC_PASSES:
             assert second[name] == first[name] + 1, (
                 f"{name} re-ran for an unchanged function"
             )
-        assert allocator.counters["functions_executed"] == 5
-        assert allocator.counters["functions_reused"] == 3
+        assert counters["functions_executed"] == 5
+        assert counters["functions_reused"] == 3
 
     def test_unchanged_rebuild_runs_no_passes(self):
-        allocator = IncrementalAllocator()
+        store, counters = AllocationCache(None), {}
         text = _module([8, 8, 8])
-        allocator.allocate(text, SPEC, "bpc")
+        build_module_artifact(text, SPEC, "bpc", store=store, counters=counters)
         before = _pass_runs()
-        allocator.allocate(text, SPEC, "bpc")
+        build_module_artifact(text, SPEC, "bpc", store=store, counters=counters)
         assert _pass_runs() == before
-        assert allocator.counters["functions_reused"] == 3
+        assert counters["functions_reused"] == 3
 
     def test_preserved_analyses_reused_inside_executed_function(self):
         """The executed function's passes share one analysis cache: the
         scheduler's post-reorder intervals are cache *hits* for the bank
         assigner and allocator, not recomputations."""
-        IncrementalAllocator().allocate(_module([8, 8]), SPEC, "bpc")
+        build_module_artifact(
+            _module([8, 8]), SPEC, "bpc", store=AllocationCache(None)
+        )
         intervals = pass_table(TRACER.spans)[1].get("LiveIntervals")
         assert intervals is not None
         assert intervals["hits"] >= 2, (

@@ -267,17 +267,6 @@ class TestSnapshotMerge:
         tracer.record_raw([])
         assert len(tracer) == 0
 
-    def test_take_removes_one_trace(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("keep"):
-            pass
-        with tracer.span("take") as span:
-            pass
-        taken = tracer.take(span.trace_id)
-        assert [s["name"] for s in taken] == ["take"]
-        assert [s["name"] for s in tracer.spans] == ["keep"]
-        assert tracer.take("missing") == []
-
     def test_reset_clears_everything(self):
         tracer = Tracer(enabled=True)
         with tracer.span("a"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.banks import BankedRegisterFile, BankSubgroupRegisterFile
+from repro.ir import print_function
 from repro.ir.types import FP, VirtualRegister
 from repro.prescount import METHODS, PipelineConfig, run_pipeline
 from repro.sim import analyze_static, observably_equivalent
@@ -20,7 +21,8 @@ class TestConfig:
         assert PipelineConfig(rf_rv2, "bpc").dsa is False
 
     def test_strict_defaults_follow_dsa(self, rf_dsa, rf_rv2):
-        assert PipelineConfig(rf_dsa, "bpc").strict_banks is True
+        # Soft on every file: the DSA's policy never reads the flag.
+        assert PipelineConfig(rf_dsa, "bpc").strict_banks is False
         assert PipelineConfig(rf_rv2, "bpc").strict_banks is False
 
     def test_methods_constant(self):
@@ -109,11 +111,17 @@ class TestDsaPipeline:
         result = run_pipeline(fn, PipelineConfig(rf_dsa, "bpc"))
         assert observably_equivalent(fn, result.function)
 
-    def test_dsa_requires_subgroup_file_for_bpc(self, rf_rv2):
-        fn = reduce_kernel()
-        config = PipelineConfig(rf_rv2, "bpc", dsa=True)
-        with pytest.raises(TypeError):
-            run_pipeline(fn, config)
+    def test_strict_banks_leaves_dsa_output_unchanged(self, rf_dsa):
+        fn = shared_use_kernel(consumers=12)
+        soft, strict = (
+            print_function(
+                run_pipeline(
+                    fn, PipelineConfig(rf_dsa, "bpc", strict_banks=flag)
+                ).function
+            )
+            for flag in (False, True)
+        )
+        assert soft == strict
 
     def test_copies_accounted(self, rf_dsa):
         fn = shared_use_kernel(consumers=12)

@@ -22,6 +22,7 @@ from repro.service import (
     ServiceOverloadError,
     artifact_bytes,
     build_artifact,
+    build_module_artifact,
     cache_key,
     make_server,
     shutdown_server,
@@ -144,6 +145,21 @@ def test_transient_execute_fault_retries_to_success():
     assert service.dead_letter == []
 
 
+def test_module_job_reaches_the_execute_fault_point():
+    module_ir = IR + "\n" + IR.replace("@mac", "@mac2")
+    arm(FaultPoint(site="queue.execute", mode="error", times=1))
+    service = AllocationService(ServiceConfig(job_backoff_s=0.0))
+    job = run_to_done(service, dict(REQUEST, ir=module_ir))
+    assert job.kind == "module"
+    assert job.status == "done", job.error
+    assert job.attempts == 2
+    assert service.counters["retried"] == 1
+    FAULTS.disarm()
+    assert job.artifact == artifact_bytes(
+        build_module_artifact(module_ir, FILE, "bpc")
+    )
+
+
 def test_persistent_execute_fault_dead_letters():
     arm(FaultPoint(site="queue.execute", mode="error"))  # unbounded
     service = AllocationService(
@@ -163,21 +179,6 @@ def test_persistent_execute_fault_dead_letters():
     ok = run_to_done(service, REQUEST)
     assert ok.status == "done"
     assert ok.artifact == BASELINE
-
-
-def test_pooled_worker_death_is_retried_before_it_dead_letters():
-    # Each fresh pool worker inherits the plan and dies once, so every
-    # dispatch loses its worker.  A lost worker is transient: the job is
-    # requeued job_retries times, then dead-letters.
-    arm(FaultPoint(site="queue.execute", mode="death", times=1))
-    service = AllocationService(ServiceConfig(
-        workers=1, job_retries=2, job_backoff_s=0.0, retry_backoff_s=0.0,
-    ))
-    job = run_to_done(service, REQUEST)
-    assert job.status == "failed" and job.dead_lettered
-    assert job.attempts == 3  # 1 try + 2 retries
-    assert service.counters["retried"] == 2
-    assert "terminated abruptly" in job.error
 
 
 def test_worker_stall_still_serves_correct_bytes():

@@ -25,10 +25,12 @@ def test_unknown_site_and_mode_rejected():
         FaultPoint(site="cache.disk.mangle", mode="bitflip")
     with pytest.raises(FaultError):
         FaultPoint(site="cache.disk.read", mode="duplicate")
-    with pytest.raises(FaultError):
-        FaultPoint(site="queue.execute", mode="death", prob=1.5)
-    with pytest.raises(FaultError):
-        FaultPoint(site="queue.execute", mode="death", after=-1)
+    with pytest.raises(FaultError, match="does not support mode 'death'"):
+        FaultPoint(site="queue.execute", mode="death")
+    with pytest.raises(FaultError, match="prob"):
+        FaultPoint(site="queue.execute", mode="error", prob=1.5)
+    with pytest.raises(FaultError, match="after"):
+        FaultPoint(site="queue.execute", mode="error", after=-1)
 
 
 def test_unknown_site_error_lists_valid_sites():

@@ -13,7 +13,7 @@ from repro.service import ServiceConfig, make_server, shutdown_server
 
 @pytest.fixture
 def server_url():
-    server = make_server("127.0.0.1", 0, ServiceConfig(workers=0))
+    server = make_server("127.0.0.1", 0, ServiceConfig())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

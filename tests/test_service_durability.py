@@ -58,7 +58,6 @@ def arm(*points: FaultPoint, seed: int = 0) -> None:
 
 def make_service(tmp_path, **overrides) -> AllocationService:
     config = ServiceConfig(
-        workers=0,
         journal_dir=str(tmp_path / "journal"),
         cache_dir=str(tmp_path / "cache"),
         **overrides,
@@ -372,7 +371,7 @@ def test_drain_rejects_new_work_and_resume_reopens(tmp_path):
 def test_drain_over_http_marks_503_and_client_does_not_retry(tmp_path):
     server = make_server(
         "127.0.0.1", 0,
-        ServiceConfig(workers=0, cache_dir=str(tmp_path / "cache")),
+        ServiceConfig(cache_dir=str(tmp_path / "cache")),
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -402,7 +401,6 @@ def fleet(tmp_path, n=3) -> ShardRouter:
         LocalShard(
             f"s{i}",
             ServiceConfig(
-                workers=0,
                 cache_dir=shard_cache_dir(str(tmp_path / "cache"), f"s{i}"),
                 journal_dir=shard_cache_dir(str(tmp_path / "wal"), f"s{i}"),
             ),

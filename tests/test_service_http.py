@@ -23,7 +23,7 @@ from .conftest import build_mac_kernel
 @pytest.fixture
 def server(tmp_path):
     server = make_server(
-        "127.0.0.1", 0, ServiceConfig(workers=0, cache_dir=str(tmp_path / "cache"))
+        "127.0.0.1", 0, ServiceConfig(cache_dir=str(tmp_path / "cache"))
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -116,7 +116,7 @@ def test_cache_dir_persists_across_server_restart(server, client, tmp_path):
     cold = client.result(first["job_id"])
     # A second, fresh server over the same cache dir hits immediately.
     other = make_server(
-        "127.0.0.1", 0, ServiceConfig(workers=0, cache_dir=str(tmp_path / "cache"))
+        "127.0.0.1", 0, ServiceConfig(cache_dir=str(tmp_path / "cache"))
     )
     thread = threading.Thread(target=other.serve_forever, daemon=True)
     thread.start()

@@ -172,7 +172,7 @@ class TestVerifier:
 
 class TestService:
     def test_ooo_and_dsa_requests_never_alias(self, ir):
-        service = AllocationService(ServiceConfig(workers=0, verify="strict"))
+        service = AllocationService(ServiceConfig(verify="strict"))
         ooo_job = service.submit(request_for(ir, machine="ooo"))
         dsa_job = service.submit(request_for(ir))
         assert ooo_job.key != dsa_job.key
@@ -186,7 +186,7 @@ class TestService:
         assert dsa_job.describe()["machine"] == "dsa"
 
     def test_identical_machine_requests_coalesce_and_hit(self, ir):
-        service = AllocationService(ServiceConfig(workers=0))
+        service = AllocationService(ServiceConfig())
         spec = {"model": "ooo", "issue_width": 4}
         first = service.submit(request_for(ir, machine=spec))
         second = service.submit(request_for(ir, machine=spec))
@@ -197,18 +197,9 @@ class TestService:
         assert third.cache == "hit"
         assert third.artifact == first.artifact
 
-    def test_pool_workers_carry_the_machine(self, ir):
-        service = AllocationService(ServiceConfig(workers=2))
-        job = service.submit(request_for(ir, machine="ooo"))
-        service.process_once()
-        assert job.status == "done", job.error
-        artifact = json.loads(job.artifact)
-        assert artifact["machine"]["model"] == "ooo"
-        assert artifact["stats"]["cycles"] > 0
-
     def test_module_request_with_machine(self, ir):
         mod = ir + "\n" + ir.replace("@mac", "@mac2")
-        service = AllocationService(ServiceConfig(workers=0, verify="strict"))
+        service = AllocationService(ServiceConfig(verify="strict"))
         job = service.submit(request_for(mod, machine="ooo"))
         assert job.kind == "module"
         service.process_once()

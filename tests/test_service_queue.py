@@ -36,7 +36,7 @@ def make_request(method="bpc", trip_count=16, **extra):
 
 @pytest.fixture
 def service():
-    return AllocationService(ServiceConfig(workers=0))
+    return AllocationService(ServiceConfig())
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_coalescing_executes_exactly_once(service):
 
 
 def test_concurrent_duplicate_submissions_execute_once():
-    service = AllocationService(ServiceConfig(workers=0))
+    service = AllocationService(ServiceConfig())
     request = make_request()
     jobs, errors = [], []
 
@@ -135,7 +135,7 @@ def test_batching_drains_in_submission_order(service):
 
 
 def test_batch_size_caps_one_dispatch():
-    service = AllocationService(ServiceConfig(workers=0, batch_size=2))
+    service = AllocationService(ServiceConfig(batch_size=2))
     jobs = [service.submit(make_request(trip_count=8 + i)) for i in range(3)]
     assert service.process_once() == 2
     assert [j.status for j in jobs] == ["done", "done", "queued"]
@@ -189,8 +189,8 @@ def test_each_service_reports_its_own_counts_with_every_view_on():
     obs.TRACER.enable(views=("metrics", "explain", "profile"))
     obs.reset_all()
     try:
-        first = AllocationService(ServiceConfig(workers=0))
-        second = AllocationService(ServiceConfig(workers=0))
+        first = AllocationService(ServiceConfig())
+        second = AllocationService(ServiceConfig())
         for trip in (8, 16, 24):
             first.submit(make_request(trip_count=trip))
         second.submit(make_request(trip_count=32))
@@ -261,20 +261,8 @@ def test_function_name_is_the_name_after_func(service, name):
     assert failed.describe()["function"] == name
 
 
-@pytest.mark.parallel
-def test_process_pool_execution_matches_inline():
-    inline = AllocationService(ServiceConfig(workers=0))
-    pooled = AllocationService(ServiceConfig(workers=2))
-    a = inline.submit(make_request())
-    inline.process_once()
-    b = pooled.submit(make_request())
-    pooled.process_once()
-    assert a.artifact == b.artifact
-    assert pooled.counters["executed"] == 1
-
-
 def test_dispatcher_thread_serves_in_background():
-    service = AllocationService(ServiceConfig(workers=0))
+    service = AllocationService(ServiceConfig())
     service.start()
     try:
         job = service.submit(make_request())

@@ -133,7 +133,7 @@ class Fleet:
 
 @pytest.fixture
 def single():
-    server = make_server("127.0.0.1", 0, ServiceConfig(workers=0))
+    server = make_server("127.0.0.1", 0, ServiceConfig())
     server.url = serve(server)
     server.accepts = count_accepts(server)
     yield server
@@ -142,7 +142,7 @@ def single():
 
 @pytest.fixture(params=["local", "http"])
 def fleet(request):
-    fleet = Fleet(request.param, ServiceConfig(workers=0))
+    fleet = Fleet(request.param, ServiceConfig())
     yield fleet
     fleet.close()
 
@@ -151,11 +151,11 @@ def fleet(request):
 def endpoint(request):
     """The URL of a single server or of a frontend over either fleet."""
     if request.param == "single":
-        server = make_server("127.0.0.1", 0, ServiceConfig(workers=0))
+        server = make_server("127.0.0.1", 0, ServiceConfig())
         yield serve(server)
         shutdown_server(server)
     else:
-        fleet = Fleet(request.param, ServiceConfig(workers=0))
+        fleet = Fleet(request.param, ServiceConfig())
         yield fleet.url
         fleet.close()
 
@@ -175,12 +175,12 @@ def _hold_every_slot(server) -> list:
 @pytest.mark.parametrize("kind", ["single", "frontend"])
 def test_unread_body_does_not_break_the_next_request(kind, case):
     if kind == "single":
-        server = make_server("127.0.0.1", 0, ServiceConfig(workers=0))
+        server = make_server("127.0.0.1", 0, ServiceConfig())
         stop = shutdown_server
     else:
         server = ServiceServer(
             ("127.0.0.1", 0),
-            ShardRouter([LocalShard("s0", ServiceConfig(workers=0))]),
+            ShardRouter([LocalShard("s0", ServiceConfig())]),
         )
         stop = shutdown_server
     serve(server)
@@ -239,7 +239,7 @@ def test_result_of_a_pending_job_raises_202(single):
 
 
 def test_local_shard_result_of_a_pending_job_raises_202():
-    shard = LocalShard("s0", ServiceConfig(workers=0))
+    shard = LocalShard("s0", ServiceConfig())
     arm(stall(1.0))
     try:
         status = shard.submit(request_for())
@@ -254,7 +254,7 @@ def test_local_shard_result_of_a_pending_job_raises_202():
 @pytest.mark.parametrize("kind", ["local", "http"])
 def test_both_shard_kinds_raise_alike(kind):
     # A queue depth of 0 sheds every miss.
-    config = ServiceConfig(workers=0, max_queue_depth=0)
+    config = ServiceConfig(max_queue_depth=0)
     if kind == "local":
         shard = LocalShard("s0", config)
     else:
@@ -313,7 +313,7 @@ def test_one_thread_opens_one_connection(single):
 
 
 def test_frontend_to_shard_hop_reuses_one_connection():
-    fleet = Fleet("http", ServiceConfig(workers=0))
+    fleet = Fleet("http", ServiceConfig())
     try:
         client = ServiceClient(fleet.url)
         for trips in (4, 8, 16, 32, 64):
@@ -355,7 +355,7 @@ def test_shared_client_never_interleaves_requests(single):
 # ----------------------------------------------------------------------
 def test_idle_closed_connection_is_resent_silently(monkeypatch):
     monkeypatch.setattr(ServiceHandler, "timeout", 0.2)
-    server = make_server("127.0.0.1", 0, ServiceConfig(workers=0))
+    server = make_server("127.0.0.1", 0, ServiceConfig())
     url = serve(server)
     accepts = count_accepts(server)
     TRACER.enable(process="test", bounded=True)
