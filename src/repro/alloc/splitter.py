@@ -15,6 +15,7 @@ Algorithm 2); the PresCount policy resolves their bank from the parent.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from ..analysis.intervals import LiveInterval
@@ -81,25 +82,31 @@ def try_region_split(
     if loop is None:
         return None
 
-    loop_ranges = sorted(flat.block_slots(label) for label in loop.body)
-    in_loop = lambda slot: any(lo <= slot < hi for lo, hi in loop_ranges)
+    # The loop's non-empty block ranges are disjoint (blocks tile the
+    # slots in layout order), so once sorted, membership and the range
+    # ends inside a segment are bisections.
+    loop_ranges = sorted(
+        (lo, hi) for lo, hi in map(flat.block_slots, loop.body) if lo < hi
+    )
+    starts = [lo for lo, __ in loop_ranges]
+    points = sorted({p for span in loop_ranges for p in span})
+
+    def in_loop(slot: int) -> bool:
+        i = bisect_right(starts, slot) - 1
+        return i >= 0 and slot < loop_ranges[i][1]
 
     # Partition segments between the hot (in-loop) and cold children.
     hot_segments: list[tuple[int, int]] = []
     cold_segments: list[tuple[int, int]] = []
     for seg in interval.segments:
-        cursor = seg.start
-        boundaries = sorted(
-            {seg.start, seg.end}
-            | {p for lo, hi in loop_ranges for p in (lo, hi) if seg.start < p < seg.end}
-        )
+        inner = points[bisect_right(points, seg.start):bisect_left(points, seg.end)]
+        boundaries = [seg.start, *inner, seg.end]
         for lo, hi in zip(boundaries, boundaries[1:]):
             target = hot_segments if in_loop(lo) else cold_segments
             if target and target[-1][1] == lo:
                 target[-1] = (target[-1][0], hi)
             else:
                 target.append((lo, hi))
-            cursor = hi
     if not hot_segments or not cold_segments:
         return None  # nothing to separate
 
@@ -121,13 +128,12 @@ def try_region_split(
 
     result = SplitResult(children=[hot_interval, cold_interval], copies=[])
 
-    # Rewrite every touching instruction to the child owning its region.
-    for block in function.blocks:
-        block_in_loop = block.label in loop.body
-        child = hot_child if block_in_loop else cold_child
-        for instr in block:
-            if vreg in instr.reg_uses() or vreg in instr.reg_defs():
-                result.rewrites.setdefault(id(instr), {})[vreg] = child
+    # Rewrite every touching instruction, in layout order, to the child
+    # owning its region.
+    labels, inst_block, instrs = flat.block_labels, flat.inst_block, flat.instrs
+    for i in flat.uses_of_reg()[flat.reg_ids[vreg]]:
+        child = hot_child if labels[inst_block[i]] in loop.body else cold_child
+        result.rewrites[id(instrs[i])] = {vreg: child}
 
     # Connecting copies: value flows into the loop through each out-of-loop
     # predecessor of the header (the preheader, where the copy executes once

@@ -21,6 +21,19 @@ from dataclasses import dataclass, field
 from ..ir.types import FP, PhysicalRegister, RegClass
 
 
+def _precompute(register_file, fields: tuple) -> None:
+    """Cache a frozen file's hash and its register tuple.
+
+    The file keys every hazard memo; its cached hash is the generated
+    field-tuple hash, so no dict or set order moves.
+    """
+    object.__setattr__(register_file, "_hash", hash(fields))
+    object.__setattr__(register_file, "_registers", tuple(
+        PhysicalRegister(i, register_file.regclass)
+        for i in range(register_file.num_registers)
+    ))
+
+
 @dataclass(frozen=True)
 class BankedRegisterFile:
     """An interleaved multi-banked register file for one register class."""
@@ -39,6 +52,10 @@ class BankedRegisterFile:
                 f"{self.num_registers} registers do not divide evenly into "
                 f"{self.num_banks} banks"
             )
+        _precompute(self, (self.num_registers, self.num_banks, self.regclass))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     @property
@@ -51,16 +68,13 @@ class BankedRegisterFile:
         return index % self.num_banks
 
     def registers(self) -> list[PhysicalRegister]:
-        """All physical registers, in index order."""
-        return [PhysicalRegister(i, self.regclass) for i in range(self.num_registers)]
+        """All physical registers, in index order (a fresh list)."""
+        return list(self._registers)
 
     def registers_in_bank(self, bank: int) -> list[PhysicalRegister]:
         if not 0 <= bank < self.num_banks:
             raise ValueError(f"bank {bank} out of range [0, {self.num_banks})")
-        return [
-            PhysicalRegister(i, self.regclass)
-            for i in range(bank, self.num_registers, self.num_banks)
-        ]
+        return list(self._registers[bank::self.num_banks])
 
     def subgroup_of(self, reg: PhysicalRegister | int) -> int:
         """Flat files have a single subgroup; provided for API symmetry."""
@@ -102,6 +116,11 @@ class BankSubgroupRegisterFile:
                 f"{self.num_registers} registers do not divide evenly into "
                 f"a {self.num_banks}x{self.num_subgroups} bank-subgroup layout"
             )
+        _precompute(self, (self.num_registers, self.num_banks, self.num_subgroups,
+                       self.regclass))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     @property
@@ -123,17 +142,18 @@ class BankSubgroupRegisterFile:
         return self.subgroup_of(reg)
 
     def registers(self) -> list[PhysicalRegister]:
-        return [PhysicalRegister(i, self.regclass) for i in range(self.num_registers)]
+        """All physical registers, in index order (a fresh list)."""
+        return list(self._registers)
 
     def registers_in_bank(self, bank: int) -> list[PhysicalRegister]:
-        return [r for r in self.registers() if self.bank_of(r) == bank]
+        return [r for r in self._registers if self.bank_of(r) == bank]
 
     def registers_conforming(self, bank: int, subgroup: int) -> list[PhysicalRegister]:
         """``FindAllRegistersConforming`` of Algorithm 2: the physical
         registers in *bank* whose subgroup number is *subgroup*."""
         return [
             r
-            for r in self.registers()
+            for r in self._registers
             if self.bank_of(r) == bank and self.subgroup_of(r) == subgroup
         ]
 

@@ -31,6 +31,15 @@ class RegClass:
     name: str
     bankable: bool = True
 
+    def __post_init__(self):
+        # A memo key of every bankable-read scan and hazard lookup: the
+        # cached value is the generated field-tuple hash, as for the
+        # registers below.
+        object.__setattr__(self, "_hash", hash((self.name, self.bankable)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return f"RegClass({self.name!r})"
 

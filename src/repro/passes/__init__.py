@@ -21,6 +21,7 @@ from .analysis_manager import (
     ConflictCostAnalysis,
     ConflictGraphAnalysis,
     FlatIRAnalysis,
+    FlowFrequencyAnalysis,
     InterferenceAnalysis,
     LiveIntervalsAnalysis,
     LoopInfoAnalysis,
@@ -39,6 +40,7 @@ __all__ = [
     "ConflictCostAnalysis",
     "ConflictGraphAnalysis",
     "FlatIRAnalysis",
+    "FlowFrequencyAnalysis",
     "FunctionPassManager",
     "InterferenceAnalysis",
     "LiveIntervalsAnalysis",

@@ -33,6 +33,7 @@ from ..ir.flat import FlatFunction
 from ..ir.function import Function
 from ..ir.loops import LoopInfo
 from ..obs import TRACER
+from ..sim.dynamic import expected_block_frequencies
 
 
 class _PreserveAll:
@@ -107,6 +108,23 @@ class LoopInfoAnalysis(Analysis):
     @classmethod
     def run(cls, function: Function, am: "AnalysisManager") -> LoopInfo:
         return LoopInfo.build(function, am.get(CFGAnalysis))
+
+
+class FlowFrequencyAnalysis(Analysis):
+    """Expected execution count per block label, from one solve of the
+    flow equations (:func:`repro.sim.dynamic.expected_block_frequencies`).
+
+    Reads only the CFG and the terminators' ``taken_prob``, which
+    operand rewrites and inserted or reordered non-terminators leave
+    alone, so it is in :data:`CFG_ONLY`: the dynamic estimate and the
+    DSA and OoO cycle models of one allocated function share one solve.
+    """
+
+    depends = (CFGAnalysis,)
+
+    @classmethod
+    def run(cls, function: Function, am: "AnalysisManager") -> dict[str, float]:
+        return expected_block_frequencies(function, am.get(CFGAnalysis))
 
 
 class LiveIntervalsAnalysis(Analysis):
@@ -184,13 +202,14 @@ class SDGAnalysis(Analysis):
         )
 
 
-CFG_ONLY = frozenset({CFGAnalysis, LoopInfoAnalysis})
+CFG_ONLY = frozenset({CFGAnalysis, LoopInfoAnalysis, FlowFrequencyAnalysis})
 
 #: Every built-in analysis, for registries and documentation.
 ALL_ANALYSES: tuple[type[Analysis], ...] = (
     CFGAnalysis,
     FlatIRAnalysis,
     LoopInfoAnalysis,
+    FlowFrequencyAnalysis,
     LiveIntervalsAnalysis,
     ConflictCostAnalysis,
     ConflictGraphAnalysis,

@@ -123,14 +123,24 @@ def build_register_file(spec: dict) -> RegisterFile:
         raise RequestError(str(exc)) from exc
 
 
-def normalize_flags(flags: dict | None) -> dict:
-    """Fill flag defaults and reject unknown knobs."""
+def normalize_flags(flags: dict | None, file_spec: dict | None = None) -> dict:
+    """Fill flag defaults and reject unknown knobs.
+
+    ``strict_banks`` folds to its default wherever it cannot change the
+    allocation, so such requests share one key: an explicit false (the
+    pipeline's own default) on any file, and any value on the
+    bank-subgroup file a normalized *file_spec* names, whose DSA policy
+    never reads the flag.  A true on a flat file keeps its own key: there
+    it restricts bpc's candidates to the assigned bank.
+    """
     flags = dict(flags or {})
     unknown = set(flags) - set(FLAG_DEFAULTS)
     if unknown:
         raise RequestError(f"unknown pipeline flags {sorted(unknown)}")
     merged = dict(FLAG_DEFAULTS)
     merged.update(flags)
+    if not merged["strict_banks"] or (file_spec and file_spec["subgroups"]):
+        merged["strict_banks"] = FLAG_DEFAULTS["strict_banks"]
     return merged
 
 
@@ -179,8 +189,8 @@ def cache_key(
         "ir": ir if canonical else canonical_ir(ir),
         "file": normalize_file_spec(file_spec),
         "method": check_method(method),
-        "flags": normalize_flags(flags),
     }
+    payload["flags"] = normalize_flags(flags, payload["file"])
     machine = check_machine(machine)
     if machine != MACHINE_DEFAULT:
         payload["machine"] = machine
@@ -205,8 +215,8 @@ def build_artifact(
     ``machine`` field; the default leaves the artifact byte-identical to
     a machine-unaware build.
     """
-    flags = normalize_flags(flags)
     file_spec = normalize_file_spec(file_spec)
+    flags = normalize_flags(flags, file_spec)
     method = check_method(method)
     machine = check_machine(machine)
     if isinstance(function, str):
@@ -324,8 +334,8 @@ def module_cache_key(
         "ir": list(ir),
         "file": normalize_file_spec(file_spec),
         "method": check_method(method),
-        "flags": normalize_flags(flags),
     }
+    payload["flags"] = normalize_flags(flags, payload["file"])
     machine = check_machine(machine)
     if machine != MACHINE_DEFAULT:
         payload["machine"] = machine
@@ -372,7 +382,7 @@ def normalize_request(request: dict) -> dict:
         ir = canonical_ir(ir)
     file_spec = normalize_file_spec(request.get("file", {}))
     method = check_method(request.get("method", "bpc"))
-    flags = normalize_flags(request.get("flags"))
+    flags = normalize_flags(request.get("flags"), file_spec)
     machine = check_machine(request.get("machine"))
     deadline_ms = request.get("deadline_ms")
     if deadline_ms is not None:
@@ -419,8 +429,8 @@ def build_module_artifact(
     calls — the observable proof that an incremental rebuild re-ran only
     the changed functions.
     """
-    flags = normalize_flags(flags)
     file_spec = normalize_file_spec(file_spec)
+    flags = normalize_flags(flags, file_spec)
     method = check_method(method)
     machine = check_machine(machine)
     module = canonical_module(module)

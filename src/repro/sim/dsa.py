@@ -127,10 +127,10 @@ class DsaMachine:
     def run(self, function: Function, am=None) -> DsaCycleReport:
         """Frequency-weighted cycle total over the whole function.
 
-        With *am* given, block frequencies are solved over the cached CFG
-        (still valid after allocation, which preserves block structure).
-        Each hazard event costs one cycle, so the profile view's per-site
-        cycles reconcile with ``conflict_penalty_cycles +
+        With *am* given, block frequencies are the manager's cached flow
+        solve (still valid after allocation, which preserves block
+        structure).  Each hazard event costs one cycle, so the profile
+        view's per-site cycles reconcile with ``conflict_penalty_cycles +
         alignment_penalty_cycles``.
         """
         with TRACER.span(

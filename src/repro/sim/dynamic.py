@@ -164,14 +164,16 @@ def executed_blocks(function: Function, am=None) -> list[tuple[BasicBlock, float
     """``(block, expected frequency)`` of every block expected to run, in
     layout order: the fold every frequency-weighted model sums over.
 
-    With *am* given, the flow system is solved over the cached CFG (valid
-    after allocation, which preserves block structure)."""
-    cfg = None
-    if am is not None:
-        from ..passes import CFGAnalysis
+    With *am* given, the frequencies are the manager's cached
+    :class:`~repro.passes.FlowFrequencyAnalysis` (valid after allocation,
+    which preserves block structure), so every model measuring one
+    function shares one solve."""
+    if am is None:
+        frequencies = expected_block_frequencies(function)
+    else:
+        from ..passes import FlowFrequencyAnalysis
 
-        cfg = am.get(CFGAnalysis)
-    frequencies = expected_block_frequencies(function, cfg)
+        frequencies = am.get(FlowFrequencyAnalysis)
     return [
         (block, freq)
         for block in function.blocks

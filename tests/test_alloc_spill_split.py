@@ -5,9 +5,10 @@ import math
 import pytest
 
 from repro.alloc.spiller import TINY_WEIGHT, SpillPlan, materialize, spill_interval
-from repro.alloc.splitter import try_region_split
+from repro.alloc.splitter import _hottest_use_loop, try_region_split
 from repro.analysis import LiveIntervals
-from repro.ir import IRBuilder, LoopInfo
+from repro.analysis.intervals import LiveInterval
+from repro.ir import IRBuilder, LoopInfo, parse_function
 from repro.ir.flat import FlatFunction
 from repro.ir.types import PhysicalRegister, VirtualRegister
 from repro.sim import observably_equivalent
@@ -209,3 +210,108 @@ class TestRegionSplit:
         result = try_region_split(fn, flat, loops, interval)
         hot, cold = result.children
         assert hot.weight > interval.weight > cold.weight
+
+
+#: A loop whose body blocks are not contiguous in layout: the exit block
+#: sits between the header and the latch block.
+SCATTERED_LOOP = """
+func @scattered {
+block entry:
+  %v0:fp = li #1.5
+  %v1:fp = fneg %v0:fp
+  %v2:fp = li #0.0
+block header [trip=10]:
+  %v2:fp = fadd %v2:fp, %v0:fp
+  jmp body
+block exit:
+  %v3:fp = fadd %v0:fp, %v1:fp
+  %v4:fp = fadd %v3:fp, %v2:fp
+  ret %v4:fp
+block body:
+  %v2:fp = fmul %v2:fp, %v0:fp
+  %v0:fp = fadd %v0:fp, %v1:fp
+  br header prob=0.9
+block tail:
+  jmp exit
+}
+"""
+
+
+def _runs(slots: list[int]) -> list[tuple[int, int]]:
+    """Maximal runs ``[lo, hi)`` of consecutive slots."""
+    runs: list[tuple[int, int]] = []
+    for slot in slots:
+        if runs and runs[-1][1] == slot:
+            runs[-1] = (runs[-1][0], slot + 1)
+        else:
+            runs.append((slot, slot + 1))
+    return runs
+
+
+def _brute_force_split(function, flat, loop, interval):
+    """The split's children and rewrites, by scanning every slot of the
+    interval and every instruction of the function."""
+    loop_slots = {
+        slot for label in loop.body for slot in range(*flat.block_slots(label))
+    }
+    covered = [s for seg in interval.segments for s in range(seg.start, seg.end)]
+    children = []
+    for hot in (True, False):
+        child = LiveInterval(None)
+        for lo, hi in _runs([s for s in covered if (s in loop_slots) == hot]):
+            child.add_segment(max(0, lo - 1), hi + 1)
+        child.use_slots = [s for s in interval.use_slots if (s in loop_slots) == hot]
+        child.def_slots = [s for s in interval.def_slots if (s in loop_slots) == hot]
+        children.append(child)
+    rewrites = [
+        (id(instr), block.label in loop.body)
+        for block in function.blocks
+        for instr in block
+        if interval.reg in instr.reg_uses() or interval.reg in instr.reg_defs()
+    ]
+    return children, rewrites
+
+
+def _check_against_brute_force(fn) -> int:
+    flat = FlatFunction(fn)
+    live = LiveIntervals.build(fn, flat=flat)
+    loops = LoopInfo.build(fn)
+    splits = 0
+    for vreg in fn.virtual_registers():
+        interval = live.of(vreg)
+        loop = _hottest_use_loop(interval, flat, loops)
+        result = try_region_split(fn, flat, loops, interval)
+        if result is None:
+            continue
+        splits += 1
+        children, rewrites = _brute_force_split(fn, flat, loop, interval)
+        for got, want in zip(result.children, children):
+            assert got.segments == want.segments, vreg
+            assert got.use_slots == want.use_slots, vreg
+            assert got.def_slots == want.def_slots, vreg
+        hot, cold = (child.reg for child in result.children)
+        assert list(result.rewrites.items()) == [
+            (instr_id, {vreg: hot if in_loop else cold})
+            for instr_id, in_loop in rewrites
+        ], vreg
+    return splits
+
+
+class TestRegionSplitMatchesBruteForce:
+    def test_loop_body_not_contiguous_in_layout(self):
+        fn = parse_function(SCATTERED_LOOP)
+        flat = FlatFunction(fn)
+        (loop,) = LoopInfo.build(fn).loops
+        labels = flat.block_labels
+        assert loop.body == {"header", "body"}
+        assert labels.index("body") - labels.index("header") > 1
+        assert _check_against_brute_force(fn) >= 1
+
+    def test_workload_functions(self):
+        from repro.workloads import specfp_suite
+
+        splits = 0
+        for program in specfp_suite(0.02, 0).programs:
+            for fn in program.functions()[:2]:
+                splits += _check_against_brute_force(fn)
+        assert splits > 0

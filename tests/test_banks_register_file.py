@@ -1,9 +1,11 @@
 """Tests for banked register file decoding (incl. Fig. 6)."""
 
+import dataclasses
+
 import pytest
 
 from repro.banks import BankedRegisterFile, BankSubgroupRegisterFile
-from repro.ir.types import GP, PhysicalRegister
+from repro.ir.types import FP, GP, PhysicalRegister, RegClass
 
 
 class TestBankedRegisterFile:
@@ -97,3 +99,46 @@ class TestBankSubgroupRegisterFile:
 
     def test_describe_mentions_layout(self):
         assert "2x4" in BankSubgroupRegisterFile(16, 2, 4).describe()
+
+
+FILES = [
+    BankedRegisterFile(32, 2),
+    BankedRegisterFile(8, 4, GP),
+    BankSubgroupRegisterFile(64, 2, 4),
+    BankSubgroupRegisterFile(16, 2, 2, GP),
+]
+
+
+class TestComputedOnce:
+    """The register tuple and the hashes are built at construction."""
+
+    @pytest.mark.parametrize("rf", FILES, ids=repr)
+    def test_registers_list_is_a_fresh_copy(self, rf):
+        first = rf.registers()
+        assert first == [PhysicalRegister(i, rf.regclass) for i in range(rf.num_registers)]
+        first.reverse()
+        first.append(PhysicalRegister(999, rf.regclass))
+        assert rf.registers() == [
+            PhysicalRegister(i, rf.regclass) for i in range(rf.num_registers)
+        ]
+        assert rf.registers() is not rf.registers()
+
+    @pytest.mark.parametrize("rf", FILES, ids=repr)
+    def test_bank_queries_read_the_same_registers(self, rf):
+        for bank in range(rf.num_banks):
+            assert rf.registers_in_bank(bank) == [
+                PhysicalRegister(i, rf.regclass)
+                for i in range(rf.num_registers) if rf.bank_of(i) == bank
+            ]
+
+    @pytest.mark.parametrize("rf", FILES, ids=repr)
+    def test_hash_is_the_field_tuple_hash(self, rf):
+        fields = tuple(getattr(rf, f.name) for f in dataclasses.fields(rf))
+        assert hash(rf) == hash(fields)
+        assert hash(rf) == hash(dataclasses.replace(rf))
+        assert rf == dataclasses.replace(rf)
+
+    @pytest.mark.parametrize("regclass", [FP, GP], ids=repr)
+    def test_regclass_hash_is_the_field_tuple_hash(self, regclass):
+        assert hash(regclass) == hash((regclass.name, regclass.bankable))
+        assert {regclass: 1}[RegClass(regclass.name, regclass.bankable)] == 1

@@ -10,7 +10,15 @@ from repro.ir import (
     print_module,
     verify_function,
 )
-from repro.ir.types import Immediate, PhysicalRegister, VirtualRegister
+from repro.ir import parser as parser_module
+from repro.ir.types import (
+    FP,
+    GP,
+    Immediate,
+    PhysicalRegister,
+    VirtualRegister,
+    VRegFactory,
+)
 from tests.conftest import build_diamond_kernel, build_mac_kernel, build_nested_loops
 
 
@@ -88,6 +96,71 @@ class TestOperandParsing:
             "func @c { ; trailing\nblock entry: ; comment\n  ret ; done\n}"
         )
         assert len(fn.entry.instructions) == 1
+
+
+def _li(value: str) -> str:
+    return f"func @i {{\nblock entry:\n  %v0:fp = li #{value}\n  ret\n}}"
+
+
+class TestOperandTable:
+    """The bounded table from stripped operand text to parsed operand."""
+
+    @pytest.mark.parametrize("first", ["1", "1.0"])
+    def test_int_and_float_immediates_stay_distinct_in_either_order(self, first):
+        parser_module._operand_of.cache_clear()
+        second = "1.0" if first == "1" else "1"
+        for text in (first, second, first):
+            (imm,) = parse_function(_li(text)).entry.instructions[0].uses
+            assert type(imm.value) is (float if "." in text else int)
+
+    def test_register_classes_stay_distinct(self):
+        fn = parse_function(
+            "func @c {\nblock entry:\n  %v3:fp = li #1\n"
+            "  %v3:gp = li #1\n  ret %v3:fp, %v3:gp\n}"
+        )
+        assert fn.entry.instructions[-1].uses == (
+            VirtualRegister(3, FP), VirtualRegister(3, GP)
+        )
+
+    def test_table_never_grows_past_its_bound(self):
+        bound = parser_module.OPERAND_TABLE_SIZE
+        lines = [f"  %v{i}:fp = li #{i}" for i in range(bound + 10)]
+        text = "func @big {\nblock entry:\n" + "\n".join(lines) + "\n  ret\n}"
+        fn = parse_function(text)
+        info = parser_module._operand_of.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound
+        # Evicted texts parse again to equal operands.
+        assert fn.entry.instructions[0].uses == (Immediate(0),)
+        assert parse_function(text).entry.instructions[0].defs == (VirtualRegister(0),)
+
+    def test_bad_operand_raises_with_its_line_every_time(self):
+        text = "func @f {\nblock entry:\n  %v0:fp = fadd ??, ??\n}"
+        for lineno, body in ((3, text), (5, "\n\n" + text)):
+            with pytest.raises(ParseError) as info:
+                parse_module(body)
+            assert info.value.lineno == lineno
+            assert "'??'" in str(info.value)
+
+    def test_vreg_only_read_is_adopted(self):
+        fn = parse_function(
+            "func @r {\nblock entry:\n  %v2:fp = fadd %v9:fp, %v5:gp\n  ret\n}"
+        )
+        assert fn.vregs.next_vid == 10
+        assert fn.vregs.get(5) == VirtualRegister(5, GP)
+
+    def test_parsed_vregs_match_the_function_walk(self):
+        """The factory adopts the vregs collected while parsing; it ends
+        where adopting ``virtual_registers()`` after the parse did."""
+        from tests.test_golden_digests import workload_functions
+
+        for label, original in workload_functions():
+            fn = parse_function(print_function(original))
+            walked = VRegFactory()
+            for vreg in fn.virtual_registers():
+                walked.adopt(vreg)
+            assert fn.vregs.next_vid == walked.next_vid, label
+            assert fn.vregs._by_id == walked._by_id, label
 
 
 class TestErrors:

@@ -16,6 +16,7 @@ from repro.passes import (
     ConflictCostAnalysis,
     ConflictGraphAnalysis,
     FlatIRAnalysis,
+    FlowFrequencyAnalysis,
     InterferenceAnalysis,
     LiveIntervalsAnalysis,
     LoopInfoAnalysis,
@@ -157,6 +158,62 @@ class TestInvalidation:
         after = am.get(LiveIntervalsAnalysis)
         assert before is not after
         assert am.counter(LiveIntervalsAnalysis).misses == 2
+
+
+class TestFlowFrequency:
+    """One flow solve per function, shared by every frequency model."""
+
+    @pytest.fixture
+    def allocated(self):
+        from repro.banks import BankedRegisterFile
+        from repro.prescount import PipelineConfig, run_pipeline
+        from tests.conftest import build_diamond_kernel
+
+        rf = BankedRegisterFile(16, 2)
+        pipe = run_pipeline(build_diamond_kernel(), PipelineConfig(rf, "bpc"))
+        return pipe, rf
+
+    def test_dynamic_dsa_and_ooo_share_one_solve(self, allocated, monkeypatch):
+        import numpy as np
+
+        from repro.sim import (
+            DsaMachine,
+            OooMachine,
+            estimate_dynamic_conflicts,
+            expected_block_frequencies,
+        )
+
+        pipe, rf = allocated
+        fn, am = pipe.function, pipe.analyses
+        alone = (
+            estimate_dynamic_conflicts(fn, rf),
+            DsaMachine(rf).run(fn),
+            OooMachine(rf).run(fn),
+        )
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda *a: solves.append(1) or solve(*a)
+        )
+        shared = (
+            estimate_dynamic_conflicts(fn, rf, am=am),
+            DsaMachine(rf).run(fn, am=am),
+            OooMachine(rf).run(fn, am=am),
+        )
+        assert len(solves) == 1
+        assert shared == alone
+        counter = am.counter(FlowFrequencyAnalysis)
+        assert (counter.misses, counter.hits) == (1, 2)
+        assert am.get(FlowFrequencyAnalysis) == expected_block_frequencies(fn)
+
+    def test_cfg_only_keeps_it_and_preserve_none_drops_it(self, mac_kernel):
+        am = AnalysisManager(mac_kernel)
+        frequencies = am.get(FlowFrequencyAnalysis)
+        am.invalidate(CFG_ONLY)
+        assert am.get(FlowFrequencyAnalysis) is frequencies
+        am.invalidate(PRESERVE_NONE)
+        assert FlowFrequencyAnalysis not in am
+        assert CFGAnalysis not in am
 
 
 class TestReporting:

@@ -58,6 +58,49 @@ def test_default_flags_hash_like_empty_flags(ir):
     assert cache_key(ir, FILE, "bpc", {}) == cache_key(ir, FILE, "bpc", None)
 
 
+#: bpc on the DSA reduce kernel: the default request's key on the 2x4
+#: bank-subgroup file and on the flat 32x2 file.
+REDUCE_DEFAULT_KEYS = {
+    "subgroup": (
+        {"registers": 64, "banks": 2, "subgroups": 4},
+        "937e683467a759299357b077b77511cc843d34f64a5ee0707491c9bf3465f8d5",
+    ),
+    "flat": (
+        {"registers": 32, "banks": 2},
+        "4c10a0f031654789bd09565497d7916f2dd79b9dd928a69fdd4d3e8df6686ed2",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCE_DEFAULT_KEYS))
+def test_strict_banks_shares_the_key_where_it_cannot_change_the_result(kind):
+    """An explicit false is the pipeline's default everywhere, and the
+    DSA policy of a subgroup file never reads the flag; a true on a flat
+    file restricts bpc's candidates, so it keeps its own key."""
+    from repro.service import normalize_request
+    from repro.workloads import reduce_kernel
+
+    spec, default_key = REDUCE_DEFAULT_KEYS[kind]
+    ir = print_function(reduce_kernel())
+    keys = {}
+    for name, flags in (("absent", None), ("false", {"strict_banks": False}),
+                        ("true", {"strict_banks": True})):
+        request = {"ir": ir, "file": spec, "method": "bpc"}
+        if flags is not None:
+            request["flags"] = flags
+        normalized = normalize_request(request)
+        artifact = build_artifact(reduce_kernel(), spec, "bpc", flags)
+        assert artifact["key"] == normalized["key"]
+        assert artifact["flags"] == normalized["flags"]
+        keys[name] = normalized["key"]
+    assert keys["absent"] == default_key
+    assert keys["false"] == default_key
+    if kind == "subgroup":
+        assert keys["true"] == default_key
+    else:
+        assert keys["true"] != default_key
+
+
 def test_bad_requests_raise(ir):
     with pytest.raises(RequestError):
         cache_key("not ir at all", FILE, "bpc")
