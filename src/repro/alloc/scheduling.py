@@ -44,7 +44,9 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
     The before/after pressure probes read live intervals through *am*
     (created on demand), so the "before" probe is a cache hit whenever an
     earlier phase left valid intervals behind; reorders invalidate all but
-    the CFG-level analyses, leaving the cache consistent on return.
+    the CFG-level analyses, leaving the cache consistent on return.  A
+    revert puts the pre-schedule analyses back, since the blocks then hold
+    exactly the instructions they were built from.
     """
     from ..obs import TRACER
     from ..passes import (
@@ -74,7 +76,7 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
             result.instructions_moved += moved
 
     if result.instructions_moved:
-        am.invalidate(CFG_ONLY)
+        before = am.stash(CFG_ONLY)
         after_pressure = am.get(LiveIntervalsAnalysis).max_pressure()
         if after_pressure > before_pressure:
             for block, order in zip(function.blocks, original_orders):
@@ -82,6 +84,7 @@ def schedule_function(function: Function, am=None) -> SchedulingResult:
             result.instructions_moved = 0
             result.reverted = True
             am.invalidate(CFG_ONLY)
+            am.restore(before)
     facts = {"scheduling.instructions_moved": result.instructions_moved}
     if result.reverted:
         facts["scheduling.reverted"] = 1

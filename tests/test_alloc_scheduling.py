@@ -2,9 +2,23 @@
 
 from repro.alloc import schedule_function
 from repro.analysis import LiveIntervals
-from repro.ir import IRBuilder, OpKind, verify_function
+from repro.ir import (
+    IRBuilder,
+    OpKind,
+    parse_function,
+    print_function,
+    verify_function,
+)
+from repro.ir.flat import FlatFunction
+from repro.passes import AnalysisManager, FlatIRAnalysis, LiveIntervalsAnalysis
 from repro.sim import observably_equivalent
+from repro.workloads import specfp_suite
 from tests.conftest import build_mac_kernel
+from tests.reference_analyses import (
+    raised_liveness,
+    reference_intervals,
+    reference_liveness,
+)
 
 
 class TestDependencesRespected:
@@ -95,3 +109,41 @@ class TestPressureHeuristic:
         snapshot = [repr(i) for __, i in fn.instructions()]
         schedule_function(fn)
         assert [repr(i) for __, i in fn.instructions()] == snapshot
+
+
+def _first_reverting_ir() -> str:
+    """The IR of the first SPECfp function whose schedule is reverted."""
+    for program in specfp_suite(scale=0.02).programs:
+        for fn in program.functions():
+            ir = print_function(fn)
+            if schedule_function(parse_function(ir)).reverted:
+                return ir
+    raise AssertionError("no SPECfp function reverts its schedule")
+
+
+class TestRevert:
+    def test_revert_keeps_the_pre_schedule_analyses(self):
+        """A revert restores the instructions the first lowering was built
+        from, so the lowering and intervals come back without a rebuild
+        and equal a fresh build of the restored function."""
+        fn = parse_function(_first_reverting_ir())
+        am = AnalysisManager(fn)
+        flat = am.get(FlatIRAnalysis)
+        intervals = am.get(LiveIntervalsAnalysis)
+        snapshot = [repr(i) for __, i in fn.instructions()]
+
+        assert schedule_function(fn, am).reverted
+        assert [repr(i) for __, i in fn.instructions()] == snapshot
+        assert am.get(FlatIRAnalysis) is flat
+        assert am.get(LiveIntervalsAnalysis) is intervals
+        # One build before the schedule and one for the after-probe; the
+        # revert itself builds nothing.
+        for analysis in (FlatIRAnalysis, LiveIntervalsAnalysis):
+            assert am.counter(analysis).misses == 2, analysis.name()
+
+        fresh = FlatFunction(fn)
+        for name in FlatFunction.__slots__:
+            if name not in ("function", "_live", "_uses_of"):
+                assert getattr(flat, name) == getattr(fresh, name), name
+        assert raised_liveness(flat) == reference_liveness(fn)
+        assert intervals.intervals == reference_intervals(fn)

@@ -98,6 +98,19 @@ class TestInvalidation:
         assert len(am) == 0
         assert am.total_invalidations() == 5
 
+    def test_stash_then_restore_puts_the_same_results_back(self, mac_kernel):
+        am = AnalysisManager(mac_kernel)
+        intervals = am.get(LiveIntervalsAnalysis)
+        am.get(LoopInfoAnalysis)
+        stashed = am.stash(CFG_ONLY)
+        assert len(stashed) == 2  # the flat lowering and the intervals
+        assert LiveIntervalsAnalysis not in am
+        assert am.counter(LiveIntervalsAnalysis).invalidations == 1
+        am.restore(stashed)
+        assert am.get(LiveIntervalsAnalysis) is intervals
+        assert am.counter(LiveIntervalsAnalysis).misses == 1
+        assert am.stash(PRESERVE_ALL) == {}
+
     def test_preserve_all_drops_nothing(self, mac_kernel):
         am = AnalysisManager(mac_kernel)
         am.get(LiveIntervalsAnalysis)

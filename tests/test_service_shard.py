@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -20,13 +21,17 @@ from repro.service import (
     ShardRouter,
     artifact_bytes,
     build_artifact,
+    build_module_artifact,
     normalize_request,
 )
+from repro.service import queue as queue_module
+from repro.service import shard as shard_module
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer, shutdown_server
 from repro.service.shard import shard_cache_dir
 
 from .conftest import build_mac_kernel
+from .test_golden_digests import FILES, workload_functions
 
 
 @pytest.fixture(autouse=True)
@@ -206,6 +211,203 @@ def test_bad_request_propagates_without_eviction():
         with pytest.raises(RequestError):
             router.submit({"ir": ""})
         assert len(router.ring) == 3
+    finally:
+        router.close()
+
+
+# ----------------------------------------------------------------------
+# The router's key memo: one normalize per distinct body
+# ----------------------------------------------------------------------
+def count_normalizes(monkeypatch, module) -> list:
+    """Record every body *module*'s ``normalize_request`` sees."""
+    seen = []
+
+    def counting(request):
+        seen.append(request)
+        return normalize_request(request)
+
+    monkeypatch.setattr(module, "normalize_request", counting)
+    return seen
+
+
+def memo_counts(router) -> tuple[int, int]:
+    counters = router.stats()["router"]["counters"]
+    return counters["memo_hits"], counters["memo_misses"]
+
+
+def ragged(ir: str) -> str:
+    """*ir* with extra indentation, trailing blanks and comments."""
+    lines = ("  " + line + "   ; a comment" for line in ir.splitlines())
+    return "; leading comment\n\n" + "\n".join(lines) + "\n\n"
+
+
+def test_memo_keys_and_bytes_match_direct_builds_on_the_golden_matrix():
+    router = make_router(2)
+    specs = list(FILES.values())
+    try:
+        for index, (label, fn) in enumerate(workload_functions()):
+            ir = print_function(fn)
+            spec = specs[index % len(specs)]
+            direct = artifact_bytes(build_artifact(ir, spec, "bpc"))
+            for text in (ir, ragged(ir), ir.replace("\n", "\n\n")):
+                request = {"ir": text, "file": dict(spec), "method": "bpc"}
+                key = normalize_request(request)["key"]
+                status = router.submit(request)
+                assert router.content_address(request) == key, label
+                assert status["key"] == key, label
+                assert status["shard"] == router.ring.lookup(key), label
+                assert router.wait(status["job_id"])["status"] == "done"
+                assert router.result(status["job_id"]) == direct, label
+        assert router.stats()["counters"]["executed"] == index + 1
+    finally:
+        router.close()
+
+
+def test_repeated_body_is_normalized_once_at_the_router(monkeypatch):
+    router_seen = count_normalizes(monkeypatch, shard_module)
+    worker_seen = count_normalizes(monkeypatch, queue_module)
+    router = make_router(2)
+    request = make_request()
+    reordered = dict(reversed(list(request.items())))
+    try:
+        blobs = set()
+        for body in (request, dict(request), reordered):
+            status = router.submit(body)
+            assert router.wait(status["job_id"])["status"] == "done"
+            blobs.add(router.result(status["job_id"]))
+        assert len(blobs) == 1
+        assert len(router_seen) == 1
+        assert len(worker_seen) == 3  # the shard still keys every submit
+        assert memo_counts(router) == (2, 1)
+    finally:
+        router.close()
+
+
+def test_memo_keeps_one_entry_per_distinct_body():
+    router = make_router(2)
+    base = make_request()
+    variants = [
+        base,
+        make_request(method="bcr"),
+        {**base, "file": {"registers": 16, "banks": 2}},
+        make_request(flags={"bundle_aware": True}),
+        make_request(machine={"model": "ooo", "issue_width": 4}),
+        make_request(deadline_ms=5000),
+    ]
+    try:
+        keys = [router.content_address(body) for body in variants]
+        assert keys == [normalize_request(body)["key"] for body in variants]
+        assert len(set(keys[:5])) == 5
+        assert keys[5] == keys[0]  # a deadline never enters the key
+        assert memo_counts(router) == (0, 6)
+        assert [router.content_address(body) for body in variants] == keys
+        assert memo_counts(router) == (6, 6)
+    finally:
+        router.close()
+
+
+def test_bad_request_fails_every_time_and_is_never_remembered(monkeypatch):
+    router_seen = count_normalizes(monkeypatch, shard_module)
+    router = make_router(2)
+    bad = [
+        {"ir": ""},
+        {"ir": "not ir at all"},
+        make_request(method="nope"),
+        make_request(bogus=1),
+        ["not", "an", "object"],
+    ]
+    try:
+        for _ in range(2):
+            for body in bad:
+                with pytest.raises(RequestError):
+                    router.submit(body)
+        assert len(router_seen) == 2 * len(bad)
+        assert memo_counts(router) == (0, 2 * len(bad))
+        assert router.stats()["router"]["counters"]["requests"] == 0
+    finally:
+        router.close()
+
+
+def test_memo_evicts_the_least_recently_used_body(monkeypatch):
+    monkeypatch.setattr(shard_module, "ROUTE_MEMO_ENTRIES", 2)
+    router_seen = count_normalizes(monkeypatch, shard_module)
+    router = make_router(2)
+    a, b, c = (make_request(trip_count=trip) for trip in (8, 12, 20))
+    try:
+        for body in (a, b, a, c):  # c evicts b, the least recently used
+            router.content_address(body)
+        assert router_seen == [a, b, c]
+        router.content_address(a)
+        router.content_address(b)
+        assert router_seen == [a, b, c, b]
+        assert memo_counts(router) == (2, 4)
+    finally:
+        router.close()
+
+
+def test_memo_stays_consistent_under_concurrent_lookups(monkeypatch):
+    monkeypatch.setattr(shard_module, "ROUTE_MEMO_ENTRIES", 4)
+    router = make_router(2)
+    bodies = [make_request(trip_count=trip) for trip in range(4, 12)]
+    expected = [normalize_request(body)["key"] for body in bodies]
+    wrong: list = []
+    calls_per_thread = 40
+
+    def worker(offset: int) -> None:
+        for call in range(calls_per_thread):
+            index = (offset + call) % len(bodies)
+            if router.content_address(bodies[index]) != expected[index]:
+                wrong.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        router.close()
+    assert not wrong
+    assert sum(memo_counts(router)) == 8 * calls_per_thread
+    assert len(router._memo) <= 4
+
+
+def test_module_and_machine_requests_keep_their_key_and_shard():
+    router = make_router(2)
+    module_ir = "\n".join(
+        print_function(build_mac_kernel(trip_count=trip)).replace(
+            "func @mac", f"func @mac{trip}"
+        )
+        for trip in (8, 16)
+    )
+    machine = {"model": "ooo", "issue_width": 4}
+    spec = {"registers": 32, "banks": 2}
+    cases = [
+        (
+            {"ir": module_ir, "file": spec, "method": "bpc"},
+            build_module_artifact(module_ir, spec, "bpc"),
+        ),
+        (
+            make_request(machine=machine),
+            build_artifact(make_request()["ir"], spec, "bpc", machine=machine),
+        ),
+    ]
+    try:
+        for request, artifact in cases:
+            normalized = normalize_request(request)
+            assert normalized["key"] == artifact["key"]
+            status = router.submit(request)
+            assert status["key"] == normalized["key"]
+            assert status["shard"] == router.ring.lookup(normalized["key"])
+            assert router.wait(status["job_id"])["status"] == "done"
+            assert router.result(status["job_id"]) == artifact_bytes(artifact)
+        assert normalize_request(cases[0][0])["kind"] == "module"
     finally:
         router.close()
 
