@@ -12,9 +12,9 @@ layers — identical work through each path, results asserted identical:
   consistent-hash routing layer's cost from the worker's.
 
 The headline numbers (cold latency, cached latency, speedup, the
-service-layer overhead of a cold request over a bare pipeline run, and
-the router overhead per fleet size) are recorded in
-``benchmarks/results/service_overhead.txt``.
+service-layer overhead of a cold request over a bare pipeline run timed
+in the same rounds, and the router overhead per fleet size) are
+recorded in ``benchmarks/results/service_overhead.txt``.
 """
 
 from __future__ import annotations
@@ -94,19 +94,18 @@ def test_service_overhead(ctx, record_text):
     kernels = _kernels(ctx)
     register_file = ctx.register_file("rv2", 2)
 
-    # Bare pipeline baseline: what the work costs without the service.
-    bare = []
-    for fn, _ in kernels:
-        started = time.perf_counter()
-        pipe = run_pipeline(fn, PipelineConfig(register_file, "bpc"))
-        analyze_static(pipe.function, register_file, am=pipe.analyses)
-        bare.append(time.perf_counter() - started)
-
-    cold, cached = [], []
+    bare, cold, cached = [], [], []
     artifacts = {}
     for round_index in range(ROUNDS):
         service = AllocationService(ServiceConfig())
-        for _, ir in kernels:
+        for fn, ir in kernels:
+            # The bare pipeline baseline, what the work costs without the
+            # service, timed right before each cold request so both see
+            # the same rounds and the same host.
+            started = time.perf_counter()
+            pipe = run_pipeline(fn, PipelineConfig(register_file, "bpc"))
+            analyze_static(pipe.function, register_file, am=pipe.analyses)
+            bare.append(time.perf_counter() - started)
             seconds, job = _serve_once(service, ir)
             cold.append(seconds)
             previous = artifacts.setdefault(ir, job.artifact)

@@ -157,9 +157,6 @@ class LiveInterval:
                 j += 1
         return total
 
-    def is_empty(self) -> bool:
-        return not self.segments
-
     def __repr__(self) -> str:
         segs = "".join(repr(s) for s in self.segments[:4])
         more = "..." if len(self.segments) > 4 else ""

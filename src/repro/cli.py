@@ -197,7 +197,7 @@ def _allocate_ir(args: argparse.Namespace) -> int:
         artifact_bytes,
         build_artifact,
         build_module_artifact,
-        is_module_text,
+        normalize_request,
     )
 
     if args.ir == "-":
@@ -208,17 +208,23 @@ def _allocate_ir(args: argparse.Namespace) -> int:
     spec = {"registers": args.registers, "banks": args.banks}
     counters = None
     try:
-        if is_module_text(text):
+        # The service's own normalization decides the kind (from the
+        # parsed function count), so this artifact is the served one.
+        request = normalize_request(
+            {"ir": text, "file": spec, "method": args.method}
+        )
+        ir = request["ir"]
+        if request["kind"] == "module":
             if args.incremental:
                 counters = {}
                 artifact = build_module_artifact(
-                    text, spec, args.method,
+                    ir, spec, args.method,
                     store=AllocationCache(args.store), counters=counters,
                 )
             else:
-                artifact = build_module_artifact(text, spec, args.method)
+                artifact = build_module_artifact(ir, spec, args.method)
         else:
-            artifact = build_artifact(text, spec, args.method)
+            artifact = build_artifact(ir, spec, args.method)
     except RequestError as exc:
         print(f"allocate: {exc}", file=sys.stderr)
         return 2
@@ -310,7 +316,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         os.environ["REPRO_EVENTS"] = args.events
 
     config = ServiceConfig(
-        batch_size=args.batch_size,
         cache_dir=args.cache_dir,
         verify=args.verify,
         job_retries=args.job_retries,
@@ -906,10 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--port", type=int, default=8377,
         help="listen port (0 binds a free port; default 8377)",
-    )
-    p_serve.add_argument(
-        "--batch-size", type=int, default=8,
-        help="max queued jobs drained into one dispatch batch",
     )
     p_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",

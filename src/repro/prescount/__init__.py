@@ -6,7 +6,7 @@
 * :mod:`subgroup` — Algorithm 2 (subgroup displacement bookkeeping and
   DSA allocation hints).
 * :mod:`sdg_split` — SDG-based subgroup splitting (Figs. 8/9).
-* :mod:`passes` — the five Fig. 4 phases as registered function passes.
+* :mod:`passes` — the five Fig. 4 phases as function passes.
 * :mod:`pipeline` — the combined Fig. 4 register allocation pipeline.
 """
 
@@ -18,7 +18,6 @@ from .bank_assigner import (
 from .bcr import BcrPolicy
 from .bundle_aware import BundleEdgeReport, add_bundle_edges
 from .passes import (
-    PASS_REGISTRY,
     AllocationPass,
     BankAssignmentPass,
     CoalescingPass,
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_THRES_RATIO",
     "DsaPresCountPolicy",
     "METHODS",
-    "PASS_REGISTRY",
     "PipelineConfig",
     "PipelineResult",
     "PresCountBankAssigner",

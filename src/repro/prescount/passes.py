@@ -1,4 +1,4 @@
-"""The five Fig. 4 phases as registered function passes.
+"""The five Fig. 4 phases as function passes.
 
 Each phase of the paper's pipeline (coalescing → SDG subgroup splitting →
 pre-allocation scheduling → RCG bank assignment → enhanced greedy
@@ -42,16 +42,6 @@ from .bcr import BcrPolicy
 from .sdg_split import SdgSplitConfig, SdgSplitResult, split_subgroups
 from .subgroup import DsaPresCountPolicy, SubgroupState
 
-#: name -> pass class, for introspection, docs, and the CLI.
-PASS_REGISTRY: dict[str, type[Pass]] = {}
-
-
-def register_pass(cls: type[Pass]) -> type[Pass]:
-    """Class decorator: expose a pass under its ``name`` in the registry."""
-    PASS_REGISTRY[cls.name] = cls
-    return cls
-
-
 class _ConfiguredPass(Pass):
     """Base for passes parameterized by a :class:`PipelineConfig`."""
 
@@ -59,7 +49,6 @@ class _ConfiguredPass(Pass):
         self.config = config
 
 
-@register_pass
 class CoalescingPass(_ConfiguredPass):
     """Standard register coalescing (white phase #1)."""
 
@@ -72,7 +61,6 @@ class CoalescingPass(_ConfiguredPass):
         return PRESERVE_ALL  # coalesce() invalidates per mutating round
 
 
-@register_pass
 class SdgSplitPass(_ConfiguredPass):
     """SDG-based subgroup splitting (blue phase, DSA + bpc only)."""
 
@@ -95,7 +83,6 @@ class SdgSplitPass(_ConfiguredPass):
         return PRESERVE_ALL  # split_subgroups() invalidates once, after its last cut
 
 
-@register_pass
 class SchedulingPass(_ConfiguredPass):
     """Pressure-aware pre-allocation list scheduling (white phase #2)."""
 
@@ -112,7 +99,6 @@ class SchedulingPass(_ConfiguredPass):
         return PRESERVE_ALL  # schedule_function() invalidates on reorder
 
 
-@register_pass
 class BankAssignmentPass(_ConfiguredPass):
     """PresCount RCG-based bank assignment — Algorithm 1 (blue phase).
 
@@ -161,7 +147,6 @@ class BankAssignmentPass(_ConfiguredPass):
         return PRESERVE_ALL
 
 
-@register_pass
 class AllocationPass(_ConfiguredPass):
     """Enhanced greedy register allocation (the final Fig. 4 phase).
 

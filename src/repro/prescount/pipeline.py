@@ -23,7 +23,7 @@ bpc    PresCount (Algorithm 1)        bank-ordered candidates
 ====== ============================== =======================
 
 Since the pass-manager refactor this module no longer hand-composes the
-phases: each phase is a registered :class:`~repro.passes.Pass` (see
+phases: each phase is a :class:`~repro.passes.Pass` (see
 :mod:`.passes`), :func:`build_pipeline` merely selects the pass list the
 config asks for, and :func:`run_pipeline` is a *thin builder* — it clones
 the function, hands the pass list to a

@@ -17,7 +17,7 @@ Sites (see :data:`SITES` for the modes each accepts):
                       ``OSError``)
 ``queue.execute``     stall or fail a job's execution (``stall``,
                       ``error``)
-``queue.dispatch``    deliver a drained job twice (``duplicate``)
+``queue.dispatch``    deliver a dispatched job twice (``duplicate``)
 ``client.request``    fail an outgoing HTTP call (``timeout``,
                       ``connreset``)
 ``server.request``    fail an incoming HTTP call (``error`` → 5xx,

@@ -10,8 +10,8 @@ stack rather than a batch script (see ``docs/SERVICE.md``):
 * :mod:`.degrade` — the ``bpc → bcr → non`` deadline ladder and the
   EWMA :class:`~repro.service.degrade.TierCostModel`;
 * :mod:`.queue` — :class:`~repro.service.queue.AllocationService`:
-  submit/coalesce, batched dispatch, inline execution with job
-  retries and a dead-letter record;
+  submit/coalesce, one-job-at-a-time dispatch, inline execution with
+  job retries and a dead-letter record;
 * :mod:`.durability` — the write-ahead job journal behind ``repro
   serve --journal``: checksummed JSONL frames, recovery replay of
   accepted-but-unfinished jobs, checkpoint compaction (see the
@@ -47,7 +47,6 @@ from .artifact import (
     build_module_artifact,
     cache_key,
     canonical_ir,
-    is_module_text,
     module_cache_key,
     normalize_request,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "build_module_artifact",
     "cache_key",
     "canonical_ir",
-    "is_module_text",
     "ladder_from",
     "loadgen_record",
     "make_server",

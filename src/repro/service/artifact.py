@@ -294,11 +294,6 @@ def artifact_bytes(artifact: dict) -> bytes:
 # from-scratch build by construction: fragments are canonical JSON, and
 # a loads/dumps round trip of canonical JSON is the identity.
 
-def is_module_text(text: str) -> bool:
-    """Whether IR text holds more than one ``func @`` definition."""
-    return text.count("func @") > 1
-
-
 def canonical_module(text: str | Module) -> Module:
     """Parse module text (idempotent on an already-parsed module)."""
     if isinstance(text, Module):
@@ -342,6 +337,25 @@ def module_cache_key(
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def request_key(
+    kind: str,
+    ir: str,
+    file_spec: dict,
+    method: str,
+    flags: dict | None = None,
+    machine: dict | str | None = None,
+) -> str:
+    """Content address of a normalized request of *kind*: the
+    :func:`module_cache_key` of a module, the :func:`cache_key` of a
+    function (*ir* is canonical text, as :func:`normalize_request`
+    returns it)."""
+    if kind == "module":
+        return module_cache_key(ir, file_spec, method, flags, machine=machine)
+    return cache_key(
+        ir, file_spec, method, flags, canonical=True, machine=machine
+    )
+
+
 #: The keys a service request body may carry.
 REQUEST_KEYS = frozenset(
     {"ir", "file", "method", "flags", "deadline_ms", "machine"}
@@ -359,9 +373,11 @@ def normalize_request(request: dict) -> dict:
 
     Returns ``{kind, ir, file, method, flags, machine, deadline_ms,
     key}`` where *ir* is canonical (re-printed) text and *key* is the
-    content address — :func:`module_cache_key` for multi-function IR,
-    :func:`cache_key` otherwise.  Normalization is idempotent: feeding
-    the returned fields back through produces the identical key.
+    content address (:func:`request_key`).  The kind comes from the
+    parsed function count, so a comment that names another ``func @``
+    cannot turn a function into a module: IR of several functions is a
+    ``module``, IR of one a ``function``.  Normalization is idempotent:
+    feeding the returned fields back through produces the identical key.
     """
     if not isinstance(request, dict):
         raise RequestError("request body must be a JSON object")
@@ -371,15 +387,16 @@ def normalize_request(request: dict) -> dict:
     ir = request.get("ir")
     if not isinstance(ir, str) or not ir.strip():
         raise RequestError("request needs non-empty 'ir' text")
-    kind = "function"
-    if is_module_text(ir):
-        # Multi-function IR takes the incremental module path; a module
-        # of one function normalizes to a plain function request
-        # (is_module_text needs two ``func @``).
-        kind = "module"
-        ir = print_module(canonical_module(ir))
+    module = canonical_module(ir)
+    if not module.functions:
+        raise RequestError(
+            "unparseable IR: expected exactly one function, found 0"
+        )
+    if len(module.functions) > 1:
+        # Multi-function IR takes the incremental module path.
+        kind, ir = "module", print_module(module)
     else:
-        ir = canonical_ir(ir)
+        kind, ir = "function", print_function(module.functions[0])
     file_spec = normalize_file_spec(request.get("file", {}))
     method = check_method(request.get("method", "bpc"))
     flags = normalize_flags(request.get("flags"), file_spec)
@@ -387,12 +404,6 @@ def normalize_request(request: dict) -> dict:
     deadline_ms = request.get("deadline_ms")
     if deadline_ms is not None:
         deadline_ms = float(deadline_ms)
-    if kind == "module":
-        key = module_cache_key(ir, file_spec, method, flags, machine=machine)
-    else:
-        key = cache_key(
-            ir, file_spec, method, flags, canonical=True, machine=machine
-        )
     return {
         "kind": kind,
         "ir": ir,
@@ -401,7 +412,7 @@ def normalize_request(request: dict) -> dict:
         "flags": flags,
         "machine": machine,
         "deadline_ms": deadline_ms,
-        "key": key,
+        "key": request_key(kind, ir, file_spec, method, flags, machine),
     }
 
 

@@ -44,6 +44,9 @@ from ..resilience.faults import FAULTS
 #: On-disk entry format marker; bump when the header layout changes.
 DISK_FORMAT = b"repro-cache/2"
 
+#: Artifacts the in-memory LRU holds before it evicts the oldest.
+MAX_ENTRIES = 4096
+
 
 def _frame(data: bytes) -> bytes:
     """Wrap artifact bytes in the checksummed on-disk frame."""
@@ -67,7 +70,9 @@ def _unframe(raw: bytes) -> bytes | None:
 class AllocationCache:
     """Thread-safe content-addressed store of artifact bytes."""
 
-    def __init__(self, cache_dir: str | None = None, max_entries: int = 4096):
+    def __init__(
+        self, cache_dir: str | None = None, max_entries: int = MAX_ENTRIES
+    ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.cache_dir = cache_dir

@@ -56,6 +56,14 @@ JOURNAL_FORMAT = "repro-journal/1"
 #: Fields of an ``accepted`` frame that rebuild the original request.
 REQUEST_FIELDS = ("ir", "file", "method", "flags", "machine", "deadline_ms")
 
+#: Dead-letter records kept, by the journal and by the service's
+#: in-memory list alike (oldest dropped beyond this).
+DEAD_LETTER_LIMIT = 64
+
+#: Frames accumulated before compaction is considered (the journal
+#: compacts once terminal frames also outnumber pending jobs).
+COMPACT_MIN_FRAMES = 256
+
 
 def frame_record(record: dict) -> bytes:
     """One checksummed JSONL frame for *record* (trailing newline)."""
@@ -126,14 +134,12 @@ class JobJournal:
         self,
         directory: str,
         *,
-        compact_min_frames: int = 256,
+        compact_min_frames: int = COMPACT_MIN_FRAMES,
         fsync: bool = False,
-        dead_letter_limit: int = 64,
     ):
         self.directory = directory
         self.compact_min_frames = compact_min_frames
         self.fsync = fsync
-        self.dead_letter_limit = dead_letter_limit
         os.makedirs(directory, exist_ok=True)
         self._lock = threading.RLock()
         self._fh = None
@@ -225,7 +231,7 @@ class JobJournal:
             self._pending.pop(job_id, None)
             if dead_letter is not None:
                 self._dead.append(dead_letter)
-                del self._dead[: -self.dead_letter_limit]
+                del self._dead[:-DEAD_LETTER_LIMIT]
             self._terminal_since_compact += 1
             self._append(record)
         self.maybe_compact()
@@ -315,7 +321,7 @@ class JobJournal:
             self.close()
             self._scan_file(self.checkpoint_path, _consume, replay, tail_truncate=False)
             self._scan_file(self.journal_path, _consume, replay, tail_truncate=True)
-            del dead[: -self.dead_letter_limit]
+            del dead[:-DEAD_LETTER_LIMIT]
             replay.pending = list(accepted.values())
             replay.dead_letter = list(dead)
             self._pending = dict(accepted)

@@ -1,23 +1,28 @@
-"""The allocation service core: job lifecycle, batching, degradation.
+"""The allocation service core: job lifecycle, dispatch, degradation.
 
-Request path (the inference-serving shape: cache → batch → execute →
-degrade):
+Request path (cache → queue → degrade → execute):
 
 1. **submit** — the request is validated, content-addressed
-   (:func:`~repro.service.artifact.cache_key`), and probed against the
+   (:func:`~repro.service.artifact.request_key`), and probed against the
    :class:`~repro.service.cache.AllocationCache`.  A hit resolves the
    job immediately with the stored bytes.  A duplicate of an in-flight
    request *coalesces* onto the existing job — concurrent identical
    submissions execute the allocation exactly once.
-2. **batch** — a dispatcher drains queued jobs into batches of up to
-   ``batch_size`` and processes them in submission order.
-3. **degrade** — at dispatch each job's remaining deadline budget picks
-   the tier actually executed (:func:`~repro.service.degrade.select_tier`
-   down the ``bpc → bcr → non`` ladder); a degraded tier re-probes the
-   cache under its own key before any work is spent.
-4. **execute** — each job of the batch runs inline on the dispatcher
-   thread, in submission order (``repro serve --shards N`` is how a
-   fleet uses more cores).
+2. **dispatch** — the dispatcher takes one queued job at a time, in
+   submission order, and runs it to a terminal state or a requeue before
+   it takes the next (``repro serve --shards N`` is how a fleet uses
+   more cores).
+3. **degrade** — when the job starts, its remaining deadline budget
+   picks the tier actually executed
+   (:func:`~repro.service.degrade.select_tier` down the
+   ``bpc → bcr → non`` ladder); the cache is probed again under that
+   tier's key before any work is spent.
+4. **execute** — the job runs inline on the dispatcher thread.
+
+A job's clock starts with its submit-time cache probe, and its stages
+tile its latency: ``cache`` (every probe), ``queue_wait`` (the rest of
+the time up to its last dispatch), ``alloc`` and ``verify`` add up to
+``finished_mono - submitted_mono``.
 
 Resilience (PR 5, see ``docs/RESILIENCE.md``):
 
@@ -65,13 +70,12 @@ from .artifact import (
     artifact_bytes,
     build_artifact,
     build_module_artifact,
-    cache_key,
-    module_cache_key,
     normalize_request,
+    request_key,
 )
 from .cache import AllocationCache
 from .degrade import TierCostModel, select_tier
-from .durability import JobJournal
+from .durability import DEAD_LETTER_LIMIT, JobJournal
 
 
 class ServiceOverloadError(RuntimeError):
@@ -130,12 +134,8 @@ def _transient(exc: Exception) -> bool:
 class ServiceConfig:
     """Ops knobs of one :class:`AllocationService` instance."""
 
-    #: Max jobs drained into one dispatch batch.
-    batch_size: int = 8
     #: Artifact cache directory (None = memory only).
     cache_dir: str | None = None
-    #: In-memory cache capacity.
-    cache_entries: int = 4096
     #: Verifier mode: ``strict`` | ``cached-only`` | ``off``
     #: (see :mod:`repro.resilience.verifier`).
     verify: str = "cached-only"
@@ -151,8 +151,6 @@ class ServiceConfig:
     job_retention: int = 1024
     #: Optional TTL for finished jobs (seconds); ``None`` = count-only.
     job_ttl_s: float | None = None
-    #: Dead-letter records kept (oldest dropped beyond this).
-    dead_letter_limit: int = 64
     #: Queue depth at which :meth:`AllocationService.submit` sheds load.
     max_queue_depth: int = 1024
     #: Simultaneous HTTP handlers allowed before the server sheds with
@@ -163,9 +161,6 @@ class ServiceConfig:
     #: terminal state; :meth:`AllocationService.recover` replays
     #: non-terminal jobs after a crash (see ``repro.service.durability``).
     journal_dir: str | None = None
-    #: Frames accumulated before compaction is considered (the journal
-    #: compacts once terminal frames also outnumber pending jobs).
-    journal_compact_min: int = 256
     #: fsync(2) the journal after every frame (survives power loss, not
     #: just process death) — off by default, it costs a disk round-trip.
     journal_fsync: bool = False
@@ -181,8 +176,8 @@ class Job:
     file_spec: dict
     requested_method: str
     flags: dict
-    #: ``function`` (single ``func @``) or ``module`` (several); module
-    #: jobs take the incremental per-fragment execution path.
+    #: ``function`` (the IR parses to one function) or ``module``
+    #: (several); module jobs take the incremental per-fragment path.
     kind: str = "function"
     #: Normalized cycle-model spec; ``None`` means the in-order default
     #: (and contributes nothing to the content address).
@@ -199,7 +194,8 @@ class Job:
     #: Set when the failure exhausted its retry budget and landed in the
     #: dead-letter record (journaled durably when a journal is on).
     dead_lettered: bool = False
-    execution_s: float | None = None
+    #: The job's clock: :meth:`AllocationService.submit` starts it with
+    #: the submit-time cache probe; latency runs to ``finished_mono``.
     submitted_mono: float = field(default_factory=time.monotonic)
     finished_mono: float | None = None
     #: The open ``service.job`` span (begun at submit, ended when the
@@ -207,8 +203,9 @@ class Job:
     #: and worker spans.  Never part of the cache key.
     span: object = field(default=None, repr=False)
     trace: TraceContext | None = field(default=None, repr=False)
-    #: Always-on per-stage wall seconds: ``queue_wait`` / ``cache`` /
-    #: ``alloc`` / ``verify`` (the router adds ``route`` on its side).
+    #: Always-on per-stage wall seconds on the job's clock: ``cache``
+    #: (every probe), ``queue_wait`` (submit to the last dispatch, less
+    #: the probes), and the served attempt's ``alloc`` and ``verify``.
     stages: dict = field(default_factory=dict)
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
 
@@ -260,7 +257,6 @@ class Job:
             "attempts": self.attempts,
             "dead_lettered": self.dead_lettered,
             "error": self.error,
-            "execution_s": self.execution_s,
             # list() snapshots the items in one step: the dispatcher
             # thread may add a stage while a submitter describes the job.
             "stages": {k: round(v, 6) for k, v in list(self.stages.items())},
@@ -269,7 +265,7 @@ class Job:
 
 
 class AllocationService:
-    """Cache + queue + batch executor behind ``repro serve``.
+    """Cache + queue + one-job dispatcher behind ``repro serve``.
 
     Thread-safe.  Call :meth:`start` to run the dispatcher on a
     background thread, or drive it manually with :meth:`process_once`
@@ -278,9 +274,7 @@ class AllocationService:
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.cache = AllocationCache(
-            self.config.cache_dir, self.config.cache_entries
-        )
+        self.cache = AllocationCache(self.config.cache_dir)
         self.verifier = AllocationVerifier(self.config.verify)
         self.cost_model = TierCostModel()
         self._jobs: dict[str, Job] = {}
@@ -304,10 +298,7 @@ class AllocationService:
         self.journal: JobJournal | None = None
         if self.config.journal_dir:
             self.journal = JobJournal(
-                self.config.journal_dir,
-                compact_min_frames=self.config.journal_compact_min,
-                fsync=self.config.journal_fsync,
-                dead_letter_limit=self.config.dead_letter_limit,
+                self.config.journal_dir, fsync=self.config.journal_fsync
             )
         self._recovered = False
         self.counters = {
@@ -405,7 +396,7 @@ class AllocationService:
         with self._lock:
             # Restore the durable dead-letter list (oldest first, bounded).
             merged = replay.dead_letter + self.dead_letter
-            self.dead_letter = merged[-self.config.dead_letter_limit:]
+            self.dead_letter = merged[-DEAD_LETTER_LIMIT:]
         for record in replay.pending:
             body = {
                 "ir": record["ir"],
@@ -637,14 +628,15 @@ class AllocationService:
         # Ended when the job finishes; dropped unrecorded if the submit
         # coalesces or sheds instead of creating a job.
         span = TRACER.begin("service.job", category="service", ctx=trace)
-        probe_started = time.perf_counter()
+        # The job's clock starts here, so its probe is part of its latency.
+        started = time.monotonic()
         with TRACER.activate(span.ctx):
             cached = self._cache_lookup(key, ir)
-        probe_s = time.perf_counter() - probe_started
+        probe_s = time.monotonic() - started
         if cached is not None:
             job = self._new_job(
                 key, ir, file_spec, method, flags, deadline_s, kind, machine,
-                job_id=job_id,
+                job_id=job_id, submitted_mono=started,
             )
             job.span, job.trace = span, span.ctx
             job.stages["cache"] = probe_s
@@ -673,7 +665,7 @@ class AllocationService:
                 raise ServiceOverloadError(depth, self.config.max_queue_depth)
             job = self._new_job(
                 key, ir, file_spec, method, flags, deadline_s, kind, machine,
-                job_id=job_id,
+                job_id=job_id, submitted_mono=started,
             )
             job.span, job.trace = span, span.ctx
             job.stages["cache"] = probe_s
@@ -693,7 +685,7 @@ class AllocationService:
 
     def _new_job(
         self, key, ir, file_spec, method, flags, deadline_s,
-        kind="function", machine=None, job_id=None,
+        kind, machine, job_id, submitted_mono,
     ) -> Job:
         with self._lock:
             if job_id is None:
@@ -716,6 +708,7 @@ class AllocationService:
                 kind=kind,
                 machine=machine,
                 deadline_s=deadline_s,
+                submitted_mono=submitted_mono,
             )
             self._jobs[job_id] = job
         return job
@@ -788,155 +781,122 @@ class AllocationService:
     # Dispatch
     # ------------------------------------------------------------------
     def process_once(self, block: bool = False, timeout: float | None = None) -> int:
-        """Drain and execute one batch; returns the number of jobs handled."""
-        batch: list[Job] = []
+        """Take one queued job and run it to a terminal state or a
+        requeue; returns 1 when a job was dispatched, 0 when none was."""
         try:
-            first = self._queue.get(block=block, timeout=timeout)
+            job = self._queue.get(block=block, timeout=timeout)
         except _queue.Empty:
             return 0
-        if first is None:  # stop sentinel
+        if job is None:  # stop sentinel
             return 0
-        batch.append(first)
-        while len(batch) < self.config.batch_size:
-            try:
-                job = self._queue.get_nowait()
-            except _queue.Empty:
-                break
-            if job is None:
-                self._queue.put(None)  # keep the sentinel for the loop
-                break
-            batch.append(job)
-        if FAULTS.enabled and batch:
-            # Duplicate delivery: the same job appears twice in one
-            # batch; the second resolution must be absorbed, not served.
-            point = FAULTS.fire("queue.dispatch", label=batch[0].job_id)
+        deliveries = 1
+        if FAULTS.enabled:
+            # Duplicate delivery: the same job is handed over twice; a
+            # copy that finds the job no longer queued is absorbed.
+            point = FAULTS.fire("queue.dispatch", label=job.job_id)
             if point is not None and point.mode == "duplicate":
-                batch.append(batch[0])
-        self._process_batch(batch)
-        return len(batch)
+                deliveries = 2
+        for _ in range(deliveries):
+            self._run(job)
+        return 1
 
-    def _process_batch(self, batch: list[Job]) -> None:
-        """Tier-select every job, serve late cache hits, execute the rest."""
-        to_execute: list[Job] = []
-        tiers: list[str] = []
-        seen: set[str] = set()
-        for job in batch:
-            if job.finished or job.job_id in seen:
-                # Duplicate delivery — already resolved, or a second
-                # copy in this very batch.  Absorb it.
-                with self._lock:
-                    self.counters["duplicate_deliveries"] += 1
-                continue
-            seen.add(job.job_id)
-            job.status = "running"
-            job.stages["queue_wait"] = time.monotonic() - job.submitted_mono
-            tier, degraded = select_tier(
-                job.requested_method, job.remaining_s(), self.cost_model
-            )
-            if degraded:
-                self._note_degradation(job, tier)
-            # A degraded tier has its own content address; an earlier
-            # run may already have produced exactly this artifact.
-            if tier == job.requested_method:
-                exec_key = job.key
-            elif job.kind == "module":
-                exec_key = module_cache_key(
-                    job.ir, job.file_spec, tier, job.flags,
-                    machine=job.machine,
-                )
-            else:
-                exec_key = cache_key(
-                    job.ir, job.file_spec, tier, job.flags,
-                    canonical=True, machine=job.machine,
-                )
-            probe_started = time.perf_counter()
-            with TRACER.activate(job.trace):
-                cached = self._cache_lookup(exec_key, job.ir)
-            job.stages["cache"] = job.stages.get("cache", 0.0) + (
-                time.perf_counter() - probe_started
-            )
-            if cached is not None:
-                self._finish(job, cached, tier, degraded)
-                continue
-            to_execute.append(job)
-            tiers.append(tier)
-        if to_execute:
-            self._execute(to_execute, tiers)
+    def _run(self, job: Job) -> None:
+        """Run one delivered job inline on the dispatcher.
 
-    def _execute(self, jobs: list[Job], tiers: list[str]) -> None:
-        """Run each job inline on the dispatcher, one after another.
-
-        Under the job's trace the ``queue.execute`` fault point fires
-        (``stall`` sleeps, ``error`` raises), then the build runs in a
-        ``worker.execute`` span, so the pipeline's pass and analysis
-        spans nest inside it.  A module job reuses fragments through the
-        *verified* cache probe (:class:`_FragmentView`), so a corrupted
-        on-disk fragment heals instead of splicing garbage, and only the
-        functions whose fragments miss re-run the pipeline; the
+        The tier is picked now, from the job's remaining deadline budget,
+        and the cache is probed under that tier's key before any work is
+        spent.  On a miss, under the job's trace the ``queue.execute``
+        fault point fires (``stall`` sleeps, ``error`` raises), then the
+        build runs in a ``worker.execute`` span, so the pipeline's pass
+        and analysis spans nest inside it.  A module job reuses fragments
+        through the *verified* cache probe (:class:`_FragmentView`), so a
+        corrupted on-disk fragment heals instead of splicing garbage, and
+        only the functions whose fragments miss re-run the pipeline; the
         reuse/execute split lands in :attr:`incremental`.  Function
         artifacts *are* fragments, so earlier requests of either shape
         warm the module path.
+
+        The artifact is verified (against the request's IR, for a
+        function job at the tier asked for) before it is cached or
+        served.  Fail-stop: an artifact that fails its own verification
+        is never cached or served, and the job retries — recompute is
+        the healing path.
         """
-        for job, tier in zip(jobs, tiers):
-            job.attempts += 1
-            try:
-                with TRACER.activate(job.trace):
-                    if FAULTS.enabled:
-                        point = FAULTS.fire("queue.execute", label=tier)
-                        if point is not None:
-                            if point.mode == "stall":
-                                stall_s = point.detail.get("stall_s", 0.05)
-                                time.sleep(float(stall_s))
-                            else:
-                                raise InjectedFault(point.site, point.mode)
-                    started = time.perf_counter()
-                    with TRACER.span(
-                        "worker.execute", category="worker", method=tier,
-                        kind=job.kind,
-                    ):
-                        if job.kind == "module":
-                            artifact = build_module_artifact(
-                                job.ir, job.file_spec, tier, job.flags,
-                                machine=job.machine,
-                                store=_FragmentView(self),
-                                counters=self.incremental,
-                            )
+        if job.status != "queued":
+            # A copy of a job that already ran: absorb it, so no job is
+            # run or served twice.
+            with self._lock:
+                self.counters["duplicate_deliveries"] += 1
+            return
+        job.status = "running"
+        tier, degraded = select_tier(
+            job.requested_method, job.remaining_s(), self.cost_model
+        )
+        if degraded:
+            self._note_degradation(job, tier)
+        # A degraded tier has its own content address; an earlier run
+        # may already have produced exactly this artifact.
+        key = job.key
+        if tier != job.requested_method:
+            key = request_key(
+                job.kind, job.ir, job.file_spec, tier, job.flags, job.machine
+            )
+        probed = time.monotonic()
+        job.stages["queue_wait"] = (
+            probed - job.submitted_mono - job.stages["cache"]
+        )
+        with TRACER.activate(job.trace):
+            cached = self._cache_lookup(key, job.ir)
+        started = time.monotonic()
+        job.stages["cache"] += started - probed
+        if cached is not None:
+            self._finish(job, cached, tier, degraded)
+            return
+
+        job.attempts += 1
+        try:
+            with TRACER.activate(job.trace):
+                if FAULTS.enabled:
+                    point = FAULTS.fire("queue.execute", label=tier)
+                    if point is not None:
+                        if point.mode == "stall":
+                            stall_s = point.detail.get("stall_s", 0.05)
+                            time.sleep(float(stall_s))
                         else:
-                            artifact = build_artifact(
-                                job.ir, job.file_spec, tier, job.flags,
-                                job.machine,
-                            )
-            except Exception as exc:
-                self._handle_failure(job, str(exc), retryable=_transient(exc))
-                continue
-            # Verified against the request's IR only for a function job
-            # at the tier asked for.
+                            raise InjectedFault(point.site, point.mode)
+                with TRACER.span(
+                    "worker.execute", category="worker", method=tier,
+                    kind=job.kind,
+                ):
+                    if job.kind == "module":
+                        artifact = build_module_artifact(
+                            job.ir, job.file_spec, tier, job.flags,
+                            machine=job.machine,
+                            store=_FragmentView(self),
+                            counters=self.incremental,
+                        )
+                    else:
+                        artifact = build_artifact(
+                            job.ir, job.file_spec, tier, job.flags,
+                            job.machine,
+                        )
+        except Exception as exc:
+            self._handle_failure(job, str(exc), retryable=_transient(exc))
+            return
+        data = artifact_bytes(artifact)
+        built = time.monotonic()
+        seconds = job.stages["alloc"] = built - started
+        if self.verifier.should_verify("computed"):
             original_ir = (
                 job.ir
                 if job.kind == "function" and tier == job.requested_method
                 else None
             )
-            self._complete(
-                job, tier, artifact, time.perf_counter() - started, original_ir
-            )
-
-    def _complete(
-        self, job: Job, tier: str, artifact: dict, seconds: float,
-        original_ir: str | None,
-    ) -> None:
-        """Verify a computed artifact (against *original_ir*, when given),
-        then cache and serve it.  Fail-stop: an artifact that fails its
-        own verification is never cached or served, and the job retries
-        — recompute is the healing path."""
-        job.stages["alloc"] = seconds
-        data = artifact_bytes(artifact)
-        if self.verifier.should_verify("computed"):
-            verify_started = time.perf_counter()
             with TRACER.activate(job.trace):
                 report = self.verifier.verify_bytes(
                     data, expected_key=artifact["key"], original_ir=original_ir
                 )
-            job.stages["verify"] = time.perf_counter() - verify_started
+            job.stages["verify"] = time.monotonic() - built
             with self._lock:
                 self.counters["verified"] += 1
             if not report.ok:
@@ -953,10 +913,9 @@ class AllocationService:
                     retryable=True,
                 )
                 return
-        job.execution_s = seconds
         self.cost_model.observe(tier, seconds)
         self.cache.put(artifact["key"], data)
-        self._finish(job, data, tier, tier != job.requested_method)
+        self._finish(job, data, tier, degraded)
         with self._lock:
             self.counters["executed"] += 1
 
@@ -997,7 +956,7 @@ class AllocationService:
                 "error": error,
             }
             self.dead_letter.append(record)
-            del self.dead_letter[: -self.config.dead_letter_limit]
+            del self.dead_letter[:-DEAD_LETTER_LIMIT]
         job.dead_lettered = True
         self._fail(job, error, dead_letter=record)
 
@@ -1141,7 +1100,6 @@ class AllocationService:
             "slo": self.slo.snapshot(),
             "lifecycle": self.lifecycle(),
             "config": {
-                "batch_size": self.config.batch_size,
                 "verify": self.config.verify,
                 "job_retries": self.config.job_retries,
                 "job_retention": self.config.job_retention,

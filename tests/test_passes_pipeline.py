@@ -27,7 +27,6 @@ from repro.passes import (
     Pass,
 )
 from repro.prescount import (
-    PASS_REGISTRY,
     PipelineConfig,
     PresCountBankAssigner,
     PresCountPolicy,
@@ -142,15 +141,6 @@ class TestInvalidationThroughPasses:
 
 
 class TestFigure4Passes:
-    def test_registry_names_all_five_phases(self):
-        assert set(PASS_REGISTRY) == {
-            "coalescing",
-            "sdg-split",
-            "scheduling",
-            "bank-assignment",
-            "allocation",
-        }
-
     @pytest.mark.parametrize(
         "method,dsa,expected",
         [

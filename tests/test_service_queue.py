@@ -1,4 +1,4 @@
-"""Job queue: coalescing, batching, degradation, crash-tolerant workers."""
+"""Job queue: coalescing, one-job dispatch, stage ledger, degradation."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import pytest
 
 from repro import obs
 from repro.ir import print_function
+from repro.resilience import FAULTS, FaultPlan
+from repro.resilience.faults import FaultPoint
 from repro.service import (
     AllocationService,
     RequestError,
@@ -20,6 +22,7 @@ from repro.service import (
     select_tier,
 )
 from repro.service.queue import Job
+from repro.workloads import dsa_suite
 
 from .conftest import build_mac_kernel
 
@@ -125,22 +128,84 @@ def test_concurrent_duplicate_submissions_execute_once():
     assert service.counters["requests"] == 8
 
 
-def test_batching_drains_in_submission_order(service):
+def test_dispatch_runs_one_job_at_a_time_in_submission_order(service):
     jobs = [
         service.submit(make_request(trip_count=8 + i)) for i in range(5)
     ]
-    assert service.process_once() == 5  # one batch (batch_size=8)
-    assert [j.status for j in jobs] == ["done"] * 5
+    for done in range(1, 6):
+        assert service.process_once() == 1
+        assert [j.status for j in jobs] == (
+            ["done"] * done + ["queued"] * (5 - done)
+        )
+    assert service.process_once() == 0
     assert service.counters["executed"] == 5
 
 
-def test_batch_size_caps_one_dispatch():
-    service = AllocationService(ServiceConfig(batch_size=2))
-    jobs = [service.submit(make_request(trip_count=8 + i)) for i in range(3)]
-    assert service.process_once() == 2
-    assert [j.status for j in jobs] == ["done", "done", "queued"]
-    assert service.process_once() == 1
-    assert jobs[2].status == "done"
+# ----------------------------------------------------------------------
+# Each job runs on its own clock
+# ----------------------------------------------------------------------
+DSA_FILE = {"registers": 64, "banks": 2, "subgroups": 4}
+
+
+def test_stages_add_up_to_the_latency_of_queued_misses():
+    # Four misses queued before the dispatcher runs: the wait behind the
+    # jobs ahead lands in each job's queue_wait, not in no stage.
+    irs = {fn.name: print_function(fn) for fn in dsa_suite(0, 8).functions()}
+    service = AllocationService(ServiceConfig(verify="off"))
+    jobs = [
+        service.submit({"ir": irs[name], "file": dict(DSA_FILE)})
+        for name in ("reduce", "red-ur", "shruse", "sr-ur")
+    ]
+    while service.process_once():
+        pass
+    ahead = 0.0
+    for job in jobs:
+        assert job.status == "done" and job.cache == "miss"
+        assert set(job.stages) == {"cache", "queue_wait", "alloc"}
+        latency = job.finished_mono - job.submitted_mono
+        unattributed = latency - sum(job.stages.values())
+        assert -1e-9 <= unattributed < 1e-3, (job.function_name, unattributed)
+        assert job.stages["queue_wait"] >= ahead
+        ahead += job.stages["alloc"]
+
+
+def test_deadline_is_read_when_the_job_starts():
+    # The job ahead stalls 200 ms; the 100 ms budget of the job behind
+    # it is spent by the time it starts, so it drops to the bottom rung.
+    FAULTS.arm(FaultPlan(seed=0, points=[FaultPoint(
+        site="queue.execute", mode="stall", detail={"stall_s": 0.2},
+        times=1,
+    )]))
+    try:
+        service = AllocationService(ServiceConfig(verify="off"))
+        ahead = service.submit(make_request(trip_count=24))
+        behind = service.submit(make_request(deadline_ms=100))
+        while service.process_once():
+            pass
+    finally:
+        FAULTS.disarm()
+    assert (ahead.served_method, ahead.degraded) == ("bpc", False)
+    assert (behind.served_method, behind.degraded) == ("non", True)
+    assert behind.stages["queue_wait"] >= 0.2
+
+
+def test_a_hit_latency_includes_its_verified_probe():
+    service = AllocationService(ServiceConfig(verify="strict"))
+    service.submit(make_request())
+    service.process_once()
+    samples = []
+    record = service.slo.record
+
+    def spy(**sample):
+        samples.append(sample["latency_s"])
+        record(**sample)
+
+    service.slo.record = spy
+    hit = service.submit(make_request())
+    assert hit.cache == "hit" and service.counters["verified"] >= 2
+    (latency,) = samples
+    assert latency >= hit.stages["cache"] > 0
+    assert latency == hit.finished_mono - hit.submitted_mono
 
 
 def test_deadline_exhausted_degrades_to_bottom_tier(service):
@@ -254,7 +319,8 @@ def test_function_name_is_the_name_after_func(service, name):
     # 2 registers cannot hold the kernel: the job dead-letters at once.
     failed = service.submit({"ir": ir, "file": {"registers": 2, "banks": 2},
                              "method": "non"})
-    service.process_once()
+    while service.process_once():
+        pass
     assert failed.status == "failed" and failed.dead_lettered
     (record,) = service.stats()["dead_letter"]
     assert record["function"] == name

@@ -236,9 +236,10 @@ def memo_counts(router) -> tuple[int, int]:
 
 
 def ragged(ir: str) -> str:
-    """*ir* with extra indentation, trailing blanks and comments."""
+    """*ir* with extra indentation, trailing blanks and comments, one of
+    which names another function (it must not make *ir* a module)."""
     lines = ("  " + line + "   ; a comment" for line in ir.splitlines())
-    return "; leading comment\n\n" + "\n".join(lines) + "\n\n"
+    return "; helper for func @other\n\n" + "\n".join(lines) + "\n\n"
 
 
 def test_memo_keys_and_bytes_match_direct_builds_on_the_golden_matrix():
