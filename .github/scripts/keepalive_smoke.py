@@ -49,8 +49,8 @@ def main(port: int) -> None:
 def burst(port: int, clients: int = 32) -> None:
     """*clients* fresh connections at once each get ``/healthz`` within
     0.5 s.  One beyond the listen backlog has its SYN dropped and resent
-    after the kernel's 1 s.  32 is the default ``max_concurrent_requests``,
-    so nothing is shed."""
+    after the kernel's 1 s.  32 is the server's fixed handler limit
+    (``MAX_CONCURRENT_REQUESTS``), so nothing is shed."""
     barrier = threading.Barrier(clients, timeout=10)
     statuses = []
 

@@ -316,12 +316,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         os.environ["REPRO_EVENTS"] = args.events
 
     config = ServiceConfig(
-        cache_dir=args.cache_dir,
-        verify=args.verify,
-        job_retries=args.job_retries,
-        job_retention=args.retention,
-        max_queue_depth=args.max_queue_depth,
-        journal_dir=args.journal,
+        cache_dir=args.cache_dir, verify=args.verify, journal_dir=args.journal
     )
     if args.verbose:
         ServiceHandler.verbose = True
@@ -923,21 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent artifact verification: 'strict' re-checks "
         "every artifact before it is cached or served, 'cached-only' "
         "re-checks on-disk cache loads (default), 'off' disables",
-    )
-    p_serve.add_argument(
-        "--job-retries", type=int, default=2,
-        help="whole-job retry budget before a failing job dead-letters "
-        "(default 2)",
-    )
-    p_serve.add_argument(
-        "--retention", type=int, default=1024, metavar="N",
-        help="finished jobs kept pollable before oldest-first eviction "
-        "(default 1024)",
-    )
-    p_serve.add_argument(
-        "--max-queue-depth", type=int, default=1024,
-        help="queue depth at which submits are shed with 503 + "
-        "Retry-After (default 1024)",
     )
     p_serve.add_argument(
         "--shards", type=int, default=0, metavar="N",

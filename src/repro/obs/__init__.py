@@ -98,7 +98,5 @@ __all__ = [
 
 
 def reset_all() -> None:
-    """Clear the recorder and the request event ring (the switches are
-    left untouched)."""
+    """Clear the recorder (its switch is left untouched)."""
     TRACER.reset()
-    EVENTS.reset()

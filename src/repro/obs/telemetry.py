@@ -13,8 +13,9 @@ serve while they run.
 * :func:`render_prometheus` / :func:`parse_prometheus` — text
   exposition for ``GET /v1/metrics`` plus a parser so tests and CI can
   round-trip the output without external dependencies.
-* :data:`EVENTS` (:class:`EventLog`) — a JSONL log, one line per served
-  request (trace id, shard, tiers, stage timings, cache disposition).
+* :data:`EVENTS` (:class:`EventLog`) — a JSONL file, one line per
+  finished request (trace id, shard, tiers, stage timings, cache
+  disposition).
 * :class:`SLOTracker` — availability / p99 latency / goodput targets
   with error-budget burn, surfaced in ``/v1/stats`` and ``repro top``.
 
@@ -30,6 +31,16 @@ import re
 import threading
 import time
 from collections import deque
+
+#: Slots of a :class:`RingSeries`, each :data:`RING_WIDTH_S` seconds wide.
+RING_SLOTS = 120
+RING_WIDTH_S = 1.0
+
+#: :class:`SLOTracker` targets, and the latencies its percentiles read.
+AVAILABILITY_TARGET = 0.999
+P99_MS_TARGET = 500.0
+GOODPUT_TARGET = 0.99
+SLO_WINDOW = 2048
 
 __all__ = [
     "EVENTS",
@@ -78,46 +89,9 @@ class StreamingHistogram:
         buckets = self.buckets
         buckets[exp] = buckets.get(exp, 0) + 1
 
-    def merge(self, other: "StreamingHistogram | dict") -> None:
-        if isinstance(other, dict):
-            count = other.get("count", 0)
-            if not count:
-                return
-            self.count += count
-            self.total += other.get("total", 0.0)
-            self.min = min(self.min, other.get("min", math.inf))
-            self.max = max(self.max, other.get("max", -math.inf))
-            pairs = (other.get("buckets") or {}).items()
-        else:
-            if not other.count:
-                return
-            self.count += other.count
-            self.total += other.total
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-            pairs = other.buckets.items()
-        buckets = self.buckets
-        for exp, count in pairs:
-            exp = int(exp)
-            buckets[exp] = buckets.get(exp, 0) + count
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the *q* quantile from the buckets."""
-
-        if not self.count:
-            return 0.0
-        rank = max(1, math.ceil(q * self.count))
-        seen = 0
-        for exp in sorted(self.buckets):
-            seen += self.buckets[exp]
-            if seen >= rank:
-                bound = 0.0 if exp == _UNDERFLOW_EXP else 2.0 ** exp
-                return min(bound, self.max)
-        return self.max
 
     def summary(self) -> dict:
         return {
@@ -131,24 +105,23 @@ class StreamingHistogram:
 
 
 class RingSeries:
-    """A ring of per-interval buckets for windowed rates.
+    """A ring of :data:`RING_SLOTS` per-interval buckets for windowed
+    rates.
 
     Fixed memory, O(1) :meth:`add`; stale slots are lazily zeroed when
     the ring wraps, so an idle series costs nothing.  Not internally
     locked — owners (:class:`SLOTracker`) serialize access.
     """
 
-    __slots__ = ("slots", "width_s", "_values", "_stamps")
+    __slots__ = ("_values", "_stamps")
 
-    def __init__(self, slots: int = 120, width_s: float = 1.0):
-        self.slots = slots
-        self.width_s = width_s
-        self._values = [0.0] * slots
-        self._stamps = [-1] * slots
+    def __init__(self):
+        self._values = [0.0] * RING_SLOTS
+        self._stamps = [-1] * RING_SLOTS
 
     def _slot(self, now: float) -> int:
-        stamp = int(now / self.width_s)
-        index = stamp % self.slots
+        stamp = int(now / RING_WIDTH_S)
+        index = stamp % len(self._stamps)
         if self._stamps[index] != stamp:
             self._stamps[index] = stamp
             self._values[index] = 0.0
@@ -160,8 +133,8 @@ class RingSeries:
 
     def total(self, window_s: float = 60.0, now: float | None = None) -> float:
         now = time.time() if now is None else now
-        oldest = int((now - window_s) / self.width_s)
-        newest = int(now / self.width_s)
+        oldest = int((now - window_s) / RING_WIDTH_S)
+        newest = int(now / RING_WIDTH_S)
         return sum(
             value
             for value, stamp in zip(self._values, self._stamps)
@@ -170,17 +143,6 @@ class RingSeries:
 
     def rate(self, window_s: float = 60.0, now: float | None = None) -> float:
         return self.total(window_s, now) / window_s if window_s > 0 else 0.0
-
-    def series(self, window_s: float = 60.0, now: float | None = None) -> list:
-        now = time.time() if now is None else now
-        oldest = int((now - window_s) / self.width_s)
-        newest = int(now / self.width_s)
-        points = [
-            (stamp * self.width_s, value)
-            for value, stamp in zip(self._values, self._stamps)
-            if oldest < stamp <= newest
-        ]
-        return sorted(points)
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +276,19 @@ def parse_prometheus(text: str) -> dict:
 
 
 class EventLog:
-    """JSONL event log: one line per served request.
-
-    Keeps a bounded in-memory ring (``recent`` feeds ``repro top``) and
-    optionally appends to a file (``repro serve --events PATH``).  Lines
-    are canonical JSON (sorted keys) so downstream tooling can diff
-    runs.
+    """JSONL event log: one line per finished request, appended to the
+    file ``repro serve --events PATH`` names.  Lines are canonical JSON
+    (sorted keys) so downstream tooling can diff runs.
     """
 
-    def __init__(self, capacity: int = 1024):
+    def __init__(self):
         self.enabled = False
-        self.path = None
-        self.emitted = 0
-        self._ring = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._fh = None
 
-    def enable(self, path: str | None = None) -> None:
+    def enable(self, path: str) -> None:
         with self._lock:
-            if path:
-                self.path = path
-                self._fh = open(path, "a", encoding="utf-8")
+            self._fh = open(path, "a", encoding="utf-8")
             self.enabled = True
 
     def close(self) -> None:
@@ -344,28 +298,16 @@ class EventLog:
                 self._fh.close()
                 self._fh = None
 
-    def reset(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self.emitted = 0
-
     def emit(self, record: dict) -> None:
         if not self.enabled:
             return
         with self._lock:
-            self._ring.append(record)
-            self.emitted += 1
             if self._fh is not None:
                 self._fh.write(
                     json.dumps(record, sort_keys=True, separators=(",", ":"))
                     + "\n"
                 )
                 self._fh.flush()
-
-    def recent(self, n: int = 50) -> list:
-        with self._lock:
-            items = list(self._ring)
-        return items[-n:]
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +318,17 @@ class SLOTracker:
     """Availability / p99 latency / goodput against explicit targets.
 
     ``record`` is O(1) (counter bumps, a bounded deque append, two ring
-    buckets); ``snapshot`` does the percentile math, so the hot path
-    never sorts.  *Error-budget burn* is the fraction of the allowed
-    failures (``(1 - availability_target) * requests``) already spent.
+    buckets); ``snapshot`` does the percentile math over the last
+    :data:`SLO_WINDOW` latencies, so the hot path never sorts.
+    *Error-budget burn* is the fraction of the allowed failures
+    (``(1 - AVAILABILITY_TARGET) * requests``) already spent.
     """
 
-    def __init__(
-        self,
-        *,
-        availability_target: float = 0.999,
-        p99_ms_target: float = 500.0,
-        goodput_target: float = 0.99,
-        window: int = 2048,
-    ):
-        self.availability_target = availability_target
-        self.p99_ms_target = p99_ms_target
-        self.goodput_target = goodput_target
+    def __init__(self):
         self.requests = 0
         self.ok = 0
         self.good = 0
-        self._latencies = deque(maxlen=window)
+        self._latencies = deque(maxlen=SLO_WINDOW)
         self.request_rate = RingSeries()
         self.error_rate = RingSeries()
         self._lock = threading.Lock()
@@ -421,15 +354,6 @@ class SLOTracker:
             if not ok:
                 self.error_rate.add(1.0, now)
 
-    def reset(self) -> None:
-        with self._lock:
-            self.requests = 0
-            self.ok = 0
-            self.good = 0
-            self._latencies.clear()
-            self.request_rate = RingSeries()
-            self.error_rate = RingSeries()
-
     @staticmethod
     def _percentile(values, q: float) -> float:
         if not values:
@@ -448,7 +372,7 @@ class SLOTracker:
             error_rate = self.error_rate.rate(60.0)
         availability = ok / requests if requests else 1.0
         goodput_ratio = good / requests if requests else 1.0
-        allowed = (1.0 - self.availability_target) * requests
+        allowed = (1.0 - AVAILABILITY_TARGET) * requests
         consumed = requests - ok
         if consumed == 0:
             burn = 0.0
@@ -461,9 +385,9 @@ class SLOTracker:
         worst = max(latencies) * 1000.0 if latencies else 0.0
         return {
             "targets": {
-                "availability": self.availability_target,
-                "p99_ms": self.p99_ms_target,
-                "goodput": self.goodput_target,
+                "availability": AVAILABILITY_TARGET,
+                "p99_ms": P99_MS_TARGET,
+                "goodput": GOODPUT_TARGET,
             },
             "requests": requests,
             "availability": availability,
@@ -477,9 +401,9 @@ class SLOTracker:
             "latency_ms": {"p50": p50, "p99": p99, "max": worst},
             "rate": {"requests_per_s": rate, "errors_per_s": error_rate},
             "meets": {
-                "availability": availability >= self.availability_target,
-                "p99": p99 <= self.p99_ms_target,
-                "goodput": goodput_ratio >= self.goodput_target,
+                "availability": availability >= AVAILABILITY_TARGET,
+                "p99": p99 <= P99_MS_TARGET,
+                "goodput": goodput_ratio >= GOODPUT_TARGET,
             },
         }
 

@@ -26,13 +26,16 @@ Resilience (see ``docs/RESILIENCE.md``):
 * every call carries a socket timeout (no hung-forever requests);
 * transient failures — connection errors, timeouts, ``429``/``503``
   shed responses — are retried up to ``retries`` times with exponential
-  backoff plus deterministic jitter, honoring the server's
-  ``Retry-After`` when present.  Retrying a submit is safe: requests
-  are content-addressed and coalesced server-side, so a duplicate
-  submission attaches to the same job instead of redoing work;
-* a **circuit breaker** trips OPEN after ``breaker_threshold``
+  backoff from :data:`BACKOFF_S` plus seeded jitter, honoring the
+  server's ``Retry-After`` when present.  Retrying a submit is safe:
+  requests are content-addressed and coalesced server-side, so a
+  duplicate submission attaches to the same job instead of redoing
+  work.  The end client is the only hop that retries: the shard front
+  end forwards with ``retries=0`` and leaves failures to its router;
+* a **circuit breaker** trips OPEN after :data:`BREAKER_THRESHOLD`
   consecutive transport failures and fails fast (no network I/O) until
-  ``breaker_cooldown_s`` elapses, then HALF-OPEN admits one trial call;
+  :data:`BREAKER_COOLDOWN_S` elapses, then HALF-OPEN admits one trial
+  call;
 * the ``client.request`` fault site (:mod:`repro.resilience.faults`)
   can inject timeouts and connection resets ahead of the socket for
   chaos testing.
@@ -65,8 +68,20 @@ from ..resilience.faults import FAULTS, InjectedFault
 #: HTTP statuses worth retrying: the server shed load, not failed us.
 RETRYABLE_STATUSES = (429, 503)
 
+#: First retry's backoff (seconds); each later retry doubles it.
+BACKOFF_S = 0.1
+
 #: Upper bound on any single backoff sleep (seconds).
 MAX_BACKOFF_S = 5.0
+
+#: Consecutive transport failures that open a client's circuit breaker.
+BREAKER_THRESHOLD = 5
+
+#: Seconds an open breaker fails fast before it admits a trial call.
+BREAKER_COOLDOWN_S = 5.0
+
+#: Seed of the backoff jitter, so chaos runs reproduce end to end.
+JITTER_SEED = 0
 
 #: Statuses a call answers with by default (``202``: a queued submit).
 _OK = (200, 202)
@@ -162,15 +177,7 @@ class ServiceClient:
     share between threads (each thread gets its own connection)."""
 
     def __init__(
-        self,
-        base_url: str,
-        timeout: float = 10.0,
-        *,
-        retries: int = 2,
-        backoff_s: float = 0.1,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 5.0,
-        jitter_seed: int = 0,
+        self, base_url: str, timeout: float = 10.0, *, retries: int = 2
     ):
         self.base_url = base_url.rstrip("/")
         url = urlsplit(self.base_url)
@@ -181,10 +188,8 @@ class ServiceClient:
         self._local = threading.local()
         self.timeout = timeout
         self.retries = retries
-        self.backoff_s = backoff_s
-        self.breaker = _CircuitBreaker(breaker_threshold, breaker_cooldown_s)
-        # Seeded jitter keeps chaos runs reproducible end to end.
-        self._rng = random.Random(jitter_seed)
+        self.breaker = _CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN_S)
+        self._rng = random.Random(JITTER_SEED)
 
     # ------------------------------------------------------------------
     def _request_once(
@@ -300,7 +305,7 @@ class ServiceClient:
         """Exponential backoff with jitter, deferring to ``Retry-After``."""
         if retry_after is not None:
             return min(max(retry_after, 0.0), MAX_BACKOFF_S)
-        base = self.backoff_s * (2 ** attempt)
+        base = BACKOFF_S * (2 ** attempt)
         # Full jitter on the top half: [base/2, base].
         return min(base * (0.5 + self._rng.random() / 2.0), MAX_BACKOFF_S)
 

@@ -27,6 +27,9 @@ LADDER = ("bpc", "bcr", "non")
 #: on the demo-sized kernels; the EWMA converges to reality quickly.
 PRIOR_COST_S = {"bpc": 0.050, "bcr": 0.020, "non": 0.010}
 
+#: Weight of the newest observation in each tier's moving average.
+EWMA_ALPHA = 0.3
+
 
 def ladder_from(method: str) -> tuple[str, ...]:
     """The tiers at or below *method*, best first."""
@@ -36,14 +39,13 @@ def ladder_from(method: str) -> tuple[str, ...]:
 
 
 class TierCostModel:
-    """EWMA of per-tier execution latency (thread-safe)."""
+    """EWMA of per-tier execution latency (thread-safe), starting from
+    :data:`PRIOR_COST_S` and weighting each observation by
+    :data:`EWMA_ALPHA`."""
 
-    def __init__(self, alpha: float = 0.3, priors: dict | None = None):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self):
         self._lock = threading.Lock()
-        self._estimates = dict(priors if priors is not None else PRIOR_COST_S)
+        self._estimates = dict(PRIOR_COST_S)
         self._observations = {tier: 0 for tier in self._estimates}
 
     def observe(self, method: str, seconds: float) -> None:
@@ -53,7 +55,7 @@ class TierCostModel:
                 self._estimates[method] = seconds
             else:
                 self._estimates[method] = (
-                    self.alpha * seconds + (1 - self.alpha) * old
+                    EWMA_ALPHA * seconds + (1 - EWMA_ALPHA) * old
                 )
             self._observations[method] = self._observations.get(method, 0) + 1
 

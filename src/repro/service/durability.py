@@ -34,7 +34,11 @@ Corruption handling mirrors the cache's fail-stop posture:
 
 **Compaction** folds the journal into ``checkpoint.jsonl`` (atomic
 tmp+rename) once terminal frames dominate the live set, so the journal
-stays proportional to in-flight work, not to service lifetime.
+stays proportional to in-flight work plus a bounded tail of finished
+jobs, not to service lifetime.  The checkpoint keeps the terminal
+records of the last :data:`JOB_RETENTION` finished jobs (they hold no
+IR), so a job a client saw finish stays pollable across any number of
+restarts.
 
 The ``queue.journal`` fault site (modes ``torn-write`` / ``error``)
 injects exactly these failures for the chaos suite.
@@ -53,12 +57,13 @@ from ..resilience import FAULTS, InjectedFault
 #: Frame format tag; bump on incompatible frame/record changes.
 JOURNAL_FORMAT = "repro-journal/1"
 
-#: Fields of an ``accepted`` frame that rebuild the original request.
-REQUEST_FIELDS = ("ir", "file", "method", "flags", "machine", "deadline_ms")
-
 #: Dead-letter records kept, by the journal and by the service's
 #: in-memory list alike (oldest dropped beyond this).
 DEAD_LETTER_LIMIT = 64
+
+#: Finished jobs kept pollable, by the service's job table and by the
+#: journal's terminal records alike (oldest dropped beyond this).
+JOB_RETENTION = 1024
 
 #: Frames accumulated before compaction is considered (the journal
 #: compacts once terminal frames also outnumber pending jobs).
@@ -103,10 +108,10 @@ class JournalReplay:
     #: Durable dead-letter records (terminal ``dead_lettered`` frames
     #: plus checkpointed snapshots), oldest first.
     dead_letter: list = field(default_factory=list)
-    #: Every ``terminal`` record in journal order (last one per job id
-    #: wins) — recovery re-materializes finished jobs from these as
-    #: pollable tombstones, so clients that saw a job complete can
-    #: still fetch its status/result across a restart.
+    #: Every ``terminal`` record, checkpoint then journal (last one per
+    #: job id wins) — recovery re-materializes finished jobs from these
+    #: as pollable tombstones, so clients that saw a job complete can
+    #: still fetch its status/result across restarts.
     finished: list = field(default_factory=list)
     frames: int = 0
     accepted: int = 0
@@ -130,15 +135,8 @@ class JobJournal:
     CHECKPOINT = "checkpoint.jsonl"
     QUARANTINE = "quarantine.jsonl"
 
-    def __init__(
-        self,
-        directory: str,
-        *,
-        compact_min_frames: int = COMPACT_MIN_FRAMES,
-        fsync: bool = False,
-    ):
+    def __init__(self, directory: str, *, fsync: bool = False):
         self.directory = directory
-        self.compact_min_frames = compact_min_frames
         self.fsync = fsync
         os.makedirs(directory, exist_ok=True)
         self._lock = threading.RLock()
@@ -147,6 +145,9 @@ class JobJournal:
         #: frame yet (mirrors what a replay of the current disk state
         #: would return as pending).
         self._pending: dict[str, dict] = {}
+        #: job_id -> terminal record (without its dead-letter payload)
+        #: of the last :data:`JOB_RETENTION` finished jobs, oldest first.
+        self._finished: dict[str, dict] = {}
         self._dead: list[dict] = []
         self._frames_since_compact = 0
         self._terminal_since_compact = 0
@@ -229,12 +230,26 @@ class JobJournal:
             record["dead_letter"] = dead_letter
         with self._lock:
             self._pending.pop(job_id, None)
+            self._keep_finished(record)
             if dead_letter is not None:
                 self._dead.append(dead_letter)
                 del self._dead[:-DEAD_LETTER_LIMIT]
             self._terminal_since_compact += 1
             self._append(record)
         self.maybe_compact()
+
+    def _keep_finished(self, record: dict) -> None:
+        """Remember a terminal record for the checkpoint, bounded to the
+        last :data:`JOB_RETENTION` jobs.  The dead-letter payload stays
+        out (the checkpoint's ``dead-letter`` frames carry it, so each
+        dead letter replays once); a flag keeps the job's view."""
+        kept = {k: v for k, v in record.items() if k != "dead_letter"}
+        if "dead_letter" in record:
+            kept["dead_lettered"] = True
+        self._finished.pop(record["job_id"], None)
+        self._finished[record["job_id"]] = kept
+        while len(self._finished) > JOB_RETENTION:
+            del self._finished[next(iter(self._finished))]
 
     def drop_pending(self, job_id: str) -> None:
         """Forget a pending entry without a terminal frame.
@@ -325,6 +340,10 @@ class JobJournal:
             replay.pending = list(accepted.values())
             replay.dead_letter = list(dead)
             self._pending = dict(accepted)
+            self._finished = {}
+            for record in replay.finished:
+                if record.get("job_id"):
+                    self._keep_finished(record)
             self._dead = list(dead)
             self._frames_since_compact = 0
             self._terminal_since_compact = 0
@@ -386,13 +405,13 @@ class JobJournal:
     def maybe_compact(self) -> bool:
         """Compact once the journal is mostly terminal noise.
 
-        Triggers when at least ``compact_min_frames`` frames accumulated
+        Triggers when at least :data:`COMPACT_MIN_FRAMES` frames accumulated
         since the last compaction *and* terminal frames outnumber the
         live (pending) set — i.e. most of the file no longer describes
         in-flight work.
         """
         with self._lock:
-            if self._frames_since_compact < self.compact_min_frames:
+            if self._frames_since_compact < COMPACT_MIN_FRAMES:
                 return False
             if self._terminal_since_compact <= len(self._pending):
                 return False
@@ -401,15 +420,18 @@ class JobJournal:
     def compact(self) -> bool:
         """Fold journal+checkpoint into a fresh checkpoint atomically.
 
-        The checkpoint holds one ``accepted`` frame per pending job and
-        one ``dead-letter`` frame per durable dead-letter record; the
-        journal restarts empty.  Replaying the compacted pair yields
-        exactly what replaying the full journal would have.
+        The checkpoint holds one ``accepted`` frame per pending job, one
+        ``terminal`` frame per retained finished job and one
+        ``dead-letter`` frame per durable dead-letter record; the journal
+        restarts empty.  Replaying the compacted pair yields what
+        replaying the full journal would have, within those bounds.
         """
         with self._lock:
             tmp = self.checkpoint_path + ".tmp"
             with open(tmp, "wb") as fh:
                 for record in self._pending.values():
+                    fh.write(frame_record(record))
+                for record in self._finished.values():
                     fh.write(frame_record(record))
                 for record in self._dead:
                     fh.write(frame_record({"type": "dead-letter", "record": record}))

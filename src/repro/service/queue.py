@@ -32,16 +32,15 @@ Resilience (PR 5, see ``docs/RESILIENCE.md``):
   fails is **quarantined and recomputed**, a fresh computation that
   fails is treated as a job failure — *fail-stop or correct*, never
   silent corruption;
-* a failing job gets bounded retries with exponential backoff
-  (``job_retries`` × ``job_backoff_s``); when the budget is exhausted
-  the job lands in a bounded **dead-letter record** surfaced through
-  :meth:`AllocationService.stats`;
-* finished jobs are retained under a bounded policy
-  (``job_retention`` max entries / optional ``job_ttl_s``) instead of
-  forever, with evictions counted;
-* a full queue sheds load: :meth:`AllocationService.submit` raises
-  :class:`ServiceOverloadError`, which the HTTP layer turns into
-  ``503`` + ``Retry-After``;
+* a transiently failing job goes back behind the queued work, with no
+  sleep on the dispatcher, up to :data:`JOB_RETRIES` times; when the
+  budget is exhausted the job lands in a bounded **dead-letter record**
+  surfaced through :meth:`AllocationService.stats`;
+* the last :data:`~repro.service.durability.JOB_RETENTION` finished
+  jobs stay pollable, older ones are evicted and counted;
+* a queue :data:`MAX_QUEUE_DEPTH` deep sheds load:
+  :meth:`AllocationService.submit` raises :class:`ServiceOverloadError`,
+  which the HTTP layer turns into ``503`` + ``Retry-After``;
 * seeded fault points (:mod:`repro.resilience.faults`) cover an
   execution stall or error and duplicate dispatch; duplicate deliveries
   are absorbed idempotently.
@@ -75,7 +74,15 @@ from .artifact import (
 )
 from .cache import AllocationCache
 from .degrade import TierCostModel, select_tier
-from .durability import DEAD_LETTER_LIMIT, JobJournal
+from .durability import DEAD_LETTER_LIMIT, JOB_RETENTION, JobJournal
+
+#: Requeues a job gets after a transient failure (an injected fault, an
+#: I/O error, a timeout or a failed verification) before it
+#: dead-letters.
+JOB_RETRIES = 2
+
+#: Queue depth at which :meth:`AllocationService.submit` sheds load.
+MAX_QUEUE_DEPTH = 1024
 
 
 class ServiceOverloadError(RuntimeError):
@@ -139,23 +146,6 @@ class ServiceConfig:
     #: Verifier mode: ``strict`` | ``cached-only`` | ``off``
     #: (see :mod:`repro.resilience.verifier`).
     verify: str = "cached-only"
-    #: Whole-job retry budget: a job whose execution fails (a transient
-    #: exception or a verification failure) is requeued up to this many
-    #: times before it dead-letters.
-    job_retries: int = 2
-    #: Exponential per-job backoff: ``job_backoff_s * 2**(attempt-1)``
-    #: seconds before a requeue (capped at 1 s).
-    job_backoff_s: float = 0.02
-    #: Finished (done/failed) jobs retained for polling; older ones are
-    #: evicted oldest-first.
-    job_retention: int = 1024
-    #: Optional TTL for finished jobs (seconds); ``None`` = count-only.
-    job_ttl_s: float | None = None
-    #: Queue depth at which :meth:`AllocationService.submit` sheds load.
-    max_queue_depth: int = 1024
-    #: Simultaneous HTTP handlers allowed before the server sheds with
-    #: ``429`` (enforced by :class:`repro.service.server.ServiceServer`).
-    max_concurrent_requests: int = 32
     #: Write-ahead job journal directory (None = no durability): every
     #: accepted cache-miss job is journaled at submit and at its
     #: terminal state; :meth:`AllocationService.recover` replays
@@ -417,9 +407,10 @@ class AllocationService:
             with self._lock:
                 self.counters["recovered_jobs"] += 1
             if job.finished:
-                # Resolved from cache during re-submit — accepted and
-                # terminal in one step, nothing left pending.
-                self.journal.drop_pending(rec_id)
+                # Resolved from cache during re-submit: journal the
+                # outcome, so the job stays pollable after later
+                # restarts as well.
+                self._journal_terminal(job)
             elif job.job_id != rec_id:
                 # Coalesced onto another recovered job with the same
                 # content address; alias the old id so polls still work.
@@ -452,7 +443,12 @@ class AllocationService:
         for record in finished:
             if record.get("job_id"):
                 latest[record["job_id"]] = record
-        records = list(latest.values())[-self.config.job_retention:]
+        with self._lock:
+            # The journal keeps these records, restored below or not, so
+            # a fresh job must never take one of their ids.
+            for job_id in latest:
+                self._reserve_id(job_id)
+        records = list(latest.values())[-JOB_RETENTION:]
         for record in records:
             job_id = record["job_id"]
             if self.get(job_id) is not None:
@@ -475,17 +471,15 @@ class AllocationService:
                 job.cache = "hit"
                 job.resolve(data, served or "?", bool(record.get("degraded")))
             elif status == "failed":
-                job.dead_lettered = record.get("dead_letter") is not None
+                job.dead_lettered = bool(
+                    record.get("dead_lettered") or record.get("dead_letter")
+                )
                 job.fail(record.get("error") or "failed before restart")
             else:
                 continue
             with self._lock:
                 self._jobs[job_id] = job
                 self._finished[job_id] = job
-                try:
-                    self._counter = max(self._counter, int(job_id.lstrip("j")))
-                except ValueError:
-                    pass
             restored += 1
         if restored:
             self._evict_finished()
@@ -659,10 +653,10 @@ class AllocationService:
                 )
                 return inflight
             depth = self._queue.qsize()
-            if depth >= self.config.max_queue_depth:
+            if depth >= MAX_QUEUE_DEPTH:
                 self.counters["shed"] += 1
                 TRACER.event("service.shed", ctx=trace, depth=depth)
-                raise ServiceOverloadError(depth, self.config.max_queue_depth)
+                raise ServiceOverloadError(depth, MAX_QUEUE_DEPTH)
             job = self._new_job(
                 key, ir, file_spec, method, flags, deadline_s, kind, machine,
                 job_id=job_id, submitted_mono=started,
@@ -683,6 +677,15 @@ class AllocationService:
         self._evict_finished()
         return job
 
+    def _reserve_id(self, job_id: str) -> None:
+        """Keep fresh ids ahead of a pre-restart *job_id*, so a new job
+        never collides with a recovered or journaled one (call under
+        ``_lock``)."""
+        try:
+            self._counter = max(self._counter, int(job_id.lstrip("j")))
+        except ValueError:
+            pass
+
     def _new_job(
         self, key, ir, file_spec, method, flags, deadline_s,
         kind, machine, job_id, submitted_mono,
@@ -692,12 +695,7 @@ class AllocationService:
                 self._counter += 1
                 job_id = f"j{self._counter:06d}"
             else:
-                # Recovery pins pre-crash ids; keep the counter ahead of
-                # them so fresh jobs never collide with recovered ones.
-                try:
-                    self._counter = max(self._counter, int(job_id.lstrip("j")))
-                except ValueError:
-                    pass
+                self._reserve_id(job_id)
             job = Job(
                 job_id=job_id,
                 key=key,
@@ -749,26 +747,16 @@ class AllocationService:
     # Bounded retention
     # ------------------------------------------------------------------
     def _evict_finished(self) -> None:
-        """Drop the oldest finished jobs beyond the retention policy.
+        """Drop the oldest finished jobs beyond :data:`JOB_RETENTION`.
 
-        ``job_retention`` bounds how many done/failed jobs stay pollable;
-        ``job_ttl_s`` (when set) additionally expires finished jobs by
-        age.  Queued/running jobs are never evicted.
+        Queued/running jobs are never evicted.
         """
-        config = self.config
-        ttl = config.job_ttl_s
-        now = time.monotonic()
         evicted = 0
         with self._lock:
             finished = self._finished
-            # Finish order is age order, so only the front can expire.
-            while finished:
-                job = next(iter(finished.values()))
-                if len(finished) <= config.job_retention and (
-                    ttl is None or now - (job.finished_mono or now) <= ttl
-                ):
-                    break
-                finished.popitem(last=False)
+            # Finish order is age order, so the oldest is at the front.
+            while len(finished) > JOB_RETENTION:
+                _, job = finished.popitem(last=False)
                 self._jobs.pop(job.job_id, None)
                 # Defensive: a finished job must never linger in the
                 # coalescing map; drop it if a bug ever put it there.
@@ -920,17 +908,15 @@ class AllocationService:
             self.counters["executed"] += 1
 
     # ------------------------------------------------------------------
-    # Failure path: bounded retries, then the dead-letter record
+    # Failure path: bounded requeues, then the dead-letter record
     # ------------------------------------------------------------------
     def _handle_failure(
         self, job: Job, error: str, *, retryable: bool = True
     ) -> None:
-        if retryable and job.attempts <= self.config.job_retries:
-            backoff = min(
-                self.config.job_backoff_s * (2 ** (job.attempts - 1)), 1.0
-            )
-            if backoff > 0:
-                time.sleep(backoff)
+        """Requeue a transient failure behind the queued work, or
+        dead-letter the job once its retries are spent.  Nothing sleeps
+        here: the dispatcher goes straight on to the next queued job."""
+        if retryable and job.attempts <= JOB_RETRIES:
             with self._lock:
                 self.counters["retried"] += 1
             TRACER.event(
@@ -1101,9 +1087,9 @@ class AllocationService:
             "lifecycle": self.lifecycle(),
             "config": {
                 "verify": self.config.verify,
-                "job_retries": self.config.job_retries,
-                "job_retention": self.config.job_retention,
-                "max_queue_depth": self.config.max_queue_depth,
+                "job_retries": JOB_RETRIES,
+                "job_retention": JOB_RETENTION,
+                "max_queue_depth": MAX_QUEUE_DEPTH,
             },
         }
         if self.journal is not None:

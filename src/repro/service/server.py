@@ -48,8 +48,8 @@ that cannot answer.
 Overload behavior (see ``docs/RESILIENCE.md``):
 
 * a full service queue sheds the submit with **503** + ``Retry-After``;
-* more than ``max_concurrent_requests`` simultaneous handlers sheds
-  with **429** + ``Retry-After`` before any work is done;
+* more than :data:`MAX_CONCURRENT_REQUESTS` simultaneous handlers
+  sheds with **429** + ``Retry-After`` before any work is done;
 * the synchronous ``/v1/allocate`` wait and the ``/v1/jobs/<id>``
   long-poll are capped at :data:`MAX_SYNC_TIMEOUT_S` regardless of the
   client's ``timeout_s``/``wait_s``, so a stuck client cannot pin a
@@ -113,6 +113,9 @@ MAX_DRAIN_BYTES = 1 << 20
 
 #: Seconds a SIGTERM waits for accepted work to finish before exiting.
 DRAIN_TIMEOUT_S = 10.0
+
+#: Requests handled at once before the server sheds with ``429``.
+MAX_CONCURRENT_REQUESTS = 32
 
 
 def _query_seconds(url, name: str, default: float) -> float:
@@ -454,7 +457,8 @@ class ServiceServer(ThreadingHTTPServer):
     :data:`IDLE_TIMEOUT_S`.  Shutting the read side of each open
     connection first ends those waits, while a handler in the middle of
     a request still writes its response.  ``request_slots`` bounds the
-    requests handled at once (the ``429`` guard).
+    requests handled at once to :data:`MAX_CONCURRENT_REQUESTS` (the
+    ``429`` guard).
     """
 
     daemon_threads = True
@@ -463,13 +467,13 @@ class ServiceServer(ThreadingHTTPServer):
     #: connections, and the kernel resends those only after 1 s.
     request_queue_size = socket.SOMAXCONN
 
-    def __init__(self, address, backend, max_concurrent_requests: int = 32):
+    def __init__(self, address, backend):
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
         super().__init__(address, ServiceHandler)
         self.backend = backend
         self.request_slots = threading.BoundedSemaphore(
-            max(1, max_concurrent_requests)
+            MAX_CONCURRENT_REQUESTS
         )
 
     def process_request(self, request, client_address) -> None:
@@ -497,7 +501,6 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
     config: ServiceConfig | None = None,
-    service: AllocationService | None = None,
 ) -> ServiceServer:
     """Build (but do not run) a server over one service; ``port=0``
     binds a free port.
@@ -505,12 +508,9 @@ def make_server(
     The dispatcher is started; callers own ``serve_forever`` /
     ``shutdown`` plus :func:`shutdown_server` for the service side.
     """
-    service = service or AllocationService(config)
+    service = AllocationService(config)
     service.start()
-    return ServiceServer(
-        (host, port), ServiceBackend(service),
-        service.config.max_concurrent_requests,
-    )
+    return ServiceServer((host, port), ServiceBackend(service))
 
 
 def shutdown_server(server: ServiceServer) -> None:

@@ -31,10 +31,11 @@ The pieces:
   benches, and the loadgen direct mode run on it.
 * :class:`ProcessShard` — a worker *process* running the stock HTTP
   server on a free port (the child sends the port back over a pipe),
-  spoken to through :class:`~repro.service.client.ServiceClient` —
-  which brings the PR-5 retry/backoff machinery to every hop, and one
-  kept-alive connection per frontend thread (handler or health loop).
-  It raises what a :class:`LocalShard` raises for the same answer.
+  spoken to through :class:`~repro.service.client.ServiceClient` with
+  one kept-alive connection per frontend thread (handler or health
+  loop).  It forwards each call once and raises what a
+  :class:`LocalShard` raises for the same answer, so a shed, a draining
+  worker or a dead one reaches the router on the first failure.
 * :class:`ShardRouter` — resolves each request's content address
   from a bounded memo keyed by the digest of its canonical JSON
   (:func:`~repro.service.artifact.normalize_request` runs only on a memo
@@ -42,10 +43,11 @@ The pieces:
   forwards the body as received (the owning worker normalizes it for
   its cache), and namespaces job ids as ``<local id>@<shard>`` so polls
   route back.  A long-poll (``wait_s``) is forwarded to the owning
-  shard and a result fetch is one shard call, pending or not.  Health checks
-  reuse the client-side circuit breaker per shard: a worker that keeps
-  failing its probe is **evicted** from the ring (its keys rehash to
-  the survivors) and, once the breaker's cooldown admits a trial,
+  shard and a result fetch is one shard call, pending or not.  The
+  router is the shard hop's only failure policy: a per-shard circuit
+  breaker, handoff down the ring, and a health loop.  A worker that
+  keeps failing is **evicted** from the ring (its keys rehash to the
+  survivors) and, once the breaker's cooldown admits a trial,
   **respawned** and re-added — taking its old keys back.
 * :func:`make_shard_server` — the HTTP face (``repro serve --shards
   N``): the one :class:`~repro.service.server.ServiceServer` with the
@@ -103,6 +105,21 @@ from .queue import (
     ServiceOverloadError,
 )
 from .server import ServiceBackend, ServiceServer
+
+#: Consecutive failures (forwards or health probes) that evict a shard.
+BREAKER_THRESHOLD = 3
+
+#: Seconds an evicted shard waits before the health loop respawns it.
+BREAKER_COOLDOWN_S = 0.5
+
+#: Seconds between two health sweeps of a fleet the front end booted.
+HEALTH_INTERVAL_S = 1.0
+
+#: Seconds a worker process has to report its port.
+BOOT_TIMEOUT_S = 30.0
+
+#: Socket timeout of the front end's calls to a worker process.
+CLIENT_TIMEOUT_S = 30.0
 
 __all__ = [
     "HashRing",
@@ -337,10 +354,10 @@ class ProcessShard:
 
     The child runs the stock :func:`~repro.service.server.make_server`
     on a free port and pipes the port number back; the parent talks to
-    it through a :class:`~repro.service.client.ServiceClient`, which
-    carries the PR-5 retry/backoff + Retry-After handling on every hop.
-    Each call raises what a :class:`LocalShard` raises for the same
-    worker answer (see :meth:`_call`).
+    it through a :class:`~repro.service.client.ServiceClient` that sends
+    each call once (see :meth:`_connect`).  Each call raises what a
+    :class:`LocalShard` raises for the same worker answer (see
+    :meth:`_call`).
     """
 
     def __init__(
@@ -349,16 +366,10 @@ class ProcessShard:
         config: ServiceConfig | None = None,
         *,
         host: str = "127.0.0.1",
-        boot_timeout_s: float = 30.0,
-        client_retries: int = 2,
-        client_timeout_s: float = 30.0,
     ):
         self.name = name
         self._config = config or ServiceConfig()
         self._host = host
-        self._boot_timeout_s = boot_timeout_s
-        self._client_retries = client_retries
-        self._client_timeout_s = client_timeout_s
         self.process = None
         self.port: int | None = None
         self.client: ServiceClient | None = None
@@ -382,18 +393,29 @@ class ProcessShard:
         )
         self.process.start()
         child_conn.close()
-        if not parent_conn.poll(self._boot_timeout_s):
+        if not parent_conn.poll(BOOT_TIMEOUT_S):
             self.process.terminate()
             raise ShardError(
                 f"shard {self.name!r} did not report a port within "
-                f"{self._boot_timeout_s}s"
+                f"{BOOT_TIMEOUT_S}s"
             )
         self.port = parent_conn.recv()
         parent_conn.close()
+        self._connect()
+
+    def _connect(self) -> None:
+        """The front end's client of the worker at :attr:`port`.
+
+        It makes no retries: a shed, a draining answer or a dead worker
+        reaches the router on the first failure, and the router's
+        breaker, handoff and health loop decide what happens next.  An
+        end client that retries a shed submit therefore reaches the
+        worker once per retry, not once per retry of every hop.
+        """
         self.client = ServiceClient(
             f"http://{self._host}:{self.port}",
-            timeout=self._client_timeout_s,
-            retries=self._client_retries,
+            timeout=CLIENT_TIMEOUT_S,
+            retries=0,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -486,6 +508,12 @@ class ProcessShard:
 # The router
 # ----------------------------------------------------------------------
 
+def _breaker() -> _CircuitBreaker:
+    """A shard's breaker: it opens after :data:`BREAKER_THRESHOLD`
+    consecutive failures and cools down for :data:`BREAKER_COOLDOWN_S`."""
+    return _CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN_S)
+
+
 #: Request bodies whose content address the router remembers, least
 #: recently used first out.  An entry holds a 32-byte body digest and a
 #: 64-character key, never IR text: 262 bytes each under tracemalloc, so
@@ -508,11 +536,12 @@ class ShardRouter:
     and the worker normalizes it for its own cache.  Shard failures walk
     the ring's preference order; a shard whose per-shard circuit breaker
     trips is evicted from the ring and respawned after the breaker's
-    cooldown.
+    cooldown.  These are the shard hop's only failure policy: a shard
+    answers each forward once.
 
-    ``health_interval_s=None`` (the default) leaves health checking to
-    explicit :meth:`check_health` calls — the deterministic mode the
-    tests drive; :meth:`start_health_loop` runs it on a timer thread.
+    Health checks run on explicit :meth:`check_health` calls — the
+    deterministic mode the tests drive — until :meth:`start_health_loop`
+    runs them on a timer thread.
 
     The router answers the request surface its shards answer (see
     :mod:`repro.service.server`), so one server class mounts either.
@@ -521,22 +550,11 @@ class ShardRouter:
     #: The span the handler opens around a submit at the frontend.
     span_name = "frontend.request"
 
-    def __init__(
-        self,
-        shards,
-        *,
-        replicas: int = 64,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 0.5,
-        auto_respawn: bool = True,
-    ):
-        self.ring = HashRing(replicas)
+    def __init__(self, shards):
+        self.ring = HashRing()
         self.shards: dict[str, object] = {}
         self.breakers: dict[str, _CircuitBreaker] = {}
         self._evicted: dict[str, object] = {}
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown_s = breaker_cooldown_s
-        self.auto_respawn = auto_respawn
         self._lock = threading.RLock()
         self._health_thread: threading.Thread | None = None
         self._health_stop = threading.Event()
@@ -578,9 +596,7 @@ class ShardRouter:
             if shard.name in self.shards:
                 raise ValueError(f"duplicate shard name {shard.name!r}")
             self.shards[shard.name] = shard
-            self.breakers[shard.name] = _CircuitBreaker(
-                self._breaker_threshold, self._breaker_cooldown_s
-            )
+            self.breakers[shard.name] = _breaker()
             self.routed.setdefault(shard.name, 0)
             self.started[shard.name] = time.monotonic()
             self.ring.add(shard.name)
@@ -605,9 +621,7 @@ class ShardRouter:
                 return
             shard.respawn()
             self.shards[name] = shard
-            self.breakers[name] = _CircuitBreaker(
-                self._breaker_threshold, self._breaker_cooldown_s
-            )
+            self.breakers[name] = _breaker()
             self.ring.add(name)
             self.started[name] = time.monotonic()
             self.counters["respawned"] += 1
@@ -649,9 +663,7 @@ class ShardRouter:
                 raise ShardError(f"shard {name!r} is not in the fleet")
             self._draining.discard(name)
             self.ring.add(name)
-            self.breakers[name] = _CircuitBreaker(
-                self._breaker_threshold, self._breaker_cooldown_s
-            )
+            self.breakers[name] = _breaker()
             self.started[name] = time.monotonic()
         TRACER.event("router.rejoin", shard=name)
 
@@ -748,12 +760,11 @@ class ShardRouter:
             elif not breaker.allow():
                 self.evict(name)
                 report["evicted"].append(name)
-        if self.auto_respawn:
-            for name in sorted(self._evicted):
-                shard = self._evicted[name]
-                if shard.healthy() or self._cooldown_elapsed(name):
-                    self.respawn(name)
-                    report["respawned"].append(name)
+        for name in sorted(self._evicted):
+            shard = self._evicted[name]
+            if shard.healthy() or self._cooldown_elapsed(name):
+                self.respawn(name)
+                report["respawned"].append(name)
         return report
 
     def _cooldown_elapsed(self, name: str) -> bool:
@@ -762,13 +773,14 @@ class ShardRouter:
         # means its cooldown has elapsed — time for the trial restart.
         return breaker is None or breaker.state != "open"
 
-    def start_health_loop(self, interval_s: float = 1.0) -> None:
+    def start_health_loop(self) -> None:
+        """Run :meth:`check_health` every :data:`HEALTH_INTERVAL_S`."""
         if self._health_thread is not None:
             return
         self._health_stop.clear()
 
         def loop() -> None:
-            while not self._health_stop.wait(interval_s):
+            while not self._health_stop.wait(HEALTH_INTERVAL_S):
                 try:
                     self.check_health()
                 except Exception:
@@ -1103,27 +1115,25 @@ def make_shard_server(
     *,
     shards: int = 3,
     config: ServiceConfig | None = None,
-    replicas: int = 64,
-    health_interval_s: float | None = 1.0,
     router: ShardRouter | None = None,
 ) -> ServiceServer:
     """Boot a worker fleet and bind the front end (``repro serve --shards``).
 
     Workers are named ``s0..s{N-1}``, each a :class:`ProcessShard` over
-    its :func:`shard_configs` config.  Pass a pre-built *router* to
-    serve custom shard objects (the tests mount :class:`LocalShard`
-    fleets this way).  ``port=0`` binds a free port; stop it with
-    :func:`~repro.service.server.shutdown_server`.
+    its :func:`shard_configs` config, and the router's health loop runs
+    over them.  Pass a pre-built *router* to serve custom shard objects
+    (the tests mount :class:`LocalShard` fleets this way); its health
+    checks stay with the caller.  ``port=0`` binds a free port; stop it
+    with :func:`~repro.service.server.shutdown_server`.
     """
-    base = config or ServiceConfig()
     if router is None:
         router = ShardRouter(
             [
                 ProcessShard(name, worker_config, host=host)
-                for name, worker_config in shard_configs(base, shards).items()
-            ],
-            replicas=replicas,
+                for name, worker_config in shard_configs(
+                    config or ServiceConfig(), shards
+                ).items()
+            ]
         )
-    if health_interval_s is not None:
-        router.start_health_loop(health_interval_s)
-    return ServiceServer((host, port), router, base.max_concurrent_requests)
+        router.start_health_loop()
+    return ServiceServer((host, port), router)

@@ -240,9 +240,7 @@ def test_shard_frontend_serves_the_same_routes():
     )
     mounts = {
         "single": make_server("127.0.0.1", 0, ServiceConfig()),
-        "frontend": make_shard_server(
-            "127.0.0.1", 0, router=router, health_interval_s=None
-        ),
+        "frontend": make_shard_server("127.0.0.1", 0, router=router),
     }
     for mount, server in mounts.items():
         threading.Thread(target=server.serve_forever, daemon=True).start()

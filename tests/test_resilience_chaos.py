@@ -27,6 +27,8 @@ from repro.service import (
     make_server,
     shutdown_server,
 )
+from repro.service import client as client_module
+from repro.service import queue as queue_module
 from repro.service.client import CircuitOpenError, ServiceClient
 from repro.service.queue import Job
 
@@ -136,7 +138,7 @@ def test_poisoned_cache_entry_caught_by_verifier(tmp_path):
 # ----------------------------------------------------------------------
 def test_transient_execute_fault_retries_to_success():
     arm(FaultPoint(site="queue.execute", mode="error", times=1))
-    service = AllocationService(ServiceConfig(job_backoff_s=0.0))
+    service = AllocationService(ServiceConfig())
     job = run_to_done(service, REQUEST)
     assert job.status == "done"
     assert job.artifact == BASELINE
@@ -148,7 +150,7 @@ def test_transient_execute_fault_retries_to_success():
 def test_module_job_reaches_the_execute_fault_point():
     module_ir = IR + "\n" + IR.replace("@mac", "@mac2")
     arm(FaultPoint(site="queue.execute", mode="error", times=1))
-    service = AllocationService(ServiceConfig(job_backoff_s=0.0))
+    service = AllocationService(ServiceConfig())
     job = run_to_done(service, dict(REQUEST, ir=module_ir))
     assert job.kind == "module"
     assert job.status == "done", job.error
@@ -162,12 +164,10 @@ def test_module_job_reaches_the_execute_fault_point():
 
 def test_persistent_execute_fault_dead_letters():
     arm(FaultPoint(site="queue.execute", mode="error"))  # unbounded
-    service = AllocationService(
-        ServiceConfig(job_retries=2, job_backoff_s=0.0)
-    )
+    service = AllocationService(ServiceConfig())
     job = run_to_done(service, REQUEST)
     assert job.status == "failed"
-    assert job.attempts == 3  # 1 try + 2 retries
+    assert job.attempts == 1 + queue_module.JOB_RETRIES == 3
     assert "injected fault" in job.error
     stats = service.stats()
     assert len(stats["dead_letter"]) == 1
@@ -179,6 +179,26 @@ def test_persistent_execute_fault_dead_letters():
     ok = run_to_done(service, REQUEST)
     assert ok.status == "done"
     assert ok.artifact == BASELINE
+
+
+def test_a_retried_job_requeues_without_sleeping(monkeypatch):
+    # One job fails twice; the job queued behind it must not wait out a
+    # backoff on the dispatcher thread.
+    slept: list = []
+    monkeypatch.setattr(
+        "repro.service.queue.time.sleep", lambda s: slept.append(s)
+    )
+    arm(FaultPoint(site="queue.execute", mode="error", times=2, match="bpc"))
+    service = AllocationService(ServiceConfig())
+    failing = service.submit(REQUEST)
+    behind = service.submit(dict(REQUEST, method="non"))
+    while service.process_once():
+        pass
+    assert (failing.status, failing.attempts) == ("done", 3)
+    assert failing.artifact == BASELINE
+    assert (behind.status, behind.attempts) == ("done", 1)
+    assert behind.finished_mono < failing.finished_mono
+    assert slept == []
 
 
 def test_worker_stall_still_serves_correct_bytes():
@@ -202,7 +222,7 @@ def test_duplicate_dispatch_is_absorbed():
 
 def test_fault_accounting_surfaces_in_stats():
     arm(FaultPoint(site="queue.execute", mode="error", times=1))
-    service = AllocationService(ServiceConfig(job_backoff_s=0.0))
+    service = AllocationService(ServiceConfig())
     run_to_done(service, REQUEST)
     stats = service.stats()
     assert stats["faults"]["injected_total"] == 1
@@ -212,8 +232,9 @@ def test_fault_accounting_surfaces_in_stats():
 # ----------------------------------------------------------------------
 # Load shedding
 # ----------------------------------------------------------------------
-def test_full_queue_sheds_with_overload_error():
-    service = AllocationService(ServiceConfig(max_queue_depth=1))
+def test_full_queue_sheds_with_overload_error(monkeypatch):
+    monkeypatch.setattr(queue_module, "MAX_QUEUE_DEPTH", 1)
+    service = AllocationService(ServiceConfig())
     first = service.submit(REQUEST)
     assert first.status == "queued"
     other = dict(REQUEST, method="non")
@@ -231,7 +252,9 @@ def test_full_queue_sheds_with_overload_error():
 # HTTP layer under faults
 # ----------------------------------------------------------------------
 @pytest.fixture
-def http_server(tmp_path):
+def http_server(tmp_path, monkeypatch):
+    # Client retries back off from 10 ms, so retried faults cost little.
+    monkeypatch.setattr(client_module, "BACKOFF_S", 0.01)
     server = make_server(
         "127.0.0.1", 0,
         ServiceConfig(cache_dir=str(tmp_path / "cache"), verify="strict"),
@@ -251,7 +274,7 @@ def _client(server, **kwargs) -> ServiceClient:
 def test_injected_server_503_is_retried_transparently(http_server):
     arm(FaultPoint(site="server.request", mode="error",
                    detail={"status": 503}, times=1))
-    client = _client(http_server, backoff_s=0.01)
+    client = _client(http_server)
     status, artifact = client.allocate(IR, registers=32, banks=2, method="bpc")
     assert status["status"] == "done"
     assert artifact_bytes(artifact) == BASELINE
@@ -259,7 +282,7 @@ def test_injected_server_503_is_retried_transparently(http_server):
 
 def test_connection_reset_is_retried_transparently(http_server):
     arm(FaultPoint(site="server.request", mode="reset", times=1))
-    client = _client(http_server, backoff_s=0.01)
+    client = _client(http_server)
     status, artifact = client.allocate(IR, registers=32, banks=2, method="bpc")
     assert status["status"] == "done"
     assert artifact_bytes(artifact) == BASELINE
@@ -267,16 +290,17 @@ def test_connection_reset_is_retried_transparently(http_server):
 
 def test_injected_client_timeout_is_retried(http_server):
     arm(FaultPoint(site="client.request", mode="timeout", times=1))
-    client = _client(http_server, backoff_s=0.01)
+    client = _client(http_server)
     assert client.health() == {"ok": True}
 
 
-def test_circuit_breaker_fails_fast_after_consecutive_failures(http_server):
+def test_circuit_breaker_fails_fast_after_consecutive_failures(
+    http_server, monkeypatch
+):
+    monkeypatch.setattr(client_module, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(client_module, "BREAKER_COOLDOWN_S", 60.0)
     arm(FaultPoint(site="client.request", mode="connreset"))  # every call
-    client = _client(
-        http_server, backoff_s=0.0, retries=1,
-        breaker_threshold=2, breaker_cooldown_s=60.0,
-    )
+    client = _client(http_server, retries=1)
     with pytest.raises(ServiceError):
         client.health()
     assert client.breaker.state == "open"
@@ -313,7 +337,7 @@ def test_http_responses_under_mixed_fault_plan_are_bit_identical(http_server):
                    after=1),
         FaultPoint(site="cache.disk.read", mode="bitflip", times=1),
     )
-    client = _client(http_server, backoff_s=0.01)
+    client = _client(http_server)
     for _ in range(3):
         status, artifact = client.allocate(
             IR, registers=32, banks=2, method="bpc"
@@ -328,10 +352,9 @@ def test_http_responses_under_mixed_fault_plan_are_bit_identical(http_server):
 # ----------------------------------------------------------------------
 # Bounded retention (the unbounded-growth fix)
 # ----------------------------------------------------------------------
-def test_finished_jobs_are_evicted_beyond_retention():
-    service = AllocationService(
-        ServiceConfig(job_retention=3, verify="off")
-    )
+def test_finished_jobs_are_evicted_beyond_retention(monkeypatch):
+    monkeypatch.setattr(queue_module, "JOB_RETENTION", 3)
+    service = AllocationService(ServiceConfig(verify="off"))
     jobs = []
     for trips in range(2, 10):
         kernel = print_function(build_mac_kernel(trip_count=2 ** trips))
@@ -347,12 +370,11 @@ def test_finished_jobs_are_evicted_beyond_retention():
     assert service._inflight == {}
 
 
-def test_cache_hit_flood_stays_bounded():
+def test_cache_hit_flood_stays_bounded(monkeypatch):
     # Hits resolve without ever touching the queue; they must still
     # count toward retention or a hot key grows the jobs table forever.
-    service = AllocationService(
-        ServiceConfig(job_retention=4, verify="off")
-    )
+    monkeypatch.setattr(queue_module, "JOB_RETENTION", 4)
+    service = AllocationService(ServiceConfig(verify="off"))
     run_to_done(service, REQUEST)
     for _ in range(20):
         job = service.submit(REQUEST)
@@ -363,23 +385,7 @@ def test_cache_hit_flood_stays_bounded():
     assert service.counters["jobs_evicted"] >= 16
 
 
-def test_ttl_eviction_expires_old_finished_jobs():
-    service = AllocationService(
-        ServiceConfig(job_ttl_s=0.0, verify="off")
-    )
-    job = run_to_done(service, REQUEST)
-    assert job.status == "done"
-    # Any later submission sweeps the (instantly) expired job.
-    other = print_function(build_mac_kernel(trip_count=32))
-    run_to_done(service, {"ir": other, "file": FILE, "method": "non"})
-    assert service.get(job.job_id) is None
-    assert service.counters["jobs_evicted"] >= 1
-
-
-@pytest.mark.parametrize("ttl", [None, 60.0])
-def test_eviction_work_per_submit_does_not_grow_with_retention(
-    monkeypatch, ttl
-):
+def test_eviction_work_per_submit_does_not_grow_with_retention(monkeypatch):
     # Finished jobs evict from the front of a finish-ordered map, so a
     # submit against a full table inspects the same number of jobs
     # whether the service retains 8 of them or 512.
@@ -393,9 +399,8 @@ def test_eviction_work_per_submit_does_not_grow_with_retention(
     monkeypatch.setattr(Job, "finished", property(counted))
 
     def per_submit(retention):
-        service = AllocationService(
-            ServiceConfig(job_retention=retention, job_ttl_s=ttl, verify="off")
-        )
+        monkeypatch.setattr(queue_module, "JOB_RETENTION", retention)
+        service = AllocationService(ServiceConfig(verify="off"))
         run_to_done(service, REQUEST)
         for _ in range(retention + 2):  # fill the table with hits
             assert service.submit(REQUEST).cache == "hit"

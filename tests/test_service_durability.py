@@ -31,6 +31,8 @@ from repro.service import (
     make_server,
     shutdown_server,
 )
+from repro.service import durability as durability_module
+from repro.service import queue as queue_module
 from repro.service.client import ServiceClient
 from repro.service.durability import frame_record, parse_frame
 from repro.service.loadgen import LoadgenConfig, run_loadgen
@@ -183,11 +185,15 @@ def test_compaction_equivalence(tmp_path):
     after = JobJournal(str(tmp_path)).replay()
     assert ([r["job_id"] for r in after.pending]
             == [r["job_id"] for r in before.pending])
+    assert ([r["job_id"] for r in after.finished]
+            == [r["job_id"] for r in before.finished]
+            == ["j000001", "j000004"])
     assert after.dead_letter == before.dead_letter == [dead]
 
 
-def test_maybe_compact_waits_for_terminal_dominance(tmp_path):
-    journal = JobJournal(str(tmp_path), compact_min_frames=4)
+def test_maybe_compact_waits_for_terminal_dominance(tmp_path, monkeypatch):
+    monkeypatch.setattr(durability_module, "COMPACT_MIN_FRAMES", 4)
+    journal = JobJournal(str(tmp_path))
     for i in range(8):
         journal.record_accepted(fake_job(f"j{i:06d}"))
     # Plenty of frames, but nothing terminal yet: compaction would buy
@@ -283,6 +289,11 @@ def test_recovered_job_hits_cache_when_artifact_landed(tmp_path):
     assert replayed.cache == "hit"
     assert replayed.artifact == BASELINE
     recovered.stop()
+    # Its outcome was journaled, so the next restart still answers.
+    again = make_service(tmp_path)
+    again.recover()
+    assert again.get(done.job_id).artifact == BASELINE
+    again.stop()
 
 
 def test_warm_hits_are_never_journaled(tmp_path):
@@ -299,9 +310,10 @@ def test_warm_hits_are_never_journaled(tmp_path):
     service.stop()
 
 
-def test_dead_letter_survives_restart_and_answers_lookup(tmp_path):
+def test_dead_letter_survives_restart_and_answers_lookup(tmp_path, monkeypatch):
     arm(FaultPoint(site="queue.execute", mode="error", times=8))
-    crashed = make_service(tmp_path, job_retries=1, job_backoff_s=0.0)
+    monkeypatch.setattr(queue_module, "JOB_RETRIES", 1)
+    crashed = make_service(tmp_path)
     job = crashed.submit(dict(REQUEST))
     for _ in range(8):
         if job.finished:
@@ -319,6 +331,69 @@ def test_dead_letter_survives_restart_and_answers_lookup(tmp_path):
     assert view["dead_lettered"] is True
     assert view["error"]
     recovered.stop()
+
+
+def test_finished_job_stays_pollable_across_restarts(tmp_path):
+    first = make_service(tmp_path)
+    job = first.submit(dict(REQUEST))
+    first.process_once()
+    assert job.status == "done"
+    first.stop()
+    # Every recovery compacts, so from the second restart on the
+    # outcome comes from the checkpoint; the third follows an explicit
+    # compaction as well.
+    for restart in range(3):
+        service = make_service(tmp_path)
+        service.recover()
+        assert service.lookup(job.job_id)["status"] == "done", restart
+        assert service.get(job.job_id).artifact == job.artifact
+        if restart == 1:
+            service.journal.compact()
+        service.stop()
+
+
+def test_a_fresh_job_never_takes_a_journaled_finished_id(tmp_path):
+    # No cache dir: the finished job's bytes die with the process, so
+    # its tombstone is not restored, yet the journal keeps its record.
+    def make():
+        return AllocationService(
+            ServiceConfig(journal_dir=str(tmp_path / "journal"))
+        )
+
+    first = make()
+    done = first.submit(dict(REQUEST))
+    first.process_once()
+    first.stop()
+    second = make()
+    second.recover()
+    fresh = second.submit(dict(REQUEST, method="non"))
+    assert fresh.job_id != done.job_id
+    second.stop()  # crash before the fresh job runs
+    for restart in range(2):
+        service = make()
+        service.recover()
+        assert service.get(fresh.job_id).requested_method == "non", restart
+        service.stop()
+
+
+def test_dead_letter_replays_once_across_restarts(tmp_path):
+    arm(FaultPoint(site="queue.execute", mode="error"))
+    first = make_service(tmp_path)
+    job = first.submit(dict(REQUEST))
+    while first.process_once():
+        pass
+    assert job.dead_lettered
+    first.stop()
+    FAULTS.disarm()
+    for restart in range(3):
+        service = make_service(tmp_path)
+        service.recover()
+        assert [r["job_id"] for r in service.dead_letter] == [job.job_id]
+        view = service.lookup(job.job_id)
+        assert (view["status"], view["dead_lettered"]) == ("failed", True)
+        if restart == 1:
+            service.journal.compact()
+        service.stop()
 
 
 def test_journal_torn_write_fault_drops_unacked_job(tmp_path):

@@ -132,8 +132,8 @@ def test_cache_dir_persists_across_server_restart(server, client, tmp_path):
 
 
 def test_burst_of_new_connections_is_answered_at_once(server):
-    # 32 (the default max_concurrent_requests, so nothing is shed) fresh
-    # connections at once.  One beyond the listen backlog has its SYN
+    # 32 (the handler limit MAX_CONCURRENT_REQUESTS, so nothing is shed)
+    # fresh connections at once.  One beyond the listen backlog has its SYN
     # dropped and resent after the kernel's 1 s, past the 0.5 s timeout.
     host, port = server.server_address[:2]
     clients = 32

@@ -21,6 +21,7 @@ from repro.service import (
     ladder_from,
     select_tier,
 )
+from repro.service import degrade as degrade_module
 from repro.service.queue import Job
 from repro.workloads import dsa_suite
 
@@ -53,8 +54,11 @@ def test_ladder():
         ladder_from("best")
 
 
-def test_select_tier_walks_down_by_budget():
-    model = TierCostModel(priors={"bpc": 0.05, "bcr": 0.02, "non": 0.01})
+def test_select_tier_walks_down_by_budget(monkeypatch):
+    monkeypatch.setattr(
+        degrade_module, "PRIOR_COST_S", {"bpc": 0.05, "bcr": 0.02, "non": 0.01}
+    )
+    model = TierCostModel()
     assert select_tier("bpc", None, model) == ("bpc", False)
     assert select_tier("bpc", 1.0, model) == ("bpc", False)
     assert select_tier("bpc", 0.03, model) == ("bcr", True)
@@ -65,8 +69,10 @@ def test_select_tier_walks_down_by_budget():
     assert select_tier("non", -1.0, model) == ("non", False)
 
 
-def test_cost_model_ewma_converges():
-    model = TierCostModel(alpha=0.5, priors={"bpc": 1.0})
+def test_cost_model_ewma_converges(monkeypatch):
+    monkeypatch.setattr(degrade_module, "EWMA_ALPHA", 0.5)
+    monkeypatch.setattr(degrade_module, "PRIOR_COST_S", {"bpc": 1.0})
+    model = TierCostModel()
     model.observe("bpc", 0.0)  # first observation replaces the prior
     assert model.estimate("bpc") == 0.0
     model.observe("bpc", 1.0)

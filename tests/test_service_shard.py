@@ -51,9 +51,16 @@ def make_request(method="bpc", trip_count=16, **extra):
     return request
 
 
-def make_router(n=3, **kwargs):
+def make_router(n=3):
     shards = [LocalShard(f"s{i}", ServiceConfig()) for i in range(n)]
-    return ShardRouter(shards, **kwargs)
+    return ShardRouter(shards)
+
+
+@pytest.fixture
+def quick_breaker(monkeypatch):
+    """One failure evicts a shard, and it may respawn 50 ms later."""
+    monkeypatch.setattr(shard_module, "BREAKER_THRESHOLD", 1)
+    monkeypatch.setattr(shard_module, "BREAKER_COOLDOWN_S", 0.05)
 
 
 # ----------------------------------------------------------------------
@@ -416,8 +423,8 @@ def test_module_and_machine_requests_keep_their_key_and_shard():
 # ----------------------------------------------------------------------
 # Eviction / respawn
 # ----------------------------------------------------------------------
-def test_dead_shard_keys_hand_off_then_return_after_respawn():
-    router = make_router(auto_respawn=False, breaker_threshold=1)
+def test_dead_shard_keys_hand_off_then_return_after_respawn(quick_breaker):
+    router = make_router()
     request = make_request()
     key = normalize_request(request)["key"]
     try:
@@ -437,8 +444,8 @@ def test_dead_shard_keys_hand_off_then_return_after_respawn():
         router.close()
 
 
-def test_all_shards_dead_raises_no_shard_available():
-    router = make_router(auto_respawn=False, breaker_threshold=1)
+def test_all_shards_dead_raises_no_shard_available(quick_breaker):
+    router = make_router()
     try:
         for shard in list(router.shards.values()):
             shard.kill()
@@ -449,8 +456,8 @@ def test_all_shards_dead_raises_no_shard_available():
         router.close()
 
 
-def test_health_check_evicts_then_respawns():
-    router = make_router(breaker_threshold=1, breaker_cooldown_s=0.05)
+def test_health_check_evicts_then_respawns(quick_breaker):
+    router = make_router()
     try:
         victim = sorted(router.shards)[0]
         router.shards[victim].kill()
@@ -471,11 +478,11 @@ def test_health_check_evicts_then_respawns():
 # ----------------------------------------------------------------------
 # Chaos: fault-driven death and handoff
 # ----------------------------------------------------------------------
-def test_chaos_worker_death_is_verifier_clean_and_bit_identical():
+def test_chaos_worker_death_is_verifier_clean_and_bit_identical(quick_breaker):
     shards = [
         LocalShard(f"s{i}", ServiceConfig(verify="strict")) for i in range(3)
     ]
-    router = ShardRouter(shards, breaker_threshold=1, breaker_cooldown_s=0.05)
+    router = ShardRouter(shards)
     request = make_request()
     direct = artifact_bytes(
         build_artifact(

@@ -31,6 +31,8 @@ from repro.service import (
     make_server,
     shutdown_server,
 )
+from repro.service import client as client_module
+from repro.service import queue as queue_module
 from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceHandler, ServiceServer
@@ -91,7 +93,8 @@ def serve(server):
 
 
 class ThreadShard(ProcessShard):
-    """A :class:`ProcessShard` whose worker is a server thread."""
+    """A :class:`ProcessShard` whose worker is a server thread; the
+    front end reaches it through :class:`ProcessShard`'s own client."""
 
     pid = None
 
@@ -103,11 +106,7 @@ class ThreadShard(ProcessShard):
         )
         self.process.start()
         self.port = self.server.server_address[1]
-        self.client = ServiceClient(
-            f"http://{self._host}:{self.port}",
-            timeout=self._client_timeout_s,
-            retries=self._client_retries,
-        )
+        self._connect()
 
     def kill(self) -> None:
         if self.process.is_alive():
@@ -219,9 +218,10 @@ def test_unread_body_does_not_break_the_next_request(kind, case):
 # ----------------------------------------------------------------------
 # /result of a pending job is a 202 error, not an artifact
 # ----------------------------------------------------------------------
-def test_result_of_a_pending_job_raises_202(single):
+def test_result_of_a_pending_job_raises_202(single, monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF_S", 0.5)
     arm(stall(1.0))
-    client = ServiceClient(single.url, retries=2, backoff_s=0.5)
+    client = ServiceClient(single.url, retries=2)
     status = client.submit_request(request_for())
     started = time.monotonic()
     with pytest.raises(ServiceError) as excinfo:
@@ -252,13 +252,14 @@ def test_local_shard_result_of_a_pending_job_raises_202():
 
 
 @pytest.mark.parametrize("kind", ["local", "http"])
-def test_both_shard_kinds_raise_alike(kind):
+def test_both_shard_kinds_raise_alike(kind, monkeypatch):
     # A queue depth of 0 sheds every miss.
-    config = ServiceConfig(max_queue_depth=0)
+    monkeypatch.setattr(queue_module, "MAX_QUEUE_DEPTH", 0)
+    config = ServiceConfig()
     if kind == "local":
         shard = LocalShard("s0", config)
     else:
-        shard = ThreadShard("s0", config, client_retries=0)
+        shard = ThreadShard("s0", config)
     try:
         with pytest.raises(RequestError):
             shard.submit({"ir": "not ir", "file": FILE, "method": "bpc"})
@@ -271,6 +272,25 @@ def test_both_shard_kinds_raise_alike(kind):
         shard.kill()
         with pytest.raises(ShardError):
             shard.submit(request_for())
+    finally:
+        shard.close()
+
+
+def test_http_shard_forwards_a_shed_submit_once(monkeypatch):
+    # Built as make_shard_server builds its workers: the shard hop sends
+    # a shed submit to the worker once and raises at once, leaving the
+    # retry (and its Retry-After) to the end client.
+    monkeypatch.setattr(queue_module, "MAX_QUEUE_DEPTH", 0)
+    shard = ThreadShard("s0", ServiceConfig())
+    try:
+        started = time.monotonic()
+        with pytest.raises(ServiceOverloadError):
+            shard.submit(request_for())
+        elapsed = time.monotonic() - started
+        counters = shard.server.backend.service.counters
+        assert (counters["requests"], counters["shed"]) == (1, 1)
+        assert len(shard.accepts) == 1
+        assert elapsed < 0.5  # no Retry-After slept on the hop
     finally:
         shard.close()
 
@@ -428,7 +448,7 @@ class _IgnoresWait(BaseHTTPRequestHandler):
 
 
 def test_wait_does_not_busy_loop_when_wait_s_is_ignored():
-    server = ServiceServer(("127.0.0.1", 0), None, 4)
+    server = ServiceServer(("127.0.0.1", 0), None)
     server.RequestHandlerClass = _IgnoresWait
     server.polls = 0
     url = serve(server)

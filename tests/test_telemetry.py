@@ -25,6 +25,7 @@ from repro.obs import (
     render_prometheus,
     reset_all,
 )
+from repro.obs import telemetry
 from repro.resilience import FAULTS, FaultPlan, load_plan
 from repro.service import (
     AllocationService,
@@ -57,9 +58,9 @@ def make_request(method="bpc", trip_count=16, **extra):
     return request
 
 
-def make_router(n=3, **kwargs):
+def make_router(n=3):
     shards = [LocalShard(f"s{i}", ServiceConfig()) for i in range(n)]
-    return ShardRouter(shards, **kwargs)
+    return ShardRouter(shards)
 
 
 def span_names(spans):
@@ -374,8 +375,9 @@ def test_metrics_sample_includes_stage_histograms():
 # ----------------------------------------------------------------------
 # SLO tracking and /v1/stats
 # ----------------------------------------------------------------------
-def test_slo_tracker_error_budget_burn():
-    slo = SLOTracker(availability_target=0.9)
+def test_slo_tracker_error_budget_burn(monkeypatch):
+    monkeypatch.setattr(telemetry, "AVAILABILITY_TARGET", 0.9)
+    slo = SLOTracker()
     for _ in range(18):
         slo.record(ok=True, latency_s=0.01, good=True)
     slo.record(ok=False)
@@ -446,9 +448,7 @@ def http_mount(request):
         router = ShardRouter(
             [LocalShard(f"s{i}", ServiceConfig()) for i in range(2)]
         )
-        server = make_shard_server(
-            "127.0.0.1", 0, router=router, health_interval_s=None
-        )
+        server = make_shard_server("127.0.0.1", 0, router=router)
 
         def stop(server):
             server.shutdown()
