@@ -385,10 +385,17 @@ def test_cache_hit_flood_stays_bounded(monkeypatch):
     assert service.counters["jobs_evicted"] >= 16
 
 
-def test_eviction_work_per_submit_does_not_grow_with_retention(monkeypatch):
+@pytest.mark.parametrize("deadline_s", [None, 60.0])
+def test_eviction_work_per_submit_does_not_grow_with_retention(
+    monkeypatch, deadline_s
+):
     # Finished jobs evict from the front of a finish-ordered map, so a
     # submit against a full table inspects the same number of jobs
-    # whether the service retains 8 of them or 512.
+    # whether the service retains 8 of them or 512 — and whether or not
+    # the jobs carry a deadline, which eviction never consults.
+    request = dict(REQUEST)
+    if deadline_s is not None:
+        request["deadline_ms"] = deadline_s * 1000.0
     inspected = [0]
     finished = Job.finished
 
@@ -401,11 +408,11 @@ def test_eviction_work_per_submit_does_not_grow_with_retention(monkeypatch):
     def per_submit(retention):
         monkeypatch.setattr(queue_module, "JOB_RETENTION", retention)
         service = AllocationService(ServiceConfig(verify="off"))
-        run_to_done(service, REQUEST)
+        assert run_to_done(service, request).status == "done"
         for _ in range(retention + 2):  # fill the table with hits
-            assert service.submit(REQUEST).cache == "hit"
+            assert service.submit(request).cache == "hit"
         inspected[0] = 0
-        service.submit(REQUEST)
+        service.submit(request)
         return inspected[0]
 
     assert per_submit(512) <= per_submit(8)
